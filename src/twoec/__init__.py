@@ -9,8 +9,8 @@ from .dominators import (
     DominatorTree, FlowGraph, dominator_tree, flow_bridges, strong_bridges,
 )
 from .spanning import (
-    SpanningTree, TreePair, edge_disjoint_pair, edge_prioritized_dfs,
-    independent_pair, verify_independent,
+    SpanningTree, TreePair, edge_prioritized_dfs, independent_pair,
+    verify_independent,
 )
 from .blocks import (
     AuxGraph, CanonicalDecomposition, CondensedGraph, blocks,

@@ -1,6 +1,8 @@
 """Command-line front end: analyze, sparsify, bench, verify.
 
-Exit codes: 0 ok, 1 input error, 2 verification failure.
+Vertices are read and written in the input file's own ids: 1-based for
+DIMACS, as written for SNAP.  Exit codes: 0 ok, 1 input error, 2
+verification failure.
 """
 from __future__ import annotations
 
@@ -13,13 +15,20 @@ import numpy as np
 
 from .bench import ALGORITHMS, run_algorithm, run_experiment, write_csv
 from .blocks import blocks, components, preservation_violations
-from .digraph import GraphError, largest_scc
+from .digraph import Digraph, GraphError, largest_scc
 from .dominators import strong_bridges
 from .io import load_graph
 
 
+def _load(args) -> tuple[Digraph, np.ndarray]:
+    """Largest SCC of the input file and the file's id of each of its vertices."""
+    g = load_graph(args.graph, args.format)
+    top = largest_scc(g)
+    return top, g.vertex_origin[top.vertex_origin]
+
+
 def _analyze(args) -> int:
-    g = largest_scc(load_graph(args.graph, args.format))
+    g, _ = _load(args)
     bstar = len(strong_bridges(g))
     block_part = blocks(g)
     comp_part = components(g)
@@ -38,13 +47,13 @@ def _sparsify(args) -> int:
         print(f"error: {args.algo} solves 2EC-{expected}, not 2EC-{args.problem}",
               file=sys.stderr)
         return 1
-    g = largest_scc(load_graph(args.graph, args.format))
+    g, ids = _load(args)
     out = run_algorithm(
         args.algo, g,
         order=args.order, seed=args.seed,
         certificate=not args.no_cert, trivial_skip=not args.no_trivial_skip,
     )
-    lines = sorted((g.tail(e), g.head(e)) for e in out)
+    lines = sorted((int(ids[g.tail(e)]), int(ids[g.head(e)])) for e in out)
     sink = open(args.output, "w") if args.output else sys.stdout
     try:
         for t, h in lines:
@@ -65,7 +74,7 @@ def _bench(args) -> int:
 
 
 def _verify(args) -> int:
-    g = largest_scc(load_graph(args.graph, args.format))
+    g, ids = _load(args)
     pairs = []
     with open(args.subgraph) as fh:
         for raw in fh:
@@ -74,7 +83,7 @@ def _verify(args) -> int:
                 continue
             t, h = line.split()[:2]
             pairs.append((int(t), int(h)))
-    index = {(g.tail(e), g.head(e)): e for e in g.edge_ids.tolist()}
+    index = {(int(ids[g.tail(e)]), int(ids[g.head(e)])): e for e in g.edge_ids.tolist()}
     edges = []
     for p in pairs:
         if p not in index:

@@ -35,6 +35,7 @@ class Digraph:
     meaningful across views.  Graphs rebuilt with a fresh id space
     (``induced_subgraph``, contractions) carry ``origin``, mapping each new
     edge id to the parent graph's edge id, and ``vertex_origin`` likewise.
+    A graph read from a file keeps the file's vertex ids in ``vertex_origin``.
 
     Instances are never mutated after construction; they are safe to share
     between threads.

@@ -3,12 +3,12 @@ from __future__ import annotations
 
 import random
 
-from .digraph import Digraph, build, is_strongly_connected
+from .digraph import Digraph, build, is_strongly_connected, largest_scc
 from .dominators import strong_bridges
 
 __all__ = [
     "g1", "g2", "g4", "g5", "linked_triangles", "corpus",
-    "random_strongly_connected", "random_two_edge_connected",
+    "random_strongly_connected", "random_two_edge_connected", "road_grid",
 ]
 
 
@@ -100,3 +100,28 @@ def random_two_edge_connected(rng: random.Random, n: int, tries: int = 120) -> D
         m = min(m + n, n * (n - 1))
     # fall back to the densest simple digraph, which is always 2EC for n >= 3
     return build(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+
+
+def road_grid(side: int, p_drop: float, p_two_way: float, seed: int) -> Digraph:
+    """Seeded synthetic road network: the largest SCC of a side x side grid.
+
+    Each grid edge is dropped with probability p_drop; a kept edge is
+    two-way with probability p_two_way, otherwise one-way in a random
+    direction.
+    """
+    rng = random.Random(seed)
+    arcs: list[tuple[int, int]] = []
+    for i in range(side):
+        for j in range(side):
+            u = i * side + j
+            nbrs = ([u + 1] if j + 1 < side else []) + ([u + side] if i + 1 < side else [])
+            for v in nbrs:
+                if rng.random() < p_drop:
+                    continue
+                if rng.random() < p_two_way:
+                    arcs += [(u, v), (v, u)]
+                elif rng.random() < 0.5:
+                    arcs.append((u, v))
+                else:
+                    arcs.append((v, u))
+    return largest_scc(build(side * side, arcs))

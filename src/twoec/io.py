@@ -22,7 +22,10 @@ class ParseStats:
     loops_dropped: int
 
 
-def _dedup(n: int, pairs: list[tuple[int, int]]) -> tuple[Digraph, ParseStats]:
+def _dedup(labels: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[Digraph, ParseStats]:
+    """Graph over len(labels) vertices whose `vertex_origin` holds the
+    file's own id of every vertex."""
+    n = len(labels)
     seen: set[tuple[int, int]] = set()
     tails: list[int] = []
     heads: list[int] = []
@@ -37,7 +40,8 @@ def _dedup(n: int, pairs: list[tuple[int, int]]) -> tuple[Digraph, ParseStats]:
         seen.add((t, h))
         tails.append(t)
         heads.append(h)
-    g = Digraph(n, np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64))
+    g = Digraph(n, np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64),
+                vertex_origin=labels)
     stats = ParseStats(n, len(tails), dups, loops)
     if dups or loops:
         log.info("ingestion dropped %d duplicate arcs and %d loops", dups, loops)
@@ -48,7 +52,7 @@ def read_dimacs(stream) -> tuple[Digraph, ParseStats]:
     """DIMACS .gr reader: 'c' comments, 'p sp n m', 'a u v w' 1-based arcs.
 
     Weights are parsed and discarded; duplicate arcs and loops are dropped
-    with counts recorded.
+    with counts recorded.  Vertex v stands for the file's vertex v + 1.
     """
     n = None
     pairs: list[tuple[int, int]] = []
@@ -77,7 +81,7 @@ def read_dimacs(stream) -> tuple[Digraph, ParseStats]:
             raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphError("missing problem line")
-    return _dedup(n, pairs)
+    return _dedup(np.arange(1, n + 1, dtype=np.int64), pairs)
 
 
 def parse_dimacs(stream) -> Digraph:
@@ -88,7 +92,7 @@ def read_snap(stream) -> tuple[Digraph, ParseStats]:
     """SNAP edge-list reader: '#' comments, whitespace-separated 'u v' pairs.
 
     Vertex ids may be arbitrary non-negative integers and are densely
-    renumbered in sorted order.
+    renumbered in sorted order; `vertex_origin` keeps the file's ids.
     """
     raw_pairs: list[tuple[int, int]] = []
     ids: set[int] = set()
@@ -108,8 +112,10 @@ def read_snap(stream) -> tuple[Digraph, ParseStats]:
         raw_pairs.append((u, v))
         ids.add(u)
         ids.add(v)
-    remap = {old: new for new, old in enumerate(sorted(ids))}
-    return _dedup(len(remap), [(remap[u], remap[v]) for u, v in raw_pairs])
+    labels = sorted(ids)
+    remap = {old: new for new, old in enumerate(labels)}
+    return _dedup(np.asarray(labels, dtype=np.int64),
+                  [(remap[u], remap[v]) for u, v in raw_pairs])
 
 
 def parse_snap(stream) -> Digraph:

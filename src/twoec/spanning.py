@@ -1,16 +1,35 @@
-"""Two maximally edge-disjoint / independent spanning trees of a flow graph.
+"""Two independent spanning trees of a flow graph, from a low-high order.
 
 Independence (the two root-to-v paths share only the dominators of v) is
 built region by region: for each dominator-tree node u, the graph induces a
 "local" flow graph on u and its dominator children, obtained by contracting
-every child subtree to its root.  In any spanning-tree pair the segment of
-the tree path between idom(v) and v projects onto a local tree path, so the
+every child subtree to its root.  Every child has idom u there, and the
 global pair is independent iff inside every local graph the two tree paths
-of each child are internally disjoint.  The local solver realizes that with
-an ordering of the children (built back to front) in which one tree only
-uses entering arcs from earlier vertices and the other only arcs from later
-vertices or spare root arcs; single-entry children are exactly the flow
-bridges and share their forced arc.
+of each child are internally disjoint.
+
+Such children admit a *low-high order* (Georgiadis and Tarjan, Dominators,
+Directed Bipolar Orders, and Independent Spanning Trees, ICALP 2012; ACM
+TALG 2016): every child without an arc from u has an entering arc from an
+earlier child and one from a later child.  Blue takes the earlier (or root)
+arc and red the later (or root) arc, so blue paths run front to back, red
+paths back to front, and the two meet only at u.  Single-entry children are
+exactly the flow bridges and share their arc.
+
+`_low_high_order` builds the order front to back.  A child is *fed* when it
+has an arc from u or from a placed child, and a tree T spans the unplaced
+children from u's arcs.  A fed child x with no other fed child below it in T
+may come next; its T-parent, u or an unplaced child, gives it a later arc.
+The other unplaced children stay reachable from u's arcs through unplaced
+children: one cut off by x alone would lie below x in T and be unfed, and
+every path from u to it would enter the unplaced children at x or at a fed
+child that T reaches without x, so x would dominate it.  T is grown by a
+search that expands fed children only when nothing else can grow; by the
+same argument the last fed child it expands reaches nothing new, so T has a
+fed leaf.  Placing a leaf keeps T spanning; when no fed child is a leaf any
+more, one subtree is regrown by the same search.  A placement costs the
+child's arcs and a regrowth the arcs of its subtree, and a placement follows
+every regrowth, so the worst case is O(k*m) for k children and m arcs, not
+the linear bound of Georgiadis and Tarjan's own construction.
 """
 from __future__ import annotations
 
@@ -22,8 +41,7 @@ from .digraph import Digraph, GraphError
 from .dominators import DominatorTree, FlowGraph, dominator_tree
 
 __all__ = [
-    "SpanningTree", "TreePair",
-    "edge_disjoint_pair", "independent_pair", "verify_independent",
+    "SpanningTree", "TreePair", "independent_pair", "verify_independent",
     "edge_prioritized_dfs",
 ]
 
@@ -58,7 +76,6 @@ class SpanningTree:
 class TreePair:
     blue: SpanningTree
     red: SpanningTree
-    kind: str  # "edge-disjoint" | "independent"
 
     def common_edges(self) -> set[int]:
         return self.blue.edge_set() & self.red.edge_set()
@@ -67,263 +84,116 @@ class TreePair:
 class _LocalGraph:
     """Contracted flow graph on a dominator-tree node and its children."""
 
-    __slots__ = ("root", "children", "in_arcs", "out_adj", "root_targets")
+    __slots__ = ("root", "children", "in_arcs")
 
     def __init__(self, root: int, children: list[int]):
         self.root = root
         self.children = children
         self.in_arcs: dict[int, list[tuple[int, int]]] = {c: [] for c in children}
-        self.out_adj: dict[int, set[int]] = {c: set() for c in children}
-        self.root_targets: set[int] = set()
 
     def add_arc(self, rep: int, head: int, eid: int) -> None:
         self.in_arcs[head].append((rep, eid))
-        if rep == self.root:
-            self.root_targets.add(head)
-        else:
-            self.out_adj[rep].add(head)
 
 
-def _reaches_all(local: _LocalGraph, members: set[int]) -> bool:
-    """True if the local root reaches every member using arcs inside `members`."""
-    if not members:
-        return True
-    seen: set[int] = set()
-    frontier = [c for c in local.root_targets if c in members]
-    seen.update(frontier)
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for t in local.out_adj[c]:
-                if t in members and t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return len(seen) == len(members)
-
-
-def _front_order(local: _LocalGraph) -> list[int] | None:
-    """Second fast path: grow the order front to back as a graph search.
-
-    Any search order gives every vertex an earlier entering arc; the later
-    entering arc required by the red tree is kept available by placing a
-    vertex while one of its in-tails is still unplaced, preferring urgent
-    vertices (a single unplaced tail left).  Validated before use.
-    """
-    import heapq
-
-    root = local.root
-    children = local.children
-    tails = {c: {t for t, _ in local.in_arcs[c] if t != root}
-             for c in children}
-    exempt = {c for c in children
-              if len(local.in_arcs[c]) == 1
-              or any(t == root for t, _ in local.in_arcs[c])}
-    untc = {c: len(tails[c]) for c in children}
-    placed: dict[int, int] = {}
-    in_frontier: set[int] = set()
-    heap: list[tuple[int, int]] = []
-
-    def priority(v: int) -> int:
-        if v in exempt:
-            return 1
-        return 0 if untc[v] <= 1 else 1
-
-    def enqueue(v: int) -> None:
-        heapq.heappush(heap, (priority(v), v))
-
-    for v in sorted(local.root_targets):
-        in_frontier.add(v)
-        enqueue(v)
-    order: list[int] = []
-    while heap:
-        p, v = heapq.heappop(heap)
-        if v in placed or p != priority(v):
-            continue
-        placed[v] = len(order)
-        order.append(v)
-        for z in sorted(local.out_adj[v]):
-            if z in placed:
-                continue
-            if z not in in_frontier:
-                in_frontier.add(z)
-                enqueue(z)
-            untc[z] -= 1
-            if untc[z] == 1:
-                enqueue(z)              # became urgent
-    if len(order) != len(children):
-        return None
-    if not _order_valid(local, placed):
-        return None
-    return order[::-1]
-
-
-def _extraction_order(local: _LocalGraph, backtrack_limit: int = 40) -> list[int]:
-    """Back-to-front extraction order of the children of one local graph.
-
-    Extracts batches of candidates (children enterable from the root, from
-    an already extracted vertex, or through their single entering arc).  A
-    batch S is safe when the surviving children remain reachable from the
-    root without S and every member of S keeps an entering arc from the
-    survivors, which one BFS verifies; the batch shrinks until safe, ending
-    with sink candidates (no live out-arcs), which are always safe.
-    """
-    root = local.root
-    remaining = set(local.children)
-    candidates = {c for c in local.children
-                  if len(local.in_arcs[c]) == 1
-                  or any(t == root for t, _ in local.in_arcs[c])}
-    order: list[int] = []
-
-    def reach(surviving: set[int]) -> set[int]:
-        seen = {c for c in local.root_targets if c in surviving}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for t in local.out_adj[c]:
-                    if t in surviving and t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        return seen
-
-    while remaining:
-        batch = sorted(candidates & remaining)
-        while batch:
-            surviving = remaining.difference(batch)
-            pruned = [
-                s for s in batch
-                if any(t == root or t in surviving for t, _ in local.in_arcs[s])
-            ]
-            if len(pruned) != len(batch):
-                batch = pruned
-                continue
-            reached = reach(surviving)
-            if len(reached) == len(surviving):
-                break
-            lost = surviving - reached
-            pruned = [s for s in batch if not (local.out_adj[s] & lost)]
-            batch = pruned if len(pruned) != len(batch) else batch[: len(batch) // 2]
-        if not batch:
-            ready = sorted(candidates & remaining)
-            for c in ready:                   # sinks are always safe
-                if not (local.out_adj[c] & remaining) and any(
-                        t == root or (t in remaining and t != c)
-                        for t, _ in local.in_arcs[c]):
-                    batch = [c]
-                    break
+def _low_high_order(local: _LocalGraph) -> list[int]:
+    """Children of one local graph in low-high order (see the module docstring)."""
+    root, children = local.root, local.children
+    k = len(children)
+    index = {c: i for i, c in enumerate(children)}
+    succs: list[list[int]] = [[] for _ in range(k)]
+    preds: list[list[int]] = [[] for _ in range(k)]
+    rooted = [False] * k
+    for i, c in enumerate(children):
+        for t, _ in local.in_arcs[c]:
+            if t == root:
+                rooted[i] = True
             else:
-                for c in ready:
-                    surviving = remaining - {c}
-                    if not any(t == root or t in surviving
-                               for t, _ in local.in_arcs[c]):
-                        continue
-                    if len(reach(surviving)) == len(surviving):
-                        batch = [c]
-                        break
-        if not batch:
-            seq = _backtrack_order(local, remaining, order, backtrack_limit)
-            if seq is None:
-                raise GraphError(
-                    f"no valid child ordering in local graph of {root}")
-            order.extend(seq)
-            return order
-        for s in batch:
-            remaining.discard(s)
-            order.append(s)
-            for z in local.out_adj[s]:
-                if z in remaining:       # arcs from extracted vertices become
-                    candidates.add(z)    # later-entry options
-    return order
+                preds[i].append(index[t])
+                succs[index[t]].append(i)
 
+    fed, placed = rooted[:], [False] * k
+    parent = [-2] * k            # in T; -1: the root, -2: not in T yet
+    kids = [0] * k               # unplaced T-children
+    tree_kids: list[list[int]] = [[] for _ in range(k)]
+    region = [0] * k             # a search claims the vertices of its region
 
-def _backtrack_order(local: _LocalGraph, remaining: set[int],
-                     done: list[int], limit: int) -> list[int] | None:
-    """Exhaustive fallback over extraction choices for small local graphs."""
-    if len(remaining) > limit:
-        return None
-    root = local.root
-    extracted = set(done)
-    failed: set[frozenset[int]] = set()
+    def grow(sources: list[tuple[int, int]], label: int) -> None:
+        active: list[int] = []
+        held: list[int] = []
+        for v, p in sources:
+            parent[v] = p
+            if p >= 0:
+                kids[p] += 1
+                tree_kids[p].append(v)
+            (held if fed[v] else active).append(v)
+        while active or held:
+            v = active.pop() if active else held.pop()
+            for w in succs[v]:
+                if region[w] == label and parent[w] == -2:
+                    parent[w] = v
+                    kids[v] += 1
+                    tree_kids[v].append(w)
+                    (held if fed[w] else active).append(w)
 
-    def solve(rem: frozenset[int]) -> list[int] | None:
-        if not rem:
-            return []
-        if rem in failed:
-            return None
-        for v in sorted(rem):
-            arcs = local.in_arcs[v]
-            ok = (len(arcs) == 1
-                  or any(t == root for t, _ in arcs)
-                  or any(t != root and t not in rem for t, _ in arcs))
-            if not ok:
-                continue
-            rest = rem - {v}
-            if not _reaches_all(local, set(rest)):
-                continue
-            tail = solve(rest)
-            if tail is not None:
-                return [v] + tail
-        failed.add(rem)
-        return None
-
-    return solve(frozenset(remaining))
-
-
-def _preorder_order(local: _LocalGraph) -> list[int] | None:
-    """Fast path: DFS preorder of the real local graph when it is valid.
-
-    In a DFS every entering arc comes from an ancestor (earlier) or from a
-    back/cross arc (later), so preorder is a valid order iff each non-exempt
-    child keeps a later entering arc, which one O(m) pass verifies.
-    """
-    pos: dict[int, int] = {}
+    grow([(i, -1) for i in range(k) if rooted[i]], 0)
     order: list[int] = []
-    roots = sorted(local.root_targets)
-    adj = {c: sorted(local.out_adj[c]) for c in local.children}
-    stack: list[tuple[int, int]] = []
-    ri = 0
-    while True:
-        if not stack:
-            while ri < len(roots) and roots[ri] in pos:
-                ri += 1
-            if ri == len(roots):
-                break
-            v = roots[ri]
-            pos[v] = len(order)
-            order.append(v)
-            stack.append((v, 0))
+    fed_stack = [i for i in range(k) if rooted[i]]
+    ready = fed_stack[:]
+    regrowths = 0
+    while len(order) < k:
+        while ready and (placed[ready[-1]] or not fed[ready[-1]] or kids[ready[-1]]):
+            ready.pop()
+        if not ready:
+            # no fed leaf: regrow the subtree of the most recently fed child
+            while placed[fed_stack[-1]]:
+                fed_stack.pop()
+            regrowths += 1
+            top = fed_stack[-1]
+            region[top] = regrowths
+            sub = [top]
+            for v in sub:
+                for w in tree_kids[v]:
+                    if parent[w] == v and not placed[w] and region[w] != regrowths:
+                        region[w] = regrowths
+                        sub.append(w)
+            if parent[top] >= 0:
+                kids[parent[top]] -= 1
+                ready.append(parent[top])
+            sources = []
+            for z in sub:
+                entry = -1 if rooted[z] else next(
+                    (u for u in preds[z] if not placed[u] and region[u] != regrowths), -2)
+                if entry != -2:
+                    sources.append((z, entry))
+            for z in sub:
+                parent[z], kids[z], tree_kids[z] = -2, 0, []
+            grow(sources, regrowths)
+            assert all(parent[z] != -2 for z in sub) and any(
+                fed[z] and kids[z] == 0 for z in sub), "local graph is not flat"
+            ready.extend(sub)
             continue
-        v, i = stack[-1]
-        nxt = adj[v]
-        while i < len(nxt) and nxt[i] in pos:
-            i += 1
-        if i == len(nxt):
-            stack.pop()
-        else:
-            stack[-1] = (v, i + 1)
-            w = nxt[i]
-            pos[w] = len(order)
-            order.append(w)
-            stack.append((w, 0))
-    if len(order) != len(local.children) or not _order_valid(local, pos):
-        return None
-    return order[::-1]          # extraction order runs back to front
+        x = ready.pop()
+        placed[x] = True
+        order.append(x)
+        if parent[x] >= 0:
+            kids[parent[x]] -= 1
+            ready.append(parent[x])
+        for w in succs[x]:
+            if not placed[w] and not fed[w]:
+                fed[w] = True
+                fed_stack.append(w)
+                ready.append(w)
+    return [children[i] for i in order]
 
 
 def _order_valid(local: _LocalGraph, pos: dict[int, int]) -> bool:
-    root = local.root
+    """Linear low-high check: every child without an arc from the root has
+    one from an earlier child and one from a later child."""
     for v in local.children:
-        arcs = local.in_arcs[v]
-        if len(arcs) == 1:
+        tails = [t for t, _ in local.in_arcs[v]]
+        if local.root in tails:
             continue
-        has_root = any(t == root for t, _ in arcs)
-        earlier = any(t != root and pos[t] < pos[v] for t, _ in arcs)
-        later = any(t != root and pos[t] > pos[v] for t, _ in arcs)
-        if not (earlier or has_root):
-            return False
-        if not (later or has_root):
+        if not (any(pos[t] < pos[v] for t in tails) and any(pos[t] > pos[v] for t in tails)):
             return False
     return True
 
@@ -335,42 +205,29 @@ def _solve_local(local: _LocalGraph, preferred: set[int]) -> dict[int, tuple[int
         return {}
 
     def pick(arcs: list[tuple[int, int]], exclude: int = -1) -> int:
-        best = -1
-        best_key = None
-        for _, eid in arcs:
-            if eid == exclude:
-                continue
-            key = (0 if eid in preferred else 1, eid)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = eid
-        return best
+        ids = [eid for _, eid in arcs if eid != exclude]
+        return min(ids, key=lambda e: (e not in preferred, e), default=-1)
 
-    seq = _preorder_order(local)
-    if seq is None:
-        seq = _front_order(local)
-    if seq is None:
-        seq = _extraction_order(local)
+    pos = {v: i for i, v in enumerate(_low_high_order(local))}
     parents: dict[int, tuple[int, int]] = {}
-    remaining = set(local.children)
-    for v in seq:
-        remaining.discard(v)
+    for v in local.children:
         arcs = local.in_arcs[v]
         if len(arcs) == 1:
             e = arcs[0][1]
             parents[v] = (e, e)
             continue
-        later = [a for a in arcs if a[0] != root and a[0] not in remaining]
+        later = [a for a in arcs if a[0] != root and pos[a[0]] > pos[v]]
         root_arcs = [a for a in arcs if a[0] == root]
-        earlier = [a for a in arcs if a[0] in remaining]
+        earlier = [a for a in arcs if a[0] != root and pos[a[0]] < pos[v]]
         if later:
             e_red = pick(later)
             e_blue = pick(earlier + root_arcs)
         else:
             e_red = pick(root_arcs)
             e_blue = pick(earlier + root_arcs, exclude=e_red)
-        if e_red < 0 or e_blue < 0:
-            raise GraphError("internal error: no valid parent arcs in local graph")
+        # The order leaves v an earlier-or-root and a later-or-root arc; when red
+        # takes a root arc, v's other arc is earlier or a parallel root arc.
+        assert e_red >= 0 and e_blue >= 0 and e_red != e_blue
         parents[v] = (e_blue, e_red)
     return parents
 
@@ -445,21 +302,7 @@ def independent_pair(
             parent_b[v] = eb
             parent_r[v] = er
 
-    return TreePair(
-        blue=SpanningTree(parent_b, s),
-        red=SpanningTree(parent_r, s),
-        kind="independent",
-    )
-
-
-def edge_disjoint_pair(fg: FlowGraph) -> TreePair:
-    """Two maximally edge-disjoint spanning trees (common edges = bridges).
-
-    Independent spanning trees are maximally edge-disjoint, so this reuses
-    the independent construction and retags the result.
-    """
-    pair = independent_pair(fg)
-    return TreePair(blue=pair.blue, red=pair.red, kind="edge-disjoint")
+    return TreePair(blue=SpanningTree(parent_b, s), red=SpanningTree(parent_r, s))
 
 
 def verify_independent(fg: FlowGraph, pair: TreePair, dt: DominatorTree | None = None) -> bool:

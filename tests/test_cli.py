@@ -29,11 +29,26 @@ def test_sparsify_and_verify(tmp_path):
     assert main(["verify", str(g), str(sub), "--problem", "B"]) == 0
 
 
+def test_snap_ids_round_trip(tmp_path):
+    g = tmp_path / "g.txt"
+    # bidirected triangle on ids 10/20/30; vertex 5 lies outside the
+    # largest SCC and shifts the parser's dense numbering
+    g.write_text("5 10\n10 20\n20 10\n20 30\n30 20\n10 30\n30 10\n")
+    sub = tmp_path / "sub.txt"
+    assert main(["sparsify", str(g), "--algo", "test2ecb-b", "-o", str(sub)]) == 0
+    pairs = [tuple(map(int, line.split())) for line in sub.read_text().splitlines()]
+    assert sorted(pairs) == [(10, 20), (10, 30), (20, 10), (20, 30), (30, 10), (30, 20)]
+    assert main(["verify", str(g), str(sub), "--problem", "B"]) == 0
+    local = tmp_path / "local.txt"
+    local.write_text("0 1\n1 0\n")
+    assert main(["verify", str(g), str(local), "--problem", "B"]) == 1
+
+
 def test_verify_failure_exit_code(tmp_path):
     g = tmp_path / "g.gr"
     _write_g1(g)
     sub = tmp_path / "sub.txt"
-    sub.write_text("0 1\n1 2\n")
+    sub.write_text("1 2\n2 3\n")
     assert main(["verify", str(g), str(sub), "--problem", "B"]) == 2
 
 

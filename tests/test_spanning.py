@@ -1,33 +1,38 @@
 import random
 
-from twoec.digraph import build, delete_edge_view, scc
+import pytest
+
+from twoec import spanning
+from twoec.blocks import first_level_aux_graphs
+from twoec.certificates import ist_b
+from twoec.digraph import build, delete_edge_view, largest_scc
 from twoec.dominators import FlowGraph, dominator_tree, flow_bridges
-from twoec.fixtures import g1, g2, g4, g5, random_strongly_connected
+from twoec.fixtures import g1, g2, g4, random_strongly_connected, road_grid
 from twoec.spanning import (
-    SpanningTree, edge_disjoint_pair, edge_prioritized_dfs, independent_pair,
-    verify_independent,
+    TreePair, edge_prioritized_dfs, independent_pair, verify_independent,
 )
 
 
-def test_edge_disjoint_pair_g2():
-    g = g2()
-    fg = FlowGraph(g, 0)
-    pair = edge_disjoint_pair(fg)
-    assert pair.kind == "edge-disjoint"
+def test_independent_pair_g2_shares_every_edge():
+    fg = FlowGraph(g2(), 0)
+    dt = dominator_tree(fg)
+    pair = independent_pair(fg, dt)
     assert pair.blue.edge_set() == pair.red.edge_set() == {0, 1}
-    assert pair.common_edges() == flow_bridges(fg, dominator_tree(fg))
+    assert pair.common_edges() == flow_bridges(fg, dt)
 
 
-def test_edge_disjoint_pair_g1_disjoint():
+def test_independent_pair_g1_disjoint():
     fg = FlowGraph(g1(), 0)
-    pair = edge_disjoint_pair(fg)
-    assert pair.blue.edge_set() & pair.red.edge_set() == set()
+    dt = dominator_tree(fg)
+    pair = independent_pair(fg, dt)
+    assert pair.common_edges() == flow_bridges(fg, dt) == set()
 
 
-def test_edge_disjoint_pair_g4_shares_bridges():
+def test_independent_pair_g4_shares_bridges():
     fg = FlowGraph(g4(), 0)
-    pair = edge_disjoint_pair(fg)
-    assert pair.common_edges() == flow_bridges(fg, dominator_tree(fg))
+    dt = dominator_tree(fg)
+    pair = independent_pair(fg, dt)
+    assert pair.common_edges() == flow_bridges(fg, dt)
     assert len(pair.common_edges()) == 5
 
 
@@ -67,9 +72,7 @@ def test_verify_rejects_equal_trees_on_g1():
     fg = FlowGraph(g, 0)
     dt = dominator_tree(fg)
     tree = edge_prioritized_dfs(fg, set())
-    fake = independent_pair(fg, dt)
-    from twoec.spanning import TreePair
-    assert not verify_independent(fg, TreePair(tree, tree, "independent"), dt)
+    assert not verify_independent(fg, TreePair(tree, tree), dt)
 
 
 def test_independent_random_graphs():
@@ -84,6 +87,75 @@ def test_independent_random_graphs():
         assert pair.common_edges() == bridges
         distinct = len(pair.blue.edge_set() | pair.red.edge_set())
         assert distinct == 2 * (g.n - 1) - len(bridges)
+
+
+def _check_orders(monkeypatch) -> list[int]:
+    """Check every local order the solver computes; returns their sizes."""
+    sizes: list[int] = []
+    low_high_order = spanning._low_high_order
+
+    def checked(local):
+        order = low_high_order(local)
+        assert sorted(order) == sorted(local.children)
+        assert spanning._order_valid(local, {v: i for i, v in enumerate(order)})
+        sizes.append(len(order))
+        return order
+
+    monkeypatch.setattr(spanning, "_low_high_order", checked)
+    return sizes
+
+
+def _flow_graphs(g):
+    """G(0), G^R(0) and the reversed first-level aux graphs of G(0), which
+    are multigraphs, as ist_b builds them."""
+    fg = FlowGraph(g, 0)
+    yield fg
+    yield FlowGraph(g.reverse(), 0)
+    for h in first_level_aux_graphs(fg):
+        yield FlowGraph(h.graph.reverse(), h.root)
+
+
+def test_low_high_orders_random(monkeypatch):
+    sizes = _check_orders(monkeypatch)
+    rng = random.Random(29)
+    multigraphs = 0
+    for _ in range(300):
+        g = random_strongly_connected(rng, rng.randint(4, 60))
+        for fg in _flow_graphs(g):
+            arcs = list(zip(fg.graph.tails.tolist(), fg.graph.heads.tolist()))
+            multigraphs += len(set(arcs)) < len(arcs)
+            dt = dominator_tree(fg)
+            pair = independent_pair(fg, dt)
+            assert verify_independent(fg, pair, dt)
+            again = independent_pair(fg, dt)
+            assert again.blue.parent_edge.tolist() == pair.blue.parent_edge.tolist()
+            assert again.red.parent_edge.tolist() == pair.red.parent_edge.tolist()
+    assert multigraphs > 0
+    assert len(sizes) > 1000
+
+
+def _uniform_digraph(n: int, m: int, seed: int):
+    rng = random.Random(seed)
+    arcs = {(rng.randrange(n), rng.randrange(n)) for _ in range(m)}
+    return largest_scc(build(n, sorted((u, v) for u, v in arcs if u != v)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: road_grid(18, 0.12, 0.55, 1),
+    lambda: _uniform_digraph(350, 1400, 1),
+], ids=["road-grid-18", "uniform-350-1400"])
+def test_independent_pair_at_scale(make, monkeypatch):
+    g = make()
+    sizes = _check_orders(monkeypatch)
+    for fg in (FlowGraph(g, 0), FlowGraph(g.reverse(), 0)):
+        dt = dominator_tree(fg)
+        assert verify_independent(fg, independent_pair(fg, dt), dt)
+    assert max(sizes) >= 200
+    cert, stats = ist_b(g)
+    assert stats.phase1_new == 2 * stats.n - stats.bridges - 2
+    assert stats.phase2_new <= 2 * stats.n - stats.bridges
+    assert stats.phase3_new <= 2 * stats.n_prime + 2 * stats.bridges
+    assert len(cert.edge_set()) <= 4 * (stats.n + stats.n_prime)
 
 
 def test_union_tolerates_nonbridge_deletion():
