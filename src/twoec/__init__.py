@@ -13,9 +13,8 @@ from .spanning import (
     verify_independent,
 )
 from .blocks import (
-    AuxGraph, CanonicalDecomposition, CondensedGraph, blocks,
-    canonical_decomposition, components, condense, expand,
-    first_level_aux_graphs, preservation_violations, second_level_aux_graphs,
+    AuxGraph, CanonicalDecomposition, blocks, canonical_decomposition,
+    components, condense, first_level_aux_graphs, preservation_violations,
 )
 from .certificates import (
     CertificateEdgeList, CertificateStats, ist_b, ist_b_original, ist_bc,
@@ -23,7 +22,7 @@ from .certificates import (
 )
 from .filters import (
     FilterConfig, FilterReport, aux_variant_filter, filter_bc, hybrid_filter,
-    is_trivial_edge, test2ecb_filter, test2edp_filter, two_edge_disjoint,
+    test2ecb_filter, test2edp_filter, two_edge_disjoint,
 )
 from .bench import ALGORITHMS, QualityReport, lower_bound, run_algorithm, run_experiment
 from .io import load_graph, parse_dimacs, parse_snap

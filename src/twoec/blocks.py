@@ -1,19 +1,19 @@
 """Canonical decomposition, auxiliary graphs, 2EC blocks/components, condensation."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .digraph import (
-    Digraph, GraphError, Partition, induced_subgraph, scc,
+    Digraph, GraphError, Partition, _ensure_strongly_connected, induced_subgraph, scc,
 )
 from .dominators import DominatorTree, FlowGraph, dominator_tree, flow_bridges, strong_bridges
 
 __all__ = [
-    "CanonicalDecomposition", "AuxGraph", "CondensedGraph",
-    "canonical_decomposition", "first_level_aux_graphs", "second_level_aux_graphs",
-    "blocks", "components", "condense", "expand", "preservation_violations",
+    "CanonicalDecomposition", "AuxGraph",
+    "canonical_decomposition", "first_level_aux_graphs",
+    "blocks", "components", "condense", "preservation_violations",
 ]
 
 _BLOB = -1  # sentinel for the d(r) contraction target
@@ -184,27 +184,22 @@ def first_level_aux_graphs(fg: FlowGraph, cd: CanonicalDecomposition | None = No
     return _aux_graphs(fg, dt, cd)
 
 
-def second_level_aux_graphs(h: AuxGraph) -> list[tuple[int, AuxGraph]]:
-    """Aux graphs of the reversed first-level graph, paired with their bridges.
-
-    Returns one entry per bridge (p, q) of the flow graph H^R(r): the bridge
-    edge id (in the parent graph of `h`) together with the auxiliary graph
-    of q.  The root's own auxiliary graph carries no bridge and is omitted
-    here; `blocks` uses the full set internally.
-    """
-    out = []
-    for aux in _reverse_aux_graphs(h):
-        if aux.entering_bridge != -1:
-            out.append((int(h.orig_edge[aux.entering_bridge]), aux))
-    return out
-
-
-def _reverse_aux_graphs(h: AuxGraph) -> list[AuxGraph]:
-    """All auxiliary graphs of H^R(r), including the root's."""
+def _second_level(h: AuxGraph) -> tuple[FlowGraph, DominatorTree, list[AuxGraph]]:
+    """The reverse flow graph H^R(r) of a first-level aux graph, its
+    dominator tree, and its auxiliary graphs: the second-level graphs,
+    including the root's own, which has no entering bridge."""
     fg = FlowGraph(h.graph.reverse(), h.root)
     dt = dominator_tree(fg)
     cd = canonical_decomposition(fg, dt, flow_bridges(fg, dt))
-    return _aux_graphs(fg, dt, cd)
+    return fg, dt, _aux_graphs(fg, dt, cd)
+
+
+def _without_entering_bridge(aux: AuxGraph) -> Digraph:
+    """A second-level graph minus the copies of its entering bridge; the
+    blocks are read off the SCCs of what is left."""
+    if aux.entering_bridge == -1:
+        return aux.graph
+    return aux.graph.subgraph_edges(np.flatnonzero(aux.orig_edge != aux.entering_bridge))
 
 
 class _DSU:
@@ -226,11 +221,6 @@ class _DSU:
             self.parent[rb] = ra
 
 
-def _require_strongly_connected(g: Digraph) -> None:
-    if g.n > 1 and scc(g).count != 1:
-        raise GraphError("input graph must be strongly connected")
-
-
 def blocks(g: Digraph, s: int = 0) -> Partition:
     """2-edge-connected blocks: vertex classes pairwise joined by two
     edge-disjoint paths in each direction.
@@ -240,17 +230,13 @@ def blocks(g: Digraph, s: int = 0) -> Partition:
     ordinary at both levels and strongly connected there (after removing
     the entering bridge in bridge-headed graphs).
     """
-    _require_strongly_connected(g)
+    _ensure_strongly_connected(g)
     dsu = _DSU(g.n)
     if g.n > 1:
         fg = FlowGraph(g, s)
         for h in first_level_aux_graphs(fg):
-            for aux in _reverse_aux_graphs(h):
-                work = aux.graph
-                if aux.entering_bridge != -1:
-                    drop = np.flatnonzero(aux.orig_edge == aux.entering_bridge)
-                    keep = np.setdiff1d(work.edge_ids, drop.astype(np.int64))
-                    work = work.subgraph_edges(keep)
+            for aux in _second_level(h)[2]:
+                work = _without_entering_bridge(aux)
                 part = scc(work)
                 groups: dict[int, list[int]] = {}
                 for v in range(work.n):
@@ -273,7 +259,7 @@ def components(g: Digraph) -> Partition:
     SCCs until every piece is bridgeless; bridgeless pieces are exactly the
     maximal 2-edge-connected subgraphs.
     """
-    _require_strongly_connected(g)
+    _ensure_strongly_connected(g)
     label = np.arange(g.n, dtype=np.int64)
     queue: list[tuple[Digraph, np.ndarray]] = [(g, np.arange(g.n, dtype=np.int64))]
     while queue:
@@ -294,42 +280,24 @@ def components(g: Digraph) -> Partition:
     return Partition(label)
 
 
-@dataclass(frozen=True)
-class CondensedGraph:
-    """Multigraph obtained by contracting every 2EC component to a supervertex."""
+def condense(g: Digraph, comp: Partition, cap: int) -> Digraph:
+    """Multigraph with every class of `comp` contracted to one vertex.
 
-    graph: Digraph           # loops and parallels preserved; origin = g edge ids
-    h: np.ndarray            # original vertex -> supervertex
-
-    def original_edge(self, e: int) -> int:
-        return int(self.graph.origin[e])
-
-
-def condense(g: Digraph, comp: Partition) -> CondensedGraph:
+    Loops are dropped and at most `cap` parallel edges are kept per ordered
+    pair (the lowest ids); `origin` maps each edge to its id in `g`.
+    """
     if len(comp.comp) != g.n:
         raise GraphError("partition does not match the graph")
     eids = g.edge_ids
     tails = comp.comp[g.tails[eids]]
     heads = comp.comp[g.heads[eids]]
-    graph = Digraph(comp.count, tails, heads, multi=True, origin=eids.copy())
-    return CondensedGraph(graph=graph, h=comp.comp)
-
-
-def expand(
-    h_sub: Digraph,
-    g: Digraph,
-    comp: Partition,
-    per_component: dict[int, set[int]],
-) -> Digraph:
-    """Union of per-component edge sets with the originals of `h_sub` edges."""
-    if h_sub.origin is None:
-        raise GraphError("h-sub edge lacks an origin mapping")
-    chosen: set[int] = set()
-    for e in h_sub.edge_ids.tolist():
-        chosen.add(int(h_sub.origin[e]))
-    for edges in per_component.values():
-        chosen.update(int(e) for e in edges)
-    return g.subgraph_edges(np.fromiter(chosen, dtype=np.int64, count=len(chosen)))
+    pair = tails * comp.count + heads
+    order = np.argsort(pair, kind="stable")
+    sorted_pair = pair[order]
+    rank = np.empty(len(pair), dtype=np.int64)   # place among its pair's edges
+    rank[order] = np.arange(len(pair)) - np.searchsorted(sorted_pair, sorted_pair)
+    keep = (tails != heads) & (rank < cap)
+    return Digraph(comp.count, tails[keep], heads[keep], multi=True, origin=eids[keep])
 
 
 def preservation_violations(g: Digraph, edge_ids, problem: str) -> list[str]:

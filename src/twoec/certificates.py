@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
-    AuxGraph, canonical_decomposition, components, condense, _aux_graphs,
+    _DSU, _aux_graphs, _second_level, _without_entering_bridge,
+    canonical_decomposition, components, condense,
 )
-from .digraph import Digraph, GraphError, induced_subgraph, scc
+from .digraph import Digraph, GraphError, _ensure_strongly_connected, induced_subgraph, scc
 from .dominators import FlowGraph, dominator_tree, flow_bridges, strong_bridges
 from .spanning import edge_prioritized_dfs, independent_pair
 
@@ -34,9 +35,6 @@ class CertificateEdgeList:
 
     def edge_set(self) -> set[int]:
         return {e for e, _ in self.insertions}
-
-    def edge_array(self) -> np.ndarray:
-        return np.asarray(sorted(self.edge_set()), dtype=np.int64)
 
     def phase_new_counts(self) -> dict[str, int]:
         """Distinct edges first contributed by each phase."""
@@ -63,11 +61,6 @@ class CertificateStats:
         return self.phase1_new + self.phase2_new + self.phase3_new
 
 
-def _require_sc(g: Digraph) -> None:
-    if g.n > 1 and scc(g).count != 1:
-        raise GraphError("input graph must be strongly connected")
-
-
 def _tree_children_counts(parent_edge: np.ndarray, g: Digraph) -> np.ndarray:
     counts = np.zeros(g.n, dtype=np.int64)
     for e in parent_edge.tolist():
@@ -77,7 +70,7 @@ def _tree_children_counts(parent_edge: np.ndarray, g: Digraph) -> np.ndarray:
 
 
 def _ist_pipeline(g: Digraph, s: int, modified: bool):
-    _require_sc(g)
+    _ensure_strongly_connected(g)
     inserts: list[tuple[int, str]] = []
     in_l: set[int] = set()
 
@@ -105,12 +98,11 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
     level1 = _aux_graphs(fg, dt, cd)
 
     for h in level1:
-        rev = h.graph.reverse()
-        fgr = FlowGraph(rev, h.root)
-        dtr = dominator_tree(fgr)
+        fgr, dtr, level2 = _second_level(h)
+        rev = fgr.graph
 
         # Phase 2: independent trees of the reverse flow graph, reusing edges
-            # already chosen where valid
+        # already chosen where valid
         preferred = {int(e) for e in rev.edge_ids.tolist()
                      if int(h.orig_edge[e]) in in_l}
         pair_r = independent_pair(fgr, dtr, preferred=preferred)
@@ -137,13 +129,8 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                 insert(min(int(h.orig_edge[eb]), int(h.orig_edge[er])), "P2")
 
         # Phase 3: strongly connected coverage of every second-level SCC
-        brr = flow_bridges(fgr, dtr)
-        cdr = canonical_decomposition(fgr, dtr, brr)
-        for aux in _aux_graphs(fgr, dtr, cdr):
-            work = aux.graph
-            if aux.entering_bridge != -1:
-                drop = np.flatnonzero(aux.orig_edge == aux.entering_bridge)
-                work = work.subgraph_edges(np.setdiff1d(work.edge_ids, drop.astype(np.int64)))
+        for aux in level2:
+            work = _without_entering_bridge(aux)
             part = scc(work)
             for cls in part.classes():
                 both_ord = [
@@ -209,7 +196,6 @@ def ist_b(g: Digraph, s: int = 0) -> tuple[CertificateEdgeList, CertificateStats
 def two_ecss_edt(c: Digraph) -> set[int]:
     """2-approximate 2ECSS: union of two edge-disjoint spanning trees of
     C(v) and two of C^R(v)."""
-    _require_sc(c)
     if c.n > 1 and strong_bridges(c):
         raise GraphError("input has a strong bridge; 2ECSS needs a 2-edge-connected graph")
     if c.n <= 1:
@@ -242,12 +228,10 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
     internal preferred edges join the output for free) and preferred edges
     are scanned first.
     """
-    _require_sc(g)
+    _ensure_strongly_connected(g)
     preferred = preferred or set()
     if g.n <= 1:
         return set()
-
-    from .blocks import _DSU
 
     dsu = _DSU(g.n)
     output: set[int] = set()
@@ -325,8 +309,13 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
                 root_pos[dsu.find(base.anchor)] = i
                 stack.append(base)
             else:
-                if len(stack) != 1:
-                    raise GraphError("internal error: stuck supervertex in a strongly connected graph")
+                # Only the bottom frame can run out of edges without a cycle.
+                # Frames above it never pop, they merge downwards, so every
+                # visited vertex sits in a stack frame.  In a strongly
+                # connected graph an edge leaves any other frame's
+                # supervertex; its head lay in a lower frame, which set
+                # best_edge, or started a child that has merged into this one.
+                assert len(stack) == 1, "stuck supervertex in a strongly connected graph"
                 stack.pop()
         else:
             ry = dsu.find(g.head(edge))
@@ -337,8 +326,9 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
                     frame.best_edge = edge
             else:
                 y = g.head(edge)
-                if visited[y]:
-                    raise GraphError("internal error: revisiting a finished supervertex")
+                # every visited vertex sits in a stack frame (see above), and
+                # each stack frame's representative is in root_pos
+                assert not visited[y], "revisiting a finished supervertex"
                 nf = _ZniFrame(y, edge)
                 # vertices pre-merged with y join the new frame
                 if preferred:
@@ -351,55 +341,31 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
                 root_pos[ry] = len(stack)
                 stack.append(nf)
 
-    if any(not v for v in visited):
-        raise GraphError("internal error: unvisited vertices after contraction")
+    # the search reaches every vertex from the start in a strongly connected graph
+    assert all(visited), "unvisited vertices after contraction"
     return output
 
 
-def _reduce_condensed(cond_graph: Digraph, cap: int) -> Digraph:
-    """Drop loops and keep at most `cap` parallel edges per ordered pair."""
-    seen: dict[tuple[int, int], int] = {}
-    keep: list[int] = []
-    for e in cond_graph.edge_ids.tolist():
-        t, h = cond_graph.tail(e), cond_graph.head(e)
-        if t == h:
-            continue
-        cnt = seen.get((t, h), 0)
-        if cnt >= cap:
-            continue
-        seen[(t, h)] = cnt + 1
-        keep.append(e)
-    keep_arr = np.asarray(keep, dtype=np.int64)
-    return Digraph(
-        cond_graph.n,
-        cond_graph.tails[keep_arr] if len(keep_arr) else np.empty(0, dtype=np.int64),
-        cond_graph.heads[keep_arr] if len(keep_arr) else np.empty(0, dtype=np.int64),
-        multi=True,
-        origin=(cond_graph.origin[keep_arr] if len(keep_arr) else np.empty(0, dtype=np.int64)),
-    )
+def _condensed(g: Digraph, cap: int) -> tuple[list[tuple[Digraph, set[int]]], Digraph]:
+    """Shared prologue of the condensed-graph algorithms.
 
-
-def _per_component_two_ecss(g: Digraph, comp) -> dict[int, set[int]]:
-    out: dict[int, set[int]] = {}
-    for cid, cls in enumerate(comp.classes()):
-        if len(cls) < 2:
-            continue
-        sub = induced_subgraph(g, cls)
-        out[cid] = {int(sub.origin[e]) for e in two_ecss_edt(sub)}
-    return out
+    Returns the induced subgraph of every nontrivial 2EC component of `g`
+    with a 2ECSS of it (in the subgraph's edge ids), and the condensed
+    multigraph with at most `cap` parallel edges per pair.
+    """
+    comp = components(g)
+    pieces = []
+    for cls in comp.classes():
+        if len(cls) >= 2:
+            sub = induced_subgraph(g, cls)
+            pieces.append((sub, two_ecss_edt(sub)))
+    return pieces, condense(g, comp, cap)
 
 
 def ist_bc(g: Digraph) -> CertificateEdgeList:
     """Block-and-component-preserving certificate via the condensed graph."""
-    _require_sc(g)
-    comp = components(g)
-    per_comp = _per_component_two_ecss(g, comp)
-    inserts: list[tuple[int, str]] = []
-    for edges in per_comp.values():
-        for e in sorted(edges):
-            inserts.append((e, "C"))
-    cond = condense(g, comp)
-    reduced = _reduce_condensed(cond.graph, cap=2)
+    pieces, reduced = _condensed(g, cap=2)
+    inserts = [(int(sub.origin[e]), "C") for sub, edges in pieces for e in sorted(edges)]
     if reduced.n > 1:
         cert, _ = ist_b(reduced, 0)
         for e_local, tag in cert.insertions:
@@ -410,15 +376,8 @@ def ist_bc(g: Digraph) -> CertificateEdgeList:
 def zni_c(g: Digraph) -> set[int]:
     """2-approximate component-preserving subgraph: per-component 2ECSS plus
     an SCSS of the simple condensed graph."""
-    _require_sc(g)
-    comp = components(g)
-    per_comp = _per_component_two_ecss(g, comp)
-    out: set[int] = set()
-    for edges in per_comp.values():
-        out |= edges
-    cond = condense(g, comp)
-    reduced = _reduce_condensed(cond.graph, cap=1)
+    pieces, reduced = _condensed(g, cap=1)
+    out = {int(sub.origin[e]) for sub, edges in pieces for e in edges}
     if reduced.n > 1:
-        for e_local in zni_scss(reduced):
-            out.add(int(reduced.origin[e_local]))
+        out |= {int(reduced.origin[e]) for e in zni_scss(reduced)}
     return out

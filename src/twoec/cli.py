@@ -77,12 +77,15 @@ def _verify(args) -> int:
     g, ids = _load(args)
     pairs = []
     with open(args.subgraph) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            t, h = line.split()[:2]
-            pairs.append((int(t), int(h)))
+            try:
+                t, h = line.split()[:2]
+                pairs.append((int(t), int(h)))
+            except ValueError as exc:
+                raise GraphError(f"line {lineno}: expected 'tail head'") from exc
     index = {(int(ids[g.tail(e)]), int(ids[g.head(e)])): e for e in g.edge_ids.tolist()}
     edges = []
     for p in pairs:

@@ -20,17 +20,19 @@ class GraphError(ValueError):
 
 
 def _csr(n: int, keys: np.ndarray, eids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index `eids` by vertex key; within a vertex, edges stay in id order."""
-    order = np.lexsort((eids, keys))
-    counts = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(counts, keys + 1, 1)
-    return np.cumsum(counts), eids[order]
+    """Index the ascending `eids` by vertex key; within a vertex, edges stay
+    in id order because the sort is stable."""
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=start[1:])
+    return start, eids[np.argsort(keys, kind="stable")]
 
 
 class Digraph:
     """Immutable directed multigraph over dense 0-based vertex ids.
 
-    Edges carry stable integer ids.  A subgraph view (``subgraph_edges``,
+    Edges carry stable integer ids, and `edge_ids` (the active ones) is
+    always ascending, so the adjacency arrays list each vertex's edges in id
+    order without re-sorting by id.  A subgraph view (``subgraph_edges``,
     ``delete_edge_view``) shares the parent's edge-id space, so ids stay
     meaningful across views.  Graphs rebuilt with a fresh id space
     (``induced_subgraph``, contractions) carry ``origin``, mapping each new
@@ -91,12 +93,6 @@ class Digraph:
     def in_ids(self, v: int) -> np.ndarray:
         return self._in_eids[self._in_start[v]:self._in_start[v + 1]]
 
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self._out_start)
-
-    def in_degrees(self) -> np.ndarray:
-        return np.diff(self._in_start)
-
     def edge_pairs(self) -> list[tuple[int, int]]:
         """Active edges as (tail, head) pairs, in edge-id order."""
         return [(int(self.tails[e]), int(self.heads[e])) for e in self.edge_ids]
@@ -121,12 +117,6 @@ class Digraph:
             self.n, self.tails, self.heads, edge_ids=keep, multi=self.multi,
             origin=self.origin, vertex_origin=self.vertex_origin,
         )
-
-    def resolve_origin(self, e: int) -> int:
-        """Edge id of `e` in the immediate parent graph (identity if original)."""
-        if self.origin is None:
-            return int(e)
-        return int(self.origin[e])
 
 
 def build(n: int, edges, allow_multi: bool = False) -> Digraph:
@@ -239,6 +229,12 @@ def is_strongly_connected(g: Digraph) -> bool:
     return g.n <= 1 or scc(g).count == 1
 
 
+def _ensure_strongly_connected(g: Digraph) -> None:
+    """The precondition of every algorithm that takes a whole input graph."""
+    if not is_strongly_connected(g):
+        raise GraphError("input graph must be strongly connected")
+
+
 def induced_subgraph(g: Digraph, vertices: np.ndarray) -> Digraph:
     """Subgraph induced on `vertices`, densely renumbered in ascending order.
 
@@ -248,14 +244,12 @@ def induced_subgraph(g: Digraph, vertices: np.ndarray) -> Digraph:
     vertices = np.unique(np.asarray(vertices, dtype=np.int64))
     vmap = np.full(g.n, -1, dtype=np.int64)
     vmap[vertices] = np.arange(len(vertices))
-    keep = [e for e in g.edge_ids.tolist()
-            if vmap[g.tails[e]] >= 0 and vmap[g.heads[e]] >= 0]
-    keep_arr = np.asarray(keep, dtype=np.int64)
-    tails = vmap[g.tails[keep_arr]] if len(keep_arr) else np.empty(0, dtype=np.int64)
-    heads = vmap[g.heads[keep_arr]] if len(keep_arr) else np.empty(0, dtype=np.int64)
+    tails = vmap[g.tails[g.edge_ids]]
+    heads = vmap[g.heads[g.edge_ids]]
+    inside = (tails >= 0) & (heads >= 0)
     return Digraph(
-        len(vertices), tails, heads, multi=g.multi,
-        origin=keep_arr, vertex_origin=vertices,
+        len(vertices), tails[inside], heads[inside], multi=g.multi,
+        origin=g.edge_ids[inside], vertex_origin=vertices,
     )
 
 

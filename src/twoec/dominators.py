@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, GraphError, scc
+from .digraph import Digraph, GraphError, _ensure_strongly_connected
 
 __all__ = ["FlowGraph", "DominatorTree", "dominator_tree", "flow_bridges", "strong_bridges"]
 
@@ -34,9 +34,6 @@ class DominatorTree:
     post: np.ndarray
     dfs_pre: np.ndarray
     dfs_order: np.ndarray
-
-    def is_ancestor(self, u: int, w: int) -> bool:
-        return self.pre[u] <= self.pre[w] < self.post[u]
 
     def dominators(self, w: int) -> list[int]:
         """Ancestors of w in the dominator tree, inclusive of w."""
@@ -206,8 +203,7 @@ def strong_bridges(g: Digraph, s: int = 0) -> set[int]:
     Union of the bridges of G(s) and of G^R(s); edge ids are shared between
     a graph and its reverse, so no remapping is needed.
     """
-    if g.n > 1 and scc(g).count != 1:
-        raise GraphError("strong bridges require a strongly connected graph")
+    _ensure_strongly_connected(g)
     if g.n <= 1:
         return set()
     fg = FlowGraph(g, s)

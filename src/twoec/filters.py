@@ -10,25 +10,24 @@ input itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blocks import blocks, components, condense, first_level_aux_graphs, _reverse_aux_graphs
-from .certificates import _per_component_two_ecss, _reduce_condensed, ist_b
-from .digraph import Digraph, GraphError, Partition, induced_subgraph, scc
+from .blocks import _second_level, blocks, first_level_aux_graphs
+from .certificates import _condensed, ist_b
+from .digraph import Digraph, Partition, _ensure_strongly_connected
 from .dominators import FlowGraph
 
 __all__ = [
     "FilterConfig", "FilterReport",
     "two_edge_disjoint", "test2edp_filter", "test2ecb_filter", "hybrid_filter",
-    "is_trivial_edge", "aux_variant_filter", "filter_bc",
+    "aux_variant_filter", "filter_bc",
 ]
 
 
 @dataclass(frozen=True)
 class FilterConfig:
-    mode: str = "B"                  # B | BC
     strategy: str = "test2edp"       # test2edp | test2ecb | hybrid
     edge_order: str = "input"        # input | reverse | random
     seed: int = 0
@@ -146,27 +145,6 @@ def two_edge_disjoint(g: Digraph, x: int, y: int) -> bool:
     return _Working(g, g.edge_ids).two_disjoint_paths(x, y)
 
 
-def is_trivial_edge(g: Digraph, block_partition: Partition, e: int) -> bool:
-    """Edges whose removal obviously breaks the solution and need no test.
-
-    Either endpoint sitting in a nontrivial block with residual degree at
-    most two, or in a trivial block with degree one, pins the edge.
-    """
-    sizes = block_partition.sizes()
-    x, y = g.tail(e), g.head(e)
-    out_deg = len(g.out_ids(x))
-    in_deg = len(g.in_ids(y))
-    if sizes[block_partition.comp[x]] >= 2 and out_deg <= 2:
-        return True
-    if sizes[block_partition.comp[y]] >= 2 and in_deg <= 2:
-        return True
-    if sizes[block_partition.comp[x]] == 1 and out_deg == 1:
-        return True
-    if sizes[block_partition.comp[y]] == 1 and in_deg == 1:
-        return True
-    return False
-
-
 def _ordered(edge_ids, cfg: FilterConfig) -> list[int]:
     order = sorted(int(e) for e in edge_ids)
     if cfg.edge_order == "reverse":
@@ -246,8 +224,7 @@ def _working_ids(g: Digraph, cfg: FilterConfig):
 
 
 def _mode_b_filter(g: Digraph, cfg: FilterConfig) -> FilterReport:
-    if g.n > 1 and scc(g).count != 1:
-        raise GraphError("filters require a strongly connected input")
+    _ensure_strongly_connected(g)
     ids = _working_ids(g, cfg)
     rep = _run_strategy(g, ids, cfg)
     rep.counters["input_edges"] = g.m
@@ -256,15 +233,15 @@ def _mode_b_filter(g: Digraph, cfg: FilterConfig) -> FilterReport:
 
 
 def test2edp_filter(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
-    return _mode_b_filter(g, FilterConfig(**{**cfg.__dict__, "strategy": "test2edp"}))
+    return _mode_b_filter(g, replace(cfg, strategy="test2edp"))
 
 
 def test2ecb_filter(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
-    return _mode_b_filter(g, FilterConfig(**{**cfg.__dict__, "strategy": "test2ecb"}))
+    return _mode_b_filter(g, replace(cfg, strategy="test2ecb"))
 
 
 def hybrid_filter(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
-    return _mode_b_filter(g, FilterConfig(**{**cfg.__dict__, "strategy": "hybrid"}))
+    return _mode_b_filter(g, replace(cfg, strategy="hybrid"))
 
 
 def aux_variant_filter(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
@@ -273,24 +250,19 @@ def aux_variant_filter(g: Digraph, cfg: FilterConfig = FilterConfig()) -> Filter
     An edge is deleted only if every auxiliary graph containing it agreed to
     delete it; edges that appear in no second-level graph are kept.
     """
-    if g.n > 1 and scc(g).count != 1:
-        raise GraphError("filters require a strongly connected input")
+    _ensure_strongly_connected(g)
     ids = _working_ids(g, cfg)
     work = g.subgraph_edges(np.asarray(ids, dtype=np.int64))
-    inner_cfg = FilterConfig(
-        mode="B", strategy=cfg.strategy, edge_order=cfg.edge_order, seed=cfg.seed,
-        trivial_skip=cfg.trivial_skip, certificate=False,
-    )
     appeared: set[int] = set()
     kept: set[int] = set()
     tested = 0
     if g.n > 1:
         for h in first_level_aux_graphs(FlowGraph(work, 0)):
-            for aux in _reverse_aux_graphs(h):
+            for aux in _second_level(h)[2]:
                 to_orig = {int(e): int(h.orig_edge[aux.orig_edge[e]])
                            for e in aux.graph.edge_ids.tolist()}
                 appeared.update(to_orig.values())
-                sub_rep = _run_strategy(aux.graph, aux.graph.edge_ids, inner_cfg)
+                sub_rep = _run_strategy(aux.graph, aux.graph.edge_ids, cfg)
                 tested += sub_rep.counters["tested_2edp"] + sub_rep.counters["tested_blocks"]
                 kept.update(to_orig[e] for e in sub_rep.surviving)
     surviving = (set(ids) - appeared) | kept
@@ -316,40 +288,26 @@ def _minimize_two_ecss(g: Digraph, comp_edges: set[int]) -> set[int]:
     return set(work.alive)
 
 
-def filter_bc(g: Digraph, cfg: FilterConfig = FilterConfig(mode="BC")) -> FilterReport:
+def filter_bc(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
     """Block-and-component preserving filter through the condensed graph.
 
     Components get an edge-disjoint-trees 2ECSS re-minimized by the
     two-edge-disjoint-paths test; the surviving condensed edges come from
     the configured strategy (optionally inside second-level aux graphs).
     """
-    if g.n > 1 and scc(g).count != 1:
-        raise GraphError("filters require a strongly connected input")
-    comp = components(g)
-    per_comp = _per_component_two_ecss(g, comp)
+    pieces, reduced = _condensed(g, cap=2)
     surviving: set[int] = set()
     comp_edge_count = 0
-    for cid, edges in per_comp.items():
-        cls = np.flatnonzero(comp.comp == cid)
-        sub = induced_subgraph(g, cls)
-        local = {int(sub.origin[e]): int(e) for e in sub.edge_ids.tolist()}
-        minimized = _minimize_two_ecss(sub, {local[e] for e in edges})
+    for sub, edges in pieces:
+        minimized = _minimize_two_ecss(sub, edges)
         surviving |= {int(sub.origin[e]) for e in minimized}
         comp_edge_count += len(minimized)
 
-    cond = condense(g, comp)
-    reduced = _reduce_condensed(cond.graph, cap=2)
     decisions: dict[int, str] = {}
     counters = {"component_edges": comp_edge_count, "input_edges": g.m}
     if reduced.n > 1:
-        inner_cfg = FilterConfig(
-            mode="B", strategy=cfg.strategy, edge_order=cfg.edge_order,
-            seed=cfg.seed, trivial_skip=cfg.trivial_skip, certificate=cfg.certificate,
-        )
-        if cfg.on_aux_graphs:
-            rep = aux_variant_filter(reduced, inner_cfg)
-        else:
-            rep = _mode_b_filter(reduced, inner_cfg)
+        inner = aux_variant_filter if cfg.on_aux_graphs else _mode_b_filter
+        rep = inner(reduced, cfg)
         for e_local, what in rep.decisions.items():
             decisions[int(reduced.origin[e_local])] = what
         surviving |= {int(reduced.origin[e]) for e in rep.surviving}

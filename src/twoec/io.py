@@ -64,7 +64,10 @@ def read_dimacs(stream) -> tuple[Digraph, ParseStats]:
         if parts[0] == "p":
             if len(parts) < 4:
                 raise GraphError(f"line {lineno}: malformed problem line")
-            n = int(parts[2])
+            try:
+                n = int(parts[2])
+            except ValueError as exc:
+                raise GraphError(f"line {lineno}: non-integer vertex count") from exc
         elif parts[0] == "a":
             if n is None:
                 raise GraphError(f"line {lineno}: arc before problem line")

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from twoec.blocks import (
-    blocks, canonical_decomposition, components, condense, expand,
-    first_level_aux_graphs, preservation_violations, second_level_aux_graphs,
-    _reverse_aux_graphs,
+    _second_level, blocks, canonical_decomposition, components, condense,
+    first_level_aux_graphs,
 )
 from twoec.digraph import GraphError, Partition, build, scc
 from twoec.dominators import FlowGraph, dominator_tree, flow_bridges, strong_bridges
@@ -110,12 +109,17 @@ def test_lemma_strong_bridge_reversal():
 
 def test_second_level_api():
     auxes = first_level_aux_graphs(FlowGraph(g1(), 0))
-    assert second_level_aux_graphs(auxes[0]) == []  # H^R(0) has no bridges
+    _, _, level2 = _second_level(auxes[0])
+    assert [aux.entering_bridge for aux in level2] == [-1]  # H^R(0) has no bridges
     # every second-level graph of a path-like graph has <= 1 ordinary vertex
     g = g2()
     for h in first_level_aux_graphs(FlowGraph(g, 0)):
-        for bridge, aux in second_level_aux_graphs(h):
-            assert bridge in {0, 1, 2}
+        fgr, dtr, level2 = _second_level(h)
+        assert fgr.graph.m == h.graph.m and fgr.start == h.root
+        assert int(dtr.idom[h.root]) == -1
+        for aux in level2:
+            if aux.entering_bridge != -1:
+                assert int(h.orig_edge[aux.entering_bridge]) in {0, 1, 2}
             both = sum(1 for v in range(aux.graph.n)
                        if aux.is_ordinary[v] and h.is_ordinary[aux.orig_vertex[v]])
             assert both <= 1
@@ -124,7 +128,7 @@ def test_second_level_api():
 def test_second_level_contains_g5_block():
     found = False
     for h in first_level_aux_graphs(FlowGraph(g5(), 0)):
-        for aux in _reverse_aux_graphs(h):
+        for aux in _second_level(h)[2]:
             part = scc(aux.graph)
             for cls in part.classes():
                 orig = {int(h.orig_vertex[aux.orig_vertex[v]]) for v in cls.tolist()
@@ -178,61 +182,50 @@ def test_nontrivial_components_sit_inside_blocks():
 
 def test_condense_g1_single_supervertex():
     g = g1()
-    cond = condense(g, components(g))
-    assert cond.graph.n == 1
-    assert cond.graph.m == 6
-    assert all(cond.graph.tail(e) == cond.graph.head(e) for e in range(6))
+    cond = condense(g, components(g), cap=2)
+    assert cond.n == 1
+    assert cond.m == 0  # all six edges are loops of the one supervertex
 
 
 def test_condense_g5_isomorphic():
     g = g5()
-    cond = condense(g, components(g))
-    assert cond.graph.n == 6 and cond.graph.m == 8
-    mapped = sorted((int(cond.h[g.tail(e)]), int(cond.h[g.head(e)])) for e in range(8))
-    assert mapped == sorted(cond.graph.edge_pairs())
+    comp = components(g)
+    cond = condense(g, comp, cap=2)
+    assert cond.n == 6 and cond.m == 8
+    assert cond.origin.tolist() == list(range(8))
+    mapped = sorted((int(comp.comp[g.tail(e)]), int(comp.comp[g.head(e)])) for e in range(8))
+    assert mapped == sorted(cond.edge_pairs())
 
 
 def test_condense_linked_triangles():
     g = linked_triangles()
-    cond = condense(g, components(g))
-    assert cond.graph.n == 2
-    cross = [e for e in cond.graph.edge_ids.tolist()
-             if cond.graph.tail(e) != cond.graph.head(e)]
-    assert len(cross) == 2
-    for e in cross:
-        assert int(cond.graph.origin[e]) in (12, 13)
+    cond = condense(g, components(g), cap=2)
+    assert cond.n == 2
+    assert cond.m == 2
+    assert sorted(cond.origin.tolist()) == [12, 13]
+    assert sorted(cond.edge_pairs()) == [(0, 1), (1, 0)]
 
 
-def test_expand_roundtrip():
-    g = g1()
-    comp = components(g)
-    cond = condense(g, comp)
-    per = {0: set(range(6))}
-    empty = cond.graph.subgraph_edges(np.asarray([], dtype=np.int64))
-    out = expand(empty, g, comp, per)
-    assert sorted(out.edge_ids.tolist()) == list(range(6))
-
-    g = g5()
-    comp = components(g)
-    cond = condense(g, comp)
-    out = expand(cond.graph, g, comp, {})
-    assert sorted(out.edge_ids.tolist()) == list(range(8))
-
-
-def test_expand_linked_triangles_preserves():
-    g = linked_triangles()
-    comp = components(g)
-    cond = condense(g, comp)
-    cross = [e for e in cond.graph.edge_ids.tolist()
-             if cond.graph.tail(e) != cond.graph.head(e)]
-    per = {0: {0, 1, 2, 3, 4, 5}, 1: {6, 7, 8, 9, 10, 11}}
-    out = expand(cond.graph.subgraph_edges(np.asarray(cross, dtype=np.int64)), g, comp, per)
-    assert preservation_violations(g, out.edge_ids.tolist(), "BC") == []
-
-
-def test_expand_requires_origin():
-    g = g1()
-    comp = components(g)
-    bare = build(1, [])
+def test_condense_caps_parallel_edges():
+    # three parallel edges 0 -> 1 between the two supervertices of a
+    # partition; the lowest ids survive, up to `cap`
+    g = build(4, [(0, 2), (2, 0), (1, 3), (3, 1), (0, 1), (2, 3), (0, 3), (3, 0)])
+    part = Partition(np.asarray([0, 1, 0, 1]))
+    assert condense(g, part, cap=2).origin.tolist() == [4, 5, 7]
+    assert condense(g, part, cap=1).origin.tolist() == [4, 7]
     with pytest.raises(GraphError):
-        expand(bare, g, comp, {})
+        condense(g, Partition(np.asarray([0, 0])), cap=1)
+    # loop reference: the first `cap` edges of every ordered pair, no loops
+    rng = random.Random(53)
+    for _ in range(40):
+        g = random_strongly_connected(rng, rng.randint(2, 12))
+        part = Partition(np.asarray([rng.randrange(4) for _ in range(g.n)]))
+        for cap in (1, 2):
+            seen: dict = {}
+            want = []
+            for e, (t, h) in enumerate(g.edge_pairs()):
+                pair = (int(part.comp[t]), int(part.comp[h]))
+                if pair[0] != pair[1] and seen.get(pair, 0) < cap:
+                    seen[pair] = seen.get(pair, 0) + 1
+                    want.append(e)
+            assert condense(g, part, cap).origin.tolist() == want

@@ -83,3 +83,13 @@ def test_bench_cli(tmp_path, capsys):
 
 def test_missing_file_is_input_error(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.gr")]) == 1
+
+
+def test_malformed_subgraph_line_is_named(tmp_path, capsys):
+    g = tmp_path / "g.gr"
+    _write_g1(g)
+    sub = tmp_path / "sub.txt"
+    for text in ("1 2\n2\n", "1 2\nx 3\n"):
+        sub.write_text(text)
+        assert main(["verify", str(g), str(sub)]) == 1
+        assert "line 2:" in capsys.readouterr().err

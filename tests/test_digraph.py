@@ -99,3 +99,23 @@ def test_induced_subgraph_origin():
         oe = int(sub.origin[e])
         assert g.tail(oe) == int(sub.vertex_origin[sub.tail(e)])
         assert g.head(oe) == int(sub.vertex_origin[sub.head(e)])
+
+
+def test_views_match_loop_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        m = int(rng.integers(0, 40))
+        pairs = [tuple(int(x) for x in rng.integers(0, n, 2)) for _ in range(m)]
+        g = build(n, pairs, allow_multi=True)
+        view = g.subgraph_edges(np.flatnonzero(rng.random(g.m) < 0.6))
+        ids = view.edge_ids.tolist()
+        for v in range(n):
+            assert view.out_ids(v).tolist() == [e for e in ids if pairs[e][0] == v]
+            assert view.in_ids(v).tolist() == [e for e in ids if pairs[e][1] == v]
+        keep = sorted({int(x) for x in rng.integers(0, n, n // 2 + 1)})
+        sub = induced_subgraph(view, np.asarray(keep))
+        inside = [e for e in ids if pairs[e][0] in keep and pairs[e][1] in keep]
+        assert sub.origin.tolist() == inside
+        assert sub.edge_pairs() == [(keep.index(pairs[e][0]), keep.index(pairs[e][1]))
+                                    for e in inside]

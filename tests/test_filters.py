@@ -5,8 +5,7 @@ import pytest
 from twoec.blocks import blocks, preservation_violations
 from twoec.digraph import GraphError, build
 from twoec.filters import (
-    FilterConfig, aux_variant_filter, filter_bc, hybrid_filter, is_trivial_edge,
-    two_edge_disjoint,
+    FilterConfig, aux_variant_filter, filter_bc, hybrid_filter, two_edge_disjoint,
 )
 from twoec.filters import test2ecb_filter as ecb_filter
 from twoec.filters import test2edp_filter as edp_filter
@@ -107,16 +106,16 @@ def test_lemma1_monotonicity():
 
 
 def test_trivial_edges():
-    G1 = g1()
-    b1 = blocks(G1)
-    assert all(is_trivial_edge(G1, b1, e) for e in range(6))
-    G2 = g2()
-    b2 = blocks(G2)
-    assert all(is_trivial_edge(G2, b2, e) for e in range(3))
+    # edges pinned by a low-degree endpoint are kept untested
+    def trivial(g):
+        rep = edp_filter(g, FilterConfig(certificate=False))
+        return {e for e, what in rep.decisions.items() if what == "kept-trivial"}
+
+    assert trivial(g1()) == set(range(6))
+    assert trivial(g2()) == set(range(3))
     G4 = g4()
-    b4 = blocks(G4)
     chord = next(e for e in range(8) if (G4.tail(e), G4.head(e)) == (2, 0))
-    assert not is_trivial_edge(G4, b4, chord)
+    assert chord not in trivial(G4)
 
 
 def test_trivial_skip_neutrality():
@@ -168,7 +167,7 @@ def test_filter_bc_aux_mode():
     rng = random.Random(103)
     for _ in range(20):
         g = random_strongly_connected(rng, rng.randint(3, 10))
-        cfg = FilterConfig(mode="BC", strategy="hybrid", on_aux_graphs=True)
+        cfg = FilterConfig(strategy="hybrid", on_aux_graphs=True)
         assert preservation_violations(g, filter_bc(g, cfg).surviving, "BC") == []
 
 

@@ -23,6 +23,10 @@ def test_dimacs_malformed():
         parse_dimacs(io.StringIO("p sp 3 1\nz 1 2\n"))
     with pytest.raises(GraphError):
         parse_dimacs(io.StringIO("a 1 2 1\n"))
+    with pytest.raises(GraphError, match="line 2: non-integer vertex count"):
+        parse_dimacs(io.StringIO("c x\np sp x 3\n"))
+    with pytest.raises(GraphError, match="line 1: malformed problem line"):
+        parse_dimacs(io.StringIO("p sp 3\n"))
 
 
 def test_dimacs_dedup_and_loops():
