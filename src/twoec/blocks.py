@@ -53,21 +53,23 @@ def canonical_decomposition(
 ) -> CanonicalDecomposition:
     g, s = fg.graph, fg.start
     marked_set = {s} | {g.head(e) for e in bridges}
-    tree_id = np.empty(g.n, dtype=np.int64)
+    idom = dt.idom.tolist()
+    tree_id = [0] * g.n
     for v in dt.dfs_order.tolist():
-        tree_id[v] = v if v in marked_set else tree_id[dt.idom[v]]
-    marked = sorted(marked_set)
-    return CanonicalDecomposition(tree_id=tree_id, marked=marked, bridges=set(bridges))
+        tree_id[v] = v if v in marked_set else tree_id[idom[v]]
+    return CanonicalDecomposition(
+        tree_id=np.asarray(tree_id, dtype=np.int64), marked=sorted(marked_set),
+        bridges=set(bridges))
 
 
 def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition) -> list[AuxGraph]:
     g, s = fg.graph, fg.start
-    tree_id = cd.tree_id
-    idom = dt.idom
+    tree_id = cd.tree_id.tolist()
+    idom = dt.idom.tolist()
 
     members: dict[int, list[int]] = {r: [] for r in cd.marked}
     for v in dt.dfs_order.tolist():          # dominator-respecting preorder
-        members[int(tree_id[v])].append(v)
+        members[tree_id[v]].append(v)
 
     region_parent: dict[int, int] = {}
     region_depth: dict[int, int] = {s: 0}
@@ -75,12 +77,12 @@ def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition) ->
     for r in cd.marked:
         if r == s:
             continue
-        pr = int(tree_id[idom[r]])
+        pr = tree_id[idom[r]]
         region_parent[r] = pr
         aux_children[pr].append(r)
     # region depths follow the marked order of dfs discovery
     for v in dt.dfs_order.tolist():
-        r = int(tree_id[v])
+        r = tree_id[v]
         if r != s and r not in region_depth:
             region_depth[r] = region_depth[region_parent[r]] + 1
 
@@ -91,12 +93,10 @@ def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition) ->
     def out(region: int, a: int, b: int, e: int) -> None:
         region_edges[region].append((a, b, e))
 
-    for e in g.edge_ids.tolist():
-        x = int(g.tails[e])
-        y = int(g.heads[e])
+    for e, (x, y) in zip(g.edge_ids.tolist(), g.edge_pairs()):
         if x == y:
             continue
-        rx, ry = int(tree_id[x]), int(tree_id[y])
+        rx, ry = tree_id[x], tree_id[y]
         repx, repy = x, y
         while region_depth[rx] > region_depth[ry]:
             out(rx, repx, _BLOB, e)
@@ -156,7 +156,7 @@ def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition) ->
         for w in aux:
             orig_vertex[local[w]] = w
         if has_blob:
-            orig_vertex[blob] = int(idom[r])
+            orig_vertex[blob] = idom[r]
 
         graph = Digraph(
             n_local,
@@ -235,17 +235,14 @@ def blocks(g: Digraph, s: int = 0) -> Partition:
     if g.n > 1:
         fg = FlowGraph(g, s)
         for h in first_level_aux_graphs(fg):
+            h_ordinary, h_vertex = h.is_ordinary.tolist(), h.orig_vertex.tolist()
             for aux in _second_level(h)[2]:
-                work = _without_entering_bridge(aux)
-                part = scc(work)
+                comp = scc(_without_entering_bridge(aux)).comp.tolist()
                 groups: dict[int, list[int]] = {}
-                for v in range(work.n):
-                    if not aux.is_ordinary[v]:
-                        continue
-                    hv = int(aux.orig_vertex[v])
-                    if not h.is_ordinary[hv]:
-                        continue
-                    groups.setdefault(int(part.comp[v]), []).append(int(h.orig_vertex[hv]))
+                for c, ordinary, hv in zip(comp, aux.is_ordinary.tolist(),
+                                           aux.orig_vertex.tolist()):
+                    if ordinary and h_ordinary[hv]:
+                        groups.setdefault(c, []).append(h_vertex[hv])
                 for grp in groups.values():
                     for other in grp[1:]:
                         dsu.union(grp[0], other)

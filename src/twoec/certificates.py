@@ -19,7 +19,7 @@ from .blocks import (
 )
 from .digraph import Digraph, GraphError, _ensure_strongly_connected, induced_subgraph, scc
 from .dominators import FlowGraph, dominator_tree, flow_bridges, strong_bridges
-from .spanning import edge_prioritized_dfs, independent_pair
+from .spanning import _preferred_first, edge_prioritized_dfs, independent_pair
 
 __all__ = [
     "CertificateEdgeList", "CertificateStats",
@@ -62,11 +62,7 @@ class CertificateStats:
 
 
 def _tree_children_counts(parent_edge: np.ndarray, g: Digraph) -> np.ndarray:
-    counts = np.zeros(g.n, dtype=np.int64)
-    for e in parent_edge.tolist():
-        if e != -1:
-            counts[g.tail(e)] += 1
-    return counts
+    return np.bincount(g.tails[parent_edge[parent_edge != -1]], minlength=g.n)
 
 
 def _ist_pipeline(g: Digraph, s: int, modified: bool):
@@ -237,46 +233,47 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
     output: set[int] = set()
 
     if preferred:
-        pre_edges = np.asarray(sorted(preferred), dtype=np.int64)
-        psub = g.subgraph_edges(pre_edges)
+        psub = g.subgraph_edges(np.asarray(sorted(preferred), dtype=np.int64))
         part = scc(psub)
-        sizes = part.sizes()
-        for e in pre_edges.tolist():
-            t, h = g.tail(e), g.head(e)
-            if part.comp[t] == part.comp[h] and sizes[part.comp[t]] >= 2:
-                dsu.union(t, h)
-                output.add(int(e))
-
-    ordered: list[list[int]] = []
+        comp, sizes = part.comp.tolist(), part.sizes().tolist()
+        p_start, p_eids, p_heads = psub.out_lists()
+        for t in range(g.n):
+            for pos in range(p_start[t], p_start[t + 1]):
+                h = p_heads[pos]
+                if comp[t] == comp[h] and sizes[comp[t]] >= 2:
+                    dsu.union(t, h)
+                    output.add(p_eids[pos])
+    # The pre-merged groups, ascending.  A group keeps its representative
+    # until it is visited, because contractions only merge visited frames.
+    members: dict[int, list[int]] = {}
     for v in range(g.n):
-        ids = g.out_ids(v).tolist()
-        ordered.append([e for e in ids if e in preferred] +
-                       [e for e in ids if e not in preferred])
+        members.setdefault(dsu.find(v), []).append(v)
+
+    ordered, out_eids, heads = _preferred_first(g, preferred)
 
     visited = [False] * g.n
     root_pos: dict[int, int] = {}
 
     start = 0
     stack = [_ZniFrame(start, -1)]
-    visited[start] = True
     root_pos[dsu.find(start)] = 0
     # vertices pre-merged with the start belong to frame 0 and must be scanned
-    stack[0].pending = [[v, 0] for v in range(g.n) if dsu.find(v) == dsu.find(start)]
+    stack[0].pending = [[v, 0] for v in members[dsu.find(start)]]
     for v, _ in stack[0].pending:
         visited[v] = True
 
     while stack:
         frame = stack[-1]
         my_rep = dsu.find(frame.anchor)
-        edge = None
+        edge = None                  # a CSR position
         while frame.pending:
             v, pos = frame.pending[-1]
             lst = ordered[v]
             while pos < len(lst):
-                e = lst[pos]
+                p = lst[pos]
                 pos += 1
-                if dsu.find(g.head(e)) != my_rep:
-                    edge = e
+                if dsu.find(heads[p]) != my_rep:
+                    edge = p
                     break
             frame.pending[-1][1] = pos
             if edge is not None:
@@ -291,9 +288,9 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
                 del stack[i:]
                 base = merged[0]
                 for fr in merged[1:]:
-                    output.add(int(fr.entry_edge))
+                    output.add(fr.entry_edge)
                     root_pos.pop(dsu.find(fr.anchor), None)
-                output.add(int(closing))
+                output.add(closing)
                 root_pos.pop(dsu.find(base.anchor), None)
                 pending = []
                 best_idx = None
@@ -318,23 +315,20 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
                 assert len(stack) == 1, "stuck supervertex in a strongly connected graph"
                 stack.pop()
         else:
-            ry = dsu.find(g.head(edge))
+            y = heads[edge]
+            ry = dsu.find(y)
             if ry in root_pos:
                 idx = root_pos[ry]
                 if frame.best_idx is None or idx < frame.best_idx:
                     frame.best_idx = idx
-                    frame.best_edge = edge
+                    frame.best_edge = out_eids[edge]
             else:
-                y = g.head(edge)
                 # every visited vertex sits in a stack frame (see above), and
                 # each stack frame's representative is in root_pos
                 assert not visited[y], "revisiting a finished supervertex"
-                nf = _ZniFrame(y, edge)
+                nf = _ZniFrame(y, out_eids[edge])
                 # vertices pre-merged with y join the new frame
-                if preferred:
-                    grp = [v for v in range(g.n) if not visited[v] and dsu.find(v) == ry]
-                else:
-                    grp = [y]
+                grp = members[ry]
                 nf.pending = [[v, 0] for v in grp]
                 for v in grp:
                     visited[v] = True

@@ -19,20 +19,25 @@ class GraphError(ValueError):
     """Malformed construction input or an invalid graph argument."""
 
 
-def _csr(n: int, keys: np.ndarray, eids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index the ascending `eids` by vertex key; within a vertex, edges stay
-    in id order because the sort is stable."""
+def _csr(n: int, keys: np.ndarray, eids: np.ndarray, ends: np.ndarray):
+    """Index the ascending `eids` and their other endpoints `ends` by vertex
+    key; within a vertex, edges stay in id order because the sort is stable."""
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=start[1:])
-    return start, eids[np.argsort(keys, kind="stable")]
+    order = np.argsort(keys, kind="stable")
+    return start, eids[order], ends[order]
 
 
 class Digraph:
     """Immutable directed multigraph over dense 0-based vertex ids.
 
     Edges carry stable integer ids, and `edge_ids` (the active ones) is
-    always ascending, so the adjacency arrays list each vertex's edges in id
-    order without re-sorting by id.  A subgraph view (``subgraph_edges``,
+    always ascending.  The adjacency is one CSR per direction: the out-edges
+    of v are ``_out_eids[_out_start[v]:_out_start[v + 1]]`` in id order, with
+    their heads at the same positions of ``_out_heads``; ``_in_start``,
+    ``_in_eids`` and ``_in_tails`` hold the in-edges likewise.  Loops read
+    the adjacency through ``out_lists()`` and ``in_lists()``, which return
+    these arrays as Python lists.  A subgraph view (``subgraph_edges``,
     ``delete_edge_view``) shares the parent's edge-id space, so ids stay
     meaningful across views.  Graphs rebuilt with a fresh id space
     (``induced_subgraph``, contractions) carry ``origin``, mapping each new
@@ -45,7 +50,7 @@ class Digraph:
 
     __slots__ = (
         "n", "tails", "heads", "edge_ids", "multi", "origin", "vertex_origin",
-        "_out_start", "_out_eids", "_in_start", "_in_eids",
+        "_out_start", "_out_eids", "_out_heads", "_in_start", "_in_eids", "_in_tails",
     )
 
     def __init__(
@@ -69,11 +74,11 @@ class Digraph:
         self.multi = bool(multi)
         self.origin = origin
         self.vertex_origin = vertex_origin
-        if csr is not None:
-            self._out_start, self._out_eids, self._in_start, self._in_eids = csr
-        else:
-            self._out_start, self._out_eids = _csr(self.n, tails[edge_ids], edge_ids)
-            self._in_start, self._in_eids = _csr(self.n, heads[edge_ids], edge_ids)
+        if csr is None:
+            t, h = tails[edge_ids], heads[edge_ids]
+            csr = _csr(self.n, t, edge_ids, h) + _csr(self.n, h, edge_ids, t)
+        (self._out_start, self._out_eids, self._out_heads,
+         self._in_start, self._in_eids, self._in_tails) = csr
 
     # -- basic queries ------------------------------------------------------
 
@@ -93,9 +98,19 @@ class Digraph:
     def in_ids(self, v: int) -> np.ndarray:
         return self._in_eids[self._in_start[v]:self._in_start[v + 1]]
 
+    def out_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """(start, eids, heads): the out-edges of v sit at positions
+        start[v]:start[v + 1] of eids, in id order, with their heads alongside."""
+        return self._out_start.tolist(), self._out_eids.tolist(), self._out_heads.tolist()
+
+    def in_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """(start, eids, tails), the in-edge counterpart of ``out_lists``."""
+        return self._in_start.tolist(), self._in_eids.tolist(), self._in_tails.tolist()
+
     def edge_pairs(self) -> list[tuple[int, int]]:
         """Active edges as (tail, head) pairs, in edge-id order."""
-        return [(int(self.tails[e]), int(self.heads[e])) for e in self.edge_ids]
+        eids = self.edge_ids
+        return list(zip(self.tails[eids].tolist(), self.heads[eids].tolist()))
 
     # -- derived graphs -----------------------------------------------------
 
@@ -104,7 +119,8 @@ class Digraph:
         return Digraph(
             self.n, self.heads, self.tails, edge_ids=self.edge_ids,
             multi=self.multi, origin=self.origin, vertex_origin=self.vertex_origin,
-            csr=(self._in_start, self._in_eids, self._out_start, self._out_eids),
+            csr=(self._in_start, self._in_eids, self._in_tails,
+                 self._out_start, self._out_eids, self._out_heads),
         )
 
     def subgraph_edges(self, keep: np.ndarray) -> "Digraph":
@@ -181,9 +197,7 @@ def scc(g: Digraph) -> Partition:
     on_stack = [False] * n
     comp = [-1] * n
     stack: list[int] = []
-    out_start = g._out_start.tolist()
-    out_eids = g._out_eids.tolist()
-    heads = g.heads
+    out_start, _, heads = g.out_lists()
     counter = 0
     ncomp = 0
     for root in range(n):
@@ -198,7 +212,7 @@ def scc(g: Digraph) -> Partition:
             v, pos = work[-1]
             if pos < out_start[v + 1]:
                 work[-1] = (v, pos + 1)
-                w = int(heads[out_eids[pos]])
+                w = heads[pos]
                 if index[w] == -1:
                     index[w] = low[w] = counter
                     counter += 1
@@ -255,6 +269,8 @@ def induced_subgraph(g: Digraph, vertices: np.ndarray) -> Digraph:
 
 def largest_scc(g: Digraph) -> Digraph:
     """Induced subgraph on the largest SCC (ties: lowest component id)."""
+    if g.n == 0:
+        raise GraphError("graph has no vertices")
     part = scc(g)
     sizes = part.sizes()
     target = int(np.argmax(sizes))

@@ -24,15 +24,14 @@ class DominatorTree:
 
     `idom[v]` is the parent of v in the dominator tree (-1 at the start
     vertex).  `pre`/`post` are Euler intervals of the dominator tree itself:
-    u is an ancestor of w iff pre[u] <= pre[w] < post[u].  `dfs_pre` is the
-    preorder number from the graph DFS that built the tree (dominators of w
-    always have smaller dfs_pre than w).
+    u is an ancestor of w iff pre[u] <= pre[w] < post[u].  `dfs_order` lists
+    the vertices in the preorder of the graph DFS that built the tree, so
+    the dominators of w come before w.
     """
 
     idom: np.ndarray
     pre: np.ndarray
     post: np.ndarray
-    dfs_pre: np.ndarray
     dfs_order: np.ndarray
 
     def dominators(self, w: int) -> list[int]:
@@ -58,16 +57,14 @@ def _dfs(g: Digraph, s: int):
     parent = [-1] * n
     order = [s]
     pre[s] = 0
-    out_start = g._out_start.tolist()
-    out_eids = g._out_eids.tolist()
-    heads = g.heads
+    out_start, _, heads = g.out_lists()
     stack = [(s, out_start[s])]
     cnt = 1
     while stack:
         v, pos = stack[-1]
         if pos < out_start[v + 1]:
             stack[-1] = (v, pos + 1)
-            w = int(heads[out_eids[pos]])
+            w = heads[pos]
             if pre[w] == -1:
                 pre[w] = cnt
                 cnt += 1
@@ -90,9 +87,7 @@ def dominator_tree(fg: FlowGraph) -> DominatorTree:
     semi = pre[:]                      # semidominator preorder numbers
     label = list(range(n))             # min-semi vertex on compressed paths
     ancestor = [-1] * n
-    in_start = g._in_start.tolist()
-    in_eids = g._in_eids.tolist()
-    tails = g.tails
+    in_start, _, tails = g.in_lists()
 
     def evaluate(v: int) -> int:
         if ancestor[v] == -1:
@@ -116,7 +111,7 @@ def dominator_tree(fg: FlowGraph) -> DominatorTree:
         pw = pre[w]
         best = semi[w]
         for pos in range(in_start[w], in_start[w + 1]):
-            u = int(tails[in_eids[pos]])
+            u = tails[pos]
             if pre[u] <= pw:
                 cand = pre[u]
             else:
@@ -160,7 +155,6 @@ def dominator_tree(fg: FlowGraph) -> DominatorTree:
         idom=idom_arr,
         pre=np.asarray(tin, dtype=np.int64),
         post=np.asarray(tout, dtype=np.int64),
-        dfs_pre=np.asarray(pre, dtype=np.int64),
         dfs_order=np.asarray(order, dtype=np.int64),
     )
 
@@ -172,28 +166,24 @@ def flow_bridges(fg: FlowGraph, dt: DominatorTree) -> set[int]:
     the dominator subtree of w; its tail is then necessarily idom(w).
     """
     g = fg.graph
-    tin = dt.pre
-    tout = dt.post
-    tails = g.tails
-    in_start = g._in_start.tolist()
-    in_eids = g._in_eids.tolist()
+    tin = dt.pre.tolist()
+    tout = dt.post.tolist()
+    in_start, in_eids, tails = g.in_lists()
     bridges: set[int] = set()
     for w in range(g.n):
         if w == fg.start:
             continue
-        lo, hi = int(tin[w]), int(tout[w])
+        lo, hi = tin[w], tout[w]
         outside = -1
         count = 0
         for pos in range(in_start[w], in_start[w + 1]):
-            e = in_eids[pos]
-            t = int(tails[e])
-            if not (lo <= tin[t] < hi):
+            if not (lo <= tin[tails[pos]] < hi):
                 count += 1
                 if count > 1:
                     break
-                outside = e
+                outside = in_eids[pos]
         if count == 1:
-            bridges.add(int(outside))
+            bridges.add(outside)
     return bridges
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocks import _second_level, blocks, first_level_aux_graphs
 from .certificates import _condensed, ist_b
-from .digraph import Digraph, Partition, _ensure_strongly_connected
+from .digraph import Digraph, GraphError, _ensure_strongly_connected
 from .dominators import FlowGraph
 
 __all__ = [
@@ -44,60 +44,40 @@ class FilterReport:
 
 
 class _Working:
-    """Mutable adjacency state of the evolving subgraph G'."""
+    """Filter state of the evolving subgraph G' over the view of its initial
+    edges: alive flags, degree counts and per-vertex edge-id lists sliced
+    from the view's CSR, with the view's endpoints as lists."""
 
-    def __init__(self, g: Digraph, edge_ids):
-        self.n = g.n
-        self.tail = {}
-        self.head = {}
-        self.out_adj: list[list[int]] = [[] for _ in range(g.n)]
-        self.in_adj: list[list[int]] = [[] for _ in range(g.n)]
-        self.alive: set[int] = set()
-        self.out_deg = [0] * g.n
-        self.in_deg = [0] * g.n
-        for e in sorted(int(x) for x in edge_ids):
-            t, h = g.tail(e), g.head(e)
-            self.tail[e] = t
-            self.head[e] = h
-            self.out_adj[t].append(e)
-            self.in_adj[h].append(e)
-            self.alive.add(e)
-            self.out_deg[t] += 1
-            self.in_deg[h] += 1
+    def __init__(self, view: Digraph):
+        self.view = view
+        self.ids = view.edge_ids.tolist()
+        self.tails = view.tails.tolist()
+        self.heads = view.heads.tolist()
+        self.alive = [False] * len(self.tails)
+        for e in self.ids:
+            self.alive[e] = True
+        out_start, out_eids, _ = view.out_lists()
+        in_start, in_eids, _ = view.in_lists()
+        self.out_adj = [out_eids[out_start[v]:out_start[v + 1]] for v in range(view.n)]
+        self.in_adj = [in_eids[in_start[v]:in_start[v + 1]] for v in range(view.n)]
+        self.out_deg = [len(adj) for adj in self.out_adj]
+        self.in_deg = [len(adj) for adj in self.in_adj]
 
     def delete(self, e: int) -> None:
-        self.alive.discard(e)
-        self.out_deg[self.tail[e]] -= 1
-        self.in_deg[self.head[e]] -= 1
+        self.alive[e] = False
+        self.out_deg[self.tails[e]] -= 1
+        self.in_deg[self.heads[e]] -= 1
 
-    def subgraph(self, g: Digraph, skip: int = -1) -> Digraph:
-        ids = [e for e in self.alive if e != skip]
-        return g.subgraph_edges(np.asarray(sorted(ids), dtype=np.int64))
-
-    def strongly_connected_without(self, e_skip: int) -> bool:
-        alive = self.alive
-        for adj, start in ((self.out_adj, self.tail[e_skip]),
-                           (self.in_adj, self.tail[e_skip])):
-            seen = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for e in adj[v]:
-                    if e == e_skip or e not in alive:
-                        continue
-                    w = self.head[e] if adj is self.out_adj else self.tail[e]
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != self.n:
-                return False
-        return True
+    def without(self, e: int) -> Digraph:
+        """View of G' - e."""
+        keep = [f for f in self.ids if self.alive[f] and f != e]
+        return self.view.subgraph_edges(np.asarray(keep, dtype=np.int64))
 
     def two_disjoint_paths(self, x: int, y: int, e_skip: int = -1) -> bool:
         """Two edge-disjoint x->y paths avoiding e_skip (unit capacities)."""
         if x == y:
             return True
-        alive = self.alive
+        alive, tails, heads = self.alive, self.tails, self.heads
         used: set[int] = set()
         for _ in range(2):
             parent: dict[int, tuple[int, int, bool]] = {x: (-1, -1, False)}
@@ -106,9 +86,9 @@ class _Working:
             while stack and not reached:
                 v = stack.pop()
                 for e in self.out_adj[v]:
-                    if e == e_skip or e not in alive or e in used:
+                    if e == e_skip or not alive[e] or e in used:
                         continue
-                    w = self.head[e]
+                    w = heads[e]
                     if w not in parent:
                         parent[w] = (v, e, False)
                         if w == y:
@@ -120,7 +100,7 @@ class _Working:
                 for e in self.in_adj[v]:
                     if e not in used:
                         continue
-                    w = self.tail[e]
+                    w = tails[e]
                     if w not in parent:
                         parent[w] = (v, e, True)
                         if w == y:
@@ -142,7 +122,7 @@ class _Working:
 
 def two_edge_disjoint(g: Digraph, x: int, y: int) -> bool:
     """Two edge-disjoint paths from x to y in g (two augmenting searches)."""
-    return _Working(g, g.edge_ids).two_disjoint_paths(x, y)
+    return _Working(g).two_disjoint_paths(x, y)
 
 
 def _ordered(edge_ids, cfg: FilterConfig) -> list[int]:
@@ -158,20 +138,19 @@ def _ordered(edge_ids, cfg: FilterConfig) -> list[int]:
 
 def _run_strategy(g: Digraph, working_ids, cfg: FilterConfig) -> FilterReport:
     """Shared loop for test2edp / test2ecb / hybrid over a working edge set."""
-    work = _Working(g, working_ids)
-    wgraph = g.subgraph_edges(np.asarray(sorted(work.alive), dtype=np.int64))
-    blocks0 = blocks(wgraph) if g.n > 1 else Partition(np.zeros(g.n, dtype=np.int64))
-    sizes = blocks0.sizes()
-    comp_of = blocks0.comp
+    work = _Working(g.subgraph_edges(np.asarray(working_ids, dtype=np.int64)))
+    blocks0 = blocks(work.view)
+    sizes = blocks0.sizes().tolist()
+    comp_of = blocks0.comp.tolist()
 
     decisions: dict[int, str] = {}
     counters = {
-        "working_edges": len(work.alive), "tested_2edp": 0, "tested_blocks": 0,
+        "working_edges": len(work.ids), "tested_2edp": 0, "tested_blocks": 0,
         "kept_trivial": 0, "kept_bridge": 0, "kept_needed": 0, "deleted": 0,
     }
 
     def trivial(e: int) -> bool:
-        x, y = work.tail[e], work.head[e]
+        x, y = work.tails[e], work.heads[e]
         if sizes[comp_of[x]] >= 2 and work.out_deg[x] <= 2:
             return True
         if sizes[comp_of[y]] >= 2 and work.in_deg[y] <= 2:
@@ -182,8 +161,8 @@ def _run_strategy(g: Digraph, working_ids, cfg: FilterConfig) -> FilterReport:
             return True
         return False
 
-    for e in _ordered(work.alive, cfg):
-        x, y = work.tail[e], work.head[e]
+    for e in _ordered(work.ids, cfg):
+        x, y = work.tails[e], work.heads[e]
         if cfg.trivial_skip and trivial(e):
             decisions[e] = "kept-trivial"
             counters["kept_trivial"] += 1
@@ -200,12 +179,16 @@ def _run_strategy(g: Digraph, working_ids, cfg: FilterConfig) -> FilterReport:
                 decisions[e] = "kept-needed"
                 counters["kept_needed"] += 1
         else:
-            if not work.strongly_connected_without(e):
+            try:
+                # the precondition of blocks() fails iff G' - e is not
+                # strongly connected
+                same = blocks(work.without(e)) == blocks0
+            except GraphError:
                 decisions[e] = "kept-bridge"
                 counters["kept_bridge"] += 1
                 continue
             counters["tested_blocks"] += 1
-            if blocks(work.subgraph(g, skip=e)) == blocks0:
+            if same:
                 work.delete(e)
                 decisions[e] = "deleted"
                 counters["deleted"] += 1
@@ -213,7 +196,8 @@ def _run_strategy(g: Digraph, working_ids, cfg: FilterConfig) -> FilterReport:
                 decisions[e] = "kept-needed"
                 counters["kept_needed"] += 1
 
-    return FilterReport(surviving=set(work.alive), decisions=decisions, counters=counters)
+    surviving = {e for e in work.ids if work.alive[e]}
+    return FilterReport(surviving=surviving, decisions=decisions, counters=counters)
 
 
 def _working_ids(g: Digraph, cfg: FilterConfig):
@@ -281,11 +265,11 @@ def aux_variant_filter(g: Digraph, cfg: FilterConfig = FilterConfig()) -> Filter
 
 def _minimize_two_ecss(g: Digraph, comp_edges: set[int]) -> set[int]:
     """Shrink a per-component 2ECSS with the two-edge-disjoint-paths test."""
-    work = _Working(g, comp_edges)
-    for e in sorted(comp_edges):
-        if work.two_disjoint_paths(work.tail[e], work.head[e], e_skip=e):
+    work = _Working(g.subgraph_edges(np.asarray(sorted(comp_edges), dtype=np.int64)))
+    for e in work.ids:
+        if work.two_disjoint_paths(work.tails[e], work.heads[e], e_skip=e):
             work.delete(e)
-    return set(work.alive)
+    return {e for e in work.ids if work.alive[e]}
 
 
 def filter_bc(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:

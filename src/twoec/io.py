@@ -62,12 +62,16 @@ def read_dimacs(stream) -> tuple[Digraph, ParseStats]:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise GraphError(f"line {lineno}: second problem line")
             if len(parts) < 4:
                 raise GraphError(f"line {lineno}: malformed problem line")
             try:
                 n = int(parts[2])
             except ValueError as exc:
                 raise GraphError(f"line {lineno}: non-integer vertex count") from exc
+            if n < 0:
+                raise GraphError(f"line {lineno}: negative vertex count")
         elif parts[0] == "a":
             if n is None:
                 raise GraphError(f"line {lineno}: arc before problem line")

@@ -33,6 +33,7 @@ the linear bound of Georgiadis and Tarjan's own construction.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,17 +233,6 @@ def _solve_local(local: _LocalGraph, preferred: set[int]) -> dict[int, tuple[int
     return parents
 
 
-def _ancestor_at_depth(up: list[np.ndarray], depth: np.ndarray, v: int, d: int) -> int:
-    delta = int(depth[v]) - d
-    k = 0
-    while delta:
-        if delta & 1:
-            v = int(up[k][v])
-        delta >>= 1
-        k += 1
-    return v
-
-
 def independent_pair(
     fg: FlowGraph,
     dt: DominatorTree | None = None,
@@ -260,40 +250,35 @@ def independent_pair(
         dt = dominator_tree(fg)
     preferred = preferred or set()
 
-    idom = dt.idom
-    depth = np.zeros(n, dtype=np.int64)
-    for v in dt.dfs_order.tolist():
-        if v != s:
-            depth[v] = depth[idom[v]] + 1
-
-    levels = max(1, int(depth.max()).bit_length()) if n else 1
-    up = [idom.copy()]
-    up[0][s] = s
-    for _ in range(1, levels + 1):
-        up.append(up[-1][up[-1]])
-
+    idom = dt.idom.tolist()
+    tin, tout = dt.pre.tolist(), dt.post.tolist()
     children = dt.children()
     locals_: dict[int, _LocalGraph] = {
         u: _LocalGraph(u, ch) for u, ch in enumerate(children) if ch
     }
+    # The children of u in Euler order: the one whose dominator subtree
+    # holds a proper descendant t of u is the last one entered by tin[t].
+    euler = {u: sorted(ch, key=tin.__getitem__) for u, ch in enumerate(children) if ch}
+    euler_tin = {u: [tin[c] for c in ch] for u, ch in euler.items()}
 
-    tin, tout = dt.pre, dt.post
-    for e in g.edge_ids.tolist():
-        t = int(g.tails[e])
-        h = int(g.heads[e])
-        if h == s or t == h:
+    in_start, in_eids, tails = g.in_lists()
+    for h in range(n):
+        if h == s:
             continue
-        u = int(idom[h])
-        if t == u:
-            rep = u
-        else:
-            if not (tin[u] <= tin[t] < tout[u]):
-                raise GraphError(
-                    "edge tail outside the dominator subtree of the head's idom")
-            rep = _ancestor_at_depth(up, depth, t, int(depth[u]) + 1)
-        if rep == h:
-            continue
-        locals_[u].add_arc(rep, h, e)
+        u = idom[h]
+        for pos in range(in_start[h], in_start[h + 1]):
+            t = tails[pos]
+            if t == h:
+                continue
+            if t == u:
+                rep = u
+            else:
+                if not (tin[u] <= tin[t] < tout[u]):
+                    raise GraphError(
+                        "edge tail outside the dominator subtree of the head's idom")
+                rep = euler[u][bisect_right(euler_tin[u], tin[t]) - 1]
+            if rep != h:
+                locals_[u].add_arc(rep, h, in_eids[pos])
 
     parent_b = np.full(n, -1, dtype=np.int64)
     parent_r = np.full(n, -1, dtype=np.int64)
@@ -324,6 +309,16 @@ def verify_independent(fg: FlowGraph, pair: TreePair, dt: DominatorTree | None =
     return True
 
 
+def _preferred_first(g: Digraph, preferred: set[int]):
+    """(ordered, eids, heads) from ``g.out_lists()``: ordered[v] holds the CSR
+    positions of v's out-edges, preferred ones first, each part in id order."""
+    start, eids, heads = g.out_lists()
+    spans = [range(start[v], start[v + 1]) for v in range(g.n)]
+    ordered = [[p for p in span if eids[p] in preferred] +
+               [p for p in span if eids[p] not in preferred] for span in spans]
+    return ordered, eids, heads
+
+
 def edge_prioritized_dfs(fg: FlowGraph, preferred: set[int]) -> SpanningTree:
     """DFS spanning tree exploring preferred out-edges before the rest.
 
@@ -331,29 +326,24 @@ def edge_prioritized_dfs(fg: FlowGraph, preferred: set[int]) -> SpanningTree:
     is deterministic.
     """
     g, s = fg.graph, fg.start
-    parent = np.full(g.n, -1, dtype=np.int64)
+    parent = [-1] * g.n
     seen = [False] * g.n
     seen[s] = True
-
-    def ordered(v: int) -> list[int]:
-        ids = g.out_ids(v).tolist()
-        return [e for e in ids if e in preferred] + [e for e in ids if e not in preferred]
-
-    stack: list[tuple[int, list[int], int]] = [(s, ordered(s), 0)]
+    ordered, out_eids, heads = _preferred_first(g, preferred)
+    stack: list[tuple[int, list[int], int]] = [(s, ordered[s], 0)]
     count = 1
     while stack:
-        v, edges, pos = stack[-1]
-        if pos < len(edges):
-            stack[-1] = (v, edges, pos + 1)
-            e = edges[pos]
-            w = g.head(e)
+        v, span, i = stack[-1]
+        if i < len(span):
+            stack[-1] = (v, span, i + 1)
+            w = heads[span[i]]
             if not seen[w]:
                 seen[w] = True
-                parent[w] = e
+                parent[w] = out_eids[span[i]]
                 count += 1
-                stack.append((w, ordered(w), 0))
+                stack.append((w, ordered[w], 0))
         else:
             stack.pop()
     if count != g.n:
         raise GraphError("flow graph has a vertex unreachable from the start")
-    return SpanningTree(parent, s)
+    return SpanningTree(np.asarray(parent, dtype=np.int64), s)

@@ -9,7 +9,7 @@ from twoec.certificates import (
 from twoec.digraph import GraphError, build, scc
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected,
-    random_two_edge_connected,
+    random_two_edge_connected, road_grid,
 )
 from twoec.oracle import OracleBudget, oracle_min_subgraph
 
@@ -91,6 +91,21 @@ def test_zni_scss_fixtures():
     # preferring a directed 3-cycle returns exactly that cycle
     cycle = {0, 2, 5}  # (0,1), (1,2), (2,0)
     assert zni_scss(g1(), preferred=cycle) == cycle
+
+
+def test_zni_scss_preferred_road_grid():
+    # 2 % of the edges preferred: each new frame looks its pre-merged group
+    # up instead of scanning every vertex
+    g = road_grid(60, 0.12, 0.55, 1)
+    preferred = set(random.Random(3).sample(g.edge_ids.tolist(), g.m // 50))
+    out = zni_scss(g, preferred=preferred)
+    assert out <= set(g.edge_ids.tolist())
+    assert scc(g.subgraph_edges(sorted(out))).count == 1
+    part = scc(g.subgraph_edges(sorted(preferred)))
+    sizes = part.sizes()
+    inside = {e for e in preferred if part.comp[g.tail(e)] == part.comp[g.head(e)]
+              and sizes[part.comp[g.tail(e)]] >= 2}
+    assert inside and inside <= out
 
 
 def test_zni_scss_rejects_disconnected():

@@ -85,6 +85,20 @@ def test_missing_file_is_input_error(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.gr")]) == 1
 
 
+def test_malformed_or_empty_input_is_named(tmp_path, capsys):
+    cases = {
+        "a.gr": ("p sp 5 1\na 4 5 1\np sp 2 0\n", "line 3: second problem line"),
+        "b.gr": ("p sp -3 0\n", "line 1: negative vertex count"),
+        "c.gr": ("p sp 0 0\n", "graph has no vertices"),
+        "d.txt": ("# comments only\n", "graph has no vertices"),
+    }
+    for name, (text, message) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_malformed_subgraph_line_is_named(tmp_path, capsys):
     g = tmp_path / "g.gr"
     _write_g1(g)

@@ -101,6 +101,25 @@ def test_induced_subgraph_origin():
         assert g.head(oe) == int(sub.vertex_origin[sub.head(e)])
 
 
+def _lists_reference(n, ids, ends):
+    """(start, eids, other ends) of a CSR, from a loop over `ends[e] = (key, other)`."""
+    start, eids, others = [0], [], []
+    for v in range(n):
+        for e in ids:
+            if ends[e][0] == v:
+                eids.append(e)
+                others.append(ends[e][1])
+        start.append(len(eids))
+    return start, eids, others
+
+
+def _check_lists(graph, pairs):
+    ids = graph.edge_ids.tolist()
+    assert graph.out_lists() == _lists_reference(graph.n, ids, {e: pairs[e] for e in ids})
+    assert graph.in_lists() == _lists_reference(
+        graph.n, ids, {e: pairs[e][::-1] for e in ids})
+
+
 def test_views_match_loop_reference():
     rng = np.random.default_rng(7)
     for _ in range(40):
@@ -113,9 +132,12 @@ def test_views_match_loop_reference():
         for v in range(n):
             assert view.out_ids(v).tolist() == [e for e in ids if pairs[e][0] == v]
             assert view.in_ids(v).tolist() == [e for e in ids if pairs[e][1] == v]
+        _check_lists(view, pairs)
+        _check_lists(view.reverse(), [(h, t) for t, h in pairs])
         keep = sorted({int(x) for x in rng.integers(0, n, n // 2 + 1)})
         sub = induced_subgraph(view, np.asarray(keep))
         inside = [e for e in ids if pairs[e][0] in keep and pairs[e][1] in keep]
         assert sub.origin.tolist() == inside
-        assert sub.edge_pairs() == [(keep.index(pairs[e][0]), keep.index(pairs[e][1]))
-                                    for e in inside]
+        sub_pairs = [(keep.index(pairs[e][0]), keep.index(pairs[e][1])) for e in inside]
+        assert sub.edge_pairs() == sub_pairs
+        _check_lists(sub, sub_pairs)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from twoec.blocks import blocks, preservation_violations
-from twoec.digraph import GraphError, build
+from twoec.digraph import GraphError, build, delete_edge_view, scc
 from twoec.filters import (
     FilterConfig, aux_variant_filter, filter_bc, hybrid_filter, two_edge_disjoint,
 )
@@ -13,6 +13,7 @@ from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected,
     random_two_edge_connected,
 )
+from twoec.oracle import oracle_blocks
 
 
 def test_two_edge_disjoint_pairs():
@@ -103,6 +104,33 @@ def test_lemma1_monotonicity():
                 assert ecb_deletes
             if ecb_deletes:
                 alive.discard(e)
+
+
+def test_block_test_decisions_replay():
+    # replay uncertified test2ecb runs in decision order against scc and the
+    # pairwise-flow block oracle
+    rng = random.Random(113)
+    block_tests = 0
+    for _ in range(40):
+        g = random_strongly_connected(rng, rng.randint(2, 12))
+        base = oracle_blocks(g)
+        for skip in (True, False):
+            rep = ecb_filter(g, FilterConfig(certificate=False, trivial_skip=skip))
+            current = g
+            for e, what in rep.decisions.items():
+                if what == "kept-trivial":
+                    continue
+                rest = delete_edge_view(current, e)
+                connected = scc(rest).count == 1
+                assert (what == "kept-bridge") == (not connected)
+                if connected:
+                    block_tests += 1
+                    same = oracle_blocks(rest) == base
+                    assert what == ("deleted" if same else "kept-needed")
+                if what == "deleted":
+                    current = rest
+            assert set(current.edge_ids.tolist()) == rep.surviving
+    assert block_tests > 100
 
 
 def test_trivial_edges():

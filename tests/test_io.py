@@ -27,6 +27,10 @@ def test_dimacs_malformed():
         parse_dimacs(io.StringIO("c x\np sp x 3\n"))
     with pytest.raises(GraphError, match="line 1: malformed problem line"):
         parse_dimacs(io.StringIO("p sp 3\n"))
+    with pytest.raises(GraphError, match="line 3: second problem line"):
+        parse_dimacs(io.StringIO("p sp 5 1\na 4 5 1\np sp 2 0\n"))
+    with pytest.raises(GraphError, match="line 1: negative vertex count"):
+        parse_dimacs(io.StringIO("p sp -3 0\n"))
 
 
 def test_dimacs_dedup_and_loops():
