@@ -114,6 +114,12 @@ def run_experiment(config: dict, out_csv: str | Path | None = None) -> list[Qual
     BC/C problems, component computation), output sizes must agree across
     runs for deterministic configs, and the mean CPU time is reported.
     """
+    for key in ("datasets", "algorithms"):
+        if key not in config:
+            raise ValueError(f"experiment config has no {key!r} key")
+    for algo in config["algorithms"]:
+        if algo not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algo!r}; choose from {sorted(ALGORITHMS)}")
     runs = int(config.get("runs", 1))
     opts = {k: config[k] for k in ("order", "seed", "trivial_skip", "certificate")
             if k in config}

@@ -8,7 +8,7 @@ import numpy as np
 from .digraph import (
     Digraph, GraphError, Partition, _ensure_strongly_connected, induced_subgraph, scc,
 )
-from .dominators import DominatorTree, FlowGraph, dominator_tree, flow_bridges, strong_bridges
+from .dominators import DominatorTree, FlowGraph, _strong_bridges, dominator_tree, flow_bridges
 
 __all__ = [
     "CanonicalDecomposition", "AuxGraph",
@@ -62,7 +62,10 @@ def canonical_decomposition(
         bridges=set(bridges))
 
 
-def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition) -> list[AuxGraph]:
+def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition,
+                eligible: list[bool] | None = None) -> list[AuxGraph]:
+    """The aux graph of every marked vertex; given the vertex mask `eligible`,
+    only of the regions with at least 2 eligible members."""
     g, s = fg.graph, fg.start
     tree_id = cd.tree_id.tolist()
     idom = dt.idom.tolist()
@@ -115,6 +118,8 @@ def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition) ->
     result = []
     for r in cd.marked:
         ordinary = members[r]
+        if eligible is not None and sum(eligible[v] for v in ordinary) < 2:
+            continue
         aux = sorted(aux_children[r])
         has_blob = r != s
         local: dict[int, int] = {}
@@ -184,14 +189,21 @@ def first_level_aux_graphs(fg: FlowGraph, cd: CanonicalDecomposition | None = No
     return _aux_graphs(fg, dt, cd)
 
 
-def _second_level(h: AuxGraph) -> tuple[FlowGraph, DominatorTree, list[AuxGraph]]:
+def _second_level(h: AuxGraph, blocks_only: bool = False
+                  ) -> tuple[FlowGraph, DominatorTree, list[AuxGraph]]:
     """The reverse flow graph H^R(r) of a first-level aux graph, its
     dominator tree, and its auxiliary graphs: the second-level graphs,
-    including the root's own, which has no entering bridge."""
+    including the root's own, which has no entering bridge.  `blocks_only`
+    keeps, in order, just the graphs with at least 2 vertices ordinary at
+    both levels, the only ones that hold a block or a part of n'; H^R(r)
+    and its dominator tree are returned either way."""
     fg = FlowGraph(h.graph.reverse(), h.root)
     dt = dominator_tree(fg)
+    eligible = h.is_ordinary.tolist() if blocks_only else None
+    if eligible is not None and sum(eligible) < 2:
+        return fg, dt, []
     cd = canonical_decomposition(fg, dt, flow_bridges(fg, dt))
-    return fg, dt, _aux_graphs(fg, dt, cd)
+    return fg, dt, _aux_graphs(fg, dt, cd, eligible)
 
 
 def _without_entering_bridge(aux: AuxGraph) -> Digraph:
@@ -263,7 +275,7 @@ def components(g: Digraph) -> Partition:
         piece, orig = queue.pop()
         if piece.n <= 1:
             continue
-        sb = strong_bridges(piece)
+        sb = _strong_bridges(piece)    # pieces are SCCs by construction
         if not sb:
             label[orig] = orig.min()
             continue

@@ -61,8 +61,8 @@ class CertificateStats:
         return self.phase1_new + self.phase2_new + self.phase3_new
 
 
-def _tree_children_counts(parent_edge: np.ndarray, g: Digraph) -> np.ndarray:
-    return np.bincount(g.tails[parent_edge[parent_edge != -1]], minlength=g.n)
+def _tree_children_counts(parent_edge: np.ndarray, g: Digraph) -> list[int]:
+    return np.bincount(g.tails[parent_edge[parent_edge != -1]], minlength=g.n).tolist()
 
 
 def _ist_pipeline(g: Digraph, s: int, modified: bool):
@@ -88,51 +88,51 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
     for tree in (pair.blue, pair.red):
         for e in tree.parent_edge.tolist():
             if e != -1:
-                insert(int(e), "P1")
+                insert(e, "P1")
 
     cd = canonical_decomposition(fg, dt, bridges)
-    level1 = _aux_graphs(fg, dt, cd)
 
-    for h in level1:
-        fgr, dtr, level2 = _second_level(h)
+    for h in _aux_graphs(fg, dt, cd):
+        fgr, dtr, level2 = _second_level(h, blocks_only=modified)
         rev = fgr.graph
+        h_edge, h_ordinary = h.orig_edge.tolist(), h.is_ordinary.tolist()
 
         # Phase 2: independent trees of the reverse flow graph, reusing edges
         # already chosen where valid
-        preferred = {int(e) for e in rev.edge_ids.tolist()
-                     if int(h.orig_edge[e]) in in_l}
+        preferred = {e for e in rev.edge_ids.tolist() if h_edge[e] in in_l}
         pair_r = independent_pair(fgr, dtr, preferred=preferred)
+        blue_edge = pair_r.blue.parent_edge.tolist()
+        red_edge = pair_r.red.parent_edge.tolist()
         blue_kids = _tree_children_counts(pair_r.blue.parent_edge, rev)
         red_kids = _tree_children_counts(pair_r.red.parent_edge, rev)
         for x in range(rev.n):
             if x == h.root:
                 continue
-            eb = int(pair_r.blue.parent_edge[x])
-            er = int(pair_r.red.parent_edge[x])
-            if h.is_ordinary[x] or not modified:
-                insert(int(h.orig_edge[eb]), "P2")
-                insert(int(h.orig_edge[er]), "P2")
+            eb, er = h_edge[blue_edge[x]], h_edge[red_edge[x]]
+            if h_ordinary[x] or not modified:
+                insert(eb, "P2")
+                insert(er, "P2")
                 continue
             # auxiliary vertex: a tree edge into a leaf carries no path and
             # may be dropped; if dropped from both trees keep one exit edge
             blue_leaf = blue_kids[x] == 0
             red_leaf = red_kids[x] == 0
             if not blue_leaf:
-                insert(int(h.orig_edge[eb]), "P2")
+                insert(eb, "P2")
             if not red_leaf:
-                insert(int(h.orig_edge[er]), "P2")
+                insert(er, "P2")
             if blue_leaf and red_leaf:
-                insert(min(int(h.orig_edge[eb]), int(h.orig_edge[er])), "P2")
+                insert(min(eb, er), "P2")
 
         # Phase 3: strongly connected coverage of every second-level SCC
         for aux in level2:
             work = _without_entering_bridge(aux)
             part = scc(work)
+            aux_ordinary, aux_vertex = aux.is_ordinary.tolist(), aux.orig_vertex.tolist()
+            aux_edge = aux.orig_edge.tolist()
             for cls in part.classes():
-                both_ord = [
-                    int(v) for v in cls.tolist()
-                    if aux.is_ordinary[v] and h.is_ordinary[aux.orig_vertex[v]]
-                ]
+                both_ord = [v for v in cls.tolist()
+                            if aux_ordinary[v] and h_ordinary[aux_vertex[v]]]
                 o_s = len(both_ord)
                 if o_s >= 2:
                     n_prime += o_s
@@ -142,21 +142,18 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                 elif len(cls) < 2:
                     continue
                 sub = induced_subgraph(work, cls)
+                sub_origin = sub.origin.tolist()
 
                 def resolve(e_sub: int) -> int:
-                    return int(h.orig_edge[aux.orig_edge[sub.origin[e_sub]]])
+                    return h_edge[aux_edge[sub_origin[e_sub]]]
 
                 if modified:
-                    pref = {int(e) for e in sub.edge_ids.tolist()
-                            if resolve(int(e)) in in_l}
+                    pref = {e for e in sub.edge_ids.tolist() if resolve(e) in in_l}
                     for e_sub in zni_scss(sub, preferred=pref):
-                        insert(resolve(int(e_sub)), "P3")
+                        insert(resolve(e_sub), "P3")
                 else:
                     if both_ord:
-                        root = min(
-                            both_ord,
-                            key=lambda v: int(h.orig_vertex[aux.orig_vertex[v]]),
-                        )
+                        root = min(both_ord, key=lambda v: int(h.orig_vertex[aux_vertex[v]]))
                     else:
                         root = int(cls.min())
                     root_local = int(np.flatnonzero(sub.vertex_origin == root)[0])
@@ -165,7 +162,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                     for tree in (t_out, t_in):
                         for e_sub in tree.parent_edge.tolist():
                             if e_sub != -1:
-                                insert(resolve(int(e_sub)), "P3")
+                                insert(resolve(e_sub), "P3")
 
     cert = CertificateEdgeList(inserts)
     counts = cert.phase_new_counts()

@@ -194,6 +194,11 @@ def strong_bridges(g: Digraph, s: int = 0) -> set[int]:
     a graph and its reverse, so no remapping is needed.
     """
     _ensure_strongly_connected(g)
+    return _strong_bridges(g, s)
+
+
+def _strong_bridges(g: Digraph, s: int = 0) -> set[int]:
+    """`strong_bridges` of a graph known to be strongly connected."""
     if g.n <= 1:
         return set()
     fg = FlowGraph(g, s)

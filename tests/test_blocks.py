@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from twoec.blocks import (
-    _second_level, blocks, canonical_decomposition, components, condense,
-    first_level_aux_graphs,
+    _DSU, _second_level, _without_entering_bridge, blocks, canonical_decomposition,
+    components, condense, first_level_aux_graphs,
 )
-from twoec.digraph import GraphError, Partition, build, scc
+from twoec.digraph import GraphError, Partition, build, largest_scc, scc
 from twoec.dominators import FlowGraph, dominator_tree, flow_bridges, strong_bridges
 from twoec.fixtures import (
-    g1, g2, g4, g5, linked_triangles, random_strongly_connected,
+    g1, g2, g4, g5, linked_triangles, random_strongly_connected, road_grid,
 )
-from twoec.oracle import oracle_blocks, oracle_components
+from twoec.oracle import (
+    OracleBudget, oracle_blocks, oracle_components, two_edge_connected_pair,
+)
 
 
 def test_canonical_decomposition_fixtures():
@@ -136,6 +138,75 @@ def test_second_level_contains_g5_block():
                 if {0, 1} <= orig:
                     found = True
     assert found
+
+
+def _both_ordinary(h, aux) -> list[int]:
+    """Local vertices of a second-level graph ordinary at both levels."""
+    return [v for v in range(aux.graph.n)
+            if aux.is_ordinary[v] and h.is_ordinary[aux.orig_vertex[v]]]
+
+
+def _aux_fields(aux):
+    return (aux.orig_edge.tolist(), aux.orig_vertex.tolist(), aux.is_ordinary.tolist(),
+            aux.entering_bridge, aux.graph.edge_pairs(), aux.root, aux.blob)
+
+
+def _blocks_from_kept_graphs(g) -> Partition:
+    """Blocks read off only the second-level graphs that `blocks_only` keeps,
+    after checking that they are exactly the full list's graphs with at least
+    2 vertices ordinary at both levels."""
+    dsu = _DSU(g.n)
+    for h in first_level_aux_graphs(FlowGraph(g, 0)):
+        fgr, dtr, full = _second_level(h)
+        fgr_kept, dtr_kept, kept = _second_level(h, blocks_only=True)
+        assert fgr_kept.graph.edge_pairs() == fgr.graph.edge_pairs()
+        assert fgr_kept.start == fgr.start
+        assert dtr_kept.idom.tolist() == dtr.idom.tolist()
+        want = [aux for aux in full if len(_both_ordinary(h, aux)) >= 2]
+        assert [_aux_fields(a) for a in kept] == [_aux_fields(a) for a in want]
+        for aux in kept:
+            comp = scc(_without_entering_bridge(aux)).comp.tolist()
+            groups: dict[int, list[int]] = {}
+            for v in _both_ordinary(h, aux):
+                groups.setdefault(comp[v], []).append(int(h.orig_vertex[aux.orig_vertex[v]]))
+            for grp in groups.values():
+                for other in grp[1:]:
+                    dsu.union(grp[0], other)
+    return Partition(np.asarray([dsu.find(v) for v in range(g.n)], dtype=np.int64))
+
+
+def test_blocks_only_keeps_every_block_random():
+    rng = random.Random(61)
+    for _ in range(120):
+        n = rng.randint(4, 60)
+        g = random_strongly_connected(rng, n, rng.choice([None, 3 * n]))
+        part = _blocks_from_kept_graphs(g)
+        assert part == blocks(g)
+        if n <= 30:
+            assert part == oracle_blocks(g, OracleBudget(max_pairwise_n=30))
+
+
+def _uniform_digraph(n: int, m: int, seed: int):
+    rng = random.Random(seed)
+    arcs = {(rng.randrange(n), rng.randrange(n)) for _ in range(m)}
+    return largest_scc(build(n, sorted((u, v) for u, v in arcs if u != v)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: road_grid(18, 0.12, 0.55, 1),
+    lambda: _uniform_digraph(350, 1400, 1),
+], ids=["road-grid-18", "uniform-350-1400"])
+def test_blocks_only_keeps_every_block_at_scale(make):
+    # the pairwise oracle is quadratic, so at this size every vertex is
+    # flow-checked against the first vertex of its block only
+    g = make()
+    part = _blocks_from_kept_graphs(g)
+    assert part == blocks(g)
+    nontrivial = [cls.tolist() for cls in part.classes() if len(cls) >= 2]
+    assert nontrivial
+    for cls in nontrivial:
+        for v in cls[1:]:
+            assert two_edge_connected_pair(g, cls[0], v)
 
 
 def test_blocks_fixtures():

@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from twoec.blocks import blocks, components, preservation_violations
 from twoec.certificates import (
-    ist_b, ist_b_original, ist_bc, two_ecss_edt, zni_c, zni_scss,
+    CertificateStats, ist_b, ist_b_original, ist_bc, two_ecss_edt, zni_c, zni_scss,
 )
 from twoec.digraph import GraphError, build, scc
 from twoec.fixtures import (
@@ -30,6 +31,33 @@ def test_ist_b_fixtures_and_bounds():
     cert, stats = ist_b(g5())
     assert cert.edge_set() == set(range(8))
     assert stats.n == 6 and stats.n_prime == 2
+
+
+# ist_b on the two graphs of tests/test_catalog_outputs.py: its statistics,
+# and the number and a digest of its tagged insertions.  The edge-set pins
+# there cannot see n', nor a phase-3 insertion of an edge already chosen.
+CERTIFICATE_PINS = {
+    "road-grid-12": (
+        lambda: road_grid(12, 0.12, 0.55, 1),
+        CertificateStats(n=130, n_prime=81, bridges=32,
+                         phase1_new=226, phase2_new=43, phase3_new=0),
+        754, "2ff1701b4d3f9fcc"),
+    "random-40-120": (
+        lambda: random_strongly_connected(random.Random(5), 40, 120),
+        CertificateStats(n=40, n_prime=25, bridges=7,
+                         phase1_new=71, phase2_new=20, phase3_new=0),
+        240, "64c10306c4e68140"),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(CERTIFICATE_PINS))
+def test_ist_b_certificate_pinned(graph):
+    make, stats, count, digest = CERTIFICATE_PINS[graph]
+    cert, got = ist_b(make())
+    assert got == stats
+    text = ",".join(f"{e}:{tag}" for e, tag in cert.insertions)
+    assert len(cert.insertions) == count
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_ist_b_root_invariance_of_correctness():

@@ -107,3 +107,24 @@ def test_malformed_subgraph_line_is_named(tmp_path, capsys):
         sub.write_text(text)
         assert main(["verify", str(g), str(sub)]) == 1
         assert "line 2:" in capsys.readouterr().err
+
+
+def test_bench_bad_config_is_input_error(tmp_path, capsys):
+    # the dataset is malformed, so an error naming the config shows that the
+    # config was checked before anything was loaded
+    g = tmp_path / "g.gr"
+    g.write_text("p sp -3 0\n")
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    cases = [
+        ({"datasets": [{"name": "g", "path": str(g)}], "algorithms": ["ist-b", "nope"]},
+         "unknown algorithm 'nope'"),
+        ({"algorithms": ["ist-b"]}, "no 'datasets' key"),
+        ({"datasets": [{"name": "g", "path": str(g)}]}, "no 'algorithms' key"),
+    ]
+    for config, message in cases:
+        cfg.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(cfg), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    assert not out.exists()
