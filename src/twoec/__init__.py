@@ -8,10 +8,7 @@ from .digraph import (
 from .dominators import (
     DominatorTree, FlowGraph, dominator_tree, flow_bridges, strong_bridges,
 )
-from .spanning import (
-    SpanningTree, TreePair, edge_prioritized_dfs, independent_pair,
-    verify_independent,
-)
+from .spanning import SpanningTree, TreePair, independent_pair, verify_independent
 from .blocks import (
     AuxGraph, CanonicalDecomposition, blocks, canonical_decomposition,
     components, condense, first_level_aux_graphs, preservation_violations,
@@ -25,6 +22,6 @@ from .filters import (
     test2ecb_filter, test2edp_filter, two_edge_disjoint,
 )
 from .bench import ALGORITHMS, QualityReport, lower_bound, run_algorithm, run_experiment
-from .io import load_graph, parse_dimacs, parse_snap
+from .io import load_graph
 
 __version__ = "0.1.0"

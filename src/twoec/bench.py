@@ -120,6 +120,9 @@ def run_experiment(config: dict, out_csv: str | Path | None = None) -> list[Qual
     for algo in config["algorithms"]:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}; choose from {sorted(ALGORITHMS)}")
+    for i, ds in enumerate(config["datasets"]):
+        if not isinstance(ds, dict) or not {"name", "path"} <= ds.keys():
+            raise ValueError(f"dataset entry {i} needs 'name' and 'path' keys")
     runs = int(config.get("runs", 1))
     opts = {k: config[k] for k in ("order", "seed", "trivial_skip", "certificate")
             if k in config}

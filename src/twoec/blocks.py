@@ -163,14 +163,9 @@ def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition,
         if has_blob:
             orig_vertex[blob] = idom[r]
 
-        graph = Digraph(
-            n_local,
-            np.asarray(tails, dtype=np.int64),
-            np.asarray(heads, dtype=np.int64),
-            multi=True,
-        )
         result.append(AuxGraph(
-            graph=graph,
+            graph=Digraph(n_local, np.asarray(tails, dtype=np.int64),
+                          np.asarray(heads, dtype=np.int64)),
             root=local[r],
             is_ordinary=is_ord,
             orig_vertex=orig_vertex,
@@ -181,12 +176,10 @@ def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition,
     return result
 
 
-def first_level_aux_graphs(fg: FlowGraph, cd: CanonicalDecomposition | None = None) -> list[AuxGraph]:
+def first_level_aux_graphs(fg: FlowGraph) -> list[AuxGraph]:
     """One auxiliary graph per marked vertex of the flow graph."""
     dt = dominator_tree(fg)
-    if cd is None:
-        cd = canonical_decomposition(fg, dt, flow_bridges(fg, dt))
-    return _aux_graphs(fg, dt, cd)
+    return _aux_graphs(fg, dt, canonical_decomposition(fg, dt, flow_bridges(fg, dt)))
 
 
 def _second_level(h: AuxGraph, blocks_only: bool = False
@@ -306,7 +299,7 @@ def condense(g: Digraph, comp: Partition, cap: int) -> Digraph:
     rank = np.empty(len(pair), dtype=np.int64)   # place among its pair's edges
     rank[order] = np.arange(len(pair)) - np.searchsorted(sorted_pair, sorted_pair)
     keep = (tails != heads) & (rank < cap)
-    return Digraph(comp.count, tails[keep], heads[keep], multi=True, origin=eids[keep])
+    return Digraph(comp.count, tails[keep], heads[keep], origin=eids[keep])
 
 
 def preservation_violations(g: Digraph, edge_ids, problem: str) -> list[str]:

@@ -18,8 +18,8 @@ from .blocks import (
     canonical_decomposition, components, condense,
 )
 from .digraph import Digraph, GraphError, _ensure_strongly_connected, induced_subgraph, scc
-from .dominators import FlowGraph, dominator_tree, flow_bridges, strong_bridges
-from .spanning import _preferred_first, edge_prioritized_dfs, independent_pair
+from .dominators import FlowGraph, _dfs, dominator_tree, flow_bridges, strong_bridges
+from .spanning import independent_pair
 
 __all__ = [
     "CertificateEdgeList", "CertificateStats",
@@ -157,10 +157,10 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                     else:
                         root = int(cls.min())
                     root_local = int(np.flatnonzero(sub.vertex_origin == root)[0])
-                    t_out = edge_prioritized_dfs(FlowGraph(sub, root_local), set())
-                    t_in = edge_prioritized_dfs(FlowGraph(sub.reverse(), root_local), set())
-                    for tree in (t_out, t_in):
-                        for e_sub in tree.parent_edge.tolist():
+                    # out- and in-DFS trees; sub is strongly connected
+                    for graph in (sub, sub.reverse()):
+                        _, _, tree_edges, _ = _dfs(graph, root_local)
+                        for e_sub in tree_edges:
                             if e_sub != -1:
                                 insert(resolve(e_sub), "P3")
 
@@ -203,12 +203,26 @@ def two_ecss_edt(c: Digraph) -> set[int]:
 class _ZniFrame:
     __slots__ = ("pending", "entry_edge", "best_idx", "best_edge", "anchor")
 
-    def __init__(self, vertex: int, entry_edge: int):
-        self.pending: list[list[int]] = [[vertex, 0]]   # [vertex, edge position]
+    def __init__(self, anchor: int, entry_edge: int, pending: list[list[int]]):
+        self.pending = pending          # [vertex, next CSR position]
         self.entry_edge = entry_edge
         self.best_idx: int | None = None
         self.best_edge: int | None = None
-        self.anchor = vertex
+        self.anchor = anchor
+
+
+def _preferred_first(g: Digraph, preferred: set[int]):
+    """``g.out_lists()`` with each vertex's slot reordered so that its
+    preferred out-edges come first, both parts in id order."""
+    start, eids, heads = g.out_lists()
+    if not preferred:
+        return start, eids, heads
+    order: list[int] = []
+    for v in range(g.n):
+        span = range(start[v], start[v + 1])
+        order += [p for p in span if eids[p] in preferred]
+        order += [p for p in span if eids[p] not in preferred]
+    return start, [eids[p] for p in order], [heads[p] for p in order]
 
 
 def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
@@ -246,16 +260,15 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
     for v in range(g.n):
         members.setdefault(dsu.find(v), []).append(v)
 
-    ordered, out_eids, heads = _preferred_first(g, preferred)
+    out_start, out_eids, heads = _preferred_first(g, preferred)
 
     visited = [False] * g.n
     root_pos: dict[int, int] = {}
 
-    start = 0
-    stack = [_ZniFrame(start, -1)]
-    root_pos[dsu.find(start)] = 0
-    # vertices pre-merged with the start belong to frame 0 and must be scanned
-    stack[0].pending = [[v, 0] for v in members[dsu.find(start)]]
+    # vertices pre-merged with the start vertex 0 belong to frame 0 and must
+    # be scanned
+    stack = [_ZniFrame(0, -1, [[v, out_start[v]] for v in members[dsu.find(0)]])]
+    root_pos[dsu.find(0)] = 0
     for v, _ in stack[0].pending:
         visited[v] = True
 
@@ -265,9 +278,9 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
         edge = None                  # a CSR position
         while frame.pending:
             v, pos = frame.pending[-1]
-            lst = ordered[v]
-            while pos < len(lst):
-                p = lst[pos]
+            end = out_start[v + 1]
+            while pos < end:
+                p = pos
                 pos += 1
                 if dsu.find(heads[p]) != my_rep:
                     edge = p
@@ -323,14 +336,12 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
                 # every visited vertex sits in a stack frame (see above), and
                 # each stack frame's representative is in root_pos
                 assert not visited[y], "revisiting a finished supervertex"
-                nf = _ZniFrame(y, out_eids[edge])
                 # vertices pre-merged with y join the new frame
                 grp = members[ry]
-                nf.pending = [[v, 0] for v in grp]
                 for v in grp:
                     visited[v] = True
                 root_pos[ry] = len(stack)
-                stack.append(nf)
+                stack.append(_ZniFrame(y, out_eids[edge], [[v, out_start[v]] for v in grp]))
 
     # the search reaches every vertex from the start in a strongly connected graph
     assert all(visited), "unvisited vertices after contraction"

@@ -49,7 +49,7 @@ class Digraph:
     """
 
     __slots__ = (
-        "n", "tails", "heads", "edge_ids", "multi", "origin", "vertex_origin",
+        "n", "tails", "heads", "edge_ids", "origin", "vertex_origin",
         "_out_start", "_out_eids", "_out_heads", "_in_start", "_in_eids", "_in_tails",
     )
 
@@ -60,7 +60,6 @@ class Digraph:
         heads: np.ndarray,
         *,
         edge_ids: np.ndarray | None = None,
-        multi: bool = False,
         origin: np.ndarray | None = None,
         vertex_origin: np.ndarray | None = None,
         csr: tuple | None = None,
@@ -71,7 +70,6 @@ class Digraph:
         if edge_ids is None:
             edge_ids = np.arange(len(tails), dtype=np.int64)
         self.edge_ids = edge_ids
-        self.multi = bool(multi)
         self.origin = origin
         self.vertex_origin = vertex_origin
         if csr is None:
@@ -118,7 +116,7 @@ class Digraph:
         """Same edge-id space with every edge direction flipped."""
         return Digraph(
             self.n, self.heads, self.tails, edge_ids=self.edge_ids,
-            multi=self.multi, origin=self.origin, vertex_origin=self.vertex_origin,
+            origin=self.origin, vertex_origin=self.vertex_origin,
             csr=(self._in_start, self._in_eids, self._in_tails,
                  self._out_start, self._out_eids, self._out_heads),
         )
@@ -129,10 +127,8 @@ class Digraph:
         keep = np.unique(keep)
         if len(keep) and (keep[0] < 0 or keep[-1] >= len(self.tails)):
             raise GraphError("edge id out of range")
-        return Digraph(
-            self.n, self.tails, self.heads, edge_ids=keep, multi=self.multi,
-            origin=self.origin, vertex_origin=self.vertex_origin,
-        )
+        return Digraph(self.n, self.tails, self.heads, edge_ids=keep,
+                       origin=self.origin, vertex_origin=self.vertex_origin)
 
 
 def build(n: int, edges, allow_multi: bool = False) -> Digraph:
@@ -151,7 +147,7 @@ def build(n: int, edges, allow_multi: bool = False) -> Digraph:
             raise GraphError("self loop in a simple graph")
         if len(np.unique(tails * n + heads)) != len(tails):
             raise GraphError("duplicate edge in a simple graph")
-    return Digraph(n, tails, heads, multi=allow_multi)
+    return Digraph(n, tails, heads)
 
 
 class Partition:
@@ -262,7 +258,7 @@ def induced_subgraph(g: Digraph, vertices: np.ndarray) -> Digraph:
     heads = vmap[g.heads[g.edge_ids]]
     inside = (tails >= 0) & (heads >= 0)
     return Digraph(
-        len(vertices), tails[inside], heads[inside], multi=g.multi,
+        len(vertices), tails[inside], heads[inside],
         origin=g.edge_ids[inside], vertex_origin=vertices,
     )
 
@@ -285,6 +281,6 @@ def delete_edge_view(g: Digraph, e: int) -> Digraph:
         raise GraphError(f"edge id {e} is not active in this graph")
     return Digraph(
         g.n, g.tails, g.heads,
-        edge_ids=np.delete(g.edge_ids, pos), multi=g.multi,
+        edge_ids=np.delete(g.edge_ids, pos),
         origin=g.origin, vertex_origin=g.vertex_origin,
     )

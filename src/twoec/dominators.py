@@ -51,13 +51,20 @@ class DominatorTree:
 
 
 def _dfs(g: Digraph, s: int):
-    """Iterative DFS exploring out-edges in edge-id order."""
+    """The library's preorder DFS: out-edges in edge-id order from s.
+
+    Returns (pre, parent, parent_edge, order): preorder numbers, the tree
+    parent and the entering tree edge id of every vertex (-1 at s and at
+    unreached vertices, whose pre is -1 too), and the reached vertices in
+    preorder.
+    """
     n = g.n
     pre = [-1] * n
     parent = [-1] * n
+    parent_edge = [-1] * n
     order = [s]
     pre[s] = 0
-    out_start, _, heads = g.out_lists()
+    out_start, out_eids, heads = g.out_lists()
     stack = [(s, out_start[s])]
     cnt = 1
     while stack:
@@ -69,18 +76,19 @@ def _dfs(g: Digraph, s: int):
                 pre[w] = cnt
                 cnt += 1
                 parent[w] = v
+                parent_edge[w] = out_eids[pos]
                 order.append(w)
                 stack.append((w, out_start[w]))
         else:
             stack.pop()
-    return pre, parent, order
+    return pre, parent, parent_edge, order
 
 
 def dominator_tree(fg: FlowGraph) -> DominatorTree:
     """Dominator tree via semidominators with path compression (semi-NCA)."""
     g, s = fg.graph, fg.start
     n = g.n
-    pre, parent, order = _dfs(g, s)
+    pre, parent, _, order = _dfs(g, s)
     if len(order) != n:
         raise GraphError("flow graph has a vertex unreachable from the start")
 
@@ -129,32 +137,25 @@ def dominator_tree(fg: FlowGraph) -> DominatorTree:
             v = idom[v]
         idom[w] = v
 
-    idom_arr = np.asarray(idom, dtype=np.int64)
-
-    # Euler intervals of the dominator tree (children in dfs-preorder)
-    children: list[list[int]] = [[] for _ in range(n)]
-    for w in order[1:]:
-        children[idom[w]].append(w)
+    # Euler intervals of the dominator tree, children in DFS preorder.  As
+    # idom(w) precedes w in that order, subtree sizes sum up backwards over
+    # it, and forwards each child starts where its previous sibling ends.
+    size = [1] * n
+    for w in reversed(order[1:]):
+        size[idom[w]] += size[w]
     tin = [0] * n
-    tout = [0] * n
-    clock = 0
-    stack2: list[tuple[int, int]] = [(s, 0)]
-    while stack2:
-        v, pos = stack2[-1]
-        if pos == 0:
-            tin[v] = clock
-            clock += 1
-        if pos < len(children[v]):
-            stack2[-1] = (v, pos + 1)
-            stack2.append((children[v][pos], 0))
-        else:
-            tout[v] = clock
-            stack2.pop()
+    next_tin = [1] * n                 # where the next child of v starts
+    for w in order[1:]:
+        u = idom[w]
+        tin[w] = next_tin[u]
+        next_tin[u] += size[w]
+        next_tin[w] = tin[w] + 1
+    tin_arr = np.asarray(tin, dtype=np.int64)
 
     return DominatorTree(
-        idom=idom_arr,
-        pre=np.asarray(tin, dtype=np.int64),
-        post=np.asarray(tout, dtype=np.int64),
+        idom=np.asarray(idom, dtype=np.int64),
+        pre=tin_arr,
+        post=tin_arr + np.asarray(size, dtype=np.int64),
         dfs_order=np.asarray(order, dtype=np.int64),
     )
 

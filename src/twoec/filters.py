@@ -35,6 +35,12 @@ class FilterConfig:
     on_aux_graphs: bool = False
     certificate: bool = True         # preprocess with the sparse certificate
 
+    def __post_init__(self):
+        if self.strategy not in ("test2edp", "test2ecb", "hybrid"):
+            raise ValueError(f"unknown filter strategy {self.strategy!r}")
+        if self.edge_order not in ("input", "reverse", "random"):
+            raise ValueError(f"unknown edge order {self.edge_order!r}")
+
 
 @dataclass
 class FilterReport:
@@ -131,8 +137,6 @@ def _ordered(edge_ids, cfg: FilterConfig) -> list[int]:
         order.reverse()
     elif cfg.edge_order == "random":
         random.Random(cfg.seed).shuffle(order)
-    elif cfg.edge_order != "input":
-        raise ValueError(f"unknown edge order {cfg.edge_order!r}")
     return order
 
 

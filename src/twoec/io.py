@@ -11,7 +11,7 @@ from .digraph import Digraph, GraphError
 
 log = logging.getLogger("twoec.io")
 
-__all__ = ["ParseStats", "parse_dimacs", "parse_snap", "read_dimacs", "read_snap", "load_graph"]
+__all__ = ["ParseStats", "read_dimacs", "read_snap", "load_graph"]
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,6 @@ def read_dimacs(stream) -> tuple[Digraph, ParseStats]:
     return _dedup(np.arange(1, n + 1, dtype=np.int64), pairs)
 
 
-def parse_dimacs(stream) -> Digraph:
-    return read_dimacs(stream)[0]
-
-
 def read_snap(stream) -> tuple[Digraph, ParseStats]:
     """SNAP edge-list reader: '#' comments, whitespace-separated 'u v' pairs.
 
@@ -125,10 +121,6 @@ def read_snap(stream) -> tuple[Digraph, ParseStats]:
                   [(remap[u], remap[v]) for u, v in raw_pairs])
 
 
-def parse_snap(stream) -> Digraph:
-    return read_snap(stream)[0]
-
-
 def load_graph(path: str | Path, fmt: str = "auto") -> Digraph:
     """Load a graph file, sniffing DIMACS vs SNAP when `fmt` is 'auto'."""
     path = Path(path)
@@ -149,7 +141,7 @@ def load_graph(path: str | Path, fmt: str = "auto") -> Digraph:
                     fmt = "snap"
     with path.open() as fh:
         if fmt == "dimacs":
-            return parse_dimacs(fh)
+            return read_dimacs(fh)[0]
         if fmt == "snap":
-            return parse_snap(fh)
+            return read_snap(fh)[0]
     raise GraphError(f"unknown format {fmt!r}")

@@ -41,10 +41,7 @@ import numpy as np
 from .digraph import Digraph, GraphError
 from .dominators import DominatorTree, FlowGraph, dominator_tree
 
-__all__ = [
-    "SpanningTree", "TreePair", "independent_pair", "verify_independent",
-    "edge_prioritized_dfs",
-]
+__all__ = ["SpanningTree", "TreePair", "independent_pair", "verify_independent"]
 
 
 @dataclass(frozen=True)
@@ -308,42 +305,3 @@ def verify_independent(fg: FlowGraph, pair: TreePair, dt: DominatorTree | None =
             return False
     return True
 
-
-def _preferred_first(g: Digraph, preferred: set[int]):
-    """(ordered, eids, heads) from ``g.out_lists()``: ordered[v] holds the CSR
-    positions of v's out-edges, preferred ones first, each part in id order."""
-    start, eids, heads = g.out_lists()
-    spans = [range(start[v], start[v + 1]) for v in range(g.n)]
-    ordered = [[p for p in span if eids[p] in preferred] +
-               [p for p in span if eids[p] not in preferred] for span in spans]
-    return ordered, eids, heads
-
-
-def edge_prioritized_dfs(fg: FlowGraph, preferred: set[int]) -> SpanningTree:
-    """DFS spanning tree exploring preferred out-edges before the rest.
-
-    Within each priority class edges are taken in id order, so the result
-    is deterministic.
-    """
-    g, s = fg.graph, fg.start
-    parent = [-1] * g.n
-    seen = [False] * g.n
-    seen[s] = True
-    ordered, out_eids, heads = _preferred_first(g, preferred)
-    stack: list[tuple[int, list[int], int]] = [(s, ordered[s], 0)]
-    count = 1
-    while stack:
-        v, span, i = stack[-1]
-        if i < len(span):
-            stack[-1] = (v, span, i + 1)
-            w = heads[span[i]]
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = out_eids[span[i]]
-                count += 1
-                stack.append((w, ordered[w], 0))
-        else:
-            stack.pop()
-    if count != g.n:
-        raise GraphError("flow graph has a vertex unreachable from the start")
-    return SpanningTree(np.asarray(parent, dtype=np.int64), s)

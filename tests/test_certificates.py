@@ -5,7 +5,8 @@ import pytest
 
 from twoec.blocks import blocks, components, preservation_violations
 from twoec.certificates import (
-    CertificateStats, ist_b, ist_b_original, ist_bc, two_ecss_edt, zni_c, zni_scss,
+    CertificateStats, _preferred_first, ist_b, ist_b_original, ist_bc, two_ecss_edt,
+    zni_c, zni_scss,
 )
 from twoec.digraph import GraphError, build, scc
 from twoec.fixtures import (
@@ -134,6 +135,21 @@ def test_zni_scss_preferred_road_grid():
     inside = {e for e in preferred if part.comp[g.tail(e)] == part.comp[g.head(e)]
               and sizes[part.comp[g.tail(e)]] >= 2}
     assert inside and inside <= out
+
+
+def test_preferred_first_reorders_each_slot():
+    g = road_grid(8, 0.12, 0.55, 1)
+    assert _preferred_first(g, set()) == g.out_lists()
+    preferred = set(random.Random(5).sample(g.edge_ids.tolist(), g.m // 3))
+    start, eids, heads = _preferred_first(g, preferred)
+    plain_start, plain_eids, _ = g.out_lists()
+    assert start == plain_start
+    for v in range(g.n):
+        slot = eids[start[v]:start[v + 1]]
+        ids = plain_eids[start[v]:start[v + 1]]
+        assert slot == sorted(e for e in ids if e in preferred) + sorted(
+            e for e in ids if e not in preferred)
+        assert heads[start[v]:start[v + 1]] == [g.head(e) for e in slot]
 
 
 def test_zni_scss_rejects_disconnected():

@@ -121,6 +121,8 @@ def test_bench_bad_config_is_input_error(tmp_path, capsys):
          "unknown algorithm 'nope'"),
         ({"algorithms": ["ist-b"]}, "no 'datasets' key"),
         ({"datasets": [{"name": "g", "path": str(g)}]}, "no 'algorithms' key"),
+        ({"datasets": [{"name": "x"}], "algorithms": ["ist-b"]},
+         "dataset entry 0 needs 'name' and 'path' keys"),
     ]
     for config, message in cases:
         cfg.write_text(json.dumps(config))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from twoec.digraph import GraphError, build, delete_edge_view, scc
-from twoec.dominators import FlowGraph, dominator_tree, flow_bridges, strong_bridges
+from twoec.dominators import FlowGraph, _dfs, dominator_tree, flow_bridges, strong_bridges
 from twoec.fixtures import g1, g2, g4, g5, random_strongly_connected
 
 
@@ -53,10 +53,29 @@ def test_dominators_match_removal_oracle():
     for _ in range(120):
         g = random_strongly_connected(rng, rng.randint(2, 10))
         dt = dominator_tree(FlowGraph(g, 0))
+        pre, post = dt.pre.tolist(), dt.post.tolist()
         for w in range(g.n):
             doms = set(dt.dominators(w))
             for u in range(g.n):
-                assert (u in doms) == _removal_dominates(g, 0, u, w)
+                truth = _removal_dominates(g, 0, u, w)
+                assert (u in doms) == truth
+                assert (pre[u] <= pre[w] < post[u]) == truth
+
+
+def test_dfs_tree_edges():
+    pre, parent, parent_edge, order = _dfs(g1(), 0)
+    assert parent_edge[0] == parent[0] == -1
+    assert len({e for e in parent_edge if e != -1}) == 2
+    rng = random.Random(6)
+    for _ in range(60):
+        g = random_strongly_connected(rng, rng.randint(2, 12))
+        pre, parent, parent_edge, order = _dfs(g, 0)
+        assert sorted(order) == list(range(g.n))
+        assert [pre[v] for v in order] == list(range(g.n))
+        for w in order[1:]:
+            e = parent_edge[w]
+            assert (g.tail(e), g.head(e)) == (parent[w], w)
+            assert pre[parent[w]] < pre[w]
 
 
 def test_flow_bridges_path_and_g1():

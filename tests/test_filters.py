@@ -212,3 +212,10 @@ def test_edge_order_variants_stay_valid():
         for order, seed in (("input", 0), ("reverse", 0), ("random", 3)):
             cfg = FilterConfig(strategy="test2edp", edge_order=order, seed=seed)
             assert preservation_violations(g, edp_filter(g, cfg).surviving, "B") == []
+
+
+def test_filter_config_rejects_unknown_values():
+    with pytest.raises(ValueError, match="'bogus'"):
+        FilterConfig(strategy="bogus")
+    with pytest.raises(ValueError, match="'sideways'"):
+        FilterConfig(edge_order="sideways")

@@ -3,34 +3,34 @@ import io
 import pytest
 
 from twoec.digraph import GraphError, largest_scc
-from twoec.io import load_graph, parse_dimacs, parse_snap, read_dimacs, read_snap
+from twoec.io import load_graph, read_dimacs, read_snap
 
 
 def test_dimacs_basic():
-    g = parse_dimacs(io.StringIO("c comment\np sp 3 3\na 1 2 4\na 2 3 1\na 3 1 7\n"))
+    g = read_dimacs(io.StringIO("c comment\np sp 3 3\na 1 2 4\na 2 3 1\na 3 1 7\n"))[0]
     assert g.n == 3 and g.edge_pairs() == [(0, 1), (1, 2), (2, 0)]
 
 
 def test_dimacs_one_based_violation():
     with pytest.raises(GraphError):
-        parse_dimacs(io.StringIO("p sp 3 1\na 0 2 1\n"))
+        read_dimacs(io.StringIO("p sp 3 1\na 0 2 1\n"))
     with pytest.raises(GraphError):
-        parse_dimacs(io.StringIO("p sp 3 1\na 1 4 1\n"))
+        read_dimacs(io.StringIO("p sp 3 1\na 1 4 1\n"))
 
 
 def test_dimacs_malformed():
     with pytest.raises(GraphError):
-        parse_dimacs(io.StringIO("p sp 3 1\nz 1 2\n"))
+        read_dimacs(io.StringIO("p sp 3 1\nz 1 2\n"))
     with pytest.raises(GraphError):
-        parse_dimacs(io.StringIO("a 1 2 1\n"))
+        read_dimacs(io.StringIO("a 1 2 1\n"))
     with pytest.raises(GraphError, match="line 2: non-integer vertex count"):
-        parse_dimacs(io.StringIO("c x\np sp x 3\n"))
+        read_dimacs(io.StringIO("c x\np sp x 3\n"))
     with pytest.raises(GraphError, match="line 1: malformed problem line"):
-        parse_dimacs(io.StringIO("p sp 3\n"))
+        read_dimacs(io.StringIO("p sp 3\n"))
     with pytest.raises(GraphError, match="line 3: second problem line"):
-        parse_dimacs(io.StringIO("p sp 5 1\na 4 5 1\np sp 2 0\n"))
+        read_dimacs(io.StringIO("p sp 5 1\na 4 5 1\np sp 2 0\n"))
     with pytest.raises(GraphError, match="line 1: negative vertex count"):
-        parse_dimacs(io.StringIO("p sp -3 0\n"))
+        read_dimacs(io.StringIO("p sp -3 0\n"))
 
 
 def test_dimacs_dedup_and_loops():
@@ -41,7 +41,7 @@ def test_dimacs_dedup_and_loops():
 
 
 def test_snap_basic():
-    g = parse_snap(io.StringIO("# comment\n0\t1\n1\t0\n"))
+    g = read_snap(io.StringIO("# comment\n0\t1\n1\t0\n"))[0]
     assert g.n == 2 and g.m == 2
 
 
@@ -52,14 +52,14 @@ def test_snap_loop_dropped():
 
 
 def test_snap_renumbers_sparse_ids():
-    g = parse_snap(io.StringIO("10 20\n20 10\n30 10\n"))
+    g = read_snap(io.StringIO("10 20\n20 10\n30 10\n"))[0]
     assert g.n == 3
     assert sorted(g.edge_pairs()) == [(0, 1), (1, 0), (2, 0)]
 
 
 def test_snap_rejects_garbage():
     with pytest.raises(GraphError):
-        parse_snap(io.StringIO("a b\n"))
+        read_snap(io.StringIO("a b\n"))
 
 
 def test_load_graph_sniffing(tmp_path):

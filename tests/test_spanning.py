@@ -8,9 +8,7 @@ from twoec.certificates import ist_b
 from twoec.digraph import build, delete_edge_view, largest_scc
 from twoec.dominators import FlowGraph, dominator_tree, flow_bridges
 from twoec.fixtures import g1, g2, g4, random_strongly_connected, road_grid
-from twoec.spanning import (
-    TreePair, edge_prioritized_dfs, independent_pair, verify_independent,
-)
+from twoec.spanning import TreePair, independent_pair, verify_independent
 
 
 def test_independent_pair_g2_shares_every_edge():
@@ -71,7 +69,7 @@ def test_verify_rejects_equal_trees_on_g1():
     g = g1()
     fg = FlowGraph(g, 0)
     dt = dominator_tree(fg)
-    tree = edge_prioritized_dfs(fg, set())
+    tree = independent_pair(fg, dt).blue
     assert not verify_independent(fg, TreePair(tree, tree), dt)
 
 
@@ -194,25 +192,3 @@ def test_determinism():
         assert a.blue.parent_edge.tolist() == b.blue.parent_edge.tolist()
         assert a.red.parent_edge.tolist() == b.red.parent_edge.tolist()
 
-
-def test_edge_prioritized_dfs_plain():
-    g = g1()
-    tree = edge_prioritized_dfs(FlowGraph(g, 0), set())
-    assert tree.parent_edge[0] == -1
-    assert len(tree.edge_set()) == 2
-
-
-def test_edge_prioritized_dfs_prefers_cycle():
-    g = g1()
-    # a directed 3-cycle inside G1: (0,1), (1,2), (2,0) are ids 0, 2, 5
-    cycle = {0, 2, 5}
-    tree = edge_prioritized_dfs(FlowGraph(g, 0), cycle)
-    assert tree.edge_set() <= cycle
-
-
-def test_edge_prioritized_dfs_prefers_bridge_cycle_g4():
-    g = g4()
-    from twoec.dominators import strong_bridges
-    pref = strong_bridges(g)
-    tree = edge_prioritized_dfs(FlowGraph(g, 0), pref)
-    assert tree.edge_set() <= pref
