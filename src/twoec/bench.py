@@ -5,7 +5,7 @@ import csv
 import logging
 import statistics
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .blocks import blocks, components
@@ -13,7 +13,7 @@ from .certificates import ist_b, ist_b_original, ist_bc, zni_c
 from .digraph import Digraph, Partition, largest_scc
 from .dominators import strong_bridges
 from .filters import (
-    FilterConfig, aux_variant_filter, filter_bc, hybrid_filter,
+    EDGE_ORDERS, FilterConfig, aux_variant_filter, filter_bc, hybrid_filter,
     test2ecb_filter, test2edp_filter,
 )
 from .io import load_graph
@@ -21,7 +21,7 @@ from .io import load_graph
 log = logging.getLogger("twoec.bench")
 
 __all__ = ["ALGORITHMS", "QualityReport", "run_algorithm", "lower_bound",
-           "run_experiment", "write_csv", "read_csv"]
+           "run_experiment", "write_csv"]
 
 CSV_COLUMNS = ["dataset", "algorithm", "problem", "n", "m", "bstar",
                "edges_out", "delta_avg", "lower_bound", "q", "seconds"]
@@ -123,7 +123,13 @@ def run_experiment(config: dict, out_csv: str | Path | None = None) -> list[Qual
     for i, ds in enumerate(config["datasets"]):
         if not isinstance(ds, dict) or not {"name", "path"} <= ds.keys():
             raise ValueError(f"dataset entry {i} needs 'name' and 'path' keys")
-    runs = int(config.get("runs", 1))
+    runs = config.get("runs", 1)
+    if type(runs) is not int or runs < 1:
+        raise ValueError(
+            f"experiment config key 'runs' must be a positive integer, not {runs!r}")
+    if config.get("order", "input") not in EDGE_ORDERS:
+        raise ValueError(f"experiment config key 'order' must be one of "
+                         f"{', '.join(EDGE_ORDERS)}, not {config['order']!r}")
     opts = {k: config[k] for k in ("order", "seed", "trivial_skip", "certificate")
             if k in config}
     reports: list[QualityReport] = []
@@ -171,16 +177,3 @@ def write_csv(reports: list[QualityReport], path: str | Path) -> None:
                 repr(r.delta_avg), repr(r.lower_bound), repr(r.q), repr(r.seconds),
             ])
 
-
-def read_csv(path: str | Path) -> list[QualityReport]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(QualityReport(
-                dataset=row["dataset"], algorithm=row["algorithm"], problem=row["problem"],
-                n=int(row["n"]), m=int(row["m"]), bstar=int(row["bstar"]),
-                edges_out=int(row["edges_out"]), delta_avg=float(row["delta_avg"]),
-                lower_bound=float(row["lower_bound"]), q=float(row["q"]),
-                seconds=float(row["seconds"]),
-            ))
-    return out

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import (
-    Digraph, GraphError, Partition, _ensure_strongly_connected, induced_subgraph, scc,
+    Digraph, GraphError, Partition, _ensure_strongly_connected, delete_edge_view,
+    induced_subgraph, scc,
 )
 from .dominators import DominatorTree, FlowGraph, _strong_bridges, dominator_tree, flow_bridges
 
@@ -23,29 +24,36 @@ _BLOB = -1  # sentinel for the d(r) contraction target
 class CanonicalDecomposition:
     """Forest left by deleting the flow-graph bridges from the dominator tree."""
 
-    tree_id: np.ndarray      # per vertex: the marked root of its tree
+    tree_id: list[int]       # per vertex: the marked root of its tree
     marked: list[int]        # start vertex plus all bridge heads
     bridges: set[int]        # the bridge edge ids that induced the cuts
 
 
 @dataclass(frozen=True)
 class AuxGraph:
-    """Contracted auxiliary graph of one marked vertex.
+    """Contracted auxiliary graph of one marked vertex r.
 
-    Vertices of the parent graph outside the marked vertex's tree are
-    contracted: each marked child subtree into its root, everything above
-    into d(r).  `orig_vertex` holds the represented parent vertex (the tree
-    member for ordinary vertices, the contraction target otherwise) and
-    `orig_edge` the parent edge each surviving edge is associated with.
+    Vertices of the parent graph outside r's tree are contracted: each
+    marked child subtree into its root, everything above r into d(r).  The
+    local vertices are r's tree members in dominator-respecting preorder (r
+    first), then its marked children in ascending id order, then d(r)
+    unless r is the start vertex.  The maps are Python lists:
+    `orig_vertex` gives the vertex each local vertex stands for (idom(r)
+    for d(r)), `orig_edge` the edge each local edge is associated with, and
+    `is_ordinary` is True exactly at the tree members.  A first-level graph
+    maps into its flow graph.  A second-level graph, built on H^R for a
+    first-level graph H, maps through H into the input graph, and its
+    `is_ordinary` means ordinary at both levels.  `entering_bridge` is the
+    local id of the one copy of the bridge d(r) -> r, the only edge out of
+    d(r), or -1 at the start vertex.
     """
 
     graph: Digraph
-    root: int                     # local id of the marked vertex
-    is_ordinary: np.ndarray       # bool per local vertex
-    orig_vertex: np.ndarray       # local vertex -> parent vertex id
-    orig_edge: np.ndarray         # local edge -> parent edge id
-    entering_bridge: int          # parent edge id of the bridge into r, -1 at s
-    blob: int                     # local id of the d(r) contraction target, -1 at s
+    root: int                     # local id of r, always 0
+    is_ordinary: list[bool]
+    orig_vertex: list[int]
+    orig_edge: list[int]
+    entering_bridge: int
 
 
 def canonical_decomposition(
@@ -53,95 +61,71 @@ def canonical_decomposition(
 ) -> CanonicalDecomposition:
     g, s = fg.graph, fg.start
     marked_set = {s} | {g.head(e) for e in bridges}
-    idom = dt.idom.tolist()
     tree_id = [0] * g.n
-    for v in dt.dfs_order.tolist():
-        tree_id[v] = v if v in marked_set else tree_id[idom[v]]
+    for v in dt.dfs_order:
+        tree_id[v] = v if v in marked_set else tree_id[dt.idom[v]]
     return CanonicalDecomposition(
-        tree_id=np.asarray(tree_id, dtype=np.int64), marked=sorted(marked_set),
-        bridges=set(bridges))
+        tree_id=tree_id, marked=sorted(marked_set), bridges=set(bridges))
 
 
 def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition,
-                eligible: list[bool] | None = None) -> list[AuxGraph]:
-    """The aux graph of every marked vertex; given the vertex mask `eligible`,
-    only of the regions with at least 2 eligible members."""
+                h: AuxGraph | None = None, blocks_only: bool = False) -> list[AuxGraph]:
+    """The aux graph of every marked vertex.  Given a first-level graph `h`,
+    with `fg` its reverse H^R(r), the maps compose through `h`, and
+    `blocks_only` keeps just the regions with at least 2 members ordinary
+    in `h`."""
     g, s = fg.graph, fg.start
-    tree_id = cd.tree_id.tolist()
-    idom = dt.idom.tolist()
+    tree_id, idom = cd.tree_id, dt.idom
 
     members: dict[int, list[int]] = {r: [] for r in cd.marked}
-    for v in dt.dfs_order.tolist():          # dominator-respecting preorder
+    for v in dt.dfs_order:                   # dominator-respecting preorder
         members[tree_id[v]].append(v)
+    children: dict[int, list[int]] = {r: [] for r in cd.marked}
+    for r in cd.marked:                      # ascending
+        if r != s:
+            children[tree_id[idom[r]]].append(r)
 
-    region_parent: dict[int, int] = {}
-    region_depth: dict[int, int] = {s: 0}
-    aux_children: dict[int, list[int]] = {r: [] for r in cd.marked}
-    for r in cd.marked:
-        if r == s:
-            continue
-        pr = tree_id[idom[r]]
-        region_parent[r] = pr
-        aux_children[pr].append(r)
-    # region depths follow the marked order of dfs discovery
-    for v in dt.dfs_order.tolist():
-        r = tree_id[v]
-        if r != s and r not in region_depth:
-            region_depth[r] = region_depth[region_parent[r]] + 1
-
-    bridge_into: dict[int, int] = {g.head(e): e for e in cd.bridges}
-
+    # idom(y) dominates every tail x of an edge into y, so x's region lies
+    # in the region subtree of y's: the edge climbs from x's region to y's,
+    # leaving each region below into its d(r).  The exception is the bridge
+    # into y, from idom(y) in the region above, which also enters y's
+    # graph from d(y).
+    bridge_into = {g.head(e): e for e in cd.bridges}
     region_edges: dict[int, list[tuple[int, int, int]]] = {r: [] for r in cd.marked}
-
-    def out(region: int, a: int, b: int, e: int) -> None:
-        region_edges[region].append((a, b, e))
-
     for e, (x, y) in zip(g.edge_ids.tolist(), g.edge_pairs()):
         if x == y:
             continue
-        rx, ry = tree_id[x], tree_id[y]
-        repx, repy = x, y
-        while region_depth[rx] > region_depth[ry]:
-            out(rx, repx, _BLOB, e)
-            repx, rx = rx, region_parent[rx]
-        while region_depth[ry] > region_depth[rx]:
-            out(ry, _BLOB, repy, e)
-            repy, ry = ry, region_parent[ry]
-        while rx != ry:
-            out(rx, repx, _BLOB, e)
-            out(ry, _BLOB, repy, e)
-            repx, rx = rx, region_parent[rx]
-            repy, ry = ry, region_parent[ry]
-        if repx != repy:
-            out(rx, repx, repy, e)
+        if bridge_into.get(y) == e:
+            region_edges[y].append((_BLOB, y, e))
+            region_edges[tree_id[x]].append((x, y, e))
+            continue
+        rx, rep = tree_id[x], x
+        while rx != tree_id[y]:
+            region_edges[rx].append((rep, _BLOB, e))
+            rep, rx = rx, tree_id[idom[rx]]
+        region_edges[rx].append((rep, y, e))
 
     result = []
     for r in cd.marked:
         ordinary = members[r]
-        if eligible is not None and sum(eligible[v] for v in ordinary) < 2:
+        flags = [True] * len(ordinary) if h is None else [h.is_ordinary[v] for v in ordinary]
+        if blocks_only and sum(flags) < 2:
             continue
-        aux = sorted(aux_children[r])
-        has_blob = r != s
-        local: dict[int, int] = {}
-        for v in ordinary:
-            local[v] = len(local)
-        n_ord = len(local)
-        for w in aux:
-            local[w] = len(local)
-        blob = len(local) if has_blob else -1
-        n_local = len(local) + (1 if has_blob else 0)
+        n_ord = len(ordinary)
+        vertices = ordinary + children[r]
+        local = {v: i for i, v in enumerate(vertices)}
+        local[_BLOB] = len(vertices)
+        if r != s:
+            vertices.append(idom[r])         # d(r)
 
         tails: list[int] = []
         heads: list[int] = []
         orig: list[int] = []
+        bridge = -1
         seen_pair: dict[tuple[int, int], int] = {}
         for a, b, e in region_edges[r]:
-            la = blob if a == _BLOB else local[a]
-            lb = blob if b == _BLOB else local[b]
-            if la == lb:
-                continue
-            plain = a != _BLOB and b != _BLOB and la < n_ord and lb < n_ord
-            if not plain:
+            la, lb = local[a], local[b]
+            if la >= n_ord or lb >= n_ord:
                 # contraction-created parallels collapse onto the two
                 # smallest original edges; a second copy is kept because
                 # double edges are what 2-edge-connectivity can still see
@@ -149,29 +133,23 @@ def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition,
                 if cnt >= 2:
                     continue
                 seen_pair[(la, lb)] = cnt + 1
+            if a == _BLOB:
+                bridge = len(orig)
             tails.append(la)
             heads.append(lb)
             orig.append(e)
 
-        orig_vertex = np.empty(n_local, dtype=np.int64)
-        is_ord = np.zeros(n_local, dtype=bool)
-        for v in ordinary:
-            orig_vertex[local[v]] = v
-            is_ord[local[v]] = True
-        for w in aux:
-            orig_vertex[local[w]] = w
-        if has_blob:
-            orig_vertex[blob] = idom[r]
-
+        if h is not None:
+            vertices = [h.orig_vertex[v] for v in vertices]
+            orig = [h.orig_edge[e] for e in orig]
         result.append(AuxGraph(
-            graph=Digraph(n_local, np.asarray(tails, dtype=np.int64),
+            graph=Digraph(len(vertices), np.asarray(tails, dtype=np.int64),
                           np.asarray(heads, dtype=np.int64)),
-            root=local[r],
-            is_ordinary=is_ord,
-            orig_vertex=orig_vertex,
-            orig_edge=np.asarray(orig, dtype=np.int64),
-            entering_bridge=bridge_into.get(r, -1),
-            blob=blob,
+            root=0,
+            is_ordinary=flags + [False] * (len(vertices) - n_ord),
+            orig_vertex=vertices,
+            orig_edge=orig,
+            entering_bridge=bridge,
         ))
     return result
 
@@ -186,25 +164,17 @@ def _second_level(h: AuxGraph, blocks_only: bool = False
                   ) -> tuple[FlowGraph, DominatorTree, list[AuxGraph]]:
     """The reverse flow graph H^R(r) of a first-level aux graph, its
     dominator tree, and its auxiliary graphs: the second-level graphs,
-    including the root's own, which has no entering bridge.  `blocks_only`
-    keeps, in order, just the graphs with at least 2 vertices ordinary at
-    both levels, the only ones that hold a block or a part of n'; H^R(r)
-    and its dominator tree are returned either way."""
+    including the root's own, which has no entering bridge.  Their maps are
+    composed through `h` into the input graph.  `blocks_only` keeps, in
+    order, just the graphs with at least 2 vertices ordinary at both
+    levels, the only ones that hold a block or a part of n'; H^R(r) and its
+    dominator tree are returned either way."""
     fg = FlowGraph(h.graph.reverse(), h.root)
     dt = dominator_tree(fg)
-    eligible = h.is_ordinary.tolist() if blocks_only else None
-    if eligible is not None and sum(eligible) < 2:
+    if blocks_only and sum(h.is_ordinary) < 2:
         return fg, dt, []
     cd = canonical_decomposition(fg, dt, flow_bridges(fg, dt))
-    return fg, dt, _aux_graphs(fg, dt, cd, eligible)
-
-
-def _without_entering_bridge(aux: AuxGraph) -> Digraph:
-    """A second-level graph minus the copies of its entering bridge; the
-    blocks are read off the SCCs of what is left."""
-    if aux.entering_bridge == -1:
-        return aux.graph
-    return aux.graph.subgraph_edges(np.flatnonzero(aux.orig_edge != aux.entering_bridge))
+    return fg, dt, _aux_graphs(fg, dt, cd, h, blocks_only)
 
 
 class _DSU:
@@ -238,16 +208,15 @@ def blocks(g: Digraph, s: int = 0) -> Partition:
     _ensure_strongly_connected(g)
     dsu = _DSU(g.n)
     if g.n > 1:
-        fg = FlowGraph(g, s)
-        for h in first_level_aux_graphs(fg):
-            h_ordinary, h_vertex = h.is_ordinary.tolist(), h.orig_vertex.tolist()
+        for h in first_level_aux_graphs(FlowGraph(g, s)):
             for aux in _second_level(h)[2]:
-                comp = scc(_without_entering_bridge(aux)).comp.tolist()
+                work = aux.graph if aux.entering_bridge == -1 else delete_edge_view(
+                    aux.graph, aux.entering_bridge)
                 groups: dict[int, list[int]] = {}
-                for c, ordinary, hv in zip(comp, aux.is_ordinary.tolist(),
-                                           aux.orig_vertex.tolist()):
-                    if ordinary and h_ordinary[hv]:
-                        groups.setdefault(c, []).append(h_vertex[hv])
+                for c, ordinary, v in zip(scc(work).comp.tolist(), aux.is_ordinary,
+                                          aux.orig_vertex):
+                    if ordinary:
+                        groups.setdefault(c, []).append(v)
                 for grp in groups.values():
                     for other in grp[1:]:
                         dsu.union(grp[0], other)

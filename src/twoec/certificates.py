@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
-    _DSU, _aux_graphs, _second_level, _without_entering_bridge,
-    canonical_decomposition, components, condense,
+    _DSU, _aux_graphs, _second_level, canonical_decomposition, components, condense,
 )
-from .digraph import Digraph, GraphError, _ensure_strongly_connected, induced_subgraph, scc
+from .digraph import (
+    Digraph, GraphError, _ensure_strongly_connected, delete_edge_view, induced_subgraph, scc,
+)
 from .dominators import FlowGraph, _dfs, dominator_tree, flow_bridges, strong_bridges
 from .spanning import independent_pair
 
@@ -61,10 +62,6 @@ class CertificateStats:
         return self.phase1_new + self.phase2_new + self.phase3_new
 
 
-def _tree_children_counts(parent_edge: np.ndarray, g: Digraph) -> list[int]:
-    return np.bincount(g.tails[parent_edge[parent_edge != -1]], minlength=g.n).tolist()
-
-
 def _ist_pipeline(g: Digraph, s: int, modified: bool):
     _ensure_strongly_connected(g)
     inserts: list[tuple[int, str]] = []
@@ -86,7 +83,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
     # Phase 1: two independent spanning trees of G(s)
     pair = independent_pair(fg, dt)
     for tree in (pair.blue, pair.red):
-        for e in tree.parent_edge.tolist():
+        for e in tree.parent_edge:
             if e != -1:
                 insert(e, "P1")
 
@@ -95,28 +92,28 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
     for h in _aux_graphs(fg, dt, cd):
         fgr, dtr, level2 = _second_level(h, blocks_only=modified)
         rev = fgr.graph
-        h_edge, h_ordinary = h.orig_edge.tolist(), h.is_ordinary.tolist()
+        h_edge = h.orig_edge
 
         # Phase 2: independent trees of the reverse flow graph, reusing edges
         # already chosen where valid
         preferred = {e for e in rev.edge_ids.tolist() if h_edge[e] in in_l}
         pair_r = independent_pair(fgr, dtr, preferred=preferred)
-        blue_edge = pair_r.blue.parent_edge.tolist()
-        red_edge = pair_r.red.parent_edge.tolist()
-        blue_kids = _tree_children_counts(pair_r.blue.parent_edge, rev)
-        red_kids = _tree_children_counts(pair_r.red.parent_edge, rev)
+        blue_edge, red_edge = pair_r.blue.parent_edge, pair_r.red.parent_edge
+        rev_tails = rev.tails.tolist()
+        blue_inner = {rev_tails[e] for e in blue_edge if e != -1}   # have a child
+        red_inner = {rev_tails[e] for e in red_edge if e != -1}
         for x in range(rev.n):
             if x == h.root:
                 continue
             eb, er = h_edge[blue_edge[x]], h_edge[red_edge[x]]
-            if h_ordinary[x] or not modified:
+            if h.is_ordinary[x] or not modified:
                 insert(eb, "P2")
                 insert(er, "P2")
                 continue
             # auxiliary vertex: a tree edge into a leaf carries no path and
             # may be dropped; if dropped from both trees keep one exit edge
-            blue_leaf = blue_kids[x] == 0
-            red_leaf = red_kids[x] == 0
+            blue_leaf = x not in blue_inner
+            red_leaf = x not in red_inner
             if not blue_leaf:
                 insert(eb, "P2")
             if not red_leaf:
@@ -126,13 +123,10 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
 
         # Phase 3: strongly connected coverage of every second-level SCC
         for aux in level2:
-            work = _without_entering_bridge(aux)
-            part = scc(work)
-            aux_ordinary, aux_vertex = aux.is_ordinary.tolist(), aux.orig_vertex.tolist()
-            aux_edge = aux.orig_edge.tolist()
-            for cls in part.classes():
-                both_ord = [v for v in cls.tolist()
-                            if aux_ordinary[v] and h_ordinary[aux_vertex[v]]]
+            work = aux.graph if aux.entering_bridge == -1 else delete_edge_view(
+                aux.graph, aux.entering_bridge)
+            for cls in scc(work).classes():
+                both_ord = [v for v in cls.tolist() if aux.is_ordinary[v]]
                 o_s = len(both_ord)
                 if o_s >= 2:
                     n_prime += o_s
@@ -145,7 +139,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                 sub_origin = sub.origin.tolist()
 
                 def resolve(e_sub: int) -> int:
-                    return h_edge[aux_edge[sub_origin[e_sub]]]
+                    return aux.orig_edge[sub_origin[e_sub]]
 
                 if modified:
                     pref = {e for e in sub.edge_ids.tolist() if resolve(e) in in_l}
@@ -153,7 +147,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                         insert(resolve(e_sub), "P3")
                 else:
                     if both_ord:
-                        root = min(both_ord, key=lambda v: int(h.orig_vertex[aux_vertex[v]]))
+                        root = min(both_ord, key=aux.orig_vertex.__getitem__)
                     else:
                         root = int(cls.min())
                     root_local = int(np.flatnonzero(sub.vertex_origin == root)[0])

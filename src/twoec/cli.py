@@ -17,6 +17,7 @@ from .bench import ALGORITHMS, run_algorithm, run_experiment, write_csv
 from .blocks import blocks, components, preservation_violations
 from .digraph import Digraph, GraphError, largest_scc
 from .dominators import strong_bridges
+from .filters import EDGE_ORDERS
 from .io import load_graph
 
 
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
     ps.add_argument("graph")
     ps.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     ps.add_argument("--problem", choices=["B", "C", "BC"])
-    ps.add_argument("--order", default="input", choices=["input", "reverse", "random"])
+    ps.add_argument("--order", default="input", choices=EDGE_ORDERS)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--no-cert", action="store_true",
                     help="skip the sparse-certificate preprocessing")

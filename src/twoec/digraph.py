@@ -163,9 +163,6 @@ class Partition:
         self.comp = comp
         self.count = len(remap)
 
-    def same(self, u: int, v: int) -> bool:
-        return self.comp[u] == self.comp[v]
-
     def classes(self) -> list[np.ndarray]:
         out: list[list[int]] = [[] for _ in range(self.count)]
         for v, c in enumerate(self.comp.tolist()):

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .digraph import Digraph, GraphError, _ensure_strongly_connected
 
 __all__ = ["FlowGraph", "DominatorTree", "dominator_tree", "flow_bridges", "strong_bridges"]
@@ -22,29 +20,30 @@ class FlowGraph:
 class DominatorTree:
     """Immediate-dominator parents plus orderings for ancestor queries.
 
-    `idom[v]` is the parent of v in the dominator tree (-1 at the start
-    vertex).  `pre`/`post` are Euler intervals of the dominator tree itself:
-    u is an ancestor of w iff pre[u] <= pre[w] < post[u].  `dfs_order` lists
-    the vertices in the preorder of the graph DFS that built the tree, so
-    the dominators of w come before w.
+    All four fields are Python lists indexed by vertex.  `idom[v]` is the
+    parent of v in the dominator tree (-1 at the start vertex).
+    `pre`/`post` are Euler intervals of the dominator tree itself: u is an
+    ancestor of w iff pre[u] <= pre[w] < post[u].  `dfs_order` lists the
+    vertices in the preorder of the graph DFS that built the tree, so the
+    dominators of w come before w.
     """
 
-    idom: np.ndarray
-    pre: np.ndarray
-    post: np.ndarray
-    dfs_order: np.ndarray
+    idom: list[int]
+    pre: list[int]
+    post: list[int]
+    dfs_order: list[int]
 
     def dominators(self, w: int) -> list[int]:
         """Ancestors of w in the dominator tree, inclusive of w."""
         out = [w]
         while self.idom[w] != -1:
-            w = int(self.idom[w])
+            w = self.idom[w]
             out.append(w)
         return out[::-1]
 
     def children(self) -> list[list[int]]:
         ch: list[list[int]] = [[] for _ in range(len(self.idom))]
-        for v, p in enumerate(self.idom.tolist()):
+        for v, p in enumerate(self.idom):
             if p != -1:
                 ch[p].append(v)
         return ch
@@ -150,14 +149,9 @@ def dominator_tree(fg: FlowGraph) -> DominatorTree:
         tin[w] = next_tin[u]
         next_tin[u] += size[w]
         next_tin[w] = tin[w] + 1
-    tin_arr = np.asarray(tin, dtype=np.int64)
 
-    return DominatorTree(
-        idom=np.asarray(idom, dtype=np.int64),
-        pre=tin_arr,
-        post=tin_arr + np.asarray(size, dtype=np.int64),
-        dfs_order=np.asarray(order, dtype=np.int64),
-    )
+    return DominatorTree(idom=idom, pre=tin, post=[t + z for t, z in zip(tin, size)],
+                         dfs_order=order)
 
 
 def flow_bridges(fg: FlowGraph, dt: DominatorTree) -> set[int]:
@@ -167,8 +161,7 @@ def flow_bridges(fg: FlowGraph, dt: DominatorTree) -> set[int]:
     the dominator subtree of w; its tail is then necessarily idom(w).
     """
     g = fg.graph
-    tin = dt.pre.tolist()
-    tout = dt.post.tolist()
+    tin, tout = dt.pre, dt.post
     in_start, in_eids, tails = g.in_lists()
     bridges: set[int] = set()
     for w in range(g.n):

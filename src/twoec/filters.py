@@ -20,10 +20,14 @@ from .digraph import Digraph, GraphError, _ensure_strongly_connected
 from .dominators import FlowGraph
 
 __all__ = [
-    "FilterConfig", "FilterReport",
+    "EDGE_ORDERS", "FilterConfig", "FilterReport",
     "two_edge_disjoint", "test2edp_filter", "test2ecb_filter", "hybrid_filter",
     "aux_variant_filter", "filter_bc",
 ]
+
+
+# The orders in which a filter can visit its candidate edges.
+EDGE_ORDERS = ("input", "reverse", "random")
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,7 @@ class FilterConfig:
     def __post_init__(self):
         if self.strategy not in ("test2edp", "test2ecb", "hybrid"):
             raise ValueError(f"unknown filter strategy {self.strategy!r}")
-        if self.edge_order not in ("input", "reverse", "random"):
+        if self.edge_order not in EDGE_ORDERS:
             raise ValueError(f"unknown edge order {self.edge_order!r}")
 
 
@@ -247,12 +251,10 @@ def aux_variant_filter(g: Digraph, cfg: FilterConfig = FilterConfig()) -> Filter
     if g.n > 1:
         for h in first_level_aux_graphs(FlowGraph(work, 0)):
             for aux in _second_level(h)[2]:
-                to_orig = {int(e): int(h.orig_edge[aux.orig_edge[e]])
-                           for e in aux.graph.edge_ids.tolist()}
-                appeared.update(to_orig.values())
+                appeared.update(aux.orig_edge)
                 sub_rep = _run_strategy(aux.graph, aux.graph.edge_ids, cfg)
                 tested += sub_rep.counters["tested_2edp"] + sub_rep.counters["tested_blocks"]
-                kept.update(to_orig[e] for e in sub_rep.surviving)
+                kept.update(aux.orig_edge[e] for e in sub_rep.surviving)
     surviving = (set(ids) - appeared) | kept
     decisions = {e: ("deleted" if e not in surviving else "kept-needed") for e in ids}
     return FilterReport(

@@ -123,6 +123,8 @@ def read_snap(stream) -> tuple[Digraph, ParseStats]:
 
 def load_graph(path: str | Path, fmt: str = "auto") -> Digraph:
     """Load a graph file, sniffing DIMACS vs SNAP when `fmt` is 'auto'."""
+    if fmt not in ("auto", "dimacs", "snap"):
+        raise GraphError(f"unknown format {fmt!r}")
     path = Path(path)
     if fmt == "auto":
         if path.suffix in (".gr", ".dimacs"):
@@ -135,13 +137,9 @@ def load_graph(path: str | Path, fmt: str = "auto") -> Digraph:
                     s = line.strip()
                     if not s:
                         continue
-                    fmt = "dimacs" if s[0] in "cpa" and not s[0].isdigit() else "snap"
+                    fmt = "dimacs" if s[0] in "cpa" else "snap"
                     break
                 else:
                     fmt = "snap"
     with path.open() as fh:
-        if fmt == "dimacs":
-            return read_dimacs(fh)[0]
-        if fmt == "snap":
-            return read_snap(fh)[0]
-    raise GraphError(f"unknown format {fmt!r}")
+        return (read_dimacs if fmt == "dimacs" else read_snap)(fh)[0]

@@ -36,8 +36,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .digraph import Digraph, GraphError
 from .dominators import DominatorTree, FlowGraph, dominator_tree
 
@@ -46,20 +44,20 @@ __all__ = ["SpanningTree", "TreePair", "independent_pair", "verify_independent"]
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Per-vertex entering edge id (-1 at the root)."""
+    """Per-vertex entering edge id, a Python list (-1 at the root)."""
 
-    parent_edge: np.ndarray
+    parent_edge: list[int]
     root: int
 
     def edge_set(self) -> set[int]:
-        return {int(e) for e in self.parent_edge.tolist() if e != -1}
+        return {e for e in self.parent_edge if e != -1}
 
     def path_vertices(self, g: Digraph, v: int) -> list[int]:
         """Vertices on the tree path from the root to v, root first."""
         out = [v]
         guard = 0
         while v != self.root:
-            e = int(self.parent_edge[v])
+            e = self.parent_edge[v]
             if e == -1:
                 raise GraphError(f"vertex {v} is not attached to the tree")
             v = g.tail(e)
@@ -74,9 +72,6 @@ class SpanningTree:
 class TreePair:
     blue: SpanningTree
     red: SpanningTree
-
-    def common_edges(self) -> set[int]:
-        return self.blue.edge_set() & self.red.edge_set()
 
 
 class _LocalGraph:
@@ -247,8 +242,7 @@ def independent_pair(
         dt = dominator_tree(fg)
     preferred = preferred or set()
 
-    idom = dt.idom.tolist()
-    tin, tout = dt.pre.tolist(), dt.post.tolist()
+    idom, tin, tout = dt.idom, dt.pre, dt.post
     children = dt.children()
     locals_: dict[int, _LocalGraph] = {
         u: _LocalGraph(u, ch) for u, ch in enumerate(children) if ch
@@ -277,8 +271,8 @@ def independent_pair(
             if rep != h:
                 locals_[u].add_arc(rep, h, in_eids[pos])
 
-    parent_b = np.full(n, -1, dtype=np.int64)
-    parent_r = np.full(n, -1, dtype=np.int64)
+    parent_b = [-1] * n
+    parent_r = [-1] * n
     for u in sorted(locals_):
         for v, (eb, er) in _solve_local(locals_[u], preferred).items():
             parent_b[v] = eb

@@ -1,10 +1,9 @@
+import csv
 import json
 
 import pytest
 
-from twoec.bench import (
-    ALGORITHMS, lower_bound, read_csv, run_algorithm, run_experiment, write_csv,
-)
+from twoec.bench import ALGORITHMS, lower_bound, run_algorithm, run_experiment, write_csv
 from twoec.blocks import preservation_violations
 from twoec.fixtures import corpus, g2, g5
 
@@ -54,7 +53,16 @@ def test_experiment_csv_roundtrip(tmp_path):
     header = out.read_text().splitlines()[0]
     assert header == ("dataset,algorithm,problem,n,m,bstar,edges_out,"
                       "delta_avg,lower_bound,q,seconds")
-    assert read_csv(out) == reports
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(reports)
+    for row, r in zip(rows, reports):
+        assert (row["dataset"], row["algorithm"], row["problem"]) == (
+            r.dataset, r.algorithm, r.problem)
+        assert [int(row[k]) for k in ("n", "m", "bstar", "edges_out")] == [
+            r.n, r.m, r.bstar, r.edges_out]
+        assert [float(row[k]) for k in ("delta_avg", "lower_bound", "q", "seconds")] == [
+            r.delta_avg, r.lower_bound, r.q, r.seconds]
 
 
 def test_experiment_quality_window_on_corpus(tmp_path):
@@ -79,3 +87,18 @@ def test_missing_dataset_skipped(tmp_path):
         "algorithms": ["ist-b"],
     }
     assert run_experiment(config) == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("runs", 0), ("runs", -2), ("runs", "3"), ("runs", True), ("order", "sideways"),
+])
+def test_experiment_rejects_bad_runs_and_order(tmp_path, key, value):
+    # the dataset path does not exist: rejecting the config before any
+    # dataset is looked at is what makes this a ValueError, not a skip
+    config = {
+        "datasets": [{"name": "gone", "path": str(tmp_path / "none.gr")}],
+        "algorithms": ["ist-b"],
+        key: value,
+    }
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        run_experiment(config)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from twoec.blocks import (
-    _DSU, _second_level, _without_entering_bridge, blocks, canonical_decomposition,
-    components, condense, first_level_aux_graphs,
+    _DSU, _second_level, blocks, canonical_decomposition, components, condense,
+    first_level_aux_graphs,
 )
-from twoec.digraph import GraphError, Partition, build, largest_scc, scc
+from twoec.digraph import GraphError, Partition, build, delete_edge_view, largest_scc, scc
 from twoec.dominators import FlowGraph, dominator_tree, flow_bridges, strong_bridges
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected, road_grid,
@@ -22,7 +22,7 @@ def test_canonical_decomposition_fixtures():
     dt = dominator_tree(fg)
     cd = canonical_decomposition(fg, dt, flow_bridges(fg, dt))
     assert cd.marked == [0]
-    assert len(set(cd.tree_id.tolist())) == 1
+    assert len(set(cd.tree_id)) == 1
 
     fg = FlowGraph(g2(), 0)
     dt = dominator_tree(fg)
@@ -39,14 +39,14 @@ def test_first_level_aux_graph_g1_is_whole():
     auxes = first_level_aux_graphs(FlowGraph(g1(), 0))
     assert len(auxes) == 1
     a = auxes[0]
-    assert bool(a.is_ordinary.all()) and a.graph.m == 6
+    assert all(a.is_ordinary) and a.graph.m == 6
 
 
 def test_first_level_aux_graph_g2_middle():
     auxes = first_level_aux_graphs(FlowGraph(g2(), 0))
-    by_root = {int(a.orig_vertex[a.root]): a for a in auxes}
+    by_root = {a.orig_vertex[a.root]: a for a in auxes}
     mid = by_root[1]
-    assert int(mid.is_ordinary.sum()) == 1
+    assert sum(mid.is_ordinary) == 1
     assert mid.graph.n == 3  # ordinary 1 plus contractions of both sides
 
 
@@ -81,8 +81,9 @@ def test_ordinary_vertex_soundness():
             for i in ordinary:
                 for j in ordinary:
                     if i < j:
-                        oi, oj = int(a.orig_vertex[i]), int(a.orig_vertex[j])
-                        assert local.same(i, j) == whole.same(oi, oj)
+                        oi, oj = a.orig_vertex[i], a.orig_vertex[j]
+                        assert ((local.comp[i] == local.comp[j])
+                                == (whole.comp[oi] == whole.comp[oj]))
 
 
 def test_lemma_strong_bridge_reversal():
@@ -102,9 +103,9 @@ def test_lemma_strong_bridge_reversal():
             fgr = FlowGraph(rev, h.root)
             rev_bridges = flow_bridges(fgr, dominator_tree(fgr))
             for e in strong_bridges(h.graph, h.root):
-                if int(h.orig_edge[e]) in gs_bridges:
+                if h.orig_edge[e] in gs_bridges:
                     continue
-                if h.graph.head(e) == h.blob:
+                if h.entering_bridge != -1 and h.graph.head(e) == h.graph.n - 1:
                     continue
                 assert e in rev_bridges
 
@@ -118,13 +119,11 @@ def test_second_level_api():
     for h in first_level_aux_graphs(FlowGraph(g, 0)):
         fgr, dtr, level2 = _second_level(h)
         assert fgr.graph.m == h.graph.m and fgr.start == h.root
-        assert int(dtr.idom[h.root]) == -1
+        assert dtr.idom[h.root] == -1
         for aux in level2:
             if aux.entering_bridge != -1:
-                assert int(h.orig_edge[aux.entering_bridge]) in {0, 1, 2}
-            both = sum(1 for v in range(aux.graph.n)
-                       if aux.is_ordinary[v] and h.is_ordinary[aux.orig_vertex[v]])
-            assert both <= 1
+                assert aux.orig_edge[aux.entering_bridge] in {0, 1, 2}
+            assert sum(aux.is_ordinary) <= 1
 
 
 def test_second_level_contains_g5_block():
@@ -133,22 +132,48 @@ def test_second_level_contains_g5_block():
         for aux in _second_level(h)[2]:
             part = scc(aux.graph)
             for cls in part.classes():
-                orig = {int(h.orig_vertex[aux.orig_vertex[v]]) for v in cls.tolist()
-                        if aux.is_ordinary[v] and h.is_ordinary[aux.orig_vertex[v]]}
+                orig = {aux.orig_vertex[v] for v in cls.tolist() if aux.is_ordinary[v]}
                 if {0, 1} <= orig:
                     found = True
     assert found
 
 
-def _both_ordinary(h, aux) -> list[int]:
+def _check_aux_contract(g, aux, reverse: bool) -> None:
+    """An edge between two ordinary vertices of `aux` maps to the edge of `g`
+    between the vertices they stand for, reversed when `aux` is built on a
+    reverse graph; the entering bridge is the only edge out of the last
+    local vertex d(r) and enters the root."""
+    pairs = g.edge_pairs()
+    for e, (t, hd) in enumerate(aux.graph.edge_pairs()):
+        if aux.is_ordinary[t] and aux.is_ordinary[hd]:
+            ends = (aux.orig_vertex[t], aux.orig_vertex[hd])
+            assert pairs[aux.orig_edge[e]] == (ends[::-1] if reverse else ends)
+    if aux.entering_bridge != -1:
+        assert aux.graph.out_ids(aux.graph.n - 1).tolist() == [aux.entering_bridge]
+        assert aux.graph.head(aux.entering_bridge) == aux.root
+
+
+def test_second_level_maps_into_the_input_graph():
+    rng = random.Random(67)
+    graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
+    for g in graphs + [road_grid(12, 0.12, 0.55, 1)]:
+        for h in first_level_aux_graphs(FlowGraph(g, 0)):
+            _check_aux_contract(g, h, reverse=False)
+            level2 = _second_level(h)[2]
+            assert [aux.entering_bridge == -1 for aux in level2] == (
+                [True] + [False] * (len(level2) - 1))
+            for aux in level2:
+                _check_aux_contract(g, aux, reverse=True)
+
+
+def _both_ordinary(aux) -> list[int]:
     """Local vertices of a second-level graph ordinary at both levels."""
-    return [v for v in range(aux.graph.n)
-            if aux.is_ordinary[v] and h.is_ordinary[aux.orig_vertex[v]]]
+    return [v for v in range(aux.graph.n) if aux.is_ordinary[v]]
 
 
 def _aux_fields(aux):
-    return (aux.orig_edge.tolist(), aux.orig_vertex.tolist(), aux.is_ordinary.tolist(),
-            aux.entering_bridge, aux.graph.edge_pairs(), aux.root, aux.blob)
+    return (aux.orig_edge, aux.orig_vertex, aux.is_ordinary, aux.entering_bridge,
+            aux.graph.edge_pairs(), aux.root)
 
 
 def _blocks_from_kept_graphs(g) -> Partition:
@@ -161,14 +186,17 @@ def _blocks_from_kept_graphs(g) -> Partition:
         fgr_kept, dtr_kept, kept = _second_level(h, blocks_only=True)
         assert fgr_kept.graph.edge_pairs() == fgr.graph.edge_pairs()
         assert fgr_kept.start == fgr.start
-        assert dtr_kept.idom.tolist() == dtr.idom.tolist()
-        want = [aux for aux in full if len(_both_ordinary(h, aux)) >= 2]
+        assert dtr_kept.idom == dtr.idom
+        want = [aux for aux in full if len(_both_ordinary(aux)) >= 2]
         assert [_aux_fields(a) for a in kept] == [_aux_fields(a) for a in want]
         for aux in kept:
-            comp = scc(_without_entering_bridge(aux)).comp.tolist()
+            work = aux.graph
+            if aux.entering_bridge != -1:
+                work = delete_edge_view(work, aux.entering_bridge)
+            comp = scc(work).comp.tolist()
             groups: dict[int, list[int]] = {}
-            for v in _both_ordinary(h, aux):
-                groups.setdefault(comp[v], []).append(int(h.orig_vertex[aux.orig_vertex[v]]))
+            for v in _both_ordinary(aux):
+                groups.setdefault(comp[v], []).append(aux.orig_vertex[v])
             for grp in groups.values():
                 for other in grp[1:]:
                     dsu.union(grp[0], other)
@@ -213,7 +241,7 @@ def test_blocks_fixtures():
     assert blocks(g1()).count == 1
     assert blocks(g2()).count == 3
     part = blocks(g5())
-    assert part.same(0, 1)
+    assert part.comp[0] == part.comp[1]
     assert part.count == 5
     assert blocks(g4()).count == 6
 

@@ -123,6 +123,10 @@ def test_bench_bad_config_is_input_error(tmp_path, capsys):
         ({"datasets": [{"name": "g", "path": str(g)}]}, "no 'algorithms' key"),
         ({"datasets": [{"name": "x"}], "algorithms": ["ist-b"]},
          "dataset entry 0 needs 'name' and 'path' keys"),
+        ({"datasets": [{"name": "g", "path": str(g)}], "algorithms": ["ist-b"], "runs": 0},
+         "key 'runs'"),
+        ({"datasets": [{"name": "g", "path": str(g)}], "algorithms": ["ist-b"],
+          "order": "sideways"}, "key 'order'"),
     ]
     for config, message in cases:
         cfg.write_text(json.dumps(config))

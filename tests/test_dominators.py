@@ -28,18 +28,18 @@ def _removal_dominates(g, s, u, w):
 def test_dominator_tree_path():
     g = build(3, [(0, 1), (1, 2)])
     dt = dominator_tree(FlowGraph(g, 0))
-    assert dt.idom.tolist() == [-1, 0, 1]
+    assert dt.idom == [-1, 0, 1]
 
 
 def test_dominator_tree_diamondish():
     g = build(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
     dt = dominator_tree(FlowGraph(g, 0))
-    assert dt.idom.tolist() == [-1, 0, 0]
+    assert dt.idom == [-1, 0, 0]
 
 
 def test_dominator_chain_g4():
     dt = dominator_tree(FlowGraph(g4(), 0))
-    assert dt.idom.tolist() == [-1, 0, 1, 2, 3, 4]
+    assert dt.idom == [-1, 0, 1, 2, 3, 4]
 
 
 def test_dominator_tree_unreachable_raises():
@@ -53,7 +53,7 @@ def test_dominators_match_removal_oracle():
     for _ in range(120):
         g = random_strongly_connected(rng, rng.randint(2, 10))
         dt = dominator_tree(FlowGraph(g, 0))
-        pre, post = dt.pre.tolist(), dt.post.tolist()
+        pre, post = dt.pre, dt.post
         for w in range(g.n):
             doms = set(dt.dominators(w))
             for u in range(g.n):

@@ -74,6 +74,14 @@ def test_load_graph_sniffing(tmp_path):
     assert load_graph(anon).m == 1
 
 
+def test_load_graph_rejects_unknown_format_before_opening(tmp_path):
+    existing = tmp_path / "a.gr"
+    existing.write_text("p sp 2 2\na 1 2 1\na 2 1 1\n")
+    for path in (tmp_path / "missing.gr", existing):
+        with pytest.raises(GraphError, match="unknown format 'bogus'"):
+            load_graph(path, "bogus")
+
+
 def test_largest_scc_of_parsed_file(tmp_path):
     p = tmp_path / "g.gr"
     p.write_text("p sp 4 4\na 1 2 1\na 2 3 1\na 3 1 1\na 3 4 1\n")

@@ -22,7 +22,7 @@ def test_oracle_blocks_fixtures():
     assert oracle_blocks(g1()).count == 1
     assert oracle_blocks(g2()).count == 3
     part = oracle_blocks(g5())
-    assert part.same(0, 1) and part.count == 5
+    assert part.comp[0] == part.comp[1] and part.count == 5
 
 
 def test_oracle_components_fixtures():
