@@ -7,14 +7,12 @@ trivial-edge skip changes nothing but the work done.
 """
 import random
 
-from twoec import FilterConfig, hybrid_filter, test2ecb_filter, test2edp_filter
+from twoec import FilterConfig, filter_b
 from twoec.fixtures import g4, random_strongly_connected
 
 g = g4()
-cfg = FilterConfig(certificate=False)
-edp = test2edp_filter(g, cfg)
-ecb = test2ecb_filter(g, cfg)
-hyb = hybrid_filter(g, cfg)
+edp, ecb, hyb = (filter_b(g, FilterConfig(strategy=s, certificate=False))
+                 for s in ("test2edp", "test2ecb", "hybrid"))
 print("two linked 3-cycles (8 edges):")
 print(f"  test2edp keeps {len(edp.surviving)}, test2ecb keeps {len(ecb.surviving)}, "
       f"hybrid keeps {len(hyb.surviving)}")
@@ -26,8 +24,8 @@ rng = random.Random(4)
 print("\ntrivial-edge skip saves tests without changing results:")
 for _ in range(3):
     g = random_strongly_connected(rng, 12, 30)
-    on = hybrid_filter(g, FilterConfig(strategy="hybrid", trivial_skip=True))
-    off = hybrid_filter(g, FilterConfig(strategy="hybrid", trivial_skip=False))
+    on = filter_b(g, FilterConfig(strategy="hybrid", trivial_skip=True))
+    off = filter_b(g, FilterConfig(strategy="hybrid", trivial_skip=False))
     assert on.surviving == off.surviving
     t_on = on.counters["tested_2edp"] + on.counters["tested_blocks"]
     t_off = off.counters["tested_2edp"] + off.counters["tested_blocks"]

@@ -17,10 +17,7 @@ from .certificates import (
     CertificateEdgeList, CertificateStats, ist_b, ist_b_original, ist_bc,
     two_ecss_edt, zni_c, zni_scss,
 )
-from .filters import (
-    FilterConfig, FilterReport, aux_variant_filter, filter_bc, hybrid_filter,
-    test2ecb_filter, test2edp_filter, two_edge_disjoint,
-)
+from .filters import FilterConfig, FilterReport, filter_b, filter_bc
 from .bench import ALGORITHMS, QualityReport, lower_bound, run_algorithm, run_experiment
 from .io import load_graph
 

@@ -12,10 +12,7 @@ from .blocks import blocks, components
 from .certificates import ist_b, ist_b_original, ist_bc, zni_c
 from .digraph import Digraph, Partition, largest_scc
 from .dominators import strong_bridges
-from .filters import (
-    EDGE_ORDERS, FilterConfig, aux_variant_filter, filter_bc, hybrid_filter,
-    test2ecb_filter, test2edp_filter,
-)
+from .filters import EDGE_ORDERS, FilterConfig, filter_b, filter_bc
 from .io import load_graph
 
 log = logging.getLogger("twoec.bench")
@@ -27,14 +24,16 @@ CSV_COLUMNS = ["dataset", "algorithm", "problem", "n", "m", "bstar",
                "edges_out", "delta_avg", "lower_bound", "q", "seconds"]
 
 
-def _cfg(strategy: str, opts: dict, **extra) -> FilterConfig:
+_OPTIONS = ("order", "seed", "trivial_skip", "certificate")
+
+
+def _cfg(opts: dict, **fields) -> FilterConfig:
     return FilterConfig(
-        strategy=strategy,
         edge_order=opts.get("order", "input"),
         seed=opts.get("seed", 0),
         trivial_skip=opts.get("trivial_skip", True),
         certificate=opts.get("certificate", True),
-        **extra,
+        **fields,
     )
 
 
@@ -44,19 +43,21 @@ def _cfg(strategy: str, opts: dict, **extra) -> FilterConfig:
 _CATALOG = {
     "ist-b-original": ("B", lambda g, o: ist_b_original(g).edge_set()),
     "ist-b": ("B", lambda g, o: ist_b(g)[0].edge_set()),
-    "test2edp-b": ("B", lambda g, o: test2edp_filter(g, _cfg("test2edp", o)).surviving),
-    "test2ecb-b": ("B", lambda g, o: test2ecb_filter(g, _cfg("test2ecb", o)).surviving),
-    "hybrid-b": ("B", lambda g, o: hybrid_filter(g, _cfg("hybrid", o)).surviving),
-    "test2edp-b-aux": ("B", lambda g, o: aux_variant_filter(g, _cfg("test2edp", o)).surviving),
-    "hybrid-b-aux": ("B", lambda g, o: aux_variant_filter(g, _cfg("hybrid", o)).surviving),
+    "test2edp-b": ("B", lambda g, o: filter_b(g, _cfg(o, strategy="test2edp")).surviving),
+    "test2ecb-b": ("B", lambda g, o: filter_b(g, _cfg(o, strategy="test2ecb")).surviving),
+    "hybrid-b": ("B", lambda g, o: filter_b(g, _cfg(o, strategy="hybrid")).surviving),
+    "test2edp-b-aux": ("B", lambda g, o: filter_b(
+        g, _cfg(o, strategy="test2edp", on_aux_graphs=True)).surviving),
+    "hybrid-b-aux": ("B", lambda g, o: filter_b(
+        g, _cfg(o, strategy="hybrid", on_aux_graphs=True)).surviving),
     "ist-bc": ("BC", lambda g, o: ist_bc(g).edge_set()),
-    "test2edp-bc": ("BC", lambda g, o: filter_bc(g, _cfg("test2edp", o)).surviving),
-    "test2ecb-bc": ("BC", lambda g, o: filter_bc(g, _cfg("test2ecb", o)).surviving),
-    "hybrid-bc": ("BC", lambda g, o: filter_bc(g, _cfg("hybrid", o)).surviving),
+    "test2edp-bc": ("BC", lambda g, o: filter_bc(g, _cfg(o, strategy="test2edp")).surviving),
+    "test2ecb-bc": ("BC", lambda g, o: filter_bc(g, _cfg(o, strategy="test2ecb")).surviving),
+    "hybrid-bc": ("BC", lambda g, o: filter_bc(g, _cfg(o, strategy="hybrid")).surviving),
     "test2edp-bc-aux": ("BC", lambda g, o: filter_bc(
-        g, _cfg("test2edp", o, on_aux_graphs=True)).surviving),
+        g, _cfg(o, strategy="test2edp", on_aux_graphs=True)).surviving),
     "hybrid-bc-aux": ("BC", lambda g, o: filter_bc(
-        g, _cfg("hybrid", o, on_aux_graphs=True)).surviving),
+        g, _cfg(o, strategy="hybrid", on_aux_graphs=True)).surviving),
     "zni-c": ("C", lambda g, o: zni_c(g)),
 }
 
@@ -67,10 +68,14 @@ ALGORITHMS: dict[str, str] = {name: problem for name, (problem, _) in _CATALOG.i
 def run_algorithm(name: str, g: Digraph, **opts) -> set[int]:
     """Run one catalog algorithm on a strongly connected digraph.
 
-    Options: order (input|reverse|random), seed, trivial_skip, certificate.
+    Options, accepted by every algorithm and read by the deletion filters:
+    order (input|reverse|random), seed (int), trivial_skip, certificate (bool).
     """
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
+    for key in opts:
+        if key not in _OPTIONS:
+            raise ValueError(f"unknown option {key!r}; choose from {', '.join(_OPTIONS)}")
     return _CATALOG[name][1](g, opts)
 
 
@@ -130,8 +135,8 @@ def run_experiment(config: dict, out_csv: str | Path | None = None) -> list[Qual
     if config.get("order", "input") not in EDGE_ORDERS:
         raise ValueError(f"experiment config key 'order' must be one of "
                          f"{', '.join(EDGE_ORDERS)}, not {config['order']!r}")
-    opts = {k: config[k] for k in ("order", "seed", "trivial_skip", "certificate")
-            if k in config}
+    opts = {k: config[k] for k in _OPTIONS if k in config}
+    _cfg(opts)  # rejects a mistyped seed, trivial_skip or certificate
     reports: list[QualityReport] = []
     for ds in config["datasets"]:
         name, path = ds["name"], ds["path"]

@@ -122,11 +122,13 @@ class Digraph:
         )
 
     def subgraph_edges(self, keep: np.ndarray) -> "Digraph":
-        """View restricted to the given edge ids; all ids keep their meaning."""
-        keep = np.asarray(keep, dtype=np.int64)
-        keep = np.unique(keep)
-        if len(keep) and (keep[0] < 0 or keep[-1] >= len(self.tails)):
-            raise GraphError("edge id out of range")
+        """View restricted to the given edge ids, each active in this graph;
+        all ids keep their meaning."""
+        keep = np.unique(np.asarray(keep, dtype=np.int64))
+        # both arrays ascend, so the last position is the largest one
+        pos = np.searchsorted(self.edge_ids, keep)
+        if len(keep) and (pos[-1] >= self.m or (self.edge_ids[pos] != keep).any()):
+            raise GraphError("edge id not active in this graph")
         return Digraph(self.n, self.tails, self.heads, edge_ids=keep,
                        origin=self.origin, vertex_origin=self.vertex_origin)
 
@@ -249,6 +251,8 @@ def induced_subgraph(g: Digraph, vertices: np.ndarray) -> Digraph:
     `vertex_origin` map back into `g`.
     """
     vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+    if len(vertices) and (vertices[0] < 0 or vertices[-1] >= g.n):
+        raise GraphError("vertex id out of range")
     vmap = np.full(g.n, -1, dtype=np.int64)
     vmap[vertices] = np.arange(len(vertices))
     tails = vmap[g.tails[g.edge_ids]]

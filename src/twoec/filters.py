@@ -4,13 +4,14 @@ The three strategies process each candidate edge once against the evolving
 subgraph: `test2edp` deletes an edge when two edge-disjoint replacement
 paths exist, `test2ecb` when the deletion keeps the 2EC blocks (and strong
 connectivity), and `hybrid` dispatches between them on block membership.
-By default they run on the sparse certificate of the input rather than the
-input itself.
+`filter_b` (2EC-B) and `filter_bc` (2EC-B-C) are the entry points, and
+`FilterConfig` alone picks the strategy, the sparse-certificate
+preprocessing (on by default) and the second-level aux-graph variant.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,11 +20,7 @@ from .certificates import _condensed, ist_b
 from .digraph import Digraph, GraphError, _ensure_strongly_connected
 from .dominators import FlowGraph
 
-__all__ = [
-    "EDGE_ORDERS", "FilterConfig", "FilterReport",
-    "two_edge_disjoint", "test2edp_filter", "test2ecb_filter", "hybrid_filter",
-    "aux_variant_filter", "filter_bc",
-]
+__all__ = ["EDGE_ORDERS", "FilterConfig", "FilterReport", "filter_b", "filter_bc"]
 
 
 # The orders in which a filter can visit its candidate edges.
@@ -44,6 +41,12 @@ class FilterConfig:
             raise ValueError(f"unknown filter strategy {self.strategy!r}")
         if self.edge_order not in EDGE_ORDERS:
             raise ValueError(f"unknown edge order {self.edge_order!r}")
+        for name, kind in (("seed", int), ("trivial_skip", bool),
+                           ("on_aux_graphs", bool), ("certificate", bool)):
+            value = getattr(self, name)
+            if type(value) is not kind:
+                raise ValueError(
+                    f"filter option {name!r} must be a {kind.__name__}, not {value!r}")
 
 
 @dataclass
@@ -130,11 +133,6 @@ class _Working:
         return True
 
 
-def two_edge_disjoint(g: Digraph, x: int, y: int) -> bool:
-    """Two edge-disjoint paths from x to y in g (two augmenting searches)."""
-    return _Working(g).two_disjoint_paths(x, y)
-
-
 def _ordered(edge_ids, cfg: FilterConfig) -> list[int]:
     order = sorted(int(e) for e in edge_ids)
     if cfg.edge_order == "reverse":
@@ -152,6 +150,7 @@ def _run_strategy(g: Digraph, working_ids, cfg: FilterConfig) -> FilterReport:
     comp_of = blocks0.comp.tolist()
 
     decisions: dict[int, str] = {}
+    # one counter per decision, named like it, besides the two test counts
     counters = {
         "working_edges": len(work.ids), "tested_2edp": 0, "tested_blocks": 0,
         "kept_trivial": 0, "kept_bridge": 0, "kept_needed": 0, "deleted": 0,
@@ -172,78 +171,35 @@ def _run_strategy(g: Digraph, working_ids, cfg: FilterConfig) -> FilterReport:
     for e in _ordered(work.ids, cfg):
         x, y = work.tails[e], work.heads[e]
         if cfg.trivial_skip and trivial(e):
-            decisions[e] = "kept-trivial"
-            counters["kept_trivial"] += 1
-            continue
-        use_edp = cfg.strategy == "test2edp" or (
-            cfg.strategy == "hybrid" and comp_of[x] == comp_of[y])
-        if use_edp:
+            what = "kept-trivial"
+        elif cfg.strategy == "test2edp" or (
+                cfg.strategy == "hybrid" and comp_of[x] == comp_of[y]):
             counters["tested_2edp"] += 1
-            if work.two_disjoint_paths(x, y, e_skip=e):
-                work.delete(e)
-                decisions[e] = "deleted"
-                counters["deleted"] += 1
-            else:
-                decisions[e] = "kept-needed"
-                counters["kept_needed"] += 1
+            what = "deleted" if work.two_disjoint_paths(x, y, e_skip=e) else "kept-needed"
         else:
             try:
                 # the precondition of blocks() fails iff G' - e is not
                 # strongly connected
-                same = blocks(work.without(e)) == blocks0
+                what = "deleted" if blocks(work.without(e)) == blocks0 else "kept-needed"
+                counters["tested_blocks"] += 1
             except GraphError:
-                decisions[e] = "kept-bridge"
-                counters["kept_bridge"] += 1
-                continue
-            counters["tested_blocks"] += 1
-            if same:
-                work.delete(e)
-                decisions[e] = "deleted"
-                counters["deleted"] += 1
-            else:
-                decisions[e] = "kept-needed"
-                counters["kept_needed"] += 1
+                what = "kept-bridge"
+        if what == "deleted":
+            work.delete(e)
+        decisions[e] = what
+        counters[what.replace("-", "_")] += 1
 
     surviving = {e for e in work.ids if work.alive[e]}
     return FilterReport(surviving=surviving, decisions=decisions, counters=counters)
 
 
-def _working_ids(g: Digraph, cfg: FilterConfig):
-    if cfg.certificate:
-        cert, _ = ist_b(g)
-        return sorted(cert.edge_set())
-    return [int(e) for e in g.edge_ids.tolist()]
-
-
-def _mode_b_filter(g: Digraph, cfg: FilterConfig) -> FilterReport:
-    _ensure_strongly_connected(g)
-    ids = _working_ids(g, cfg)
-    rep = _run_strategy(g, ids, cfg)
-    rep.counters["input_edges"] = g.m
-    rep.counters["certificate_dropped"] = g.m - len(ids)
-    return rep
-
-
-def test2edp_filter(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
-    return _mode_b_filter(g, replace(cfg, strategy="test2edp"))
-
-
-def test2ecb_filter(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
-    return _mode_b_filter(g, replace(cfg, strategy="test2ecb"))
-
-
-def hybrid_filter(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
-    return _mode_b_filter(g, replace(cfg, strategy="hybrid"))
-
-
-def aux_variant_filter(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
-    """Run the strategy inside every second-level auxiliary graph.
+def _on_aux_graphs(g: Digraph, ids: list[int], cfg: FilterConfig) -> FilterReport:
+    """Run the strategy inside every second-level auxiliary graph of the
+    working graph g[ids].
 
     An edge is deleted only if every auxiliary graph containing it agreed to
     delete it; edges that appear in no second-level graph are kept.
     """
-    _ensure_strongly_connected(g)
-    ids = _working_ids(g, cfg)
     work = g.subgraph_edges(np.asarray(ids, dtype=np.int64))
     appeared: set[int] = set()
     kept: set[int] = set()
@@ -261,12 +217,25 @@ def aux_variant_filter(g: Digraph, cfg: FilterConfig = FilterConfig()) -> Filter
         surviving=surviving,
         decisions=decisions,
         counters={
-            "working_edges": len(ids), "input_edges": g.m,
-            "certificate_dropped": g.m - len(ids),
-            "aux_appeared": len(appeared), "tested_inner": tested,
-            "deleted": len(ids) - len(surviving),
+            "working_edges": len(ids), "aux_appeared": len(appeared),
+            "tested_inner": tested, "deleted": len(ids) - len(surviving),
         },
     )
+
+
+def filter_b(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
+    """Block-preserving filter (2EC-B) of a strongly connected digraph.
+
+    The working edges are those of `ist_b`'s certificate, or every edge of
+    g without `cfg.certificate`; `cfg.strategy` filters them as one graph,
+    or inside each second-level auxiliary graph with `cfg.on_aux_graphs`.
+    """
+    _ensure_strongly_connected(g)
+    ids = sorted(ist_b(g)[0].edge_set()) if cfg.certificate else g.edge_ids.tolist()
+    rep = (_on_aux_graphs if cfg.on_aux_graphs else _run_strategy)(g, ids, cfg)
+    rep.counters["input_edges"] = g.m
+    rep.counters["certificate_dropped"] = g.m - len(ids)
+    return rep
 
 
 def _minimize_two_ecss(g: Digraph, comp_edges: set[int]) -> set[int]:
@@ -296,8 +265,7 @@ def filter_bc(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
     decisions: dict[int, str] = {}
     counters = {"component_edges": comp_edge_count, "input_edges": g.m}
     if reduced.n > 1:
-        inner = aux_variant_filter if cfg.on_aux_graphs else _mode_b_filter
-        rep = inner(reduced, cfg)
+        rep = filter_b(reduced, cfg)
         for e_local, what in rep.decisions.items():
             decisions[int(reduced.origin[e_local])] = what
         surviving |= {int(reduced.origin[e]) for e in rep.surviving}

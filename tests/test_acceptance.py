@@ -16,9 +16,7 @@ from twoec.blocks import blocks, components, preservation_violations
 from twoec.certificates import ist_b, two_ecss_edt, zni_scss
 from twoec.digraph import delete_edge_view, largest_scc, scc
 from twoec.dominators import strong_bridges
-from twoec.filters import FilterConfig, hybrid_filter
-from twoec.filters import test2ecb_filter as ecb_filter
-from twoec.filters import test2edp_filter as edp_filter
+from twoec.filters import FilterConfig, filter_b
 from twoec.fixtures import (
     corpus, g1, g2, g4, g5, random_strongly_connected, random_two_edge_connected,
 )
@@ -93,13 +91,13 @@ def test_hybrid_equivalences():
     for i in range(200):
         g = random_strongly_connected(rng, rng.randint(2, 10))
         cfg_kw = {"edge_order": ("input", "reverse", "random")[i % 3], "seed": i}
-        a = ecb_filter(g, FilterConfig(strategy="test2ecb", **cfg_kw)).surviving
-        b = hybrid_filter(g, FilterConfig(strategy="hybrid", **cfg_kw)).surviving
+        a = filter_b(g, FilterConfig(strategy="test2ecb", **cfg_kw)).surviving
+        b = filter_b(g, FilterConfig(strategy="hybrid", **cfg_kw)).surviving
         assert a == b, i
     for i in range(60):
         g = random_two_edge_connected(rng, rng.randint(3, 8))
-        a = hybrid_filter(g).surviving
-        b = edp_filter(g).surviving
+        a = filter_b(g, FilterConfig(strategy="hybrid")).surviving
+        b = filter_b(g, FilterConfig(strategy="test2edp")).surviving
         assert a == b, i
     print("\n[PASS] Hybrid==Test2ECB on 200 graphs; Hybrid==Test2EDP on 60 2EC graphs")
 
@@ -181,11 +179,9 @@ def test_trivial_skip_neutrality():
     cases += [random_strongly_connected(rng, rng.randint(3, 10)) for _ in range(40)]
     reduced_somewhere = False
     for g in cases:
-        for strat, fn in (("test2edp", edp_filter),
-                          ("test2ecb", ecb_filter),
-                          ("hybrid", hybrid_filter)):
-            on = fn(g, FilterConfig(strategy=strat, trivial_skip=True))
-            off = fn(g, FilterConfig(strategy=strat, trivial_skip=False))
+        for strat in ("test2edp", "test2ecb", "hybrid"):
+            on = filter_b(g, FilterConfig(strategy=strat, trivial_skip=True))
+            off = filter_b(g, FilterConfig(strategy=strat, trivial_skip=False))
             assert on.surviving == off.surviving, strat
             t_on = on.counters["tested_2edp"] + on.counters["tested_blocks"]
             t_off = off.counters["tested_2edp"] + off.counters["tested_blocks"]

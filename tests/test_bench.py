@@ -5,7 +5,7 @@ import pytest
 
 from twoec.bench import ALGORITHMS, lower_bound, run_algorithm, run_experiment, write_csv
 from twoec.blocks import preservation_violations
-from twoec.fixtures import corpus, g2, g5
+from twoec.fixtures import corpus, g2, g4, g5
 
 
 def test_catalog_matches_the_paper_table():
@@ -25,6 +25,12 @@ def test_lower_bound_values():
 def test_run_algorithm_unknown():
     with pytest.raises(ValueError):
         run_algorithm("nope", g2())
+
+
+def test_run_algorithm_rejects_unknown_options():
+    for algo in ALGORITHMS:
+        with pytest.raises(ValueError, match="'ordr'"):
+            run_algorithm(algo, g4(), ordr="random", certificat=False)
 
 
 def test_every_algorithm_valid_on_corpus():
@@ -91,6 +97,7 @@ def test_missing_dataset_skipped(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("runs", 0), ("runs", -2), ("runs", "3"), ("runs", True), ("order", "sideways"),
+    ("seed", "7"), ("seed", True), ("trivial_skip", "no"), ("certificate", "false"),
 ])
 def test_experiment_rejects_bad_runs_and_order(tmp_path, key, value):
     # the dataset path does not exist: rejecting the config before any

@@ -127,6 +127,10 @@ def test_bench_bad_config_is_input_error(tmp_path, capsys):
          "key 'runs'"),
         ({"datasets": [{"name": "g", "path": str(g)}], "algorithms": ["ist-b"],
           "order": "sideways"}, "key 'order'"),
+        ({"datasets": [{"name": "g", "path": str(g)}], "algorithms": ["ist-b"],
+          "certificate": "false"}, "'certificate'"),
+        ({"datasets": [{"name": "g", "path": str(g)}], "algorithms": ["ist-b"],
+          "seed": "7"}, "'seed'"),
     ]
     for config, message in cases:
         cfg.write_text(json.dumps(config))

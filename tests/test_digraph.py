@@ -4,7 +4,7 @@ import pytest
 from twoec.digraph import (
     GraphError, build, delete_edge_view, induced_subgraph, largest_scc, scc,
 )
-from twoec.fixtures import g1, g2, g5
+from twoec.fixtures import g1, g2, g4, g5
 
 
 def test_build_cycle():
@@ -90,6 +90,17 @@ def test_delete_edge_view_g5_breaks_connectivity():
     g = g5()
     for e in range(8):
         assert scc(delete_edge_view(g, e)).count > 1
+
+
+def test_views_reject_ids_outside_the_graph():
+    # edges 2 and 3 exist in g1 but are not active in the first view
+    with pytest.raises(GraphError):
+        g1().subgraph_edges([0, 1]).subgraph_edges([2, 3])
+    with pytest.raises(GraphError):
+        g1().subgraph_edges([6])
+    for vertices in ([-1, 0], [7]):
+        with pytest.raises(GraphError):
+            induced_subgraph(g4(), vertices)
 
 
 def test_induced_subgraph_origin():

@@ -4,11 +4,7 @@ import pytest
 
 from twoec.blocks import blocks, preservation_violations
 from twoec.digraph import GraphError, build, delete_edge_view, scc
-from twoec.filters import (
-    FilterConfig, aux_variant_filter, filter_bc, hybrid_filter, two_edge_disjoint,
-)
-from twoec.filters import test2ecb_filter as ecb_filter
-from twoec.filters import test2edp_filter as edp_filter
+from twoec.filters import FilterConfig, _Working, filter_b, filter_bc
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected,
     random_two_edge_connected,
@@ -16,30 +12,32 @@ from twoec.fixtures import (
 from twoec.oracle import oracle_blocks
 
 
-def test_two_edge_disjoint_pairs():
-    G1, G2, G5 = g1(), g2(), g5()
+def test_two_disjoint_paths_pairs():
+    G1, G2, G5 = _Working(g1()), _Working(g2()), _Working(g5())
     for x in range(3):
         for y in range(3):
             if x != y:
-                assert two_edge_disjoint(G1, x, y)
-    assert not two_edge_disjoint(G2, 0, 1)
-    assert two_edge_disjoint(G5, 0, 1)
-    cut = G5.subgraph_edges([e for e in range(8) if e != 0])  # drop (u, a)
-    assert not two_edge_disjoint(cut, 0, 1)
+                assert G1.two_disjoint_paths(x, y)
+    assert not G2.two_disjoint_paths(0, 1)
+    assert G5.two_disjoint_paths(0, 1)
+    cut = g5().subgraph_edges([e for e in range(8) if e != 0])  # drop (u, a)
+    assert not _Working(cut).two_disjoint_paths(0, 1)
 
 
 def test_test2edp_fixtures():
-    assert edp_filter(g1()).surviving == set(range(6))
-    assert edp_filter(g2()).surviving == set(range(3))
+    edp = FilterConfig(strategy="test2edp")
+    assert filter_b(g1(), edp).surviving == set(range(6))
+    assert filter_b(g2(), edp).surviving == set(range(3))
     k4 = build(4, [(u, v) for u in range(4) for v in range(4) if u != v])
-    out = edp_filter(k4, FilterConfig(certificate=False)).surviving
+    out = filter_b(k4, FilterConfig(strategy="test2edp", certificate=False)).surviving
     assert len(out) == 8
 
 
 def test_test2ecb_fixtures():
-    assert ecb_filter(g5()).surviving == set(range(8))
-    assert ecb_filter(g1()).surviving == set(range(6))
-    out = ecb_filter(g4(), FilterConfig(certificate=False)).surviving
+    ecb = FilterConfig(strategy="test2ecb")
+    assert filter_b(g5(), ecb).surviving == set(range(8))
+    assert filter_b(g1(), ecb).surviving == set(range(6))
+    out = filter_b(g4(), FilterConfig(strategy="test2ecb", certificate=False)).surviving
     g = g4()
     pairs = sorted((g.tail(e), g.head(e)) for e in out)
     assert pairs == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
@@ -50,8 +48,8 @@ def test_hybrid_equals_test2ecb():
     for cfgkw in ({}, {"edge_order": "reverse"}, {"edge_order": "random", "seed": 5}):
         for _ in range(60):
             g = random_strongly_connected(rng, rng.randint(2, 10))
-            a = ecb_filter(g, FilterConfig(strategy="test2ecb", **cfgkw)).surviving
-            b = hybrid_filter(g, FilterConfig(strategy="hybrid", **cfgkw)).surviving
+            a = filter_b(g, FilterConfig(strategy="test2ecb", **cfgkw)).surviving
+            b = filter_b(g, FilterConfig(strategy="hybrid", **cfgkw)).surviving
             assert a == b
 
 
@@ -59,8 +57,8 @@ def test_hybrid_equals_test2edp_on_2ec_inputs():
     rng = random.Random(79)
     for _ in range(40):
         g = random_two_edge_connected(rng, rng.randint(3, 8))
-        a = hybrid_filter(g).surviving
-        b = edp_filter(g).surviving
+        a = filter_b(g, FilterConfig(strategy="hybrid")).surviving
+        b = filter_b(g, FilterConfig(strategy="test2edp")).surviving
         assert a == b
 
 
@@ -68,9 +66,9 @@ def test_filters_preserve_structure():
     rng = random.Random(83)
     for _ in range(60):
         g = random_strongly_connected(rng, rng.randint(2, 10))
-        assert preservation_violations(g, edp_filter(g).surviving, "B") == []
-        assert preservation_violations(g, ecb_filter(g).surviving, "B") == []
-        assert preservation_violations(g, aux_variant_filter(g).surviving, "B") == []
+        for cfg in (FilterConfig(strategy="test2edp"), FilterConfig(strategy="test2ecb"),
+                    FilterConfig(strategy="test2edp", on_aux_graphs=True)):
+            assert preservation_violations(g, filter_b(g, cfg).surviving, "B") == []
         assert preservation_violations(g, filter_bc(g).surviving, "BC") == []
 
 
@@ -78,7 +76,7 @@ def test_test2ecb_output_minimal():
     rng = random.Random(89)
     for _ in range(40):
         g = random_strongly_connected(rng, rng.randint(2, 9))
-        out = ecb_filter(g).surviving
+        out = filter_b(g, FilterConfig(strategy="test2ecb")).surviving
         for e in out:
             rest = out - {e}
             assert preservation_violations(g, rest, "B") != []
@@ -98,7 +96,7 @@ def test_lemma1_monotonicity():
             rest = g.subgraph_edges(np.asarray(sorted(alive - {e}), dtype=np.int64))
             if scc(rest).count != 1:
                 continue
-            edp_deletes = two_edge_disjoint(rest, g.tail(e), g.head(e))
+            edp_deletes = _Working(rest).two_disjoint_paths(g.tail(e), g.head(e))
             ecb_deletes = blocks(rest) == base
             if edp_deletes:
                 assert ecb_deletes
@@ -115,7 +113,8 @@ def test_block_test_decisions_replay():
         g = random_strongly_connected(rng, rng.randint(2, 12))
         base = oracle_blocks(g)
         for skip in (True, False):
-            rep = ecb_filter(g, FilterConfig(certificate=False, trivial_skip=skip))
+            rep = filter_b(g, FilterConfig(
+                strategy="test2ecb", certificate=False, trivial_skip=skip))
             current = g
             for e, what in rep.decisions.items():
                 if what == "kept-trivial":
@@ -136,7 +135,7 @@ def test_block_test_decisions_replay():
 def test_trivial_edges():
     # edges pinned by a low-degree endpoint are kept untested
     def trivial(g):
-        rep = edp_filter(g, FilterConfig(certificate=False))
+        rep = filter_b(g, FilterConfig(strategy="test2edp", certificate=False))
         return {e for e, what in rep.decisions.items() if what == "kept-trivial"}
 
     assert trivial(g1()) == set(range(6))
@@ -151,11 +150,9 @@ def test_trivial_skip_neutrality():
     corpus = [g1(), g2(), g4(), g5(), linked_triangles()]
     for i, g in enumerate(corpus + [random_strongly_connected(rng, rng.randint(3, 10))
                                     for _ in range(30)]):
-        for strat, fn in (("test2edp", edp_filter),
-                          ("test2ecb", ecb_filter),
-                          ("hybrid", hybrid_filter)):
-            on = fn(g, FilterConfig(strategy=strat, trivial_skip=True))
-            off = fn(g, FilterConfig(strategy=strat, trivial_skip=False))
+        for strat in ("test2edp", "test2ecb", "hybrid"):
+            on = filter_b(g, FilterConfig(strategy=strat, trivial_skip=True))
+            off = filter_b(g, FilterConfig(strategy=strat, trivial_skip=False))
             assert on.surviving == off.surviving
             tested_on = on.counters["tested_2edp"] + on.counters["tested_blocks"]
             tested_off = off.counters["tested_2edp"] + off.counters["tested_blocks"]
@@ -164,7 +161,7 @@ def test_trivial_skip_neutrality():
 
 def test_report_covers_every_working_edge():
     g = g4()
-    rep = ecb_filter(g, FilterConfig(certificate=False))
+    rep = filter_b(g, FilterConfig(strategy="test2ecb", certificate=False))
     assert sorted(rep.decisions) == list(range(8))
     assert set(rep.decisions.values()) <= {
         "kept-trivial", "kept-bridge", "kept-needed", "deleted"}
@@ -172,15 +169,16 @@ def test_report_covers_every_working_edge():
 
 
 def test_aux_variant_fixture_values():
-    assert preservation_violations(g1(), aux_variant_filter(g1()).surviving, "B") == []
-    assert aux_variant_filter(g2()).surviving == set(range(3))
+    aux = FilterConfig(strategy="test2edp", on_aux_graphs=True)
+    assert preservation_violations(g1(), filter_b(g1(), aux).surviving, "B") == []
+    assert filter_b(g2(), aux).surviving == set(range(3))
 
 
 def test_aux_variant_never_smaller_guarantees():
     rng = random.Random(101)
     for _ in range(30):
         g = random_strongly_connected(rng, rng.randint(3, 12))
-        out = aux_variant_filter(g).surviving
+        out = filter_b(g, FilterConfig(strategy="test2edp", on_aux_graphs=True)).surviving
         assert preservation_violations(g, out, "B") == []
 
 
@@ -202,7 +200,7 @@ def test_filter_bc_aux_mode():
 def test_filters_reject_disconnected():
     g = build(3, [(0, 1), (1, 2)])
     with pytest.raises(GraphError):
-        edp_filter(g)
+        filter_b(g)
 
 
 def test_edge_order_variants_stay_valid():
@@ -211,7 +209,7 @@ def test_edge_order_variants_stay_valid():
         g = random_strongly_connected(rng, rng.randint(3, 9))
         for order, seed in (("input", 0), ("reverse", 0), ("random", 3)):
             cfg = FilterConfig(strategy="test2edp", edge_order=order, seed=seed)
-            assert preservation_violations(g, edp_filter(g, cfg).surviving, "B") == []
+            assert preservation_violations(g, filter_b(g, cfg).surviving, "B") == []
 
 
 def test_filter_config_rejects_unknown_values():
@@ -219,3 +217,25 @@ def test_filter_config_rejects_unknown_values():
         FilterConfig(strategy="bogus")
     with pytest.raises(ValueError, match="'sideways'"):
         FilterConfig(edge_order="sideways")
+    with pytest.raises(ValueError, match="'seed'.*'7'"):
+        FilterConfig(seed="7")
+    with pytest.raises(ValueError, match="'seed'.*True"):
+        FilterConfig(seed=True)
+    for name, value in (("certificate", "false"), ("trivial_skip", "no"),
+                        ("on_aux_graphs", 1)):
+        with pytest.raises(ValueError, match=f"'{name}'.*{value!r}"):
+            FilterConfig(**{name: value})
+
+
+@pytest.mark.parametrize("on_aux_graphs", [False, True])
+@pytest.mark.parametrize("strategy", ["test2edp", "test2ecb", "hybrid"])
+def test_config_selects_the_tests_run(strategy, on_aux_graphs):
+    g = random_strongly_connected(random.Random(3), 12, 30)
+    rep = filter_b(g, FilterConfig(strategy=strategy, on_aux_graphs=on_aux_graphs))
+    if on_aux_graphs:
+        assert "tested_inner" in rep.counters and "tested_2edp" not in rep.counters
+        return
+    runs = {"test2edp": {"tested_2edp"}, "test2ecb": {"tested_blocks"},
+            "hybrid": {"tested_2edp", "tested_blocks"}}[strategy]
+    for kind in ("tested_2edp", "tested_blocks"):
+        assert (rep.counters[kind] > 0) == (kind in runs), kind
