@@ -5,13 +5,10 @@ from .digraph import (
     Digraph, GraphError, Partition, build, delete_edge_view, induced_subgraph,
     largest_scc, scc,
 )
-from .dominators import (
-    DominatorTree, FlowGraph, dominator_tree, flow_bridges, strong_bridges,
-)
+from .dominators import DominatorTree, dominator_tree, flow_bridges, strong_bridges
 from .spanning import SpanningTree, TreePair, independent_pair, verify_independent
 from .blocks import (
-    AuxGraph, CanonicalDecomposition, blocks, canonical_decomposition,
-    components, condense, first_level_aux_graphs, preservation_violations,
+    AuxGraph, aux_graphs, blocks, components, condense, preservation_violations,
 )
 from .certificates import (
     CertificateEdgeList, CertificateStats, ist_b, ist_b_original, ist_bc,

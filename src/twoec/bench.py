@@ -13,7 +13,7 @@ from .certificates import ist_b, ist_b_original, ist_bc, zni_c
 from .digraph import Digraph, Partition, largest_scc
 from .dominators import strong_bridges
 from .filters import EDGE_ORDERS, FilterConfig, filter_b, filter_bc
-from .io import load_graph
+from .io import FORMATS, load_graph
 
 log = logging.getLogger("twoec.bench")
 
@@ -128,6 +128,12 @@ def run_experiment(config: dict, out_csv: str | Path | None = None) -> list[Qual
     for i, ds in enumerate(config["datasets"]):
         if not isinstance(ds, dict) or not {"name", "path"} <= ds.keys():
             raise ValueError(f"dataset entry {i} needs 'name' and 'path' keys")
+        if not isinstance(ds["path"], str):
+            raise ValueError(f"dataset entry {i} key 'path' must be a string, "
+                             f"not {ds['path']!r}")
+        if ds.get("format", "auto") not in FORMATS:
+            raise ValueError(f"dataset entry {i} key 'format' must be one of "
+                             f"{', '.join(FORMATS)}, not {ds['format']!r}")
     runs = config.get("runs", 1)
     if type(runs) is not int or runs < 1:
         raise ValueError(

@@ -9,24 +9,14 @@ from .digraph import (
     Digraph, GraphError, Partition, _ensure_strongly_connected, delete_edge_view,
     induced_subgraph, scc,
 )
-from .dominators import DominatorTree, FlowGraph, _strong_bridges, dominator_tree, flow_bridges
+from .dominators import DominatorTree, _strong_bridges, dominator_tree, flow_bridges
 
 __all__ = [
-    "CanonicalDecomposition", "AuxGraph",
-    "canonical_decomposition", "first_level_aux_graphs",
+    "AuxGraph", "aux_graphs",
     "blocks", "components", "condense", "preservation_violations",
 ]
 
 _BLOB = -1  # sentinel for the d(r) contraction target
-
-
-@dataclass(frozen=True)
-class CanonicalDecomposition:
-    """Forest left by deleting the flow-graph bridges from the dominator tree."""
-
-    tree_id: list[int]       # per vertex: the marked root of its tree
-    marked: list[int]        # start vertex plus all bridge heads
-    bridges: set[int]        # the bridge edge ids that induced the cuts
 
 
 @dataclass(frozen=True)
@@ -36,52 +26,52 @@ class AuxGraph:
     Vertices of the parent graph outside r's tree are contracted: each
     marked child subtree into its root, everything above r into d(r).  The
     local vertices are r's tree members in dominator-respecting preorder (r
-    first), then its marked children in ascending id order, then d(r)
-    unless r is the start vertex.  The maps are Python lists:
-    `orig_vertex` gives the vertex each local vertex stands for (idom(r)
-    for d(r)), `orig_edge` the edge each local edge is associated with, and
-    `is_ordinary` is True exactly at the tree members.  A first-level graph
-    maps into its flow graph.  A second-level graph, built on H^R for a
-    first-level graph H, maps through H into the input graph, and its
-    `is_ordinary` means ordinary at both levels.  `entering_bridge` is the
-    local id of the one copy of the bridge d(r) -> r, the only edge out of
-    d(r), or -1 at the start vertex.
+    first, so r is local vertex 0), then its marked children in ascending
+    id order, then d(r) unless r is the start vertex.  The maps are Python
+    lists: `orig_vertex` gives the vertex each local vertex stands for
+    (idom(r) for d(r)), `orig_edge` the edge each local edge is associated
+    with, and `is_ordinary` is True exactly at the tree members.  A
+    first-level graph maps into its flow graph.  A second-level graph, built
+    on H^R for a first-level graph H, maps through H into the input graph,
+    and its `is_ordinary` means ordinary at both levels.  `entering_bridge`
+    is the local id of the one copy of the bridge d(r) -> r, the only edge
+    out of d(r), or -1 at the start vertex.
     """
 
     graph: Digraph
-    root: int                     # local id of r, always 0
     is_ordinary: list[bool]
     orig_vertex: list[int]
     orig_edge: list[int]
     entering_bridge: int
 
 
-def canonical_decomposition(
-    fg: FlowGraph, dt: DominatorTree, bridges: set[int]
-) -> CanonicalDecomposition:
-    g, s = fg.graph, fg.start
-    marked_set = {s} | {g.head(e) for e in bridges}
-    tree_id = [0] * g.n
-    for v in dt.dfs_order:
-        tree_id[v] = v if v in marked_set else tree_id[dt.idom[v]]
-    return CanonicalDecomposition(
-        tree_id=tree_id, marked=sorted(marked_set), bridges=set(bridges))
+def aux_graphs(g: Digraph, s: int, h: AuxGraph | None = None,
+               blocks_only: bool = False) -> tuple[DominatorTree, list[AuxGraph]]:
+    """The dominator tree of the flow graph G(s) and the auxiliary graph of
+    every marked vertex: s and the bridge heads of G(s), in ascending order.
 
-
-def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition,
-                h: AuxGraph | None = None, blocks_only: bool = False) -> list[AuxGraph]:
-    """The aux graph of every marked vertex.  Given a first-level graph `h`,
-    with `fg` its reverse H^R(r), the maps compose through `h`, and
-    `blocks_only` keeps just the regions with at least 2 members ordinary
-    in `h`."""
-    g, s = fg.graph, fg.start
-    tree_id, idom = cd.tree_id, dt.idom
-
-    members: dict[int, list[int]] = {r: [] for r in cd.marked}
+    Deleting the bridges from the dominator tree leaves one tree per marked
+    vertex, the canonical decomposition; each aux graph keeps one tree and
+    contracts the rest.  Every bridge has its own head, so the full list
+    has one graph more than G(s) has bridges.  At the second level, `g` is
+    H^R and `s` is 0 (r) for a first-level graph `h`: the maps compose
+    through `h` into the input graph, and `blocks_only` keeps just the
+    graphs with at least 2 vertices ordinary at both levels, the only ones
+    that hold a block or a part of n'.
+    """
+    dt = dominator_tree(g, s)
+    if blocks_only and h is not None and sum(h.is_ordinary) < 2:
+        return dt, []
+    idom = dt.idom
+    bridge_into = {g.head(e): e for e in flow_bridges(g, dt)}
+    marked = sorted({s, *bridge_into})
+    tree_id = [0] * g.n                      # the marked root of every vertex
+    members: dict[int, list[int]] = {r: [] for r in marked}
     for v in dt.dfs_order:                   # dominator-respecting preorder
+        tree_id[v] = v if v in members else tree_id[idom[v]]
         members[tree_id[v]].append(v)
-    children: dict[int, list[int]] = {r: [] for r in cd.marked}
-    for r in cd.marked:                      # ascending
+    children: dict[int, list[int]] = {r: [] for r in marked}
+    for r in marked:                         # ascending
         if r != s:
             children[tree_id[idom[r]]].append(r)
 
@@ -90,8 +80,7 @@ def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition,
     # leaving each region below into its d(r).  The exception is the bridge
     # into y, from idom(y) in the region above, which also enters y's
     # graph from d(y).
-    bridge_into = {g.head(e): e for e in cd.bridges}
-    region_edges: dict[int, list[tuple[int, int, int]]] = {r: [] for r in cd.marked}
+    region_edges: dict[int, list[tuple[int, int, int]]] = {r: [] for r in marked}
     for e, (x, y) in zip(g.edge_ids.tolist(), g.edge_pairs()):
         if x == y:
             continue
@@ -106,7 +95,7 @@ def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition,
         region_edges[rx].append((rep, y, e))
 
     result = []
-    for r in cd.marked:
+    for r in marked:
         ordinary = members[r]
         flags = [True] * len(ordinary) if h is None else [h.is_ordinary[v] for v in ordinary]
         if blocks_only and sum(flags) < 2:
@@ -145,36 +134,12 @@ def _aux_graphs(fg: FlowGraph, dt: DominatorTree, cd: CanonicalDecomposition,
         result.append(AuxGraph(
             graph=Digraph(len(vertices), np.asarray(tails, dtype=np.int64),
                           np.asarray(heads, dtype=np.int64)),
-            root=0,
             is_ordinary=flags + [False] * (len(vertices) - n_ord),
             orig_vertex=vertices,
             orig_edge=orig,
             entering_bridge=bridge,
         ))
-    return result
-
-
-def first_level_aux_graphs(fg: FlowGraph) -> list[AuxGraph]:
-    """One auxiliary graph per marked vertex of the flow graph."""
-    dt = dominator_tree(fg)
-    return _aux_graphs(fg, dt, canonical_decomposition(fg, dt, flow_bridges(fg, dt)))
-
-
-def _second_level(h: AuxGraph, blocks_only: bool = False
-                  ) -> tuple[FlowGraph, DominatorTree, list[AuxGraph]]:
-    """The reverse flow graph H^R(r) of a first-level aux graph, its
-    dominator tree, and its auxiliary graphs: the second-level graphs,
-    including the root's own, which has no entering bridge.  Their maps are
-    composed through `h` into the input graph.  `blocks_only` keeps, in
-    order, just the graphs with at least 2 vertices ordinary at both
-    levels, the only ones that hold a block or a part of n'; H^R(r) and its
-    dominator tree are returned either way."""
-    fg = FlowGraph(h.graph.reverse(), h.root)
-    dt = dominator_tree(fg)
-    if blocks_only and sum(h.is_ordinary) < 2:
-        return fg, dt, []
-    cd = canonical_decomposition(fg, dt, flow_bridges(fg, dt))
-    return fg, dt, _aux_graphs(fg, dt, cd, h, blocks_only)
+    return dt, result
 
 
 class _DSU:
@@ -196,7 +161,7 @@ class _DSU:
             self.parent[rb] = ra
 
 
-def blocks(g: Digraph, s: int = 0) -> Partition:
+def blocks(g: Digraph) -> Partition:
     """2-edge-connected blocks: vertex classes pairwise joined by two
     edge-disjoint paths in each direction.
 
@@ -208,8 +173,8 @@ def blocks(g: Digraph, s: int = 0) -> Partition:
     _ensure_strongly_connected(g)
     dsu = _DSU(g.n)
     if g.n > 1:
-        for h in first_level_aux_graphs(FlowGraph(g, s)):
-            for aux in _second_level(h)[2]:
+        for h in aux_graphs(g, 0)[1]:
+            for aux in aux_graphs(h.graph.reverse(), 0, h)[1]:
                 work = aux.graph if aux.entering_bridge == -1 else delete_edge_view(
                     aux.graph, aux.entering_bridge)
                 groups: dict[int, list[int]] = {}

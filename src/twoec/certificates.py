@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    _DSU, _aux_graphs, _second_level, canonical_decomposition, components, condense,
-)
+from .blocks import _DSU, aux_graphs, components, condense
 from .digraph import (
     Digraph, GraphError, _ensure_strongly_connected, delete_edge_view, induced_subgraph, scc,
 )
-from .dominators import FlowGraph, _dfs, dominator_tree, flow_bridges, strong_bridges
+from .dominators import _dfs, dominator_tree, strong_bridges
 from .spanning import independent_pair
 
 __all__ = [
@@ -72,38 +70,30 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
         in_l.add(orig)
 
     n_prime = 0
-    if g.n <= 1:
-        cert = CertificateEdgeList(inserts)
-        return cert, CertificateStats(g.n, 0, 0, 0, 0, 0)
-
-    fg = FlowGraph(g, s)
-    dt = dominator_tree(fg)
-    bridges = flow_bridges(fg, dt)
+    dt, level1 = aux_graphs(g, s)
 
     # Phase 1: two independent spanning trees of G(s)
-    pair = independent_pair(fg, dt)
+    pair = independent_pair(g, dt)
     for tree in (pair.blue, pair.red):
         for e in tree.parent_edge:
             if e != -1:
                 insert(e, "P1")
 
-    cd = canonical_decomposition(fg, dt, bridges)
-
-    for h in _aux_graphs(fg, dt, cd):
-        fgr, dtr, level2 = _second_level(h, blocks_only=modified)
-        rev = fgr.graph
+    for h in level1:
+        rev = h.graph.reverse()
+        dtr, level2 = aux_graphs(rev, 0, h, blocks_only=modified)
         h_edge = h.orig_edge
 
         # Phase 2: independent trees of the reverse flow graph, reusing edges
         # already chosen where valid
         preferred = {e for e in rev.edge_ids.tolist() if h_edge[e] in in_l}
-        pair_r = independent_pair(fgr, dtr, preferred=preferred)
+        pair_r = independent_pair(rev, dtr, preferred=preferred)
         blue_edge, red_edge = pair_r.blue.parent_edge, pair_r.red.parent_edge
         rev_tails = rev.tails.tolist()
         blue_inner = {rev_tails[e] for e in blue_edge if e != -1}   # have a child
         red_inner = {rev_tails[e] for e in red_edge if e != -1}
         for x in range(rev.n):
-            if x == h.root:
+            if x == 0:                       # the root r
                 continue
             eb, er = h_edge[blue_edge[x]], h_edge[red_edge[x]]
             if h.is_ordinary[x] or not modified:
@@ -161,7 +151,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
     cert = CertificateEdgeList(inserts)
     counts = cert.phase_new_counts()
     stats = CertificateStats(
-        n=g.n, n_prime=n_prime, bridges=len(bridges),
+        n=g.n, n_prime=n_prime, bridges=len(level1) - 1,
         phase1_new=counts.get("P1", 0),
         phase2_new=counts.get("P2", 0),
         phase3_new=counts.get("P3", 0),
@@ -189,7 +179,7 @@ def two_ecss_edt(c: Digraph) -> set[int]:
         return set()
     out: set[int] = set()
     for graph in (c, c.reverse()):
-        pair = independent_pair(FlowGraph(graph, 0))
+        pair = independent_pair(graph, dominator_tree(graph, 0))
         out |= pair.blue.edge_set() | pair.red.edge_set()
     return out
 

@@ -18,7 +18,7 @@ from .blocks import blocks, components, preservation_violations
 from .digraph import Digraph, GraphError, largest_scc
 from .dominators import strong_bridges
 from .filters import EDGE_ORDERS
-from .io import load_graph
+from .io import FORMATS, load_graph
 
 
 def _load(args) -> tuple[Digraph, np.ndarray]:
@@ -109,7 +109,7 @@ def main(argv=None) -> int:
 
     pa = sub.add_parser("analyze", help="largest-SCC stats, bridges, histograms")
     pa.add_argument("graph")
-    pa.add_argument("--format", default="auto", choices=["auto", "dimacs", "snap"])
+    pa.add_argument("--format", default="auto", choices=FORMATS)
     pa.set_defaults(fn=_analyze)
 
     ps = sub.add_parser("sparsify", help="run one algorithm, print surviving edges")
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
     ps.add_argument("--no-cert", action="store_true",
                     help="skip the sparse-certificate preprocessing")
     ps.add_argument("--no-trivial-skip", action="store_true")
-    ps.add_argument("--format", default="auto", choices=["auto", "dimacs", "snap"])
+    ps.add_argument("--format", default="auto", choices=FORMATS)
     ps.add_argument("-o", "--output")
     ps.set_defaults(fn=_sparsify)
 
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     pv.add_argument("graph")
     pv.add_argument("subgraph")
     pv.add_argument("--problem", default="B", choices=["B", "C", "BC"])
-    pv.add_argument("--format", default="auto", choices=["auto", "dimacs", "snap"])
+    pv.add_argument("--format", default="auto", choices=FORMATS)
     pv.set_defaults(fn=_verify)
 
     args = ap.parse_args(argv)

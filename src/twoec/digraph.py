@@ -90,12 +90,6 @@ class Digraph:
     def head(self, e: int) -> int:
         return int(self.heads[e])
 
-    def out_ids(self, v: int) -> np.ndarray:
-        return self._out_eids[self._out_start[v]:self._out_start[v + 1]]
-
-    def in_ids(self, v: int) -> np.ndarray:
-        return self._in_eids[self._in_start[v]:self._in_start[v + 1]]
-
     def out_lists(self) -> tuple[list[int], list[int], list[int]]:
         """(start, eids, heads): the out-edges of v sit at positions
         start[v]:start[v + 1] of eids, in id order, with their heads alongside."""

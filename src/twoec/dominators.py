@@ -5,15 +5,7 @@ from dataclasses import dataclass
 
 from .digraph import Digraph, GraphError, _ensure_strongly_connected
 
-__all__ = ["FlowGraph", "DominatorTree", "dominator_tree", "flow_bridges", "strong_bridges"]
-
-
-@dataclass(frozen=True)
-class FlowGraph:
-    """A digraph with a distinguished start vertex all vertices can be reached from."""
-
-    graph: Digraph
-    start: int
+__all__ = ["DominatorTree", "dominator_tree", "flow_bridges", "strong_bridges"]
 
 
 @dataclass(frozen=True)
@@ -25,7 +17,7 @@ class DominatorTree:
     `pre`/`post` are Euler intervals of the dominator tree itself: u is an
     ancestor of w iff pre[u] <= pre[w] < post[u].  `dfs_order` lists the
     vertices in the preorder of the graph DFS that built the tree, so the
-    dominators of w come before w.
+    dominators of w come before w, and the start vertex is `dfs_order[0]`.
     """
 
     idom: list[int]
@@ -83,10 +75,12 @@ def _dfs(g: Digraph, s: int):
     return pre, parent, parent_edge, order
 
 
-def dominator_tree(fg: FlowGraph) -> DominatorTree:
-    """Dominator tree via semidominators with path compression (semi-NCA)."""
-    g, s = fg.graph, fg.start
+def dominator_tree(g: Digraph, s: int) -> DominatorTree:
+    """Dominator tree of the flow graph G(s), via semidominators with path
+    compression (semi-NCA)."""
     n = g.n
+    if not 0 <= s < n:
+        raise GraphError(f"start vertex {s} is out of range for a graph with {n} vertices")
     pre, parent, _, order = _dfs(g, s)
     if len(order) != n:
         raise GraphError("flow graph has a vertex unreachable from the start")
@@ -154,18 +148,19 @@ def dominator_tree(fg: FlowGraph) -> DominatorTree:
                          dfs_order=order)
 
 
-def flow_bridges(fg: FlowGraph, dt: DominatorTree) -> set[int]:
-    """Edge ids of the bridges of the flow graph.
+def flow_bridges(g: Digraph, dt: DominatorTree) -> set[int]:
+    """Edge ids of the bridges of the flow graph G(s), with `dt` its
+    dominator tree.
 
     (u, w) is a bridge iff it is the single edge entering w from outside
     the dominator subtree of w; its tail is then necessarily idom(w).
     """
-    g = fg.graph
+    s = dt.dfs_order[0]
     tin, tout = dt.pre, dt.post
     in_start, in_eids, tails = g.in_lists()
     bridges: set[int] = set()
     for w in range(g.n):
-        if w == fg.start:
+        if w == s:
             continue
         lo, hi = tin[w], tout[w]
         outside = -1
@@ -181,22 +176,19 @@ def flow_bridges(fg: FlowGraph, dt: DominatorTree) -> set[int]:
     return bridges
 
 
-def strong_bridges(g: Digraph, s: int = 0) -> set[int]:
+def strong_bridges(g: Digraph) -> set[int]:
     """Edges whose removal disconnects the strongly connected digraph `g`.
 
-    Union of the bridges of G(s) and of G^R(s); edge ids are shared between
+    Union of the bridges of G(0) and of G^R(0); edge ids are shared between
     a graph and its reverse, so no remapping is needed.
     """
     _ensure_strongly_connected(g)
-    return _strong_bridges(g, s)
+    return _strong_bridges(g)
 
 
-def _strong_bridges(g: Digraph, s: int = 0) -> set[int]:
+def _strong_bridges(g: Digraph) -> set[int]:
     """`strong_bridges` of a graph known to be strongly connected."""
     if g.n <= 1:
         return set()
-    fg = FlowGraph(g, s)
-    fwd = flow_bridges(fg, dominator_tree(fg))
-    rg = FlowGraph(g.reverse(), s)
-    bwd = flow_bridges(rg, dominator_tree(rg))
-    return fwd | bwd
+    rev = g.reverse()
+    return flow_bridges(g, dominator_tree(g, 0)) | flow_bridges(rev, dominator_tree(rev, 0))

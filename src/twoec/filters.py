@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import _second_level, blocks, first_level_aux_graphs
+from .blocks import aux_graphs, blocks
 from .certificates import _condensed, ist_b
 from .digraph import Digraph, GraphError, _ensure_strongly_connected
-from .dominators import FlowGraph
 
 __all__ = ["EDGE_ORDERS", "FilterConfig", "FilterReport", "filter_b", "filter_bc"]
 
@@ -205,8 +204,8 @@ def _on_aux_graphs(g: Digraph, ids: list[int], cfg: FilterConfig) -> FilterRepor
     kept: set[int] = set()
     tested = 0
     if g.n > 1:
-        for h in first_level_aux_graphs(FlowGraph(work, 0)):
-            for aux in _second_level(h)[2]:
+        for h in aux_graphs(work, 0)[1]:
+            for aux in aux_graphs(h.graph.reverse(), 0, h)[1]:
                 appeared.update(aux.orig_edge)
                 sub_rep = _run_strategy(aux.graph, aux.graph.edge_ids, cfg)
                 tested += sub_rep.counters["tested_2edp"] + sub_rep.counters["tested_blocks"]

@@ -11,7 +11,10 @@ from .digraph import Digraph, GraphError
 
 log = logging.getLogger("twoec.io")
 
-__all__ = ["ParseStats", "read_dimacs", "read_snap", "load_graph"]
+__all__ = ["FORMATS", "ParseStats", "read_dimacs", "read_snap", "load_graph"]
+
+# The values of `load_graph`'s `fmt`; "auto" sniffs the other two.
+FORMATS = ("auto", "dimacs", "snap")
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ def read_snap(stream) -> tuple[Digraph, ParseStats]:
 
 def load_graph(path: str | Path, fmt: str = "auto") -> Digraph:
     """Load a graph file, sniffing DIMACS vs SNAP when `fmt` is 'auto'."""
-    if fmt not in ("auto", "dimacs", "snap"):
+    if fmt not in FORMATS:
         raise GraphError(f"unknown format {fmt!r}")
     path = Path(path)
     if fmt == "auto":

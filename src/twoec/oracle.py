@@ -32,6 +32,8 @@ def _bfs_flow_at_least_two(g: Digraph, src: int, dst: int) -> bool:
     """True iff two edge-disjoint src->dst paths exist (unit capacities)."""
     if src == dst:
         return True
+    out_start, out_eids, heads = g.out_lists()
+    in_start, in_eids, tails = g.in_lists()
     used = set()
     paths = 0
     for _ in range(2):
@@ -41,20 +43,22 @@ def _bfs_flow_at_least_two(g: Digraph, src: int, dst: int) -> bool:
         while frontier and not found:
             nxt = []
             for v in frontier:
-                for e in g.out_ids(v).tolist():
+                for pos in range(out_start[v], out_start[v + 1]):
+                    e = out_eids[pos]
                     if e in used:
                         continue
-                    w = g.head(e)
+                    w = heads[pos]
                     if w not in parent:
                         parent[w] = (v, e, False)
                         if w == dst:
                             found = True
                             break
                         nxt.append(w)
-                for e in g.in_ids(v).tolist():
+                for pos in range(in_start[v], in_start[v + 1]):
+                    e = in_eids[pos]
                     if e not in used:
                         continue
-                    w = g.tail(e)
+                    w = tails[pos]
                     if w not in parent:
                         parent[w] = (v, e, True)
                         if w == dst:

@@ -37,7 +37,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .digraph import Digraph, GraphError
-from .dominators import DominatorTree, FlowGraph, dominator_tree
+from .dominators import DominatorTree
 
 __all__ = ["SpanningTree", "TreePair", "independent_pair", "verify_independent"]
 
@@ -226,20 +226,17 @@ def _solve_local(local: _LocalGraph, preferred: set[int]) -> dict[int, tuple[int
 
 
 def independent_pair(
-    fg: FlowGraph,
-    dt: DominatorTree | None = None,
-    preferred: set[int] | None = None,
+    g: Digraph, dt: DominatorTree, preferred: set[int] | None = None,
 ) -> TreePair:
-    """Two independent spanning trees of the flow graph.
+    """Two independent spanning trees of the flow graph G(s), with `dt` its
+    dominator tree.
 
     The trees share exactly the bridges of the flow graph, so they are also
     maximally edge-disjoint.  `preferred` biases arc choices towards the
     given edge ids where several are valid.
     """
-    g, s = fg.graph, fg.start
     n = g.n
-    if dt is None:
-        dt = dominator_tree(fg)
+    s = dt.dfs_order[0]
     preferred = preferred or set()
 
     idom, tin, tout = dt.idom, dt.pre, dt.post
@@ -281,12 +278,11 @@ def independent_pair(
     return TreePair(blue=SpanningTree(parent_b, s), red=SpanningTree(parent_r, s))
 
 
-def verify_independent(fg: FlowGraph, pair: TreePair, dt: DominatorTree | None = None) -> bool:
-    """Check the normative contract: the two root-to-v paths of every vertex
-    intersect exactly in the dominator set of v."""
-    g, s = fg.graph, fg.start
-    if dt is None:
-        dt = dominator_tree(fg)
+def verify_independent(g: Digraph, pair: TreePair, dt: DominatorTree) -> bool:
+    """Check the normative contract on the flow graph G(s), with `dt` its
+    dominator tree: the two root-to-v paths of every vertex intersect
+    exactly in the dominator set of v."""
+    s = dt.dfs_order[0]
     for v in range(g.n):
         if v == s:
             continue

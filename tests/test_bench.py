@@ -98,14 +98,17 @@ def test_missing_dataset_skipped(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("runs", 0), ("runs", -2), ("runs", "3"), ("runs", True), ("order", "sideways"),
     ("seed", "7"), ("seed", True), ("trivial_skip", "no"), ("certificate", "false"),
+    ("path", 5), ("format", "csv"),
 ])
 def test_experiment_rejects_bad_runs_and_order(tmp_path, key, value):
-    # the dataset path does not exist: rejecting the config before any
+    # the dataset paths do not exist: rejecting the config before any
     # dataset is looked at is what makes this a ValueError, not a skip
-    config = {
-        "datasets": [{"name": "gone", "path": str(tmp_path / "none.gr")}],
-        "algorithms": ["ist-b"],
-        key: value,
-    }
+    datasets = [{"name": "gone", "path": str(tmp_path / "none.gr")}]
+    config = {"datasets": datasets, "algorithms": ["ist-b"]}
+    if key in ("path", "format"):
+        # a dataset key, set on the second entry
+        datasets.append({"name": "bad", "path": str(tmp_path / "other.gr"), key: value})
+    else:
+        config[key] = value
     with pytest.raises(ValueError, match=f"'{key}'"):
         run_experiment(config)

@@ -3,12 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from twoec.blocks import (
-    _DSU, _second_level, blocks, canonical_decomposition, components, condense,
-    first_level_aux_graphs,
-)
+from twoec.blocks import _DSU, aux_graphs, blocks, components, condense
 from twoec.digraph import GraphError, Partition, build, delete_edge_view, largest_scc, scc
-from twoec.dominators import FlowGraph, dominator_tree, flow_bridges, strong_bridges
+from twoec.dominators import dominator_tree, flow_bridges, strong_bridges
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected, road_grid,
 )
@@ -17,34 +14,30 @@ from twoec.oracle import (
 )
 
 
+def _roots(auxes) -> list[int]:
+    """The marked vertex r of every aux graph: local vertex 0."""
+    return [a.orig_vertex[0] for a in auxes]
+
+
 def test_canonical_decomposition_fixtures():
-    fg = FlowGraph(g1(), 0)
-    dt = dominator_tree(fg)
-    cd = canonical_decomposition(fg, dt, flow_bridges(fg, dt))
-    assert cd.marked == [0]
-    assert len(set(cd.tree_id)) == 1
+    auxes = aux_graphs(g1(), 0)[1]
+    assert _roots(auxes) == [0]
+    assert sum(auxes[0].is_ordinary) == g1().n     # one tree holds every vertex
 
-    fg = FlowGraph(g2(), 0)
-    dt = dominator_tree(fg)
-    cd = canonical_decomposition(fg, dt, flow_bridges(fg, dt))
-    assert cd.marked == [0, 1, 2]
-
-    fg = FlowGraph(g4(), 0)
-    dt = dominator_tree(fg)
-    cd = canonical_decomposition(fg, dt, flow_bridges(fg, dt))
-    assert cd.marked == [0, 1, 2, 3, 4, 5]
+    assert _roots(aux_graphs(g2(), 0)[1]) == [0, 1, 2]
+    assert _roots(aux_graphs(g4(), 0)[1]) == [0, 1, 2, 3, 4, 5]
 
 
 def test_first_level_aux_graph_g1_is_whole():
-    auxes = first_level_aux_graphs(FlowGraph(g1(), 0))
+    auxes = aux_graphs(g1(), 0)[1]
     assert len(auxes) == 1
     a = auxes[0]
     assert all(a.is_ordinary) and a.graph.m == 6
 
 
 def test_first_level_aux_graph_g2_middle():
-    auxes = first_level_aux_graphs(FlowGraph(g2(), 0))
-    by_root = {a.orig_vertex[a.root]: a for a in auxes}
+    auxes = aux_graphs(g2(), 0)[1]
+    by_root = dict(zip(_roots(auxes), auxes))
     mid = by_root[1]
     assert sum(mid.is_ordinary) == 1
     assert mid.graph.n == 3  # ordinary 1 plus contractions of both sides
@@ -57,10 +50,9 @@ def test_aux_graph_size_bound():
     rng = random.Random(31)
     for _ in range(100):
         g = random_strongly_connected(rng, rng.randint(2, 20))
-        fg = FlowGraph(g, 0)
-        dt = dominator_tree(fg)
-        br = flow_bridges(fg, dt)
-        auxes = first_level_aux_graphs(fg)
+        dt, auxes = aux_graphs(g, 0)
+        br = flow_bridges(g, dt)
+        assert len(auxes) == len(br) + 1               # every bridge has its own head
         total_v = sum(a.graph.n for a in auxes)
         total_e = sum(a.graph.m for a in auxes)
         assert total_v <= g.n + 2 * len(br)
@@ -73,7 +65,7 @@ def test_ordinary_vertex_soundness():
     for _ in range(60):
         g = random_strongly_connected(rng, rng.randint(2, 10))
         whole = oracle_blocks(g)
-        for a in first_level_aux_graphs(FlowGraph(g, 0)):
+        for a in aux_graphs(g, 0)[1]:
             local = oracle_blocks(a.graph) if a.graph.n <= 12 else None
             if local is None:
                 continue
@@ -93,16 +85,14 @@ def test_lemma_strong_bridge_reversal():
     rng = random.Random(41)
     for _ in range(80):
         g = random_strongly_connected(rng, rng.randint(2, 10))
-        fg = FlowGraph(g, 0)
-        dt = dominator_tree(fg)
-        gs_bridges = {int(e) for e in flow_bridges(fg, dt)}
-        for h in first_level_aux_graphs(fg):
+        dt, level1 = aux_graphs(g, 0)
+        gs_bridges = flow_bridges(g, dt)
+        for h in level1:
             if h.graph.n <= 1 or scc(h.graph).count != 1:
                 continue
             rev = h.graph.reverse()
-            fgr = FlowGraph(rev, h.root)
-            rev_bridges = flow_bridges(fgr, dominator_tree(fgr))
-            for e in strong_bridges(h.graph, h.root):
+            rev_bridges = flow_bridges(rev, dominator_tree(rev, 0))
+            for e in strong_bridges(h.graph):
                 if h.orig_edge[e] in gs_bridges:
                     continue
                 if h.entering_bridge != -1 and h.graph.head(e) == h.graph.n - 1:
@@ -111,15 +101,16 @@ def test_lemma_strong_bridge_reversal():
 
 
 def test_second_level_api():
-    auxes = first_level_aux_graphs(FlowGraph(g1(), 0))
-    _, _, level2 = _second_level(auxes[0])
+    h = aux_graphs(g1(), 0)[1][0]
+    level2 = aux_graphs(h.graph.reverse(), 0, h)[1]
     assert [aux.entering_bridge for aux in level2] == [-1]  # H^R(0) has no bridges
     # every second-level graph of a path-like graph has <= 1 ordinary vertex
     g = g2()
-    for h in first_level_aux_graphs(FlowGraph(g, 0)):
-        fgr, dtr, level2 = _second_level(h)
-        assert fgr.graph.m == h.graph.m and fgr.start == h.root
-        assert dtr.idom[h.root] == -1
+    for h in aux_graphs(g, 0)[1]:
+        rev = h.graph.reverse()
+        dtr, level2 = aux_graphs(rev, 0, h)
+        assert dtr == dominator_tree(rev, 0)
+        assert dtr.dfs_order[0] == 0 and dtr.idom[0] == -1
         for aux in level2:
             if aux.entering_bridge != -1:
                 assert aux.orig_edge[aux.entering_bridge] in {0, 1, 2}
@@ -128,8 +119,8 @@ def test_second_level_api():
 
 def test_second_level_contains_g5_block():
     found = False
-    for h in first_level_aux_graphs(FlowGraph(g5(), 0)):
-        for aux in _second_level(h)[2]:
+    for h in aux_graphs(g5(), 0)[1]:
+        for aux in aux_graphs(h.graph.reverse(), 0, h)[1]:
             part = scc(aux.graph)
             for cls in part.classes():
                 orig = {aux.orig_vertex[v] for v in cls.tolist() if aux.is_ordinary[v]}
@@ -142,24 +133,26 @@ def _check_aux_contract(g, aux, reverse: bool) -> None:
     """An edge between two ordinary vertices of `aux` maps to the edge of `g`
     between the vertices they stand for, reversed when `aux` is built on a
     reverse graph; the entering bridge is the only edge out of the last
-    local vertex d(r) and enters the root."""
+    local vertex d(r) and enters the root r, local vertex 0."""
     pairs = g.edge_pairs()
     for e, (t, hd) in enumerate(aux.graph.edge_pairs()):
         if aux.is_ordinary[t] and aux.is_ordinary[hd]:
             ends = (aux.orig_vertex[t], aux.orig_vertex[hd])
             assert pairs[aux.orig_edge[e]] == (ends[::-1] if reverse else ends)
     if aux.entering_bridge != -1:
-        assert aux.graph.out_ids(aux.graph.n - 1).tolist() == [aux.entering_bridge]
-        assert aux.graph.head(aux.entering_bridge) == aux.root
+        out_start, out_eids, _ = aux.graph.out_lists()
+        d_r = aux.graph.n - 1
+        assert out_eids[out_start[d_r]:out_start[d_r + 1]] == [aux.entering_bridge]
+        assert aux.graph.head(aux.entering_bridge) == 0
 
 
 def test_second_level_maps_into_the_input_graph():
     rng = random.Random(67)
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
     for g in graphs + [road_grid(12, 0.12, 0.55, 1)]:
-        for h in first_level_aux_graphs(FlowGraph(g, 0)):
+        for h in aux_graphs(g, 0)[1]:
             _check_aux_contract(g, h, reverse=False)
-            level2 = _second_level(h)[2]
+            level2 = aux_graphs(h.graph.reverse(), 0, h)[1]
             assert [aux.entering_bridge == -1 for aux in level2] == (
                 [True] + [False] * (len(level2) - 1))
             for aux in level2:
@@ -173,7 +166,7 @@ def _both_ordinary(aux) -> list[int]:
 
 def _aux_fields(aux):
     return (aux.orig_edge, aux.orig_vertex, aux.is_ordinary, aux.entering_bridge,
-            aux.graph.edge_pairs(), aux.root)
+            aux.graph.edge_pairs())
 
 
 def _blocks_from_kept_graphs(g) -> Partition:
@@ -181,12 +174,11 @@ def _blocks_from_kept_graphs(g) -> Partition:
     after checking that they are exactly the full list's graphs with at least
     2 vertices ordinary at both levels."""
     dsu = _DSU(g.n)
-    for h in first_level_aux_graphs(FlowGraph(g, 0)):
-        fgr, dtr, full = _second_level(h)
-        fgr_kept, dtr_kept, kept = _second_level(h, blocks_only=True)
-        assert fgr_kept.graph.edge_pairs() == fgr.graph.edge_pairs()
-        assert fgr_kept.start == fgr.start
-        assert dtr_kept.idom == dtr.idom
+    for h in aux_graphs(g, 0)[1]:
+        rev = h.graph.reverse()
+        dtr, full = aux_graphs(rev, 0, h)
+        dtr_kept, kept = aux_graphs(rev, 0, h, blocks_only=True)
+        assert dtr_kept == dtr
         want = [aux for aux in full if len(_both_ordinary(aux)) >= 2]
         assert [_aux_fields(a) for a in kept] == [_aux_fields(a) for a in want]
         for aux in kept:

@@ -9,6 +9,7 @@ from twoec.certificates import (
     zni_c, zni_scss,
 )
 from twoec.digraph import GraphError, build, scc
+from twoec.dominators import dominator_tree
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected,
     random_two_edge_connected, road_grid,
@@ -68,6 +69,14 @@ def test_ist_b_root_invariance_of_correctness():
         for root in range(min(g.n, 3)):
             cert, _ = ist_b(g, root)
             assert preservation_violations(g, cert.edge_set(), "B") == []
+
+
+def test_start_vertex_out_of_range():
+    for g in (g1(), build(1, [])):
+        for s in (-1, g.n):
+            for run in (dominator_tree, ist_b, ist_b_original):
+                with pytest.raises(GraphError, match=f"start vertex {s} is out of range"):
+                    run(g, s)
 
 
 def test_ist_b_phase_counts_random():

@@ -131,6 +131,11 @@ def test_bench_bad_config_is_input_error(tmp_path, capsys):
           "certificate": "false"}, "'certificate'"),
         ({"datasets": [{"name": "g", "path": str(g)}], "algorithms": ["ist-b"],
           "seed": "7"}, "'seed'"),
+        ({"datasets": [{"name": "g", "path": 5}], "algorithms": ["ist-b"]},
+         "dataset entry 0 key 'path'"),
+        ({"datasets": [{"name": "g", "path": str(g)},
+                       {"name": "h", "path": str(g), "format": "csv"}],
+          "algorithms": ["ist-b"]}, "dataset entry 1 key 'format'"),
     ]
     for config, message in cases:
         cfg.write_text(json.dumps(config))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from twoec.digraph import GraphError, build, delete_edge_view, scc
-from twoec.dominators import FlowGraph, _dfs, dominator_tree, flow_bridges, strong_bridges
+from twoec.dominators import _dfs, dominator_tree, flow_bridges, strong_bridges
 from twoec.fixtures import g1, g2, g4, g5, random_strongly_connected
 
 
@@ -13,12 +13,12 @@ def _removal_dominates(g, s, u, w):
         return True
     keep = [e for e in g.edge_ids.tolist() if g.tail(e) != u and g.head(e) != u]
     sub = g.subgraph_edges(keep)
+    out_start, _, heads = sub.out_lists()
     seen = {s}
     stack = [s]
     while stack:
         v = stack.pop()
-        for e in sub.out_ids(v).tolist():
-            h = sub.head(e)
+        for h in heads[out_start[v]:out_start[v + 1]]:
             if h not in seen:
                 seen.add(h)
                 stack.append(h)
@@ -27,32 +27,32 @@ def _removal_dominates(g, s, u, w):
 
 def test_dominator_tree_path():
     g = build(3, [(0, 1), (1, 2)])
-    dt = dominator_tree(FlowGraph(g, 0))
+    dt = dominator_tree(g, 0)
     assert dt.idom == [-1, 0, 1]
 
 
 def test_dominator_tree_diamondish():
     g = build(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
-    dt = dominator_tree(FlowGraph(g, 0))
+    dt = dominator_tree(g, 0)
     assert dt.idom == [-1, 0, 0]
 
 
 def test_dominator_chain_g4():
-    dt = dominator_tree(FlowGraph(g4(), 0))
+    dt = dominator_tree(g4(), 0)
     assert dt.idom == [-1, 0, 1, 2, 3, 4]
 
 
 def test_dominator_tree_unreachable_raises():
     g = build(3, [(0, 1)])
     with pytest.raises(GraphError):
-        dominator_tree(FlowGraph(g, 0))
+        dominator_tree(g, 0)
 
 
 def test_dominators_match_removal_oracle():
     rng = random.Random(2)
     for _ in range(120):
         g = random_strongly_connected(rng, rng.randint(2, 10))
-        dt = dominator_tree(FlowGraph(g, 0))
+        dt = dominator_tree(g, 0)
         pre, post = dt.pre, dt.post
         for w in range(g.n):
             doms = set(dt.dominators(w))
@@ -80,16 +80,13 @@ def test_dfs_tree_edges():
 
 def test_flow_bridges_path_and_g1():
     g = build(3, [(0, 1), (1, 2)])
-    fg = FlowGraph(g, 0)
-    assert flow_bridges(fg, dominator_tree(fg)) == {0, 1}
-    fg1 = FlowGraph(g1(), 0)
-    assert flow_bridges(fg1, dominator_tree(fg1)) == set()
+    assert flow_bridges(g, dominator_tree(g, 0)) == {0, 1}
+    assert flow_bridges(g1(), dominator_tree(g1(), 0)) == set()
 
 
 def test_flow_bridges_g4():
     g = g4()
-    fg = FlowGraph(g, 0)
-    found = flow_bridges(fg, dominator_tree(fg))
+    found = flow_bridges(g, dominator_tree(g, 0))
     pairs = sorted((g.tail(e), g.head(e)) for e in found)
     assert pairs == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
@@ -98,16 +95,15 @@ def test_flow_bridges_match_removal_oracle():
     rng = random.Random(3)
     for _ in range(150):
         g = random_strongly_connected(rng, rng.randint(2, 10))
-        fg = FlowGraph(g, 0)
-        found = flow_bridges(fg, dominator_tree(fg))
+        found = flow_bridges(g, dominator_tree(g, 0))
         for e in g.edge_ids.tolist():
             sub = delete_edge_view(g, e)
+            out_start, _, heads = sub.out_lists()
             seen = {0}
             stack = [0]
             while stack:
                 v = stack.pop()
-                for e2 in sub.out_ids(v).tolist():
-                    h = sub.head(e2)
+                for h in heads[out_start[v]:out_start[v + 1]]:
                     if h not in seen:
                         seen.add(h)
                         stack.append(h)
@@ -142,5 +138,4 @@ def test_flow_bridges_subset_of_strong_bridges():
     rng = random.Random(5)
     for _ in range(60):
         g = random_strongly_connected(rng, rng.randint(2, 10))
-        fg = FlowGraph(g, 0)
-        assert flow_bridges(fg, dominator_tree(fg)) <= strong_bridges(g)
+        assert flow_bridges(g, dominator_tree(g, 0)) <= strong_bridges(g)
