@@ -119,9 +119,14 @@ def run_experiment(config: dict, out_csv: str | Path | None = None) -> list[Qual
     BC/C problems, component computation), output sizes must agree across
     runs for deterministic configs, and the mean CPU time is reported.
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"experiment config must be a JSON object, not {config!r}")
     for key in ("datasets", "algorithms"):
         if key not in config:
             raise ValueError(f"experiment config has no {key!r} key")
+        if not isinstance(config[key], list):
+            raise ValueError(
+                f"experiment config key {key!r} must be a list, not {config[key]!r}")
     for algo in config["algorithms"]:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}; choose from {sorted(ALGORITHMS)}")

@@ -160,6 +160,10 @@ class _DSU:
                 ra, rb = rb, ra
             self.parent[rb] = ra
 
+    def partition(self) -> Partition:
+        return Partition(np.asarray([self.find(v) for v in range(len(self.parent))],
+                                    dtype=np.int64))
+
 
 def blocks(g: Digraph) -> Partition:
     """2-edge-connected blocks: vertex classes pairwise joined by two
@@ -185,7 +189,7 @@ def blocks(g: Digraph) -> Partition:
                 for grp in groups.values():
                     for other in grp[1:]:
                         dsu.union(grp[0], other)
-    return Partition(np.asarray([dsu.find(v) for v in range(g.n)], dtype=np.int64))
+    return dsu.partition()
 
 
 def components(g: Digraph) -> Partition:

@@ -61,6 +61,8 @@ class CertificateStats:
 
 
 def _ist_pipeline(g: Digraph, s: int, modified: bool):
+    """The certificate, its statistics, and the block partition of g, which
+    phase 3 reads off the second-level SCCs on the way."""
     _ensure_strongly_connected(g)
     inserts: list[tuple[int, str]] = []
     in_l: set[int] = set()
@@ -70,6 +72,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
         in_l.add(orig)
 
     n_prime = 0
+    block_dsu = _DSU(g.n)
     dt, level1 = aux_graphs(g, s)
 
     # Phase 1: two independent spanning trees of G(s)
@@ -120,6 +123,8 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                 o_s = len(both_ord)
                 if o_s >= 2:
                     n_prime += o_s
+                    for v in both_ord[1:]:
+                        block_dsu.union(aux.orig_vertex[both_ord[0]], aux.orig_vertex[v])
                 if modified:
                     if o_s <= 1:
                         continue
@@ -156,18 +161,18 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
         phase2_new=counts.get("P2", 0),
         phase3_new=counts.get("P3", 0),
     )
-    return cert, stats
+    return cert, stats, block_dsu.partition()
 
 
 def ist_b_original(g: Digraph, s: int = 0) -> CertificateEdgeList:
     """Plain three-phase sparse certificate for the 2EC blocks."""
-    cert, _ = _ist_pipeline(g, s, modified=False)
-    return cert
+    return _ist_pipeline(g, s, modified=False)[0]
 
 
 def ist_b(g: Digraph, s: int = 0) -> tuple[CertificateEdgeList, CertificateStats]:
     """Modified sparse certificate; at most 4(n + n') distinct edges."""
-    return _ist_pipeline(g, s, modified=True)
+    cert, stats, _ = _ist_pipeline(g, s, modified=True)
+    return cert, stats
 
 
 def two_ecss_edt(c: Digraph) -> set[int]:

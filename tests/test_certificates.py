@@ -5,8 +5,8 @@ import pytest
 
 from twoec.blocks import blocks, components, preservation_violations
 from twoec.certificates import (
-    CertificateStats, _preferred_first, ist_b, ist_b_original, ist_bc, two_ecss_edt,
-    zni_c, zni_scss,
+    CertificateStats, _ist_pipeline, _preferred_first, ist_b, ist_b_original, ist_bc,
+    two_ecss_edt, zni_c, zni_scss,
 )
 from twoec.digraph import GraphError, build, scc
 from twoec.dominators import dominator_tree
@@ -60,6 +60,17 @@ def test_ist_b_certificate_pinned(graph):
     text = ",".join(f"{e}:{tag}" for e, tag in cert.insertions)
     assert len(cert.insertions) == count
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_pipeline_partition_is_the_blocks():
+    # phase 3's second-level SCCs, restricted to vertices ordinary at both
+    # levels, are the blocks that filter_b hands to its test loop
+    rng = random.Random(59)
+    corpus = [g1(), g2(), g4(), g5(), linked_triangles(), road_grid(18, 0.12, 0.55, 1)]
+    corpus += [random_strongly_connected(rng, rng.randint(1, 14)) for _ in range(80)]
+    for g in corpus:
+        for modified in (True, False):
+            assert _ist_pipeline(g, 0, modified)[2] == blocks(g)
 
 
 def test_ist_b_root_invariance_of_correctness():

@@ -136,6 +136,13 @@ def test_bench_bad_config_is_input_error(tmp_path, capsys):
         ({"datasets": [{"name": "g", "path": str(g)},
                        {"name": "h", "path": str(g), "format": "csv"}],
           "algorithms": ["ist-b"]}, "dataset entry 1 key 'format'"),
+        ({"datasets": 5, "algorithms": ["ist-b"]}, "key 'datasets' must be a list"),
+        ({"datasets": [{"name": "g", "path": str(g)}], "algorithms": 7},
+         "key 'algorithms' must be a list"),
+        ({"datasets": [{"name": "g", "path": str(g)}], "algorithms": "ist-b"},
+         "key 'algorithms' must be a list"),
+        (5, "config must be a JSON object"),
+        ([], "config must be a JSON object"),
     ]
     for config, message in cases:
         cfg.write_text(json.dumps(config))

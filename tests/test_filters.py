@@ -1,15 +1,18 @@
+import hashlib
+import json
 import random
 
+import numpy as np
 import pytest
 
 from twoec.blocks import blocks, preservation_violations
-from twoec.digraph import GraphError, build, delete_edge_view, scc
+from twoec.digraph import GraphError, build, delete_edge_view, largest_scc, scc
 from twoec.filters import FilterConfig, _Working, filter_b, filter_bc
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected,
-    random_two_edge_connected,
+    random_two_edge_connected, road_grid,
 )
-from twoec.oracle import oracle_blocks
+from twoec.oracle import _bfs_flow_at_least_two, oracle_blocks
 
 
 def test_two_disjoint_paths_pairs():
@@ -22,6 +25,69 @@ def test_two_disjoint_paths_pairs():
     assert G5.two_disjoint_paths(0, 1)
     cut = g5().subgraph_edges([e for e in range(8) if e != 0])  # drop (u, a)
     assert not _Working(cut).two_disjoint_paths(0, 1)
+
+
+def test_two_disjoint_paths_matches_the_flow_oracle():
+    # every edge skipped in turn, both ways, before and after a random run of
+    # deletions; one _Working answers every call, so a stale stamp would show
+    rng = random.Random(127)
+    answers = {True: 0, False: 0}
+    for _ in range(200):
+        g = random_strongly_connected(rng, rng.randint(2, 40))
+        work = _Working(g)
+        for dropped in (0, g.m // 3):
+            for e in rng.sample([e for e in work.ids if work.alive[e]], dropped):
+                work.delete(e)
+            alive = [e for e in work.ids if work.alive[e]]
+            current = g.subgraph_edges(np.asarray(alive, dtype=np.int64))
+            for e in alive:
+                rest = delete_edge_view(current, e)
+                x, y = g.tail(e), g.head(e)
+                for a, b in ((x, y), (y, x)):
+                    got = work.two_disjoint_paths(a, b, e_skip=e)
+                    assert got == _bfs_flow_at_least_two(rest, a, b), (g.n, alive, e, a, b)
+                    answers[got] += 1
+    assert min(answers.values()) > 1000, answers
+
+
+def test_2edp_scans_per_test_stay_local():
+    # timing-free scale check: from side 15 to 40, n grows about 7.5x
+    # (205 -> 1529), while the arcs a 2EDP test scans grow far less
+    per_test = []
+    for side in (15, 40):
+        counters = filter_b(road_grid(side, 0.12, 0.55, 1)).counters
+        per_test.append(counters["scans_2edp"] / counters["tested_2edp"])
+    assert per_test[1] < 2.5 * per_test[0], per_test
+
+
+def _uniform_350_1400():
+    rng = np.random.default_rng(1)
+    tails = rng.integers(0, 350, 1400).tolist()
+    heads = rng.integers(0, 350, 1400).tolist()
+    return largest_scc(build(350, sorted({(t, h) for t, h in zip(tails, heads) if t != h})))
+
+
+# Digests of the decisions and counters of filter_b, without the arc-scan
+# counter, as the one-sided DFS search gave them: the 2EDP search and the
+# block partition handed over by the certificate must not change a decision.
+DECISION_PINS = {
+    ("road-grid-18", "test2edp"): "ac2e36a036ca4a57",
+    ("road-grid-18", "hybrid"): "e63e19f34122a071",
+    ("uniform-350-1400", "test2edp"): "cbe32a02f843b22e",
+    ("uniform-350-1400", "hybrid"): "9d3cb5374354ff0a",
+}
+PIN_GRAPHS = {
+    "road-grid-18": lambda: road_grid(18, 0.12, 0.55, 1),
+    "uniform-350-1400": _uniform_350_1400,
+}
+
+
+@pytest.mark.parametrize("graph,strategy", sorted(DECISION_PINS))
+def test_filter_decisions_pinned(graph, strategy):
+    rep = filter_b(PIN_GRAPHS[graph](), FilterConfig(strategy=strategy))
+    counters = {k: v for k, v in rep.counters.items() if k != "scans_2edp"}
+    text = json.dumps([sorted(rep.decisions.items()), sorted(counters.items())])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == DECISION_PINS[graph, strategy]
 
 
 def test_test2edp_fixtures():
