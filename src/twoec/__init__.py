@@ -6,7 +6,7 @@ from .digraph import (
     largest_scc, scc,
 )
 from .dominators import DominatorTree, dominator_tree, flow_bridges, strong_bridges
-from .spanning import SpanningTree, TreePair, independent_pair, verify_independent
+from .spanning import independent_pair, verify_independent
 from .blocks import (
     AuxGraph, aux_graphs, blocks, components, condense, preservation_violations,
 )

@@ -179,17 +179,25 @@ def blocks(g: Digraph) -> Partition:
     if g.n > 1:
         for h in aux_graphs(g, 0)[1]:
             for aux in aux_graphs(h.graph.reverse(), 0, h)[1]:
-                work = aux.graph if aux.entering_bridge == -1 else delete_edge_view(
-                    aux.graph, aux.entering_bridge)
-                groups: dict[int, list[int]] = {}
-                for c, ordinary, v in zip(scc(work).comp.tolist(), aux.is_ordinary,
-                                          aux.orig_vertex):
-                    if ordinary:
-                        groups.setdefault(c, []).append(v)
-                for grp in groups.values():
-                    for other in grp[1:]:
-                        dsu.union(grp[0], other)
+                _block_sccs(aux, dsu)
     return dsu.partition()
+
+
+def _block_sccs(aux: AuxGraph, dsu: _DSU) -> tuple[Digraph, Partition]:
+    """Read the blocks off one second-level graph: join in `dsu` the
+    vertices ordinary at both levels in each SCC of the graph without its
+    entering bridge.  Returns that graph and its SCC partition."""
+    work = aux.graph if aux.entering_bridge == -1 else delete_edge_view(
+        aux.graph, aux.entering_bridge)
+    part = scc(work)
+    first: dict[int, int] = {}           # class -> its first ordinary vertex
+    for c, ordinary, v in zip(part.comp.tolist(), aux.is_ordinary, aux.orig_vertex):
+        if ordinary:
+            if c in first:
+                dsu.union(first[c], v)
+            else:
+                first[c] = v
+    return work, part
 
 
 def components(g: Digraph) -> Partition:

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _DSU, aux_graphs, components, condense
-from .digraph import (
-    Digraph, GraphError, _ensure_strongly_connected, delete_edge_view, induced_subgraph, scc,
-)
-from .dominators import _dfs, dominator_tree, strong_bridges
+from .blocks import _DSU, _block_sccs, aux_graphs, components, condense
+from .digraph import Digraph, GraphError, _ensure_strongly_connected, induced_subgraph, scc
+from .dominators import _dfs, dominator_tree, flow_bridges
 from .spanning import independent_pair
 
 __all__ = [
@@ -34,16 +32,6 @@ class CertificateEdgeList:
 
     def edge_set(self) -> set[int]:
         return {e for e, _ in self.insertions}
-
-    def phase_new_counts(self) -> dict[str, int]:
-        """Distinct edges first contributed by each phase."""
-        seen: set[int] = set()
-        counts: dict[str, int] = {}
-        for e, tag in self.insertions:
-            if e not in seen:
-                seen.add(e)
-                counts[tag] = counts.get(tag, 0) + 1
-        return counts
 
 
 @dataclass(frozen=True)
@@ -66,19 +54,21 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
     _ensure_strongly_connected(g)
     inserts: list[tuple[int, str]] = []
     in_l: set[int] = set()
+    new = {"P1": 0, "P2": 0, "P3": 0}     # distinct edges first inserted by each phase
 
     def insert(orig: int, tag: str) -> None:
         inserts.append((orig, tag))
-        in_l.add(orig)
+        if orig not in in_l:
+            in_l.add(orig)
+            new[tag] += 1
 
     n_prime = 0
     block_dsu = _DSU(g.n)
     dt, level1 = aux_graphs(g, s)
 
     # Phase 1: two independent spanning trees of G(s)
-    pair = independent_pair(g, dt)
-    for tree in (pair.blue, pair.red):
-        for e in tree.parent_edge:
+    for tree in independent_pair(g, dt):
+        for e in tree:
             if e != -1:
                 insert(e, "P1")
 
@@ -90,8 +80,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
         # Phase 2: independent trees of the reverse flow graph, reusing edges
         # already chosen where valid
         preferred = {e for e in rev.edge_ids.tolist() if h_edge[e] in in_l}
-        pair_r = independent_pair(rev, dtr, preferred=preferred)
-        blue_edge, red_edge = pair_r.blue.parent_edge, pair_r.red.parent_edge
+        blue_edge, red_edge = independent_pair(rev, dtr, preferred=preferred)
         rev_tails = rev.tails.tolist()
         blue_inner = {rev_tails[e] for e in blue_edge if e != -1}   # have a child
         red_inner = {rev_tails[e] for e in red_edge if e != -1}
@@ -116,15 +105,12 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
 
         # Phase 3: strongly connected coverage of every second-level SCC
         for aux in level2:
-            work = aux.graph if aux.entering_bridge == -1 else delete_edge_view(
-                aux.graph, aux.entering_bridge)
-            for cls in scc(work).classes():
+            work, part = _block_sccs(aux, block_dsu)
+            for cls in part.classes():
                 both_ord = [v for v in cls.tolist() if aux.is_ordinary[v]]
                 o_s = len(both_ord)
                 if o_s >= 2:
                     n_prime += o_s
-                    for v in both_ord[1:]:
-                        block_dsu.union(aux.orig_vertex[both_ord[0]], aux.orig_vertex[v])
                 if modified:
                     if o_s <= 1:
                         continue
@@ -153,15 +139,11 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                             if e_sub != -1:
                                 insert(resolve(e_sub), "P3")
 
-    cert = CertificateEdgeList(inserts)
-    counts = cert.phase_new_counts()
     stats = CertificateStats(
         n=g.n, n_prime=n_prime, bridges=len(level1) - 1,
-        phase1_new=counts.get("P1", 0),
-        phase2_new=counts.get("P2", 0),
-        phase3_new=counts.get("P3", 0),
+        phase1_new=new["P1"], phase2_new=new["P2"], phase3_new=new["P3"],
     )
-    return cert, stats, block_dsu.partition()
+    return CertificateEdgeList(inserts), stats, block_dsu.partition()
 
 
 def ist_b_original(g: Digraph, s: int = 0) -> CertificateEdgeList:
@@ -178,14 +160,17 @@ def ist_b(g: Digraph, s: int = 0) -> tuple[CertificateEdgeList, CertificateStats
 def two_ecss_edt(c: Digraph) -> set[int]:
     """2-approximate 2ECSS: union of two edge-disjoint spanning trees of
     C(v) and two of C^R(v)."""
-    if c.n > 1 and strong_bridges(c):
-        raise GraphError("input has a strong bridge; 2ECSS needs a 2-edge-connected graph")
     if c.n <= 1:
         return set()
+    _ensure_strongly_connected(c)
     out: set[int] = set()
+    # the strong bridges are the bridges of C(0) and of C^R(0)
     for graph in (c, c.reverse()):
-        pair = independent_pair(graph, dominator_tree(graph, 0))
-        out |= pair.blue.edge_set() | pair.red.edge_set()
+        dt = dominator_tree(graph, 0)
+        if flow_bridges(graph, dt):
+            raise GraphError("input has a strong bridge; 2ECSS needs a 2-edge-connected graph")
+        for tree in independent_pair(graph, dt):
+            out.update(e for e in tree if e != -1)
     return out
 
 

@@ -91,9 +91,9 @@ def dominator_tree(g: Digraph, s: int) -> DominatorTree:
     in_start, _, tails = g.in_lists()
 
     def evaluate(v: int) -> int:
-        if ancestor[v] == -1:
-            return v
-        # collect the path up to (excluding) the link-forest root
+        # v comes later in preorder than the vertex being processed, so it
+        # is linked already, and compression never unlinks a vertex.
+        # Collect the path up to (excluding) the link-forest root.
         chain = []
         r = v
         while ancestor[r] != -1:

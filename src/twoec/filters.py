@@ -323,15 +323,6 @@ def filter_b(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
     return rep
 
 
-def _minimize_two_ecss(g: Digraph, comp_edges: set[int]) -> set[int]:
-    """Shrink a per-component 2ECSS with the two-edge-disjoint-paths test."""
-    work = _Working(g.subgraph_edges(np.asarray(sorted(comp_edges), dtype=np.int64)))
-    for e in work.ids:
-        if work.two_disjoint_paths(work.tails[e], work.heads[e], e_skip=e):
-            work.delete(e)
-    return {e for e in work.ids if work.alive[e]}
-
-
 def filter_bc(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
     """Block-and-component preserving filter through the condensed graph.
 
@@ -343,7 +334,11 @@ def filter_bc(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
     surviving: set[int] = set()
     comp_edge_count = 0
     for sub, edges in pieces:
-        minimized = _minimize_two_ecss(sub, edges)
+        # A 2EC component is one block.  The trivial skip keeps an edge that
+        # leaves its tail at most one other out-arc or its head at most one
+        # other in-arc, whose 2EDP test would fail anyway.
+        one_block = Partition(np.zeros(sub.n, dtype=np.int64))
+        minimized = _run_strategy(sub, sorted(edges), FilterConfig(), one_block).surviving
         surviving |= {int(sub.origin[e]) for e in minimized}
         comp_edge_count += len(minimized)
 

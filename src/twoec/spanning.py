@@ -5,7 +5,10 @@ built region by region: for each dominator-tree node u, the graph induces a
 "local" flow graph on u and its dominator children, obtained by contracting
 every child subtree to its root.  Every child has idom u there, and the
 global pair is independent iff inside every local graph the two tree paths
-of each child are internally disjoint.
+of each child are internally disjoint.  A local graph is passed as u and
+a dict `in_arcs` from each child, in order, to the (tail representative,
+edge id) arcs that enter it.  A spanning tree is its parent-edge list: the
+entering edge id of every vertex, -1 at the root.
 
 Such children admit a *low-high order* (Georgiadis and Tarjan, Dominators,
 Directed Bipolar Orders, and Independent Spanning Trees, ICALP 2012; ACM
@@ -34,70 +37,23 @@ the linear bound of Georgiadis and Tarjan's own construction.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
-from .digraph import Digraph, GraphError
+from .digraph import Digraph
 from .dominators import DominatorTree
 
-__all__ = ["SpanningTree", "TreePair", "independent_pair", "verify_independent"]
+__all__ = ["independent_pair", "verify_independent"]
 
 
-@dataclass(frozen=True)
-class SpanningTree:
-    """Per-vertex entering edge id, a Python list (-1 at the root)."""
-
-    parent_edge: list[int]
-    root: int
-
-    def edge_set(self) -> set[int]:
-        return {e for e in self.parent_edge if e != -1}
-
-    def path_vertices(self, g: Digraph, v: int) -> list[int]:
-        """Vertices on the tree path from the root to v, root first."""
-        out = [v]
-        guard = 0
-        while v != self.root:
-            e = self.parent_edge[v]
-            if e == -1:
-                raise GraphError(f"vertex {v} is not attached to the tree")
-            v = g.tail(e)
-            out.append(v)
-            guard += 1
-            if guard > len(self.parent_edge):
-                raise GraphError("parent pointers contain a cycle")
-        return out[::-1]
-
-
-@dataclass(frozen=True)
-class TreePair:
-    blue: SpanningTree
-    red: SpanningTree
-
-
-class _LocalGraph:
-    """Contracted flow graph on a dominator-tree node and its children."""
-
-    __slots__ = ("root", "children", "in_arcs")
-
-    def __init__(self, root: int, children: list[int]):
-        self.root = root
-        self.children = children
-        self.in_arcs: dict[int, list[tuple[int, int]]] = {c: [] for c in children}
-
-    def add_arc(self, rep: int, head: int, eid: int) -> None:
-        self.in_arcs[head].append((rep, eid))
-
-
-def _low_high_order(local: _LocalGraph) -> list[int]:
+def _low_high_order(root: int, in_arcs: dict[int, list[tuple[int, int]]]) -> list[int]:
     """Children of one local graph in low-high order (see the module docstring)."""
-    root, children = local.root, local.children
+    children = list(in_arcs)
     k = len(children)
     index = {c: i for i, c in enumerate(children)}
     succs: list[list[int]] = [[] for _ in range(k)]
     preds: list[list[int]] = [[] for _ in range(k)]
     rooted = [False] * k
     for i, c in enumerate(children):
-        for t, _ in local.in_arcs[c]:
+        for t, _ in in_arcs[c]:
             if t == root:
                 rooted[i] = True
             else:
@@ -179,32 +135,29 @@ def _low_high_order(local: _LocalGraph) -> list[int]:
     return [children[i] for i in order]
 
 
-def _order_valid(local: _LocalGraph, pos: dict[int, int]) -> bool:
+def _order_valid(root: int, in_arcs: dict[int, list[tuple[int, int]]],
+                 pos: dict[int, int]) -> bool:
     """Linear low-high check: every child without an arc from the root has
     one from an earlier child and one from a later child."""
-    for v in local.children:
-        tails = [t for t, _ in local.in_arcs[v]]
-        if local.root in tails:
+    for v, arcs in in_arcs.items():
+        tails = [t for t, _ in arcs]
+        if root in tails:
             continue
         if not (any(pos[t] < pos[v] for t in tails) and any(pos[t] > pos[v] for t in tails)):
             return False
     return True
 
 
-def _solve_local(local: _LocalGraph, preferred: set[int]) -> dict[int, tuple[int, int]]:
+def _solve_local(root: int, in_arcs: dict[int, list[tuple[int, int]]],
+                 preferred: set[int]) -> dict[int, tuple[int, int]]:
     """Choose (blue, red) entering edge ids per child of one local graph."""
-    root = local.root
-    if not local.children:
-        return {}
-
     def pick(arcs: list[tuple[int, int]], exclude: int = -1) -> int:
         ids = [eid for _, eid in arcs if eid != exclude]
         return min(ids, key=lambda e: (e not in preferred, e), default=-1)
 
-    pos = {v: i for i, v in enumerate(_low_high_order(local))}
+    pos = {v: i for i, v in enumerate(_low_high_order(root, in_arcs))}
     parents: dict[int, tuple[int, int]] = {}
-    for v in local.children:
-        arcs = local.in_arcs[v]
+    for v, arcs in in_arcs.items():
         if len(arcs) == 1:
             e = arcs[0][1]
             parents[v] = (e, e)
@@ -227,9 +180,9 @@ def _solve_local(local: _LocalGraph, preferred: set[int]) -> dict[int, tuple[int
 
 def independent_pair(
     g: Digraph, dt: DominatorTree, preferred: set[int] | None = None,
-) -> TreePair:
-    """Two independent spanning trees of the flow graph G(s), with `dt` its
-    dominator tree.
+) -> tuple[list[int], list[int]]:
+    """Two independent spanning trees (blue, red) of the flow graph G(s),
+    with `dt` its dominator tree, as parent-edge lists.
 
     The trees share exactly the bridges of the flow graph, so they are also
     maximally edge-disjoint.  `preferred` biases arc choices towards the
@@ -241,9 +194,8 @@ def independent_pair(
 
     idom, tin, tout = dt.idom, dt.pre, dt.post
     children = dt.children()
-    locals_: dict[int, _LocalGraph] = {
-        u: _LocalGraph(u, ch) for u, ch in enumerate(children) if ch
-    }
+    # the local graph of every node with children, as its in_arcs
+    locals_ = {u: {c: [] for c in ch} for u, ch in enumerate(children) if ch}
     # The children of u in Euler order: the one whose dominator subtree
     # holds a proper descendant t of u is the last one entered by tin[t].
     euler = {u: sorted(ch, key=tin.__getitem__) for u, ch in enumerate(children) if ch}
@@ -261,37 +213,46 @@ def independent_pair(
             if t == u:
                 rep = u
             else:
-                if not (tin[u] <= tin[t] < tout[u]):
-                    raise GraphError(
-                        "edge tail outside the dominator subtree of the head's idom")
+                # idom(h) dominates every tail of an edge into h
+                assert tin[u] <= tin[t] < tout[u], "edge tail outside the idom's subtree"
                 rep = euler[u][bisect_right(euler_tin[u], tin[t]) - 1]
             if rep != h:
-                locals_[u].add_arc(rep, h, in_eids[pos])
+                locals_[u][h].append((rep, in_eids[pos]))
 
-    parent_b = [-1] * n
-    parent_r = [-1] * n
+    blue = [-1] * n
+    red = [-1] * n
     for u in sorted(locals_):
-        for v, (eb, er) in _solve_local(locals_[u], preferred).items():
-            parent_b[v] = eb
-            parent_r[v] = er
+        for v, (eb, er) in _solve_local(u, locals_[u], preferred).items():
+            blue[v] = eb
+            red[v] = er
+    return blue, red
 
-    return TreePair(blue=SpanningTree(parent_b, s), red=SpanningTree(parent_r, s))
 
-
-def verify_independent(g: Digraph, pair: TreePair, dt: DominatorTree) -> bool:
+def verify_independent(g: Digraph, blue: list[int], red: list[int],
+                       dt: DominatorTree) -> bool:
     """Check the normative contract on the flow graph G(s), with `dt` its
-    dominator tree: the two root-to-v paths of every vertex intersect
-    exactly in the dominator set of v."""
+    dominator tree, for two parent-edge lists: the two root-to-v paths of
+    every vertex intersect exactly in the dominator set of v."""
     s = dt.dfs_order[0]
+
+    def path(tree: list[int], v: int) -> set[int] | None:
+        """The vertices on the tree path from s to v; None if it runs into
+        a detached vertex, an edge that does not enter its vertex or a
+        parent cycle."""
+        out = {v}
+        while v != s:
+            if tree[v] == -1 or g.head(tree[v]) != v:
+                return None
+            v = g.tail(tree[v])
+            if v in out:
+                return None
+            out.add(v)
+        return out
+
     for v in range(g.n):
         if v == s:
             continue
-        try:
-            pb = pair.blue.path_vertices(g, v)
-            pr = pair.red.path_vertices(g, v)
-        except GraphError:
-            return False
-        if set(pb) & set(pr) != set(dt.dominators(v)):
+        pb, pr = path(blue, v), path(red, v)
+        if pb is None or pr is None or pb & pr != set(dt.dominators(v)):
             return False
     return True
-

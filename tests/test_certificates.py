@@ -9,7 +9,7 @@ from twoec.certificates import (
     two_ecss_edt, zni_c, zni_scss,
 )
 from twoec.digraph import GraphError, build, scc
-from twoec.dominators import dominator_tree
+from twoec.dominators import dominator_tree, flow_bridges
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected,
     random_two_edge_connected, road_grid,
@@ -60,6 +60,48 @@ def test_ist_b_certificate_pinned(graph):
     text = ",".join(f"{e}:{tag}" for e, tag in cert.insertions)
     assert len(cert.insertions) == count
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# The same two graphs: ist_b from the last vertex, and the tagged insertions
+# of ist_b_original from the first and the last vertex.
+LAST_VERTEX_PINS = {
+    "road-grid-12": (CertificateStats(n=130, n_prime=81, bridges=28,
+                                      phase1_new=230, phase2_new=43, phase3_new=0),
+                     752, "dac131c160a1a3f2"),
+    "random-40-120": (CertificateStats(n=40, n_prime=25, bridges=7,
+                                       phase1_new=71, phase2_new=17, phase3_new=0),
+                      241, "e8140aabc3bef0b9"),
+}
+ORIGINAL_PINS = {
+    ("road-grid-12", "first"): (894, "20b7b1e544f62b59"),
+    ("road-grid-12", "last"): (880, "e3686cdf00776c9b"),
+    ("random-40-120", "first"): (258, "680558f43555386b"),
+    ("random-40-120", "last"): (260, "3549bc4fdfbe06e5"),
+}
+
+
+def _insertions_digest(cert) -> str:
+    text = ",".join(f"{e}:{tag}" for e, tag in cert.insertions)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("graph", sorted(LAST_VERTEX_PINS))
+def test_ist_b_certificate_pinned_at_last_vertex(graph):
+    g = CERTIFICATE_PINS[graph][0]()
+    stats, count, digest = LAST_VERTEX_PINS[graph]
+    cert, got = ist_b(g, g.n - 1)
+    assert got == stats
+    assert len(cert.insertions) == count
+    assert _insertions_digest(cert) == digest
+
+
+@pytest.mark.parametrize("graph,start", sorted(ORIGINAL_PINS))
+def test_ist_b_original_certificate_pinned(graph, start):
+    g = CERTIFICATE_PINS[graph][0]()
+    count, digest = ORIGINAL_PINS[graph, start]
+    cert = ist_b_original(g, 0 if start == "first" else g.n - 1)
+    assert len(cert.insertions) == count
+    assert _insertions_digest(cert) == digest
 
 
 def test_pipeline_partition_is_the_blocks():
@@ -130,6 +172,16 @@ def test_two_ecss_edt():
 def test_two_ecss_edt_rejects_bridges():
     with pytest.raises(GraphError):
         two_ecss_edt(g2())
+
+
+def test_two_ecss_edt_rejects_a_bridge_of_the_reverse_flow_graph():
+    # edge 8 (3, 0) is the one strong bridge: a bridge of G^R(0) but not of G(0)
+    g = build(4, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0), (1, 3), (2, 3), (3, 0)])
+    rev = g.reverse()
+    assert flow_bridges(g, dominator_tree(g, 0)) == set()
+    assert flow_bridges(rev, dominator_tree(rev, 0)) == {8}
+    with pytest.raises(GraphError, match="strong bridge"):
+        two_ecss_edt(g)
 
 
 def test_zni_scss_fixtures():

@@ -90,6 +90,25 @@ def test_filter_decisions_pinned(graph, strategy):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == DECISION_PINS[graph, strategy]
 
 
+# filter_bc on the same graphs, captured before its per-component 2ECSS
+# shrinking became a run of the filter loop: decisions, counters (with the
+# arc scans) and surviving edges.
+BC_DECISION_PINS = {
+    ("road-grid-18", "test2edp"): "e0a5f027ace58297",
+    ("road-grid-18", "hybrid"): "196f40923a7cad06",
+    ("uniform-350-1400", "test2edp"): "cab7068f631ad837",
+    ("uniform-350-1400", "hybrid"): "6f2af4c378cff881",
+}
+
+
+@pytest.mark.parametrize("graph,strategy", sorted(BC_DECISION_PINS))
+def test_filter_bc_decisions_pinned(graph, strategy):
+    rep = filter_bc(PIN_GRAPHS[graph](), FilterConfig(strategy=strategy))
+    text = json.dumps([sorted(rep.decisions.items()), sorted(rep.counters.items()),
+                       sorted(rep.surviving)])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == BC_DECISION_PINS[graph, strategy]
+
+
 def test_test2edp_fixtures():
     edp = FilterConfig(strategy="test2edp")
     assert filter_b(g1(), edp).surviving == set(range(6))

@@ -8,47 +8,60 @@ from twoec.certificates import ist_b
 from twoec.digraph import build, delete_edge_view, largest_scc
 from twoec.dominators import dominator_tree, flow_bridges
 from twoec.fixtures import g1, g2, g4, random_strongly_connected, road_grid
-from twoec.spanning import TreePair, independent_pair, verify_independent
+from twoec.spanning import independent_pair, verify_independent
+
+
+def _edges(tree):
+    return {e for e in tree if e != -1}
+
+
+def _path_vertices(g, tree, v):
+    """Vertices on the tree path from the root to v."""
+    out = [v]
+    while tree[v] != -1:
+        v = g.tail(tree[v])
+        out.append(v)
+    return out[::-1]
 
 
 def test_independent_pair_g2_shares_every_edge():
     g = g2()
     dt = dominator_tree(g, 0)
-    pair = independent_pair(g, dt)
-    assert pair.blue.edge_set() == pair.red.edge_set() == {0, 1}
-    assert (pair.blue.edge_set() & pair.red.edge_set()) == flow_bridges(g, dt)
+    blue, red = independent_pair(g, dt)
+    assert _edges(blue) == _edges(red) == {0, 1}
+    assert (_edges(blue) & _edges(red)) == flow_bridges(g, dt)
 
 
 def test_independent_pair_g1_disjoint():
     g = g1()
     dt = dominator_tree(g, 0)
-    pair = independent_pair(g, dt)
-    assert (pair.blue.edge_set() & pair.red.edge_set()) == flow_bridges(g, dt) == set()
+    blue, red = independent_pair(g, dt)
+    assert (_edges(blue) & _edges(red)) == flow_bridges(g, dt) == set()
 
 
 def test_independent_pair_g4_shares_bridges():
     g = g4()
     dt = dominator_tree(g, 0)
-    pair = independent_pair(g, dt)
-    assert (pair.blue.edge_set() & pair.red.edge_set()) == flow_bridges(g, dt)
-    assert len((pair.blue.edge_set() & pair.red.edge_set())) == 5
+    blue, red = independent_pair(g, dt)
+    assert (_edges(blue) & _edges(red)) == flow_bridges(g, dt)
+    assert len((_edges(blue) & _edges(red))) == 5
 
 
 def test_independent_pair_path_graph():
     g = build(3, [(0, 1), (1, 2)])
     dt = dominator_tree(g, 0)
-    pair = independent_pair(g, dt)
-    assert pair.blue.edge_set() == pair.red.edge_set() == {0, 1}
-    assert verify_independent(g, pair, dt)
+    blue, red = independent_pair(g, dt)
+    assert _edges(blue) == _edges(red) == {0, 1}
+    assert verify_independent(g, blue, red, dt)
 
 
 def test_independent_pair_g1():
     g = g1()
     dt = dominator_tree(g, 0)
-    pair = independent_pair(g, dt)
-    assert verify_independent(g, pair, dt)
+    blue, red = independent_pair(g, dt)
+    assert verify_independent(g, blue, red, dt)
     for v in (1, 2):
-        shared = set(pair.blue.path_vertices(g, v)) & set(pair.red.path_vertices(g, v))
+        shared = set(_path_vertices(g, blue, v)) & set(_path_vertices(g, red, v))
         assert shared == {0, v}
 
 
@@ -56,17 +69,31 @@ def test_independent_pair_two_route():
     # s -> a, s -> b, a -> b, b -> a: paths to b intersect in {s, b} only
     g = build(3, [(0, 1), (0, 2), (1, 2), (2, 1)])
     dt = dominator_tree(g, 0)
-    pair = independent_pair(g, dt)
-    assert verify_independent(g, pair, dt)
-    shared = set(pair.blue.path_vertices(g, 2)) & set(pair.red.path_vertices(g, 2))
+    blue, red = independent_pair(g, dt)
+    assert verify_independent(g, blue, red, dt)
+    shared = set(_path_vertices(g, blue, 2)) & set(_path_vertices(g, red, 2))
     assert shared == {0, 2}
 
 
 def test_verify_rejects_equal_trees_on_g1():
     g = g1()
     dt = dominator_tree(g, 0)
-    tree = independent_pair(g, dt).blue
-    assert not verify_independent(g, TreePair(tree, tree), dt)
+    tree = independent_pair(g, dt)[0]
+    assert not verify_independent(g, tree, tree, dt)
+
+
+def test_verify_rejects_detached_vertex_and_parent_cycle():
+    # edges 0 (0, 1), 1 (0, 2), 2 (1, 2), 3 (2, 1)
+    g = build(3, [(0, 1), (0, 2), (1, 2), (2, 1)])
+    dt = dominator_tree(g, 0)
+    blue, red = independent_pair(g, dt)
+    assert verify_independent(g, blue, red, dt)
+    detached = [-1, 0, -1]
+    cycle = [-1, 3, 2]
+    misdirected = [-1, 0, 0]            # edge 0 enters 1, not 2
+    for bad in (detached, cycle, misdirected):
+        assert not verify_independent(g, bad, red, dt)
+        assert not verify_independent(g, blue, bad, dt)
 
 
 def test_independent_random_graphs():
@@ -74,11 +101,11 @@ def test_independent_random_graphs():
     for _ in range(400):
         g = random_strongly_connected(rng, rng.randint(2, 50))
         dt = dominator_tree(g, 0)
-        pair = independent_pair(g, dt)
-        assert verify_independent(g, pair, dt)
+        blue, red = independent_pair(g, dt)
+        assert verify_independent(g, blue, red, dt)
         bridges = flow_bridges(g, dt)
-        assert (pair.blue.edge_set() & pair.red.edge_set()) == bridges
-        distinct = len(pair.blue.edge_set() | pair.red.edge_set())
+        assert (_edges(blue) & _edges(red)) == bridges
+        distinct = len(_edges(blue) | _edges(red))
         assert distinct == 2 * (g.n - 1) - len(bridges)
 
 
@@ -87,10 +114,10 @@ def _check_orders(monkeypatch) -> list[int]:
     sizes: list[int] = []
     low_high_order = spanning._low_high_order
 
-    def checked(local):
-        order = low_high_order(local)
-        assert sorted(order) == sorted(local.children)
-        assert spanning._order_valid(local, {v: i for i, v in enumerate(order)})
+    def checked(root, in_arcs):
+        order = low_high_order(root, in_arcs)
+        assert sorted(order) == sorted(in_arcs)
+        assert spanning._order_valid(root, in_arcs, {v: i for i, v in enumerate(order)})
         sizes.append(len(order))
         return order
 
@@ -117,11 +144,11 @@ def test_low_high_orders_random(monkeypatch):
             arcs = list(zip(flow.tails.tolist(), flow.heads.tolist()))
             multigraphs += len(set(arcs)) < len(arcs)
             dt = dominator_tree(flow, 0)
-            pair = independent_pair(flow, dt)
-            assert verify_independent(flow, pair, dt)
+            blue, red = independent_pair(flow, dt)
+            assert verify_independent(flow, blue, red, dt)
             again = independent_pair(flow, dt)
-            assert again.blue.parent_edge == pair.blue.parent_edge
-            assert again.red.parent_edge == pair.red.parent_edge
+            assert again[0] == blue
+            assert again[1] == red
     assert multigraphs > 0
     assert len(sizes) > 1000
 
@@ -141,7 +168,7 @@ def test_independent_pair_at_scale(make, monkeypatch):
     sizes = _check_orders(monkeypatch)
     for flow in (g, g.reverse()):
         dt = dominator_tree(flow, 0)
-        assert verify_independent(flow, independent_pair(flow, dt), dt)
+        assert verify_independent(flow, *independent_pair(flow, dt), dt)
     assert max(sizes) >= 200
     cert, stats = ist_b(g)
     assert stats.phase1_new == 2 * stats.n - stats.bridges - 2
@@ -155,8 +182,8 @@ def test_union_tolerates_nonbridge_deletion():
     for _ in range(60):
         g = random_strongly_connected(rng, rng.randint(2, 12))
         dt = dominator_tree(g, 0)
-        pair = independent_pair(g, dt)
-        union = sorted(pair.blue.edge_set() | pair.red.edge_set())
+        blue, red = independent_pair(g, dt)
+        union = sorted(_edges(blue) | _edges(red))
         bridges = flow_bridges(g, dt)
         sub = g.subgraph_edges(union)
         for e in union:
@@ -181,6 +208,6 @@ def test_determinism():
         g = random_strongly_connected(rng, rng.randint(2, 15))
         a = independent_pair(g, dominator_tree(g, 0))
         b = independent_pair(g, dominator_tree(g, 0))
-        assert a.blue.parent_edge == b.blue.parent_edge
-        assert a.red.parent_edge == b.red.parent_edge
+        assert a[0] == b[0]
+        assert a[1] == b[1]
 

@@ -1,0 +1,99 @@
+"""Digest every output that a design change must keep identical.
+
+Usage:
+    python tools/output_digest.py --src <checkout>/src [--detail]
+
+Imports the `twoec` package from the given source directory and prints one
+JSON line: a digest per graph (with --detail, one per output and graph).
+Two checkouts keep the same outputs iff their lines are equal.
+
+The graphs are the road grids of side 12 and 18, the dense-cert graph (a
+uniform 350-vertex/1400-arc digraph, largest SCC) and 20 seeded random
+strongly connected graphs.  Per graph it covers:
+- the output edge set of each of the 14 catalog algorithms;
+- the `blocks` and `components` partitions;
+- the tagged insertions of `ist_b` and `ist_b_original` and the statistics
+  of `ist_b`, at the first and at the last vertex;
+- the decisions, counters and surviving edges of `filter_b` and
+  `filter_bc` for `test2edp` and `hybrid`, on and off the aux graphs.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+
+def _digest(value) -> str:
+    text = json.dumps(value, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _graphs():
+    import numpy as np
+    from twoec.digraph import build, largest_scc
+    from twoec.fixtures import random_strongly_connected, road_grid
+
+    yield "road-grid-12", road_grid(12, 0.12, 0.55, 1)
+    yield "road-grid-18", road_grid(18, 0.12, 0.55, 1)
+    rng = np.random.default_rng(1)
+    tails = rng.integers(0, 350, 1400).tolist()
+    heads = rng.integers(0, 350, 1400).tolist()
+    yield "dense-cert", largest_scc(
+        build(350, sorted({(t, h) for t, h in zip(tails, heads) if t != h})))
+    for seed in range(20):
+        r = random.Random(seed)
+        yield f"random-{seed}", random_strongly_connected(r, r.randint(2, 60))
+
+
+def _outputs(g) -> dict[str, object]:
+    from dataclasses import asdict
+
+    from twoec.bench import ALGORITHMS, run_algorithm
+    from twoec.blocks import blocks, components
+    from twoec.certificates import ist_b, ist_b_original
+    from twoec.filters import FilterConfig, filter_b, filter_bc
+
+    out: dict[str, object] = {}
+    for name in sorted(ALGORITHMS):
+        out[f"catalog/{name}"] = sorted(run_algorithm(name, g))
+    out["blocks"] = blocks(g).comp.tolist()
+    out["components"] = components(g).comp.tolist()
+    for s in sorted({0, g.n - 1}):
+        cert, stats = ist_b(g, s)
+        out[f"ist_b/{s}"] = [cert.insertions, asdict(stats)]
+        out[f"ist_b_original/{s}"] = ist_b_original(g, s).insertions
+    for run in (filter_b, filter_bc):
+        for strategy in ("test2edp", "hybrid"):
+            for aux in (False, True):
+                rep = run(g, FilterConfig(strategy=strategy, on_aux_graphs=aux))
+                out[f"{run.__name__}/{strategy}/aux={aux}"] = [
+                    sorted(rep.decisions.items()), sorted(rep.counters.items()),
+                    sorted(rep.surviving)]
+    return out
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", required=True, help="source directory holding twoec/")
+    ap.add_argument("--detail", action="store_true", help="one digest per output")
+    args = ap.parse_args(argv)
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import twoec
+    if src not in Path(twoec.__file__).resolve().parents:
+        sys.exit(f"twoec was imported from {twoec.__file__}, not from {src}")
+
+    result = {}
+    for name, g in _graphs():
+        outs = _outputs(g)
+        result[name] = ({k: _digest(v) for k, v in outs.items()} if args.detail
+                        else _digest(outs))
+    print(json.dumps(result, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
