@@ -258,7 +258,7 @@ def preservation_violations(g: Digraph, edge_ids, problem: str) -> list[str]:
     problem = problem.upper()
     if problem not in ("B", "C", "BC"):
         raise ValueError(f"unknown problem {problem!r}")
-    sub = g.subgraph_edges(np.asarray(sorted(edge_ids), dtype=np.int64))
+    sub = g.subgraph_edges(sorted(edge_ids))
     out: list[str] = []
     if g.n > 1 and scc(sub).count != 1:
         out.append("subgraph is not strongly connected")

@@ -218,7 +218,7 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
     output: set[int] = set()
 
     if preferred:
-        psub = g.subgraph_edges(np.asarray(sorted(preferred), dtype=np.int64))
+        psub = g.subgraph_edges(sorted(preferred))
         part = scc(psub)
         comp, sizes = part.comp.tolist(), part.sizes().tolist()
         p_start, p_eids, p_heads = psub.out_lists()

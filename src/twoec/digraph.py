@@ -20,38 +20,36 @@ class GraphError(ValueError):
 
 
 def _csr(n: int, keys: np.ndarray, eids: np.ndarray, ends: np.ndarray):
-    """Index the ascending `eids` and their other endpoints `ends` by vertex
-    key; within a vertex, edges stay in id order because the sort is stable."""
+    """Index the ascending `eids` and their other endpoints `ends[eids]` by
+    vertex `keys[eids]`; within a vertex, edges stay in id order because the
+    sort is stable."""
+    keys = keys[eids]
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=start[1:])
-    order = np.argsort(keys, kind="stable")
-    return start, eids[order], ends[order]
+    order = eids[np.argsort(keys, kind="stable")]
+    return start, order, ends[order]
 
 
 class Digraph:
     """Immutable directed multigraph over dense 0-based vertex ids.
 
-    Edges carry stable integer ids, and `edge_ids` (the active ones) is
-    always ascending.  The adjacency is one CSR per direction: the out-edges
-    of v are ``_out_eids[_out_start[v]:_out_start[v + 1]]`` in id order, with
-    their heads at the same positions of ``_out_heads``; ``_in_start``,
-    ``_in_eids`` and ``_in_tails`` hold the in-edges likewise.  Loops read
-    the adjacency through ``out_lists()`` and ``in_lists()``, which return
-    these arrays as Python lists.  A subgraph view (``subgraph_edges``,
+    A graph is its edge arrays plus whatever adjacency has been read.  Edges
+    carry stable integer ids, and `edge_ids` (the active ones) is always
+    ascending.  The adjacency is one CSR per direction, built on the first
+    ``out_lists()`` or ``in_lists()`` call and kept; ``reverse()`` hands over
+    the directions already built.  A subgraph view (``subgraph_edges``,
     ``delete_edge_view``) shares the parent's edge-id space, so ids stay
     meaningful across views.  Graphs rebuilt with a fresh id space
     (``induced_subgraph``, contractions) carry ``origin``, mapping each new
     edge id to the parent graph's edge id, and ``vertex_origin`` likewise.
     A graph read from a file keeps the file's vertex ids in ``vertex_origin``.
 
-    Instances are never mutated after construction; they are safe to share
-    between threads.
+    The edges never change after construction, and building a direction is
+    idempotent (a race builds equal arrays twice), so instances are safe to
+    share between threads.
     """
 
-    __slots__ = (
-        "n", "tails", "heads", "edge_ids", "origin", "vertex_origin",
-        "_out_start", "_out_eids", "_out_heads", "_in_start", "_in_eids", "_in_tails",
-    )
+    __slots__ = ("n", "tails", "heads", "edge_ids", "origin", "vertex_origin", "_out", "_in")
 
     def __init__(
         self,
@@ -62,7 +60,6 @@ class Digraph:
         edge_ids: np.ndarray | None = None,
         origin: np.ndarray | None = None,
         vertex_origin: np.ndarray | None = None,
-        csr: tuple | None = None,
     ):
         self.n = int(n)
         self.tails = tails
@@ -72,11 +69,7 @@ class Digraph:
         self.edge_ids = edge_ids
         self.origin = origin
         self.vertex_origin = vertex_origin
-        if csr is None:
-            t, h = tails[edge_ids], heads[edge_ids]
-            csr = _csr(self.n, t, edge_ids, h) + _csr(self.n, h, edge_ids, t)
-        (self._out_start, self._out_eids, self._out_heads,
-         self._in_start, self._in_eids, self._in_tails) = csr
+        self._out = self._in = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -93,11 +86,17 @@ class Digraph:
     def out_lists(self) -> tuple[list[int], list[int], list[int]]:
         """(start, eids, heads): the out-edges of v sit at positions
         start[v]:start[v + 1] of eids, in id order, with their heads alongside."""
-        return self._out_start.tolist(), self._out_eids.tolist(), self._out_heads.tolist()
+        if self._out is None:
+            self._out = _csr(self.n, self.tails, self.edge_ids, self.heads)
+        start, eids, heads = self._out
+        return start.tolist(), eids.tolist(), heads.tolist()
 
     def in_lists(self) -> tuple[list[int], list[int], list[int]]:
         """(start, eids, tails), the in-edge counterpart of ``out_lists``."""
-        return self._in_start.tolist(), self._in_eids.tolist(), self._in_tails.tolist()
+        if self._in is None:
+            self._in = _csr(self.n, self.heads, self.edge_ids, self.tails)
+        start, eids, tails = self._in
+        return start.tolist(), eids.tolist(), tails.tolist()
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         """Active edges as (tail, head) pairs, in edge-id order."""
@@ -108,12 +107,10 @@ class Digraph:
 
     def reverse(self) -> "Digraph":
         """Same edge-id space with every edge direction flipped."""
-        return Digraph(
-            self.n, self.heads, self.tails, edge_ids=self.edge_ids,
-            origin=self.origin, vertex_origin=self.vertex_origin,
-            csr=(self._in_start, self._in_eids, self._in_tails,
-                 self._out_start, self._out_eids, self._out_heads),
-        )
+        r = Digraph(self.n, self.heads, self.tails, edge_ids=self.edge_ids,
+                    origin=self.origin, vertex_origin=self.vertex_origin)
+        r._out, r._in = self._in, self._out
+        return r
 
     def subgraph_edges(self, keep: np.ndarray) -> "Digraph":
         """View restricted to the given edge ids, each active in this graph;

@@ -104,7 +104,7 @@ class _Working:
     def without(self, e: int) -> Digraph:
         """View of G' - e."""
         keep = [f for f in self.ids if self.alive[f] and f != e]
-        return self.view.subgraph_edges(np.asarray(keep, dtype=np.int64))
+        return self.view.subgraph_edges(keep)
 
     def two_disjoint_paths(self, x: int, y: int, e_skip: int = -1) -> bool:
         """Two edge-disjoint x->y paths avoiding e_skip (unit capacities).
@@ -215,13 +215,10 @@ def _ordered(edge_ids, cfg: FilterConfig) -> list[int]:
     return order
 
 
-def _run_strategy(g: Digraph, working_ids, cfg: FilterConfig,
-                  blocks0: Partition | None = None) -> FilterReport:
-    """Shared loop for test2edp / test2ecb / hybrid over a working edge set;
-    `blocks0`, when given, is the block partition of g[working_ids]."""
-    work = _Working(g.subgraph_edges(np.asarray(working_ids, dtype=np.int64)))
-    if blocks0 is None:
-        blocks0 = blocks(work.view)
+def _run_strategy(view: Digraph, cfg: FilterConfig, blocks0: Partition) -> FilterReport:
+    """Shared loop for test2edp / test2ecb / hybrid over the working graph
+    `view`, whose block partition is `blocks0`."""
+    work = _Working(view)
     sizes = blocks0.sizes().tolist()
     comp_of = blocks0.comp.tolist()
 
@@ -233,16 +230,11 @@ def _run_strategy(g: Digraph, working_ids, cfg: FilterConfig,
     }
 
     def trivial(e: int) -> bool:
+        # e is alive, so both degrees are at least 1: a singleton block's
+        # bound of 1 means e is the vertex's only edge that way
         x, y = work.tails[e], work.heads[e]
-        if sizes[comp_of[x]] >= 2 and work.out_deg[x] <= 2:
-            return True
-        if sizes[comp_of[y]] >= 2 and work.in_deg[y] <= 2:
-            return True
-        if sizes[comp_of[x]] == 1 and work.out_deg[x] == 1:
-            return True
-        if sizes[comp_of[y]] == 1 and work.in_deg[y] == 1:
-            return True
-        return False
+        return (work.out_deg[x] <= min(sizes[comp_of[x]], 2)
+                or work.in_deg[y] <= min(sizes[comp_of[y]], 2))
 
     for e in _ordered(work.ids, cfg):
         x, y = work.tails[e], work.heads[e]
@@ -270,22 +262,22 @@ def _run_strategy(g: Digraph, working_ids, cfg: FilterConfig,
     return FilterReport(surviving=surviving, decisions=decisions, counters=counters)
 
 
-def _on_aux_graphs(g: Digraph, ids: list[int], cfg: FilterConfig) -> FilterReport:
+def _on_aux_graphs(view: Digraph, cfg: FilterConfig) -> FilterReport:
     """Run the strategy inside every second-level auxiliary graph of the
-    working graph g[ids].
+    working graph `view`.
 
     An edge is deleted only if every auxiliary graph containing it agreed to
     delete it; edges that appear in no second-level graph are kept.
     """
-    work = g.subgraph_edges(np.asarray(ids, dtype=np.int64))
+    ids = view.edge_ids.tolist()
     appeared: set[int] = set()
     kept: set[int] = set()
     tested = 0
-    if g.n > 1:
-        for h in aux_graphs(work, 0)[1]:
+    if view.n > 1:
+        for h in aux_graphs(view, 0)[1]:
             for aux in aux_graphs(h.graph.reverse(), 0, h)[1]:
                 appeared.update(aux.orig_edge)
-                sub_rep = _run_strategy(aux.graph, aux.graph.edge_ids, cfg)
+                sub_rep = _run_strategy(aux.graph, cfg, blocks(aux.graph))
                 tested += sub_rep.counters["tested_2edp"] + sub_rep.counters["tested_blocks"]
                 kept.update(aux.orig_edge[e] for e in sub_rep.surviving)
     surviving = (set(ids) - appeared) | kept
@@ -308,18 +300,17 @@ def filter_b(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
     or inside each second-level auxiliary graph with `cfg.on_aux_graphs`.
     """
     _ensure_strongly_connected(g)
-    if not cfg.certificate:
-        ids, part = g.edge_ids.tolist(), None
-    else:
+    view, part = g, None
+    if cfg.certificate:
         # the certificate keeps the blocks, so g's partition is its own
         cert, _, part = _ist_pipeline(g, 0, modified=True)
-        ids = sorted(cert.edge_set())
+        view = g.subgraph_edges(sorted(cert.edge_set()))
     if cfg.on_aux_graphs:
-        rep = _on_aux_graphs(g, ids, cfg)
+        rep = _on_aux_graphs(view, cfg)
     else:
-        rep = _run_strategy(g, ids, cfg, part)
+        rep = _run_strategy(view, cfg, blocks(g) if part is None else part)
     rep.counters["input_edges"] = g.m
-    rep.counters["certificate_dropped"] = g.m - len(ids)
+    rep.counters["certificate_dropped"] = g.m - view.m
     return rep
 
 
@@ -338,7 +329,8 @@ def filter_bc(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
         # leaves its tail at most one other out-arc or its head at most one
         # other in-arc, whose 2EDP test would fail anyway.
         one_block = Partition(np.zeros(sub.n, dtype=np.int64))
-        minimized = _run_strategy(sub, sorted(edges), FilterConfig(), one_block).surviving
+        minimized = _run_strategy(
+            sub.subgraph_edges(sorted(edges)), FilterConfig(), one_block).surviving
         surviving |= {int(sub.origin[e]) for e in minimized}
         comp_edge_count += len(minimized)
 

@@ -18,12 +18,12 @@ from twoec.digraph import delete_edge_view, largest_scc, scc
 from twoec.dominators import strong_bridges
 from twoec.filters import FilterConfig, filter_b
 from twoec.fixtures import (
-    corpus, g1, g2, g4, g5, random_strongly_connected, random_two_edge_connected,
+    corpus, g1, g2, g4, g5, random_strongly_connected, random_two_edge_connected, road_grid,
 )
 from twoec.io import load_graph
 from twoec.oracle import (
     OracleBudget, gadget_family, gadget_minimal_witness, oracle_blocks,
-    oracle_components, oracle_min_subgraph,
+    oracle_components, oracle_min_subgraph, two_edge_connected_pair,
 )
 
 FIXTURES = {"G1": g1(), "G2": g2(), "G4": g4(), "G5": g5()}
@@ -169,6 +169,28 @@ def test_rome99_reproduction():
         assert 1.0 <= q <= cap, (algo, q)
         print(f"  rome99 {algo}: q = {q:.3f} (window <= {cap})")
     print(f"\n[PASS] Rome99: n=3353 m=8859 b*=1474, bounds {lb_b:.3f}/{lb_c:.3f}, q in windows")
+
+
+def test_blocks_match_the_pair_definition_at_rome99_scale():
+    """Rome99 stand-in, checked without blocks(): on a road grid of Rome99's
+    size, blocks() puts a sampled vertex pair in one block iff the pair has
+    two edge-disjoint paths each way.  The pairs are both ends of 1000
+    seeded edges and 1000 seeded random pairs."""
+    t0 = time.time()
+    g = road_grid(60, 0.12, 0.55, 1)
+    assert g.n == 3473
+    comp = blocks(g).comp.tolist()
+    rng = random.Random(60)
+    pairs = [(g.tail(e), g.head(e)) for e in rng.sample(g.edge_ids.tolist(), 1000)]
+    pairs += [tuple(rng.sample(range(g.n), 2)) for _ in range(1000)]
+    together = 0
+    for u, v in pairs:
+        same = comp[u] == comp[v]
+        assert two_edge_connected_pair(g, u, v) == same, (u, v)
+        together += same
+    assert 0 < together < len(pairs)
+    print(f"\n[PASS] road grid n={g.n} m={g.m}: blocks() agrees on {len(pairs)} pairs, "
+          f"{together} in one block, in {time.time() - t0:.1f}s")
 
 
 def test_trivial_skip_neutrality():

@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from twoec.digraph import (
     GraphError, build, delete_edge_view, induced_subgraph, largest_scc, scc,
 )
-from twoec.fixtures import g1, g2, g4, g5
+from twoec.fixtures import g1, g2, g4, g5, road_grid
 
 
 def test_build_cycle():
@@ -151,3 +154,77 @@ def test_views_match_loop_reference():
         sub_pairs = [(keep.index(pairs[e][0]), keep.index(pairs[e][1])) for e in inside]
         assert sub.edge_pairs() == sub_pairs
         _check_lists(sub, sub_pairs)
+
+
+def _fresh_graphs():
+    """Graphs with no adjacency read yet: a multigraph with parallel edges
+    both ways, a loop and a vertex without edges, views of it, and graphs
+    with no vertices or no edges."""
+    g = build(5, [(0, 1), (0, 1), (1, 0), (1, 2), (2, 0), (2, 0), (3, 3), (2, 3), (3, 1)],
+              allow_multi=True)
+    return [g, g.subgraph_edges([0, 2, 4, 5, 8]), delete_edge_view(g, 1),
+            induced_subgraph(g, np.asarray([0, 1, 2])), g.subgraph_edges([]),
+            build(0, []), build(3, [])]
+
+
+def _reference(graph):
+    ids = graph.edge_ids.tolist()
+    ends = {e: (graph.tail(e), graph.head(e)) for e in ids}
+    return (_lists_reference(graph.n, ids, ends),
+            _lists_reference(graph.n, ids, {e: ends[e][::-1] for e in ids}))
+
+
+def test_adjacency_does_not_depend_on_the_read_order():
+    for out_first, in_first in zip(_fresh_graphs(), _fresh_graphs()):
+        out_lists = out_first.out_lists()
+        in_lists = in_first.in_lists()
+        assert ((out_lists, out_first.in_lists()) == (in_first.out_lists(), in_lists)
+                == _reference(out_first))
+
+
+@pytest.mark.parametrize("reversed_first", [False, True])
+@pytest.mark.parametrize("reads", [(), ("out_lists",), ("in_lists",), ("out_lists", "in_lists")])
+def test_reverse_swaps_the_directions(reads, reversed_first):
+    # g has built none, one or both directions, before or after it is reversed
+    for g in _fresh_graphs():
+        if reversed_first:
+            r = g.reverse()
+        for name in reads:
+            getattr(g, name)()
+        if not reversed_first:
+            r = g.reverse()
+        assert r.out_lists() == g.in_lists()
+        assert r.in_lists() == g.out_lists()
+        assert r.reverse().out_lists() == g.out_lists()
+        assert (g.out_lists(), g.in_lists()) == _reference(g)
+
+
+def test_threads_sharing_a_graph_read_the_same_adjacency():
+    # a direction is built without a lock, so threads may build it at once;
+    # each must still read the one adjacency, in either order
+    ref = road_grid(18, 0.12, 0.55, 1)
+    expected = (ref.out_lists(), ref.in_lists())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = ref.subgraph_edges(ref.edge_ids)
+            results = []
+
+            def read(out_first):
+                if out_first:
+                    out = shared.out_lists()
+                    results.append((out, shared.in_lists()))
+                else:
+                    inn = shared.in_lists()
+                    results.append((shared.out_lists(), inn))
+
+            threads = [threading.Thread(target=read, args=(i % 2 == 0,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [expected] * len(threads)
+    finally:
+        sys.setswitchinterval(interval)

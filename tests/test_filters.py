@@ -90,6 +90,29 @@ def test_filter_decisions_pinned(graph, strategy):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == DECISION_PINS[graph, strategy]
 
 
+# The same digests for the paths that filter the input graph itself, whole
+# or inside its second-level aux graphs, captured before the filters took
+# the graph they filter in place of a list of its edge ids.
+NO_CERTIFICATE_PINS = {
+    ("road-grid-18", "test2edp", False): "6ce2dc283901da77",
+    ("road-grid-18", "hybrid", False): "649a93f0430885d2",
+    ("road-grid-18", "test2edp", True): "4cc58d4b22bdaf18",
+    ("uniform-350-1400", "test2edp", False): "69e1de81cda90b05",
+    ("uniform-350-1400", "hybrid", False): "23724e7a23b273ea",
+    ("uniform-350-1400", "test2edp", True): "000751e24dff48c8",
+}
+
+
+@pytest.mark.parametrize("graph,strategy,on_aux_graphs", sorted(NO_CERTIFICATE_PINS))
+def test_filter_decisions_without_certificate_pinned(graph, strategy, on_aux_graphs):
+    cfg = FilterConfig(strategy=strategy, on_aux_graphs=on_aux_graphs, certificate=False)
+    rep = filter_b(PIN_GRAPHS[graph](), cfg)
+    counters = {k: v for k, v in rep.counters.items() if k != "scans_2edp"}
+    text = json.dumps([sorted(rep.decisions.items()), sorted(counters.items())])
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == NO_CERTIFICATE_PINS[graph, strategy, on_aux_graphs]
+
+
 # filter_bc on the same graphs, captured before its per-component 2ECSS
 # shrinking became a run of the filter loop: decisions, counters (with the
 # arc scans) and surviving edges.

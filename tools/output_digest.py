@@ -15,7 +15,8 @@ strongly connected graphs.  Per graph it covers:
 - the tagged insertions of `ist_b` and `ist_b_original` and the statistics
   of `ist_b`, at the first and at the last vertex;
 - the decisions, counters and surviving edges of `filter_b` and
-  `filter_bc` for `test2edp` and `hybrid`, on and off the aux graphs.
+  `filter_bc` for `test2edp` and `hybrid`, on and off the aux graphs, and
+  under each of `FILTER_VARIANTS`.
 """
 from __future__ import annotations
 
@@ -49,6 +50,16 @@ def _graphs():
         yield f"random-{seed}", random_strongly_connected(r, r.randint(2, 60))
 
 
+# Non-default filter configurations, besides the strategy/aux grid above.
+FILTER_VARIANTS = {
+    "no-certificate": {"certificate": False},
+    "no-trivial-skip": {"trivial_skip": False},
+    "random-3": {"edge_order": "random", "seed": 3},
+    "test2ecb": {"strategy": "test2ecb"},
+    "aux-no-certificate": {"on_aux_graphs": True, "certificate": False},
+}
+
+
 def _outputs(g) -> dict[str, object]:
     from dataclasses import asdict
 
@@ -66,13 +77,15 @@ def _outputs(g) -> dict[str, object]:
         cert, stats = ist_b(g, s)
         out[f"ist_b/{s}"] = [cert.insertions, asdict(stats)]
         out[f"ist_b_original/{s}"] = ist_b_original(g, s).insertions
+    configs = {f"{strategy}/aux={aux}": {"strategy": strategy, "on_aux_graphs": aux}
+               for strategy in ("test2edp", "hybrid") for aux in (False, True)}
+    configs.update(FILTER_VARIANTS)
     for run in (filter_b, filter_bc):
-        for strategy in ("test2edp", "hybrid"):
-            for aux in (False, True):
-                rep = run(g, FilterConfig(strategy=strategy, on_aux_graphs=aux))
-                out[f"{run.__name__}/{strategy}/aux={aux}"] = [
-                    sorted(rep.decisions.items()), sorted(rep.counters.items()),
-                    sorted(rep.surviving)]
+        for label, options in configs.items():
+            rep = run(g, FilterConfig(**options))
+            out[f"{run.__name__}/{label}"] = [
+                sorted(rep.decisions.items()), sorted(rep.counters.items()),
+                sorted(rep.surviving)]
     return out
 
 
