@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .blocks import blocks, components
 from .certificates import ist_b, ist_b_original, ist_bc, zni_c
-from .digraph import Digraph, Partition, largest_scc
+from .digraph import Digraph, GraphError, Partition, largest_scc
 from .dominators import strong_bridges
 from .filters import EDGE_ORDERS, FilterConfig, filter_b, filter_bc
 from .io import FORMATS, load_graph
@@ -85,15 +85,15 @@ def lower_bound(problem: str, g: Digraph,
     """(n + k) / n where k counts vertices in nontrivial blocks (B, BC) or
     nontrivial components (C)."""
     problem = problem.upper()
+    if g.n == 0:
+        raise GraphError("graph has no vertices")
     if problem in ("B", "BC"):
         part = block_part if block_part is not None else blocks(g)
     elif problem == "C":
         part = comp_part if comp_part is not None else components(g)
     else:
         raise ValueError(f"unknown problem {problem!r}")
-    sizes = part.sizes()
-    k = sum(1 for c in part.comp.tolist() if sizes[c] >= 2)
-    return (g.n + k) / g.n
+    return (g.n + part.nontrivial_vertices()) / g.n
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .digraph import (
     Digraph, GraphError, Partition, _ensure_strongly_connected, delete_edge_view,
     induced_subgraph, scc,
@@ -132,8 +130,7 @@ def aux_graphs(g: Digraph, s: int, h: AuxGraph | None = None,
             vertices = [h.orig_vertex[v] for v in vertices]
             orig = [h.orig_edge[e] for e in orig]
         result.append(AuxGraph(
-            graph=Digraph(len(vertices), np.asarray(tails, dtype=np.int64),
-                          np.asarray(heads, dtype=np.int64)),
+            graph=Digraph(len(vertices), tails, heads),
             is_ordinary=flags + [False] * (len(vertices) - n_ord),
             orig_vertex=vertices,
             orig_edge=orig,
@@ -161,8 +158,7 @@ class _DSU:
             self.parent[rb] = ra
 
     def partition(self) -> Partition:
-        return Partition(np.asarray([self.find(v) for v in range(len(self.parent))],
-                                    dtype=np.int64))
+        return Partition([self.find(v) for v in range(len(self.parent))])
 
 
 def blocks(g: Digraph) -> Partition:
@@ -208,23 +204,24 @@ def components(g: Digraph) -> Partition:
     maximal 2-edge-connected subgraphs.
     """
     _ensure_strongly_connected(g)
-    label = np.arange(g.n, dtype=np.int64)
-    queue: list[tuple[Digraph, np.ndarray]] = [(g, np.arange(g.n, dtype=np.int64))]
+    label = list(range(g.n))
+    queue: list[tuple[Digraph, list[int]]] = [(g, list(range(g.n)))]
     while queue:
         piece, orig = queue.pop()
         if piece.n <= 1:
             continue
         sb = _strong_bridges(piece)    # pieces are SCCs by construction
         if not sb:
-            label[orig] = orig.min()
+            low = min(orig)
+            for v in orig:
+                label[v] = low
             continue
-        keep = np.setdiff1d(piece.edge_ids, np.fromiter(sb, dtype=np.int64))
-        rest = piece.subgraph_edges(keep)
+        rest = piece.subgraph_edges([e for e in piece.edge_ids.tolist() if e not in sb])
         part = scc(rest)
         for cls in part.classes():
             if len(cls) >= 2:
                 sub = induced_subgraph(rest, cls)
-                queue.append((sub, orig[cls]))
+                queue.append((sub, [orig[v] for v in cls.tolist()]))
     return Partition(label)
 
 
@@ -236,16 +233,20 @@ def condense(g: Digraph, comp: Partition, cap: int) -> Digraph:
     """
     if len(comp.comp) != g.n:
         raise GraphError("partition does not match the graph")
-    eids = g.edge_ids
-    tails = comp.comp[g.tails[eids]]
-    heads = comp.comp[g.heads[eids]]
-    pair = tails * comp.count + heads
-    order = np.argsort(pair, kind="stable")
-    sorted_pair = pair[order]
-    rank = np.empty(len(pair), dtype=np.int64)   # place among its pair's edges
-    rank[order] = np.arange(len(pair)) - np.searchsorted(sorted_pair, sorted_pair)
-    keep = (tails != heads) & (rank < cap)
-    return Digraph(comp.count, tails[keep], heads[keep], origin=eids[keep])
+    label = comp.comp.tolist()
+    tails: list[int] = []
+    heads: list[int] = []
+    origin: list[int] = []
+    kept: dict[tuple[int, int], int] = {}        # edges kept per ordered pair
+    for e, (x, y) in zip(g.edge_ids.tolist(), g.edge_pairs()):
+        a, b = label[x], label[y]
+        count = kept.get((a, b), 0)
+        if a != b and count < cap:
+            kept[a, b] = count + 1
+            tails.append(a)
+            heads.append(b)
+            origin.append(e)
+    return Digraph(comp.count, tails, heads, origin=origin)
 
 
 def preservation_violations(g: Digraph, edge_ids, problem: str) -> list[str]:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .blocks import _DSU, _block_sccs, aux_graphs, components, condense
 from .digraph import Digraph, GraphError, _ensure_strongly_connected, induced_subgraph, scc
 from .dominators import _dfs, dominator_tree, flow_bridges
@@ -37,7 +35,7 @@ class CertificateEdgeList:
 @dataclass(frozen=True)
 class CertificateStats:
     n: int
-    n_prime: int          # ordinary vertices in nontrivial second-level SCCs
+    n_prime: int          # vertices in nontrivial blocks
     bridges: int          # bridges of G(s)
     phase1_new: int
     phase2_new: int
@@ -62,7 +60,6 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
             in_l.add(orig)
             new[tag] += 1
 
-    n_prime = 0
     block_dsu = _DSU(g.n)
     dt, level1 = aux_graphs(g, s)
 
@@ -108,11 +105,8 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
             work, part = _block_sccs(aux, block_dsu)
             for cls in part.classes():
                 both_ord = [v for v in cls.tolist() if aux.is_ordinary[v]]
-                o_s = len(both_ord)
-                if o_s >= 2:
-                    n_prime += o_s
                 if modified:
-                    if o_s <= 1:
+                    if len(both_ord) <= 1:
                         continue
                 elif len(cls) < 2:
                     continue
@@ -131,7 +125,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                         root = min(both_ord, key=aux.orig_vertex.__getitem__)
                     else:
                         root = int(cls.min())
-                    root_local = int(np.flatnonzero(sub.vertex_origin == root)[0])
+                    root_local = sub.vertex_origin.tolist().index(root)
                     # out- and in-DFS trees; sub is strongly connected
                     for graph in (sub, sub.reverse()):
                         _, _, tree_edges, _ = _dfs(graph, root_local)
@@ -139,11 +133,12 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                             if e_sub != -1:
                                 insert(resolve(e_sub), "P3")
 
+    block_part = block_dsu.partition()
     stats = CertificateStats(
-        n=g.n, n_prime=n_prime, bridges=len(level1) - 1,
+        n=g.n, n_prime=block_part.nontrivial_vertices(), bridges=len(level1) - 1,
         phase1_new=new["P1"], phase2_new=new["P2"], phase3_new=new["P3"],
     )
-    return CertificateEdgeList(inserts), stats, block_dsu.partition()
+    return CertificateEdgeList(inserts), stats, block_part
 
 
 def ist_b_original(g: Digraph, s: int = 0) -> CertificateEdgeList:

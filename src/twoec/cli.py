@@ -11,8 +11,6 @@ import json
 import sys
 from collections import Counter
 
-import numpy as np
-
 from .bench import ALGORITHMS, run_algorithm, run_experiment, write_csv
 from .blocks import blocks, components, preservation_violations
 from .digraph import Digraph, GraphError, largest_scc
@@ -21,11 +19,12 @@ from .filters import EDGE_ORDERS
 from .io import FORMATS, load_graph
 
 
-def _load(args) -> tuple[Digraph, np.ndarray]:
+def _load(args) -> tuple[Digraph, list[int]]:
     """Largest SCC of the input file and the file's id of each of its vertices."""
     g = load_graph(args.graph, args.format)
     top = largest_scc(g)
-    return top, g.vertex_origin[top.vertex_origin]
+    file_ids = g.vertex_origin.tolist()
+    return top, [file_ids[v] for v in top.vertex_origin.tolist()]
 
 
 def _analyze(args) -> int:
@@ -54,7 +53,7 @@ def _sparsify(args) -> int:
         order=args.order, seed=args.seed,
         certificate=not args.no_cert, trivial_skip=not args.no_trivial_skip,
     )
-    lines = sorted((int(ids[g.tail(e)]), int(ids[g.head(e)])) for e in out)
+    lines = sorted((ids[g.tail(e)], ids[g.head(e)]) for e in out)
     sink = open(args.output, "w") if args.output else sys.stdout
     try:
         for t, h in lines:
@@ -87,7 +86,7 @@ def _verify(args) -> int:
                 pairs.append((int(t), int(h)))
             except ValueError as exc:
                 raise GraphError(f"line {lineno}: expected 'tail head'") from exc
-    index = {(int(ids[g.tail(e)]), int(ids[g.head(e)])): e for e in g.edge_ids.tolist()}
+    index = {(ids[g.tail(e)], ids[g.head(e)]): e for e in g.edge_ids.tolist()}
     edges = []
     for p in pairs:
         if p not in index:

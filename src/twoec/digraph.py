@@ -19,6 +19,17 @@ class GraphError(ValueError):
     """Malformed construction input or an invalid graph argument."""
 
 
+# Ids and counts are stored as int64, so each must lie below this.
+ID_LIMIT = 2**63
+
+
+def _int64(values) -> np.ndarray:
+    """`values` (a list, a range or an int array) as an int64 array."""
+    if isinstance(values, range):
+        return np.arange(values.start, values.stop, values.step, dtype=np.int64)
+    return np.asarray(values, dtype=np.int64)
+
+
 def _csr(n: int, keys: np.ndarray, eids: np.ndarray, ends: np.ndarray):
     """Index the ascending `eids` and their other endpoints `ends[eids]` by
     vertex `keys[eids]`; within a vertex, edges stay in id order because the
@@ -43,6 +54,8 @@ class Digraph:
     (``induced_subgraph``, contractions) carry ``origin``, mapping each new
     edge id to the parent graph's edge id, and ``vertex_origin`` likewise.
     A graph read from a file keeps the file's vertex ids in ``vertex_origin``.
+    The constructor takes each of these as any int sequence (a list, a range
+    or an int64 array) and stores int64 arrays.
 
     The edges never change after construction, and building a direction is
     idempotent (a race builds equal arrays twice), so instances are safe to
@@ -51,24 +64,14 @@ class Digraph:
 
     __slots__ = ("n", "tails", "heads", "edge_ids", "origin", "vertex_origin", "_out", "_in")
 
-    def __init__(
-        self,
-        n: int,
-        tails: np.ndarray,
-        heads: np.ndarray,
-        *,
-        edge_ids: np.ndarray | None = None,
-        origin: np.ndarray | None = None,
-        vertex_origin: np.ndarray | None = None,
-    ):
+    def __init__(self, n: int, tails, heads, *, edge_ids=None, origin=None,
+                 vertex_origin=None):
         self.n = int(n)
-        self.tails = tails
-        self.heads = heads
-        if edge_ids is None:
-            edge_ids = np.arange(len(tails), dtype=np.int64)
-        self.edge_ids = edge_ids
-        self.origin = origin
-        self.vertex_origin = vertex_origin
+        self.tails = _int64(tails)
+        self.heads = _int64(heads)
+        self.edge_ids = _int64(range(len(tails)) if edge_ids is None else edge_ids)
+        self.origin = None if origin is None else _int64(origin)
+        self.vertex_origin = None if vertex_origin is None else _int64(vertex_origin)
         self._out = self._in = None
 
     # -- basic queries ------------------------------------------------------
@@ -112,10 +115,10 @@ class Digraph:
         r._out, r._in = self._in, self._out
         return r
 
-    def subgraph_edges(self, keep: np.ndarray) -> "Digraph":
+    def subgraph_edges(self, keep) -> "Digraph":
         """View restricted to the given edge ids, each active in this graph;
         all ids keep their meaning."""
-        keep = np.unique(np.asarray(keep, dtype=np.int64))
+        keep = np.unique(_int64(keep))
         # both arrays ascend, so the last position is the largest one
         pos = np.searchsorted(self.edge_ids, keep)
         if len(keep) and (pos[-1] >= self.m or (self.edge_ids[pos] != keep).any()):
@@ -144,26 +147,30 @@ def build(n: int, edges, allow_multi: bool = False) -> Digraph:
 
 
 class Partition:
-    """Vertex partition with dense, first-occurrence-canonical class ids."""
+    """Vertex partition with dense, first-occurrence-canonical class ids,
+    built from any int sequence of class labels."""
 
     __slots__ = ("comp", "count")
 
-    def __init__(self, labels: np.ndarray):
-        comp = np.empty(len(labels), dtype=np.int64)
+    def __init__(self, labels):
         remap: dict[int, int] = {}
-        for v, lab in enumerate(labels.tolist()):
-            comp[v] = remap.setdefault(lab, len(remap))
-        self.comp = comp
+        self.comp = _int64([remap.setdefault(lab, len(remap)) for lab in labels])
         self.count = len(remap)
 
     def classes(self) -> list[np.ndarray]:
         out: list[list[int]] = [[] for _ in range(self.count)]
         for v, c in enumerate(self.comp.tolist()):
             out[c].append(v)
-        return [np.asarray(c, dtype=np.int64) for c in out]
+        return [_int64(c) for c in out]
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.comp, minlength=self.count)
+
+    def nontrivial_vertices(self) -> int:
+        """How many vertices lie in classes of at least two: n' of a block
+        partition."""
+        sizes = self.sizes()
+        return int(sizes[sizes >= 2].sum())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and np.array_equal(self.comp, other.comp)
@@ -222,7 +229,7 @@ def scc(g: Digraph) -> Partition:
                         if w == v:
                             break
                     ncomp += 1
-    return Partition(np.asarray(comp, dtype=np.int64))
+    return Partition(comp)
 
 
 def is_strongly_connected(g: Digraph) -> bool:
@@ -235,13 +242,13 @@ def _ensure_strongly_connected(g: Digraph) -> None:
         raise GraphError("input graph must be strongly connected")
 
 
-def induced_subgraph(g: Digraph, vertices: np.ndarray) -> Digraph:
+def induced_subgraph(g: Digraph, vertices) -> Digraph:
     """Subgraph induced on `vertices`, densely renumbered in ascending order.
 
     Edge ids restart from 0 in old-edge-id order; `origin` and
     `vertex_origin` map back into `g`.
     """
-    vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+    vertices = np.unique(_int64(vertices))
     if len(vertices) and (vertices[0] < 0 or vertices[-1] >= g.n):
         raise GraphError("vertex id out of range")
     vmap = np.full(g.n, -1, dtype=np.int64)

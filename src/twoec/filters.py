@@ -21,8 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .blocks import aux_graphs, blocks
 from .certificates import _condensed, _ist_pipeline
 from .digraph import Digraph, GraphError, Partition, _ensure_strongly_connected
@@ -328,7 +326,7 @@ def filter_bc(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
         # A 2EC component is one block.  The trivial skip keeps an edge that
         # leaves its tail at most one other out-arc or its head at most one
         # other in-arc, whose 2EDP test would fail anyway.
-        one_block = Partition(np.zeros(sub.n, dtype=np.int64))
+        one_block = Partition([0] * sub.n)
         minimized = _run_strategy(
             sub.subgraph_edges(sorted(edges)), FilterConfig(), one_block).surviving
         surviving |= {int(sub.origin[e]) for e in minimized}

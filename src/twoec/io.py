@@ -5,9 +5,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .digraph import Digraph, GraphError
+from .digraph import ID_LIMIT, Digraph, GraphError
 
 log = logging.getLogger("twoec.io")
 
@@ -25,7 +23,7 @@ class ParseStats:
     loops_dropped: int
 
 
-def _dedup(labels: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[Digraph, ParseStats]:
+def _dedup(labels, pairs: list[tuple[int, int]]) -> tuple[Digraph, ParseStats]:
     """Graph over len(labels) vertices whose `vertex_origin` holds the
     file's own id of every vertex."""
     n = len(labels)
@@ -43,8 +41,7 @@ def _dedup(labels: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[Digraph, P
         seen.add((t, h))
         tails.append(t)
         heads.append(h)
-    g = Digraph(n, np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64),
-                vertex_origin=labels)
+    g = Digraph(n, tails, heads, vertex_origin=labels)
     stats = ParseStats(n, len(tails), dups, loops)
     if dups or loops:
         log.info("ingestion dropped %d duplicate arcs and %d loops", dups, loops)
@@ -75,6 +72,8 @@ def read_dimacs(stream) -> tuple[Digraph, ParseStats]:
                 raise GraphError(f"line {lineno}: non-integer vertex count") from exc
             if n < 0:
                 raise GraphError(f"line {lineno}: negative vertex count")
+            if n >= ID_LIMIT:
+                raise GraphError(f"line {lineno}: vertex count {n} is 2**63 or more")
         elif parts[0] == "a":
             if n is None:
                 raise GraphError(f"line {lineno}: arc before problem line")
@@ -91,7 +90,7 @@ def read_dimacs(stream) -> tuple[Digraph, ParseStats]:
             raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphError("missing problem line")
-    return _dedup(np.arange(1, n + 1, dtype=np.int64), pairs)
+    return _dedup(range(1, n + 1), pairs)
 
 
 def read_snap(stream) -> tuple[Digraph, ParseStats]:
@@ -113,15 +112,14 @@ def read_snap(stream) -> tuple[Digraph, ParseStats]:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise GraphError(f"line {lineno}: non-integer token") from exc
-        if u < 0 or v < 0:
-            raise GraphError(f"line {lineno}: negative vertex id")
+        if not (0 <= u < ID_LIMIT and 0 <= v < ID_LIMIT):
+            raise GraphError(f"line {lineno}: vertex id outside 0..2**63 - 1")
         raw_pairs.append((u, v))
         ids.add(u)
         ids.add(v)
     labels = sorted(ids)
     remap = {old: new for new, old in enumerate(labels)}
-    return _dedup(np.asarray(labels, dtype=np.int64),
-                  [(remap[u], remap[v]) for u, v in raw_pairs])
+    return _dedup(labels, [(remap[u], remap[v]) for u, v in raw_pairs])
 
 
 def load_graph(path: str | Path, fmt: str = "auto") -> Digraph:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
-from .digraph import Digraph, GraphError, Partition, build, induced_subgraph, scc
+from .digraph import (
+    Digraph, GraphError, Partition, build, delete_edge_view, induced_subgraph, scc,
+)
 
 __all__ = [
     "OracleBudget", "oracle_blocks", "oracle_components", "oracle_min_subgraph",
@@ -110,7 +110,7 @@ def oracle_blocks(g: Digraph, budget: OracleBudget = OracleBudget()) -> Partitio
             if rel[u][v]:
                 label[u] = label[v]
                 break
-    return Partition(np.asarray(label, dtype=np.int64))
+    return Partition(label)
 
 
 def _is_two_edge_connected(g: Digraph) -> bool:
@@ -120,8 +120,7 @@ def _is_two_edge_connected(g: Digraph) -> bool:
     if scc(g).count != 1:
         return False
     for e in g.edge_ids.tolist():
-        rest = g.subgraph_edges(np.setdiff1d(g.edge_ids, [e]))
-        if scc(rest).count != 1:
+        if scc(delete_edge_view(g, e)).count != 1:
             return False
     return True
 
@@ -137,7 +136,7 @@ def oracle_components(g: Digraph, budget: OracleBudget = OracleBudget()) -> Part
             sset = set(subset)
             if any(sset <= other for other in found):
                 continue
-            sub = induced_subgraph(g, np.asarray(subset, dtype=np.int64))
+            sub = induced_subgraph(g, subset)
             if _is_two_edge_connected(sub):
                 for other in found:
                     if other & sset:
@@ -148,7 +147,7 @@ def oracle_components(g: Digraph, budget: OracleBudget = OracleBudget()) -> Part
         root = min(cls)
         for v in cls:
             label[v] = root
-    return Partition(np.asarray(label, dtype=np.int64))
+    return Partition(label)
 
 
 def _requirement_degrees(g: Digraph, requirement: str, budget: OracleBudget):
@@ -163,18 +162,16 @@ def _requirement_degrees(g: Digraph, requirement: str, budget: OracleBudget):
         req_in = [2] * n
         req_out = [2] * n
     elif requirement in ("2EC-B", "2EC-C", "2EC-B-C"):
-        marks = np.zeros(n, dtype=bool)
+        parts = []
         if requirement in ("2EC-B", "2EC-B-C"):
-            part = oracle_blocks(g, budget)
-            sizes = part.sizes()
-            marks |= sizes[part.comp] >= 2
+            parts.append(oracle_blocks(g, budget))
         if requirement in ("2EC-C", "2EC-B-C"):
-            part = oracle_components(g, budget)
-            sizes = part.sizes()
-            marks |= sizes[part.comp] >= 2
-        for v in range(n):
-            if marks[v]:
-                req_in[v] = req_out[v] = 2
+            parts.append(oracle_components(g, budget))
+        for part in parts:
+            sizes = part.sizes().tolist()
+            for v, c in enumerate(part.comp.tolist()):
+                if sizes[c] >= 2:
+                    req_in[v] = req_out[v] = 2
     else:
         raise ValueError(f"unknown requirement {requirement!r}")
     return req_in, req_out
@@ -197,7 +194,7 @@ def oracle_min_subgraph(
     target_comps = oracle_components(g, budget) if requirement in ("2EC-C", "2EC-B-C") else None
 
     def satisfies(chosen: list[int]) -> bool:
-        sub = g.subgraph_edges(np.asarray(chosen, dtype=np.int64))
+        sub = g.subgraph_edges(chosen)
         if n > 1 and scc(sub).count != 1:
             return False
         if requirement == "2ECSS" and not _is_two_edge_connected(sub):

@@ -5,6 +5,7 @@ import pytest
 
 from twoec.bench import ALGORITHMS, lower_bound, run_algorithm, run_experiment, write_csv
 from twoec.blocks import preservation_violations
+from twoec.digraph import GraphError, build
 from twoec.fixtures import corpus, g2, g4, g5
 
 
@@ -20,6 +21,12 @@ def test_lower_bound_values():
     assert lower_bound("C", g2()) == 1.0
     assert lower_bound("B", g5()) == (6 + 2) / 6
     assert lower_bound("C", g5()) == 1.0
+
+
+def test_lower_bound_of_an_empty_graph_is_an_input_error():
+    for problem in ("B", "C", "BC"):
+        with pytest.raises(GraphError, match="graph has no vertices"):
+            lower_bound(problem, build(0, []))
 
 
 def test_run_algorithm_unknown():

@@ -91,6 +91,10 @@ def test_malformed_or_empty_input_is_named(tmp_path, capsys):
         "b.gr": ("p sp -3 0\n", "line 1: negative vertex count"),
         "c.gr": ("p sp 0 0\n", "graph has no vertices"),
         "d.txt": ("# comments only\n", "graph has no vertices"),
+        "e.txt": ("18446744073709551616 1\n1 18446744073709551616\n",
+                  "line 1: vertex id outside 0..2**63 - 1"),
+        "f.gr": ("p sp 99999999999999999999 1\n",
+                 "line 1: vertex count 99999999999999999999 is 2**63 or more"),
     }
     for name, (text, message) in cases.items():
         path = tmp_path / name

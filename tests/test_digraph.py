@@ -1,11 +1,15 @@
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twoec
 from twoec.digraph import (
-    GraphError, build, delete_edge_view, induced_subgraph, largest_scc, scc,
+    Digraph, GraphError, Partition, build, delete_edge_view, induced_subgraph, largest_scc,
+    scc,
 )
 from twoec.fixtures import g1, g2, g4, g5, road_grid
 
@@ -228,3 +232,72 @@ def test_threads_sharing_a_graph_read_the_same_adjacency():
             assert results == [expected] * len(threads)
     finally:
         sys.setswitchinterval(interval)
+
+
+# Every int field of a graph, each given as a range so that it can also be
+# handed over as a list or an int64 array.
+_FIELDS = {"tails": range(0, 5), "heads": range(5, 0, -1), "edge_ids": range(0, 5, 2),
+           "origin": range(10, 15), "vertex_origin": range(1, 7)}
+_KINDS = {"range": lambda r: r, "list": list,
+          "array": lambda r: np.arange(r.start, r.stop, r.step, dtype=np.int64)}
+
+
+def _stored(graph):
+    """The int fields of `graph` as lists (each checked to be an int64
+    array), its edge pairs and both adjacency directions."""
+    fields = [getattr(graph, name) for name in _FIELDS]
+    assert all(isinstance(a, np.ndarray) and a.dtype == np.int64 for a in fields)
+    return [a.tolist() for a in fields], graph.edge_pairs(), graph.out_lists(), graph.in_lists()
+
+
+def _graph(as_kind):
+    fields = {name: as_kind(r) for name, r in _FIELDS.items()}
+    return Digraph(6, fields.pop("tails"), fields.pop("heads"), **fields)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_digraph_stores_int64_arrays_from_any_int_sequence(kind):
+    as_kind = _KINDS[kind]
+    g, ref = _graph(as_kind), _graph(_KINDS["array"])
+    assert g.edge_pairs() == [(0, 5), (2, 3), (4, 1)]
+    views = [lambda x: x, Digraph.reverse, lambda x: x.subgraph_edges(as_kind(range(2, 5, 2))),
+             lambda x: delete_edge_view(x, 2),
+             lambda x: induced_subgraph(x, as_kind(range(1, 6)))]
+    for view in views:
+        assert _stored(view(g)) == _stored(view(ref))
+    default_ids = Digraph(4, as_kind(range(3)), as_kind(range(1, 4)))
+    assert default_ids.edge_ids.dtype == np.int64
+    assert default_ids.edge_ids.tolist() == [0, 1, 2]
+    assert default_ids.edge_pairs() == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_partition_stores_int64_arrays_from_any_int_sequence():
+    for labels in ([8, 6, 4], range(8, 2, -2), np.asarray([8, 6, 4])):
+        p = Partition(labels)
+        assert p.comp.dtype == np.int64 and p.comp.tolist() == [0, 1, 2]
+        assert p.count == 3 and p.nontrivial_vertices() == 0
+    for labels in ([7, 7, 2, 9, 2], np.asarray([7, 7, 2, 9, 2])):
+        p = Partition(labels)
+        assert p.comp.dtype == np.int64 and p.comp.tolist() == [0, 0, 1, 2, 1]
+        assert p.count == 3 and p.sizes().tolist() == [2, 2, 1]
+        assert [c.tolist() for c in p.classes()] == [[0, 1], [2, 4], [3]]
+        assert p.nontrivial_vertices() == 4
+        same = Partition(np.asarray([0, 0, 1, 2, 1]))
+        assert p == same and hash(p) == hash(same)
+    assert Partition([]).count == 0 and Partition([]).comp.dtype == np.int64
+
+
+def test_only_digraph_imports_numpy():
+    # digraph.py alone knows that graphs and partitions are stored as arrays
+    importers = set()
+    for path in Path(twoec.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                importers.add(path.name)
+    assert importers == {"digraph.py"}

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -87,3 +88,17 @@ def test_largest_scc_of_parsed_file(tmp_path):
     p.write_text("p sp 4 4\na 1 2 1\na 2 3 1\na 3 1 1\na 3 4 1\n")
     top = largest_scc(load_graph(p))
     assert top.n == 3 and top.m == 3
+
+
+def test_ids_beyond_int64_name_the_line():
+    too_big = 2**63
+    for text, line in ((f"0 1\n{too_big} 1\n", 2), (f"1 {too_big}\n", 1), ("-1 0\n", 1)):
+        with pytest.raises(GraphError,
+                           match=re.escape(f"line {line}: vertex id outside 0..2**63 - 1")):
+            read_snap(io.StringIO(text))
+    with pytest.raises(GraphError,
+                       match=re.escape(f"line 2: vertex count {too_big} is 2**63 or more")):
+        read_dimacs(io.StringIO(f"c x\np sp {too_big} 1\n"))
+    g = read_snap(io.StringIO(f"{too_big - 1} 0\n0 {too_big - 1}\n"))[0]
+    assert g.vertex_origin.tolist() == [0, too_big - 1]
+    assert g.edge_pairs() == [(1, 0), (0, 1)]
