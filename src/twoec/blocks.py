@@ -197,11 +197,20 @@ def _block_sccs(aux: AuxGraph, dsu: _DSU) -> tuple[Digraph, Partition]:
 
 
 def components(g: Digraph) -> Partition:
-    """2-edge-connected components via iterated strong-bridge removal.
+    """2-edge-connected components via degree peeling and strong-bridge
+    removal.
 
-    Repeatedly deletes all strong bridges of each piece and splits it into
-    SCCs until every piece is bridgeless; bridgeless pieces are exactly the
-    maximal 2-edge-connected subgraphs.
+    Every piece is a strongly connected graph that holds whole components.
+    A piece is first peeled: every vertex with fewer than 2 out-edges or
+    fewer than 2 in-edges inside it (parallel edges counted, loops not) is
+    removed, repeatedly, and if any went, the rest is split into SCCs.  The
+    peel is exact because in a 2-edge-connected digraph on 2 or more
+    vertices every vertex has 2 out- and 2 in-edges (deleting the only one
+    would cut it off), so it never removes a vertex of a nontrivial
+    component that lies whole in the piece.  Only a piece the peel leaves
+    whole gets its strong bridges computed: none means the piece is a
+    maximal 2-edge-connected subgraph; otherwise they are deleted and the
+    SCCs split the piece.
     """
     _ensure_strongly_connected(g)
     label = list(range(g.n))
@@ -210,19 +219,53 @@ def components(g: Digraph) -> Partition:
         piece, orig = queue.pop()
         if piece.n <= 1:
             continue
-        sb = _strong_bridges(piece)    # pieces are SCCs by construction
-        if not sb:
-            low = min(orig)
-            for v in orig:
-                label[v] = low
-            continue
-        rest = piece.subgraph_edges([e for e in piece.edge_ids.tolist() if e not in sb])
-        part = scc(rest)
-        for cls in part.classes():
+        kept = _peel(piece)
+        if len(kept) < piece.n:
+            rest = induced_subgraph(piece, kept)
+            orig = [orig[v] for v in kept]
+        else:
+            sb = _strong_bridges(piece)    # pieces are SCCs by construction
+            if not sb:
+                low = min(orig)
+                for v in orig:
+                    label[v] = low
+                continue
+            rest = piece.subgraph_edges([e for e in piece.edge_ids.tolist() if e not in sb])
+        for cls in scc(rest).classes():
             if len(cls) >= 2:
                 sub = induced_subgraph(rest, cls)
                 queue.append((sub, [orig[v] for v in cls.tolist()]))
     return Partition(label)
+
+
+def _peel(g: Digraph) -> list[int]:
+    """The vertices left, ascending, after repeatedly removing every vertex
+    with fewer than 2 non-loop out-edges or in-edges among those left."""
+    out_start, _, heads = g.out_lists()
+    in_start, _, tails = g.in_lists()
+    out_deg = [out_start[v + 1] - out_start[v] for v in range(g.n)]
+    in_deg = [in_start[v + 1] - in_start[v] for v in range(g.n)]
+    for x, y in g.edge_pairs():
+        if x == y:
+            out_deg[x] -= 1
+            in_deg[x] -= 1
+    removed = [out_deg[v] < 2 or in_deg[v] < 2 for v in range(g.n)]
+    stack = [v for v in range(g.n) if removed[v]]
+    while stack:
+        v = stack.pop()
+        for w in heads[out_start[v]:out_start[v + 1]]:
+            if not removed[w]:
+                in_deg[w] -= 1
+                if in_deg[w] < 2:
+                    removed[w] = True
+                    stack.append(w)
+        for u in tails[in_start[v]:in_start[v + 1]]:
+            if not removed[u]:
+                out_deg[u] -= 1
+                if out_deg[u] < 2:
+                    removed[u] = True
+                    stack.append(u)
+    return [v for v in range(g.n) if not removed[v]]
 
 
 def condense(g: Digraph, comp: Partition, cap: int) -> Digraph:

@@ -26,7 +26,10 @@ ID_LIMIT = 2**63
 def _int64(values) -> np.ndarray:
     """`values` (a list, a range or an int array) as an int64 array."""
     if isinstance(values, range):
-        return np.arange(values.start, values.stop, values.step, dtype=np.int64)
+        out = np.arange(values.start, values.stop, values.step, dtype=np.int64)
+        if len(out) != len(values):     # np.arange's length overflows near 2**63
+            raise ValueError(f"no int64 array holds {len(values)} values")
+        return out
     return np.asarray(values, dtype=np.int64)
 
 

@@ -55,6 +55,7 @@ def read_dimacs(stream) -> tuple[Digraph, ParseStats]:
     with counts recorded.  Vertex v stands for the file's vertex v + 1.
     """
     n = None
+    n_line = 0                               # the problem line's number
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(stream, 1):
         line = raw.strip()
@@ -74,6 +75,7 @@ def read_dimacs(stream) -> tuple[Digraph, ParseStats]:
                 raise GraphError(f"line {lineno}: negative vertex count")
             if n >= ID_LIMIT:
                 raise GraphError(f"line {lineno}: vertex count {n} is 2**63 or more")
+            n_line = lineno
         elif parts[0] == "a":
             if n is None:
                 raise GraphError(f"line {lineno}: arc before problem line")
@@ -90,7 +92,10 @@ def read_dimacs(stream) -> tuple[Digraph, ParseStats]:
             raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphError("missing problem line")
-    return _dedup(range(1, n + 1), pairs)
+    try:
+        return _dedup(range(1, n + 1), pairs)
+    except (ValueError, MemoryError) as exc:    # no array holds n labels
+        raise GraphError(f"line {n_line}: vertex count {n} is too large") from exc
 
 
 def read_snap(stream) -> tuple[Digraph, ParseStats]:

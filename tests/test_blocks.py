@@ -1,10 +1,14 @@
+import importlib
 import random
 
 import numpy as np
 import pytest
 
 from twoec.blocks import _DSU, aux_graphs, blocks, components, condense
-from twoec.digraph import GraphError, Partition, build, delete_edge_view, largest_scc, scc
+from twoec.digraph import (
+    Digraph, GraphError, Partition, build, delete_edge_view, induced_subgraph,
+    largest_scc, scc,
+)
 from twoec.dominators import dominator_tree, flow_bridges, strong_bridges
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected, road_grid,
@@ -259,13 +263,103 @@ def test_blocks_and_components_match_oracle():
         assert components(g) == oracle_components(g)
 
 
+def _random_multigraph(rng: random.Random, n: int) -> Digraph:
+    """Strongly connected multigraph: a cycle through all n vertices plus
+    random arcs (loops allowed), some arcs doubled and some loops added, in
+    random order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    arcs = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    arcs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+    arcs += rng.sample(arcs, rng.randint(1, len(arcs) // 2 + 1))
+    arcs += [(v, v) for v in rng.sample(range(n), rng.randint(0, 2))]
+    rng.shuffle(arcs)
+    return Digraph(n, [t for t, _ in arcs], [h for _, h in arcs])
+
+
+def test_components_of_multigraphs_match_oracle():
+    # the peel counts parallel edges and ignores loops: vertex 3 has exactly
+    # two parallel out-edges and stays in the component, while a loop does
+    # not make up for its missing second out-edge
+    triangle = [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)]
+    doubled = triangle + [(3, 0), (3, 0), (1, 3), (2, 3)]
+    looped = triangle + [(3, 0), (3, 3), (1, 3), (2, 3)]
+    for arcs, want in ((doubled, [0, 0, 0, 0]), (looped, [0, 0, 0, 1])):
+        g = Digraph(4, [t for t, _ in arcs], [h for _, h in arcs])
+        assert components(g).comp.tolist() == want
+        assert components(g) == oracle_components(g)
+    assert components(Digraph(0, [], [])).count == 0
+    assert components(Digraph(1, [0, 0], [0, 0])).comp.tolist() == [0]
+    rng = random.Random(59)
+    for _ in range(150):
+        g = _random_multigraph(rng, rng.randint(2, 8))
+        assert components(g) == oracle_components(g)
+
+
+def _components_by_bridge_removal(g) -> Partition:
+    """Reference 2EC components: delete every strong bridge of each piece
+    and split it into SCCs, until every piece is bridgeless."""
+    label = list(range(g.n))
+    queue = [(g, list(range(g.n)))]
+    while queue:
+        piece, orig = queue.pop()
+        sb = strong_bridges(piece)
+        if not sb:
+            for v in orig:
+                label[v] = min(orig)
+            continue
+        rest = piece.subgraph_edges([e for e in piece.edge_ids.tolist() if e not in sb])
+        for cls in scc(rest).classes():
+            if len(cls) >= 2:
+                queue.append((induced_subgraph(rest, cls), [orig[v] for v in cls.tolist()]))
+    return Partition(label)
+
+
+def _dense_cert_graph(graph_seed: int):
+    """The benchmark's dense-cert graph: the largest SCC of 1400 arcs with
+    uniform tail and head over 350 vertices, loops and duplicates dropped."""
+    rng = np.random.default_rng(graph_seed)
+    tails = rng.integers(0, 350, 1400).tolist()
+    heads = rng.integers(0, 350, 1400).tolist()
+    return largest_scc(build(350, sorted({(t, h) for t, h in zip(tails, heads) if t != h})))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: road_grid(14, 0.12, 0.55, 1),
+    lambda: road_grid(30, 0.12, 0.55, 1),
+    lambda: _dense_cert_graph(1),
+    lambda: _dense_cert_graph(2),
+], ids=["road-grid-14", "road-grid-30", "dense-cert-1", "dense-cert-2"])
+def test_components_match_bridge_removal_at_scale(make):
+    g = make()
+    part = components(g)
+    assert part == _components_by_bridge_removal(g)
+    assert any(size >= 2 for size in part.sizes().tolist())
+
+
+def _strong_bridge_passes(monkeypatch, g) -> int:
+    """How many strong-bridge computations `components(g)` makes."""
+    module = importlib.import_module("twoec.blocks")
+    calls = []
+    inner = module._strong_bridges
+    monkeypatch.setattr(module, "_strong_bridges", lambda h: calls.append(h.n) or inner(h))
+    components(g)
+    return len(calls)
+
+
+def test_peeling_spares_strong_bridge_passes(monkeypatch):
+    # iterated removal alone makes 12 passes on dense-cert and 233 on the
+    # side-60 road grid
+    assert _strong_bridge_passes(monkeypatch, _dense_cert_graph(1)) <= 2
+    assert _strong_bridge_passes(monkeypatch, road_grid(60, 0.12, 0.55, 1)) < 233 / 2
+
+
 def test_nontrivial_components_sit_inside_blocks():
     rng = random.Random(47)
     for _ in range(80):
         g = random_strongly_connected(rng, rng.randint(2, 10))
         b = blocks(g)
         c = components(g)
-        sizes = c.sizes()
         for cls in c.classes():
             if len(cls) >= 2:
                 assert len({int(b.comp[v]) for v in cls.tolist()}) == 1

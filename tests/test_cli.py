@@ -95,6 +95,8 @@ def test_malformed_or_empty_input_is_named(tmp_path, capsys):
                   "line 1: vertex id outside 0..2**63 - 1"),
         "f.gr": ("p sp 99999999999999999999 1\n",
                  "line 1: vertex count 99999999999999999999 is 2**63 or more"),
+        "g.gr": ("c x\np sp 4611686018427387904 0\n",
+                 "line 2: vertex count 4611686018427387904 is too large"),
     }
     for name, (text, message) in cases.items():
         path = tmp_path / name

@@ -102,3 +102,12 @@ def test_ids_beyond_int64_name_the_line():
     g = read_snap(io.StringIO(f"{too_big - 1} 0\n0 {too_big - 1}\n"))[0]
     assert g.vertex_origin.tolist() == [0, too_big - 1]
     assert g.edge_pairs() == [(1, 0), (0, 1)]
+
+
+def test_vertex_count_no_array_holds_names_the_line():
+    # counts of 2**60 or more fail on the array's byte size before anything
+    # is allocated; at 2**63 - 1, np.arange's own length count overflows
+    for n in (2**60, 2**62, 2**63 - 1):
+        with pytest.raises(GraphError,
+                           match=re.escape(f"line 2: vertex count {n} is too large")):
+            read_dimacs(io.StringIO(f"c x\np sp {n} 1\na 1 2 1\n"))
