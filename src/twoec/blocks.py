@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .digraph import (
     Digraph, GraphError, Partition, _ensure_strongly_connected, delete_edge_view,
-    induced_subgraph, scc,
+    induced_subgraph, induced_subgraphs, scc,
 )
 from .dominators import DominatorTree, _strong_bridges, dominator_tree, flow_bridges
 
@@ -212,30 +212,46 @@ def components(g: Digraph) -> Partition:
     maximal 2-edge-connected subgraph; otherwise they are deleted and the
     SCCs split the piece.
     """
+    return _components(g)[0]
+
+
+def _components(g: Digraph) -> tuple[Partition, list[tuple[Digraph, tuple]]]:
+    """`components(g)`, and each nontrivial component in class order with
+    the two dominator trees from `_strong_bridges` that proved it bridgeless.
+
+    Splits keep vertices ascending and edges in id order, so a component's
+    graph is numbered as ``induced_subgraph(g, cls)``, with `origin` and
+    `vertex_origin` into g; only a bridgeless g keeps its own edge ids.
+    """
     _ensure_strongly_connected(g)
     label = list(range(g.n))
-    queue: list[tuple[Digraph, list[int]]] = [(g, list(range(g.n)))]
+    found = []
+    queue = [Digraph(g.n, g.tails, g.heads, edge_ids=g.edge_ids,
+                     origin=range(len(g.tails)), vertex_origin=range(g.n))] if g.n > 1 else []
     while queue:
-        piece, orig = queue.pop()
-        if piece.n <= 1:
-            continue
+        piece = queue.pop()
         kept = _peel(piece)
         if len(kept) < piece.n:
-            rest = induced_subgraph(piece, kept)
-            orig = [orig[v] for v in kept]
+            rest = _within(piece, induced_subgraph(piece, kept))
         else:
-            sb = _strong_bridges(piece)    # pieces are SCCs by construction
+            sb, trees = _strong_bridges(piece)    # pieces are SCCs by construction
             if not sb:
-                low = min(orig)
-                for v in orig:
-                    label[v] = low
+                vertices = piece.vertex_origin.tolist()
+                for v in vertices:
+                    label[v] = vertices[0]
+                found.append((piece, trees))
                 continue
             rest = piece.subgraph_edges([e for e in piece.edge_ids.tolist() if e not in sb])
-        for cls in scc(rest).classes():
-            if len(cls) >= 2:
-                sub = induced_subgraph(rest, cls)
-                queue.append((sub, [orig[v] for v in cls.tolist()]))
-    return Partition(label)
+        queue += [_within(rest, sub) for sub in induced_subgraphs(rest, scc(rest))]
+    found.sort(key=lambda f: int(f[0].vertex_origin[0]))
+    return Partition(label), found
+
+
+def _within(parent: Digraph, sub: Digraph) -> Digraph:
+    """`sub`, an induced subgraph of `parent`, with its maps composed with
+    the parent's."""
+    return Digraph(sub.n, sub.tails, sub.heads, origin=parent.origin[sub.origin],
+                   vertex_origin=parent.vertex_origin[sub.vertex_origin])
 
 
 def _peel(g: Digraph) -> list[int]:

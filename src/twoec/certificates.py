@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import _DSU, _block_sccs, aux_graphs, components, condense
-from .digraph import Digraph, GraphError, _ensure_strongly_connected, induced_subgraph, scc
-from .dominators import _dfs, dominator_tree, flow_bridges
+from .blocks import _DSU, _block_sccs, _components, aux_graphs, condense
+from .digraph import Digraph, GraphError, _ensure_strongly_connected, induced_subgraphs, scc
+from .dominators import _dfs, _strong_bridges
 from .spanning import independent_pair
 
 __all__ = [
@@ -103,14 +103,11 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
         # Phase 3: strongly connected coverage of every second-level SCC
         for aux in level2:
             work, part = _block_sccs(aux, block_dsu)
-            for cls in part.classes():
-                both_ord = [v for v in cls.tolist() if aux.is_ordinary[v]]
-                if modified:
-                    if len(both_ord) <= 1:
-                        continue
-                elif len(cls) < 2:
+            for sub in induced_subgraphs(work, part):
+                cls = sub.vertex_origin.tolist()
+                both_ord = [v for v in cls if aux.is_ordinary[v]]
+                if modified and len(both_ord) <= 1:
                     continue
-                sub = induced_subgraph(work, cls)
                 sub_origin = sub.origin.tolist()
 
                 def resolve(e_sub: int) -> int:
@@ -121,11 +118,8 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                     for e_sub in zni_scss(sub, preferred=pref):
                         insert(resolve(e_sub), "P3")
                 else:
-                    if both_ord:
-                        root = min(both_ord, key=aux.orig_vertex.__getitem__)
-                    else:
-                        root = int(cls.min())
-                    root_local = sub.vertex_origin.tolist().index(root)
+                    root = min(both_ord, key=aux.orig_vertex.__getitem__) if both_ord else cls[0]
+                    root_local = cls.index(root)
                     # out- and in-DFS trees; sub is strongly connected
                     for graph in (sub, sub.reverse()):
                         _, _, tree_edges, _ = _dfs(graph, root_local)
@@ -158,12 +152,17 @@ def two_ecss_edt(c: Digraph) -> set[int]:
     if c.n <= 1:
         return set()
     _ensure_strongly_connected(c)
+    bridges, trees = _strong_bridges(c)
+    if bridges:
+        raise GraphError("input has a strong bridge; 2ECSS needs a 2-edge-connected graph")
+    return _two_ecss(c, trees)
+
+
+def _two_ecss(c: Digraph, trees) -> set[int]:
+    """`two_ecss_edt` of a 2-edge-connected `c`, given the dominator trees
+    of C(0) and C^R(0)."""
     out: set[int] = set()
-    # the strong bridges are the bridges of C(0) and of C^R(0)
-    for graph in (c, c.reverse()):
-        dt = dominator_tree(graph, 0)
-        if flow_bridges(graph, dt):
-            raise GraphError("input has a strong bridge; 2ECSS needs a 2-edge-connected graph")
+    for graph, dt in zip((c, c.reverse()), trees):
         for tree in independent_pair(graph, dt):
             out.update(e for e in tree if e != -1)
     return out
@@ -320,17 +319,12 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
 def _condensed(g: Digraph, cap: int) -> tuple[list[tuple[Digraph, set[int]]], Digraph]:
     """Shared prologue of the condensed-graph algorithms.
 
-    Returns the induced subgraph of every nontrivial 2EC component of `g`
-    with a 2ECSS of it (in the subgraph's edge ids), and the condensed
-    multigraph with at most `cap` parallel edges per pair.
+    Returns the graph of every nontrivial 2EC component of `g`, with
+    `origin` into g, and a 2ECSS of it (in the component's edge ids), and
+    the condensed multigraph with at most `cap` parallel edges per pair.
     """
-    comp = components(g)
-    pieces = []
-    for cls in comp.classes():
-        if len(cls) >= 2:
-            sub = induced_subgraph(g, cls)
-            pieces.append((sub, two_ecss_edt(sub)))
-    return pieces, condense(g, comp, cap)
+    comp, pieces = _components(g)
+    return [(sub, _two_ecss(sub, trees)) for sub, trees in pieces], condense(g, comp, cap)
 
 
 def ist_bc(g: Digraph) -> CertificateEdgeList:

@@ -12,6 +12,7 @@ __all__ = [
     "largest_scc",
     "delete_edge_view",
     "induced_subgraph",
+    "induced_subgraphs",
 ]
 
 
@@ -35,8 +36,8 @@ def _int64(values) -> np.ndarray:
 
 def _csr(n: int, keys: np.ndarray, eids: np.ndarray, ends: np.ndarray):
     """Index the ascending `eids` and their other endpoints `ends[eids]` by
-    vertex `keys[eids]`; within a vertex, edges stay in id order because the
-    sort is stable."""
+    vertex (or any key below n) `keys[eids]`; within a vertex, edges stay in
+    id order because the sort is stable."""
     keys = keys[eids]
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=start[1:])
@@ -263,6 +264,29 @@ def induced_subgraph(g: Digraph, vertices) -> Digraph:
         len(vertices), tails[inside], heads[inside],
         origin=g.edge_ids[inside], vertex_origin=vertices,
     )
+
+
+def induced_subgraphs(g: Digraph, part: Partition) -> list[Digraph]:
+    """``induced_subgraph(g, cls)`` for every class `cls` of `part` with at
+    least two vertices, in class order, all built in one O(n + m) pass."""
+    if len(part.comp) != g.n:
+        raise GraphError("partition does not match the graph")
+    comp, eids = part.comp, g.edge_ids
+    # the vertices, then the ids of the edges inside a class, grouped by
+    # class and ascending within it; local[v] is v's rank in its class
+    first, members, member_class = _csr(part.count, comp, np.arange(g.n), comp)
+    local = np.empty(g.n, dtype=np.int64)
+    local[members] = np.arange(g.n) - first[member_class]
+    cls = comp[g.tails[eids]]
+    inside = np.flatnonzero(cls == comp[g.heads[eids]])
+    edge_first, _, eids = _csr(part.count, cls, inside, eids)
+    tails, heads = local[g.tails[eids]], local[g.heads[eids]]
+    out = []
+    for c in np.flatnonzero(np.diff(first) >= 2).tolist():
+        span = slice(edge_first[c], edge_first[c + 1])
+        out.append(Digraph(first[c + 1] - first[c], tails[span], heads[span], origin=eids[span],
+                           vertex_origin=members[first[c]:first[c + 1]]))
+    return out
 
 
 def largest_scc(g: Digraph) -> Digraph:

@@ -183,12 +183,12 @@ def strong_bridges(g: Digraph) -> set[int]:
     a graph and its reverse, so no remapping is needed.
     """
     _ensure_strongly_connected(g)
-    return _strong_bridges(g)
+    return _strong_bridges(g)[0] if g.n > 1 else set()
 
 
-def _strong_bridges(g: Digraph) -> set[int]:
-    """`strong_bridges` of a graph known to be strongly connected."""
-    if g.n <= 1:
-        return set()
+def _strong_bridges(g: Digraph) -> tuple[set[int], tuple[DominatorTree, DominatorTree]]:
+    """`strong_bridges` of a strongly connected graph on 2 or more vertices,
+    and the dominator trees of G(0) and G^R(0) they were read from."""
     rev = g.reverse()
-    return flow_bridges(g, dominator_tree(g, 0)) | flow_bridges(rev, dominator_tree(rev, 0))
+    trees = dominator_tree(g, 0), dominator_tree(rev, 0)
+    return flow_bridges(g, trees[0]) | flow_bridges(rev, trees[1]), trees

@@ -1,10 +1,12 @@
 import importlib
 import random
+import time
 
 import numpy as np
 import pytest
 
 from twoec.blocks import _DSU, aux_graphs, blocks, components, condense
+from twoec.certificates import _condensed, two_ecss_edt, zni_c
 from twoec.digraph import (
     Digraph, GraphError, Partition, build, delete_edge_view, induced_subgraph,
     largest_scc, scc,
@@ -338,20 +340,115 @@ def test_components_match_bridge_removal_at_scale(make):
 
 
 def _strong_bridge_passes(monkeypatch, g) -> int:
-    """How many strong-bridge computations `components(g)` makes."""
+    """How many strong-bridge passes `components(g)` makes: every pass,
+    the last one on each component too, goes through `_strong_bridges`."""
     module = importlib.import_module("twoec.blocks")
     calls = []
     inner = module._strong_bridges
-    monkeypatch.setattr(module, "_strong_bridges", lambda h: calls.append(h.n) or inner(h))
-    components(g)
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_strong_bridges", lambda h: calls.append(h.n) or inner(h))
+        components(g)
     return len(calls)
 
 
 def test_peeling_spares_strong_bridge_passes(monkeypatch):
     # iterated removal alone makes 12 passes on dense-cert and 233 on the
-    # side-60 road grid
-    assert _strong_bridge_passes(monkeypatch, _dense_cert_graph(1)) <= 2
+    # side-60 road grid; dense-cert has a nontrivial component, whose
+    # bridgeless pass must be counted
+    assert 1 <= _strong_bridge_passes(monkeypatch, _dense_cert_graph(1)) <= 2
     assert _strong_bridge_passes(monkeypatch, road_grid(60, 0.12, 0.55, 1)) < 233 / 2
+
+
+def _subgraph_scan(monkeypatch, run) -> int:
+    """The summed n + m of the graphs that `run()` builds induced subgraphs
+    of, through either digraph function, in `blocks` and `certificates`."""
+    scanned = []
+    with monkeypatch.context() as patch:
+        for name in ("twoec.blocks", "twoec.certificates"):
+            module = importlib.import_module(name)
+            for fn in ("induced_subgraph", "induced_subgraphs"):
+                if hasattr(module, fn):
+                    inner = getattr(module, fn)
+                    patch.setattr(module, fn, lambda g, *rest, inner=inner:
+                                  scanned.append(g.n + g.m) or inner(g, *rest))
+        run()
+    return sum(scanned)
+
+
+@pytest.mark.parametrize("side", [60, 100])
+def test_component_subgraphs_scan_the_parent_a_few_times(monkeypatch, side):
+    # one induced subgraph per class of every split scanned 47.5 and 84.9
+    # (n + m) in components(), and 143.5 and 323.9 in _condensed
+    g = road_grid(side, 0.12, 0.55, 1)
+    for run in (lambda: components(g), lambda: _condensed(g, cap=1)):
+        assert 0 < _subgraph_scan(monkeypatch, run) <= 6 * (g.n + g.m)
+
+
+@pytest.mark.slow
+def test_component_algorithms_keep_their_side_300_budgets():
+    # budgets in dominator-tree passes (dt) on the same graph, so that they
+    # do not depend on the machine's speed; each time is the best of a few
+    # runs, as noise only adds time
+    g = road_grid(300, 0.12, 0.55, 1)
+
+    def best(run, repeats: int) -> float:
+        times = []
+        for _ in range(repeats):
+            start = time.process_time()
+            run()
+            times.append(time.process_time() - start)
+        return min(times)
+
+    dt = best(lambda: dominator_tree(g, 0), 3)
+    assert best(lambda: components(g), 2) <= 9 * dt
+    assert best(lambda: zni_c(g), 2) <= 15 * dt
+
+
+def _view_with_gaps():
+    """A 2-edge-connected graph as a view whose edge ids have gaps: one of
+    the three copies of each edge of a bidirected 5-cycle with two chords."""
+    cycle = [(v, (v + 1) % 5) for v in range(5)] + [((v + 1) % 5, v) for v in range(5)]
+    tripled = build(5, [e for e in cycle + [(0, 2), (2, 4)] for _ in range(3)], allow_multi=True)
+    return tripled.subgraph_edges([e for e in range(tripled.m) if e % 3 == 0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: road_grid(14, 0.12, 0.55, 1),
+    lambda: road_grid(30, 0.12, 0.55, 1),
+    lambda: _dense_cert_graph(1),
+    lambda: _dense_cert_graph(2),
+], ids=["road-grid-14", "road-grid-30", "dense-cert-1", "dense-cert-2"])
+def test_condensed_2ecss_of_each_component_matches_two_ecss_edt(make):
+    _check_condensed_2ecss(make())
+
+
+def test_condensed_2ecss_of_a_2ec_view_keeps_its_edge_ids():
+    # g is its own one component, so the component's edge map spans g's ids
+    g = _view_with_gaps()
+    _check_condensed_2ecss(g)
+    [(sub, edges)], _ = _condensed(g, cap=2)
+    assert components(g).count == 1 and sub.n == g.n
+    mapped = {int(sub.origin[e]) for e in edges}
+    assert mapped <= set(g.edge_ids.tolist()) and max(mapped) >= g.m
+
+
+def test_condensed_2ecss_of_multigraph_components_matches_two_ecss_edt():
+    rng = random.Random(61)
+    for _ in range(150):
+        _check_condensed_2ecss(_random_multigraph(rng, rng.randint(2, 8)))
+
+
+def _check_condensed_2ecss(g):
+    """`_condensed` hands every component with its trees to the 2ECSS: the
+    edges must be those of `two_ecss_edt` on the component's own copy."""
+    classes = [cls for cls in components(g).classes() if len(cls) >= 2]
+    pieces, _ = _condensed(g, cap=2)
+    assert len(pieces) == len(classes)
+    for (sub, edges), cls in zip(pieces, classes):
+        own = induced_subgraph(g, cls)
+        assert sub.vertex_origin.tolist() == cls.tolist()
+        assert {int(sub.origin[e]) for e in edges} == {
+            int(own.origin[e]) for e in two_ecss_edt(own)}
 
 
 def test_nontrivial_components_sit_inside_blocks():

@@ -8,9 +8,10 @@ import pytest
 
 import twoec
 from twoec.digraph import (
-    Digraph, GraphError, Partition, build, delete_edge_view, induced_subgraph, largest_scc,
-    scc,
+    Digraph, GraphError, Partition, build, delete_edge_view, induced_subgraph,
+    induced_subgraphs, largest_scc, scc,
 )
+from twoec.dominators import strong_bridges
 from twoec.fixtures import g1, g2, g4, g5, road_grid
 
 
@@ -119,6 +120,54 @@ def test_induced_subgraph_origin():
         oe = int(sub.origin[e])
         assert g.tail(oe) == int(sub.vertex_origin[sub.tail(e)])
         assert g.head(oe) == int(sub.vertex_origin[sub.head(e)])
+
+
+def _split_cases():
+    """(graph, partition) pairs: a multigraph with parallel edges and loops,
+    a view of it with id gaps, the SCCs of road grids with and without their
+    strong bridges, and seeded random multigraphs with random labels."""
+    g = build(6, [(0, 1), (0, 1), (1, 0), (1, 1), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2),
+                  (5, 5), (4, 0), (1, 2), (2, 4), (4, 3)], allow_multi=True)
+    view = g.subgraph_edges([0, 2, 3, 4, 6, 8, 9, 12, 13])
+    yield g, Partition([0, 0, 1, 1, 1, 2])
+    yield g, scc(g)
+    yield view, Partition([0, 0, 1, 1, 1, 2])
+    yield view, scc(view)
+    for side in (14, 30):
+        grid = road_grid(side, 0.12, 0.55, 1)
+        sb = strong_bridges(grid)
+        rest = grid.subgraph_edges([e for e in grid.edge_ids.tolist() if e not in sb])
+        yield grid, scc(grid)
+        yield rest, scc(rest)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        m = int(rng.integers(0, 40))
+        pairs = [tuple(int(x) for x in rng.integers(0, n, 2)) for _ in range(m)]
+        h = build(n, pairs, allow_multi=True)
+        h = h.subgraph_edges(np.flatnonzero(rng.random(h.m) < 0.7))
+        yield h, Partition(rng.integers(0, max(1, n // 2), n).tolist())
+
+
+def test_induced_subgraphs_match_induced_subgraph_per_class():
+    for g, part in _split_cases():
+        want = [induced_subgraph(g, cls) for cls in part.classes() if len(cls) >= 2]
+        got = induced_subgraphs(g, part)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.n == b.n and a.edge_pairs() == b.edge_pairs()
+            assert a.edge_ids.tolist() == b.edge_ids.tolist()
+            assert a.origin.tolist() == b.origin.tolist()
+            assert a.vertex_origin.tolist() == b.vertex_origin.tolist()
+
+
+def test_induced_subgraphs_of_trivial_partitions():
+    g = g5()
+    assert induced_subgraphs(g, Partition(range(g.n))) == []
+    assert induced_subgraphs(Digraph(0, [], []), Partition([])) == []
+    for labels in ([0] * (g.n - 1), [0] * (g.n + 1)):
+        with pytest.raises(GraphError, match="partition"):
+            induced_subgraphs(g, Partition(labels))
 
 
 def _lists_reference(n, ids, ends):
