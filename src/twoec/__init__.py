@@ -2,8 +2,7 @@
 2-edge-connected blocks and components of a directed graph."""
 
 from .digraph import (
-    Digraph, GraphError, Partition, build, delete_edge_view, induced_subgraph,
-    largest_scc, scc,
+    Digraph, GraphError, Partition, build, induced_subgraph, largest_scc, scc,
 )
 from .dominators import DominatorTree, dominator_tree, flow_bridges, strong_bridges
 from .spanning import independent_pair, verify_independent

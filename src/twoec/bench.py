@@ -5,7 +5,7 @@ import csv
 import logging
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .blocks import blocks, components
@@ -20,20 +20,16 @@ log = logging.getLogger("twoec.bench")
 __all__ = ["ALGORITHMS", "QualityReport", "run_algorithm", "lower_bound",
            "run_experiment", "write_csv"]
 
-CSV_COLUMNS = ["dataset", "algorithm", "problem", "n", "m", "bstar",
-               "edges_out", "delta_avg", "lower_bound", "q", "seconds"]
-
-
 _OPTIONS = ("order", "seed", "trivial_skip", "certificate")
 
 
-def _cfg(opts: dict, **fields) -> FilterConfig:
+def _cfg(opts: dict, **extra) -> FilterConfig:
     return FilterConfig(
         edge_order=opts.get("order", "input"),
         seed=opts.get("seed", 0),
         trivial_skip=opts.get("trivial_skip", True),
         certificate=opts.get("certificate", True),
-        **fields,
+        **extra,
     )
 
 
@@ -186,10 +182,6 @@ def run_experiment(config: dict, out_csv: str | Path | None = None) -> list[Qual
 def write_csv(reports: list[QualityReport], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for r in reports:
-            w.writerow([
-                r.dataset, r.algorithm, r.problem, r.n, r.m, r.bstar, r.edges_out,
-                repr(r.delta_avg), repr(r.lower_bound), repr(r.q), repr(r.seconds),
-            ])
+        w.writerow(f.name for f in fields(QualityReport))
+        w.writerows(astuple(r) for r in reports)
 

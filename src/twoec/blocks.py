@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import (
-    Digraph, GraphError, Partition, _ensure_strongly_connected, delete_edge_view,
-    induced_subgraph, induced_subgraphs, scc,
+    Digraph, GraphError, Partition, _ensure_strongly_connected, induced_subgraph,
+    induced_subgraphs, scc,
 )
 from .dominators import DominatorTree, _strong_bridges, dominator_tree, flow_bridges
 
@@ -31,16 +31,18 @@ class AuxGraph:
     with, and `is_ordinary` is True exactly at the tree members.  A
     first-level graph maps into its flow graph.  A second-level graph, built
     on H^R for a first-level graph H, maps through H into the input graph,
-    and its `is_ordinary` means ordinary at both levels.  `entering_bridge`
-    is the local id of the one copy of the bridge d(r) -> r, the only edge
-    out of d(r), or -1 at the start vertex.
+    and its `is_ordinary` means ordinary at both levels.  At the first level
+    the one copy of the bridge d(r) -> r is the only edge out of d(r).  A
+    second-level graph leaves that entering bridge out of its `edge_ids`,
+    because its SCCs without the bridge are what the blocks are read off;
+    its `tails`, `heads` and `orig_edge` still hold the bridge, so every
+    local edge id is the one it would have with the bridge.
     """
 
     graph: Digraph
     is_ordinary: list[bool]
     orig_vertex: list[int]
     orig_edge: list[int]
-    entering_bridge: int
 
 
 def aux_graphs(g: Digraph, s: int, h: AuxGraph | None = None,
@@ -126,15 +128,16 @@ def aux_graphs(g: Digraph, s: int, h: AuxGraph | None = None,
             heads.append(lb)
             orig.append(e)
 
+        edge_ids = None
         if h is not None:
             vertices = [h.orig_vertex[v] for v in vertices]
             orig = [h.orig_edge[e] for e in orig]
+            edge_ids = [e for e in range(len(orig)) if e != bridge]
         result.append(AuxGraph(
-            graph=Digraph(len(vertices), tails, heads),
+            graph=Digraph(len(vertices), tails, heads, edge_ids=edge_ids),
             is_ordinary=flags + [False] * (len(vertices) - n_ord),
             orig_vertex=vertices,
             orig_edge=orig,
-            entering_bridge=bridge,
         ))
     return dt, result
 
@@ -166,9 +169,9 @@ def blocks(g: Digraph) -> Partition:
     edge-disjoint paths in each direction.
 
     The blocks are read off the strongly connected components of the
-    second-level auxiliary graphs: two vertices share a block iff they are
-    ordinary at both levels and strongly connected there (after removing
-    the entering bridge in bridge-headed graphs).
+    second-level auxiliary graphs, which are built without their entering
+    bridges: two vertices share a block iff they are ordinary at both
+    levels and strongly connected in one of them.
     """
     _ensure_strongly_connected(g)
     dsu = _DSU(g.n)
@@ -179,13 +182,11 @@ def blocks(g: Digraph) -> Partition:
     return dsu.partition()
 
 
-def _block_sccs(aux: AuxGraph, dsu: _DSU) -> tuple[Digraph, Partition]:
+def _block_sccs(aux: AuxGraph, dsu: _DSU) -> Partition:
     """Read the blocks off one second-level graph: join in `dsu` the
-    vertices ordinary at both levels in each SCC of the graph without its
-    entering bridge.  Returns that graph and its SCC partition."""
-    work = aux.graph if aux.entering_bridge == -1 else delete_edge_view(
-        aux.graph, aux.entering_bridge)
-    part = scc(work)
+    vertices ordinary at both levels in each of its SCCs.  Returns its SCC
+    partition."""
+    part = scc(aux.graph)
     first: dict[int, int] = {}           # class -> its first ordinary vertex
     for c, ordinary, v in zip(part.comp.tolist(), aux.is_ordinary, aux.orig_vertex):
         if ordinary:
@@ -193,7 +194,7 @@ def _block_sccs(aux: AuxGraph, dsu: _DSU) -> tuple[Digraph, Partition]:
                 dsu.union(first[c], v)
             else:
                 first[c] = v
-    return work, part
+    return part
 
 
 def components(g: Digraph) -> Partition:

@@ -102,8 +102,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
 
         # Phase 3: strongly connected coverage of every second-level SCC
         for aux in level2:
-            work, part = _block_sccs(aux, block_dsu)
-            for sub in induced_subgraphs(work, part):
+            for sub in induced_subgraphs(aux.graph, _block_sccs(aux, block_dsu)):
                 cls = sub.vertex_origin.tolist()
                 both_ord = [v for v in cls if aux.is_ordinary[v]]
                 if modified and len(both_ord) <= 1:

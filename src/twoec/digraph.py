@@ -10,7 +10,6 @@ __all__ = [
     "build",
     "scc",
     "largest_scc",
-    "delete_edge_view",
     "induced_subgraph",
     "induced_subgraphs",
 ]
@@ -52,11 +51,11 @@ class Digraph:
     carry stable integer ids, and `edge_ids` (the active ones) is always
     ascending.  The adjacency is one CSR per direction, built on the first
     ``out_lists()`` or ``in_lists()`` call and kept; ``reverse()`` hands over
-    the directions already built.  A subgraph view (``subgraph_edges``,
-    ``delete_edge_view``) shares the parent's edge-id space, so ids stay
-    meaningful across views.  Graphs rebuilt with a fresh id space
-    (``induced_subgraph``, contractions) carry ``origin``, mapping each new
-    edge id to the parent graph's edge id, and ``vertex_origin`` likewise.
+    the directions already built.  A subgraph view (``subgraph_edges``)
+    shares the parent's edge-id space, so ids stay meaningful across views.
+    Graphs rebuilt with a fresh id space (``induced_subgraph``,
+    contractions) carry ``origin``, mapping each new edge id to the parent
+    graph's edge id, and ``vertex_origin`` likewise.
     A graph read from a file keeps the file's vertex ids in ``vertex_origin``.
     The constructor takes each of these as any int sequence (a list, a range
     or an int64 array) and stores int64 arrays.
@@ -145,7 +144,7 @@ def build(n: int, edges, allow_multi: bool = False) -> Digraph:
     if not allow_multi:
         if np.any(tails == heads):
             raise GraphError("self loop in a simple graph")
-        if len(np.unique(tails * n + heads)) != len(tails):
+        if len(np.unique(np.stack([tails, heads], axis=1), axis=0)) != len(tails):
             raise GraphError("duplicate edge in a simple graph")
     return Digraph(n, tails, heads)
 
@@ -160,12 +159,6 @@ class Partition:
         remap: dict[int, int] = {}
         self.comp = _int64([remap.setdefault(lab, len(remap)) for lab in labels])
         self.count = len(remap)
-
-    def classes(self) -> list[np.ndarray]:
-        out: list[list[int]] = [[] for _ in range(self.count)]
-        for v, c in enumerate(self.comp.tolist()):
-            out[c].append(v)
-        return [_int64(c) for c in out]
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.comp, minlength=self.count)
@@ -298,15 +291,3 @@ def largest_scc(g: Digraph) -> Digraph:
     target = int(np.argmax(sizes))
     return induced_subgraph(g, np.flatnonzero(part.comp == target))
 
-
-def delete_edge_view(g: Digraph, e: int) -> Digraph:
-    """View of `g` without edge `e`; all other edge ids are unchanged."""
-    e = int(e)
-    pos = np.searchsorted(g.edge_ids, e)
-    if pos >= len(g.edge_ids) or g.edge_ids[pos] != e:
-        raise GraphError(f"edge id {e} is not active in this graph")
-    return Digraph(
-        g.n, g.tails, g.heads,
-        edge_ids=np.delete(g.edge_ids, pos),
-        origin=g.origin, vertex_origin=g.vertex_origin,
-    )

@@ -275,7 +275,10 @@ def _on_aux_graphs(view: Digraph, cfg: FilterConfig) -> FilterReport:
         for h in aux_graphs(view, 0)[1]:
             for aux in aux_graphs(h.graph.reverse(), 0, h)[1]:
                 appeared.update(aux.orig_edge)
-                sub_rep = _run_strategy(aux.graph, cfg, blocks(aux.graph))
+                # the strategy filters the entering bridge too, which
+                # aux.graph leaves out of its edges
+                whole = Digraph(aux.graph.n, aux.graph.tails, aux.graph.heads)
+                sub_rep = _run_strategy(whole, cfg, blocks(whole))
                 tested += sub_rep.counters["tested_2edp"] + sub_rep.counters["tested_blocks"]
                 kept.update(aux.orig_edge[e] for e in sub_rep.surviving)
     surviving = (set(ids) - appeared) | kept
@@ -297,12 +300,14 @@ def filter_b(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
     g without `cfg.certificate`; `cfg.strategy` filters them as one graph,
     or inside each second-level auxiliary graph with `cfg.on_aux_graphs`.
     """
-    _ensure_strongly_connected(g)
-    view, part = g, None
     if cfg.certificate:
-        # the certificate keeps the blocks, so g's partition is its own
+        # the certificate keeps the blocks, so g's partition is its own;
+        # building it checks that g is strongly connected
         cert, _, part = _ist_pipeline(g, 0, modified=True)
         view = g.subgraph_edges(sorted(cert.edge_set()))
+    else:
+        _ensure_strongly_connected(g)
+        view, part = g, None
     if cfg.on_aux_graphs:
         rep = _on_aux_graphs(view, cfg)
     else:

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .digraph import (
-    Digraph, GraphError, Partition, build, delete_edge_view, induced_subgraph, scc,
-)
+from .digraph import Digraph, GraphError, Partition, build, induced_subgraph, scc
 
 __all__ = [
     "OracleBudget", "oracle_blocks", "oracle_components", "oracle_min_subgraph",
@@ -119,8 +117,9 @@ def _is_two_edge_connected(g: Digraph) -> bool:
         return True
     if scc(g).count != 1:
         return False
-    for e in g.edge_ids.tolist():
-        if scc(delete_edge_view(g, e)).count != 1:
+    ids = g.edge_ids.tolist()
+    for i in range(len(ids)):
+        if scc(g.subgraph_edges(ids[:i] + ids[i + 1:])).count != 1:
             return False
     return True
 

@@ -8,8 +8,7 @@ import pytest
 from twoec.blocks import _DSU, aux_graphs, blocks, components, condense
 from twoec.certificates import _condensed, two_ecss_edt, zni_c
 from twoec.digraph import (
-    Digraph, GraphError, Partition, build, delete_edge_view, induced_subgraph,
-    largest_scc, scc,
+    Digraph, GraphError, Partition, build, induced_subgraph, largest_scc, scc,
 )
 from twoec.dominators import dominator_tree, flow_bridges, strong_bridges
 from twoec.fixtures import (
@@ -18,6 +17,11 @@ from twoec.fixtures import (
 from twoec.oracle import (
     OracleBudget, oracle_blocks, oracle_components, two_edge_connected_pair,
 )
+
+
+def _classes(part: Partition) -> list[np.ndarray]:
+    """The vertices of each class of `part`, ascending, in class order."""
+    return [np.flatnonzero(part.comp == c) for c in range(part.count)]
 
 
 def _roots(auxes) -> list[int]:
@@ -101,15 +105,21 @@ def test_lemma_strong_bridge_reversal():
             for e in strong_bridges(h.graph):
                 if h.orig_edge[e] in gs_bridges:
                     continue
-                if h.entering_bridge != -1 and h.graph.head(e) == h.graph.n - 1:
+                if h.orig_vertex[0] != 0 and h.graph.head(e) == h.graph.n - 1:
                     continue
                 assert e in rev_bridges
+
+
+def _left_out(aux) -> list[int]:
+    """The local edge ids of `aux` that its graph leaves out: the entering
+    bridge of a bridge-headed second-level graph, else none."""
+    return sorted(set(range(len(aux.orig_edge))) - set(aux.graph.edge_ids.tolist()))
 
 
 def test_second_level_api():
     h = aux_graphs(g1(), 0)[1][0]
     level2 = aux_graphs(h.graph.reverse(), 0, h)[1]
-    assert [aux.entering_bridge for aux in level2] == [-1]  # H^R(0) has no bridges
+    assert [_left_out(aux) for aux in level2] == [[]]  # H^R(0) has no bridges
     # every second-level graph of a path-like graph has <= 1 ordinary vertex
     g = g2()
     for h in aux_graphs(g, 0)[1]:
@@ -118,8 +128,7 @@ def test_second_level_api():
         assert dtr == dominator_tree(rev, 0)
         assert dtr.dfs_order[0] == 0 and dtr.idom[0] == -1
         for aux in level2:
-            if aux.entering_bridge != -1:
-                assert aux.orig_edge[aux.entering_bridge] in {0, 1, 2}
+            assert [aux.orig_edge[e] for e in _left_out(aux)] in ([], [0], [1], [2])
             assert sum(aux.is_ordinary) <= 1
 
 
@@ -128,41 +137,47 @@ def test_second_level_contains_g5_block():
     for h in aux_graphs(g5(), 0)[1]:
         for aux in aux_graphs(h.graph.reverse(), 0, h)[1]:
             part = scc(aux.graph)
-            for cls in part.classes():
+            for cls in _classes(part):
                 orig = {aux.orig_vertex[v] for v in cls.tolist() if aux.is_ordinary[v]}
                 if {0, 1} <= orig:
                     found = True
     assert found
 
 
-def _check_aux_contract(g, aux, reverse: bool) -> None:
+def _check_aux_contract(g, aux, second_level: bool, at_start: bool) -> None:
     """An edge between two ordinary vertices of `aux` maps to the edge of `g`
-    between the vertices they stand for, reversed when `aux` is built on a
-    reverse graph; the entering bridge is the only edge out of the last
-    local vertex d(r) and enters the root r, local vertex 0."""
+    between the vertices they stand for, reversed at the second level, which
+    is built on a reverse graph.  Unless r is the start vertex, one entering
+    bridge d(r) -> r leaves the last local vertex and enters the root, local
+    vertex 0: at the first level it is the only edge out of d(r), and a
+    second-level graph leaves it out, so no edge of the graph leaves d(r)."""
     pairs = g.edge_pairs()
-    for e, (t, hd) in enumerate(aux.graph.edge_pairs()):
-        if aux.is_ordinary[t] and aux.is_ordinary[hd]:
-            ends = (aux.orig_vertex[t], aux.orig_vertex[hd])
-            assert pairs[aux.orig_edge[e]] == (ends[::-1] if reverse else ends)
-    if aux.entering_bridge != -1:
-        out_start, out_eids, _ = aux.graph.out_lists()
-        d_r = aux.graph.n - 1
-        assert out_eids[out_start[d_r]:out_start[d_r + 1]] == [aux.entering_bridge]
-        assert aux.graph.head(aux.entering_bridge) == 0
+    tails, heads = aux.graph.tails.tolist(), aux.graph.heads.tolist()
+    assert len(tails) == len(heads) == len(aux.orig_edge)
+    for e in range(len(tails)):
+        if aux.is_ordinary[tails[e]] and aux.is_ordinary[heads[e]]:
+            ends = (aux.orig_vertex[tails[e]], aux.orig_vertex[heads[e]])
+            assert pairs[aux.orig_edge[e]] == (ends[::-1] if second_level else ends)
+    left_out = _left_out(aux)
+    if at_start:
+        assert left_out == []
+        return
+    d_r = aux.graph.n - 1
+    bridge = [e for e in range(len(tails)) if (tails[e], heads[e]) == (d_r, 0)]
+    out_start, out_eids, _ = aux.graph.out_lists()
+    assert len(bridge) == 1
+    assert left_out == (bridge if second_level else [])
+    assert out_eids[out_start[d_r]:out_start[d_r + 1]] == ([] if second_level else bridge)
 
 
 def test_second_level_maps_into_the_input_graph():
     rng = random.Random(67)
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
     for g in graphs + [road_grid(12, 0.12, 0.55, 1)]:
-        for h in aux_graphs(g, 0)[1]:
-            _check_aux_contract(g, h, reverse=False)
-            level2 = aux_graphs(h.graph.reverse(), 0, h)[1]
-            assert [aux.entering_bridge == -1 for aux in level2] == (
-                [True] + [False] * (len(level2) - 1))
-            for aux in level2:
-                _check_aux_contract(g, aux, reverse=True)
+        for i, h in enumerate(aux_graphs(g, 0)[1]):
+            _check_aux_contract(g, h, second_level=False, at_start=i == 0)
+            for j, aux in enumerate(aux_graphs(h.graph.reverse(), 0, h)[1]):
+                _check_aux_contract(g, aux, second_level=True, at_start=j == 0)
 
 
 def _both_ordinary(aux) -> list[int]:
@@ -171,14 +186,14 @@ def _both_ordinary(aux) -> list[int]:
 
 
 def _aux_fields(aux):
-    return (aux.orig_edge, aux.orig_vertex, aux.is_ordinary, aux.entering_bridge,
-            aux.graph.edge_pairs())
+    return (aux.orig_edge, aux.orig_vertex, aux.is_ordinary, aux.graph.n,
+            aux.graph.tails.tolist(), aux.graph.heads.tolist(), aux.graph.edge_ids.tolist())
 
 
 def _blocks_from_kept_graphs(g) -> Partition:
-    """Blocks read off only the second-level graphs that `blocks_only` keeps,
-    after checking that they are exactly the full list's graphs with at least
-    2 vertices ordinary at both levels."""
+    """Blocks read off the SCCs of only the second-level graphs that
+    `blocks_only` keeps, as built, after checking that they are exactly the
+    full list's graphs with at least 2 vertices ordinary at both levels."""
     dsu = _DSU(g.n)
     for h in aux_graphs(g, 0)[1]:
         rev = h.graph.reverse()
@@ -188,10 +203,7 @@ def _blocks_from_kept_graphs(g) -> Partition:
         want = [aux for aux in full if len(_both_ordinary(aux)) >= 2]
         assert [_aux_fields(a) for a in kept] == [_aux_fields(a) for a in want]
         for aux in kept:
-            work = aux.graph
-            if aux.entering_bridge != -1:
-                work = delete_edge_view(work, aux.entering_bridge)
-            comp = scc(work).comp.tolist()
+            comp = scc(aux.graph).comp.tolist()
             groups: dict[int, list[int]] = {}
             for v in _both_ordinary(aux):
                 groups.setdefault(comp[v], []).append(aux.orig_vertex[v])
@@ -228,11 +240,34 @@ def test_blocks_only_keeps_every_block_at_scale(make):
     g = make()
     part = _blocks_from_kept_graphs(g)
     assert part == blocks(g)
-    nontrivial = [cls.tolist() for cls in part.classes() if len(cls) >= 2]
+    nontrivial = [cls.tolist() for cls in _classes(part) if len(cls) >= 2]
     assert nontrivial
     for cls in nontrivial:
         for v in cls[1:]:
             assert two_edge_connected_pair(g, cls[0], v)
+
+
+def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
+    # one blocks() call builds each first-level graph, its reverse and each
+    # second-level graph, and reads the second-level graphs as built
+    built = []
+    init = Digraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Digraph, "__init__", counting_init)
+    for g in (g4(), g5(), road_grid(12, 0.12, 0.55, 1)):
+        built.clear()
+        blocks(g)
+        in_blocks = len(built)
+        built.clear()
+        level1 = aux_graphs(g, 0)[1]
+        level2 = [aux for h in level1 for aux in aux_graphs(h.graph.reverse(), 0, h)[1]]
+        assert len(built) == 2 * len(level1) + len(level2)
+        assert len(level2) > len(level1)          # some graphs have an entering bridge
+        assert in_blocks == len(built)
 
 
 def test_blocks_fixtures():
@@ -311,7 +346,7 @@ def _components_by_bridge_removal(g) -> Partition:
                 label[v] = min(orig)
             continue
         rest = piece.subgraph_edges([e for e in piece.edge_ids.tolist() if e not in sb])
-        for cls in scc(rest).classes():
+        for cls in _classes(scc(rest)):
             if len(cls) >= 2:
                 queue.append((induced_subgraph(rest, cls), [orig[v] for v in cls.tolist()]))
     return Partition(label)
@@ -441,7 +476,7 @@ def test_condensed_2ecss_of_multigraph_components_matches_two_ecss_edt():
 def _check_condensed_2ecss(g):
     """`_condensed` hands every component with its trees to the 2ECSS: the
     edges must be those of `two_ecss_edt` on the component's own copy."""
-    classes = [cls for cls in components(g).classes() if len(cls) >= 2]
+    classes = [cls for cls in _classes(components(g)) if len(cls) >= 2]
     pieces, _ = _condensed(g, cap=2)
     assert len(pieces) == len(classes)
     for (sub, edges), cls in zip(pieces, classes):
@@ -457,7 +492,7 @@ def test_nontrivial_components_sit_inside_blocks():
         g = random_strongly_connected(rng, rng.randint(2, 10))
         b = blocks(g)
         c = components(g)
-        for cls in c.classes():
+        for cls in _classes(c):
             if len(cls) >= 2:
                 assert len({int(b.comp[v]) for v in cls.tolist()}) == 1
 

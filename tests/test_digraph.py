@@ -8,8 +8,8 @@ import pytest
 
 import twoec
 from twoec.digraph import (
-    Digraph, GraphError, Partition, build, delete_edge_view, induced_subgraph,
-    induced_subgraphs, largest_scc, scc,
+    Digraph, GraphError, Partition, build, induced_subgraph, induced_subgraphs, largest_scc,
+    scc,
 )
 from twoec.dominators import strong_bridges
 from twoec.fixtures import g1, g2, g4, g5, road_grid
@@ -37,6 +37,16 @@ def test_build_rejects_bad_input():
     # allowed as multigraph
     g = build(2, [(0, 1), (0, 1), (1, 1), (1, 0)], allow_multi=True)
     assert g.m == 4
+
+
+def test_build_duplicate_check_holds_beyond_int64_products():
+    # tail * n + head wraps around int64 here, and (2**32, 3) and (1, 2)
+    # would collide under it
+    n = 2**32 + 1
+    g = build(n, [(2**32, 3), (1, 2)])
+    assert g.n == n and g.edge_pairs() == [(2**32, 3), (1, 2)]
+    with pytest.raises(GraphError, match="duplicate edge"):
+        build(n, [(2**32, 3), (1, 2), (2**32, 3)])
 
 
 def test_adjacency_partitions_edges():
@@ -81,25 +91,30 @@ def test_largest_scc_extracts_and_renumbers():
     assert same.edge_pairs() == g2().edge_pairs()
 
 
-def test_delete_edge_view_keeps_ids():
+def _without_edge(g, e: int):
+    """View of `g` without edge `e`; all other edge ids keep their meaning."""
+    return g.subgraph_edges([f for f in g.edge_ids.tolist() if f != e])
+
+
+def test_subgraph_edges_without_one_edge_keeps_ids():
     g = g2()
-    v = delete_edge_view(g, 0)
+    v = _without_edge(g, 0)
     assert v.m == 2
     assert v.edge_ids.tolist() == [1, 2]
     assert scc(v).count == 3
     assert v.tail(1) == 1 and v.head(1) == 2
     with pytest.raises(GraphError):
-        delete_edge_view(v, 0)
+        v.subgraph_edges([0, 1])
     # G1 stays strongly connected after any single deletion
     for e in range(6):
-        assert scc(delete_edge_view(g1(), e)).count == 1
+        assert scc(_without_edge(g1(), e)).count == 1
 
 
-def test_delete_edge_view_g5_breaks_connectivity():
+def test_subgraph_edges_without_one_g5_edge_breaks_connectivity():
     # every G5 edge is a strong bridge, so any single deletion disconnects
     g = g5()
     for e in range(8):
-        assert scc(delete_edge_view(g, e)).count > 1
+        assert scc(_without_edge(g, e)).count > 1
 
 
 def test_views_reject_ids_outside_the_graph():
@@ -151,7 +166,8 @@ def _split_cases():
 
 def test_induced_subgraphs_match_induced_subgraph_per_class():
     for g, part in _split_cases():
-        want = [induced_subgraph(g, cls) for cls in part.classes() if len(cls) >= 2]
+        classes = [np.flatnonzero(part.comp == c) for c in range(part.count)]
+        want = [induced_subgraph(g, cls) for cls in classes if len(cls) >= 2]
         got = induced_subgraphs(g, part)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -215,7 +231,7 @@ def _fresh_graphs():
     with no vertices or no edges."""
     g = build(5, [(0, 1), (0, 1), (1, 0), (1, 2), (2, 0), (2, 0), (3, 3), (2, 3), (3, 1)],
               allow_multi=True)
-    return [g, g.subgraph_edges([0, 2, 4, 5, 8]), delete_edge_view(g, 1),
+    return [g, g.subgraph_edges([0, 2, 4, 5, 8]), _without_edge(g, 1),
             induced_subgraph(g, np.asarray([0, 1, 2])), g.subgraph_edges([]),
             build(0, []), build(3, [])]
 
@@ -310,7 +326,7 @@ def test_digraph_stores_int64_arrays_from_any_int_sequence(kind):
     g, ref = _graph(as_kind), _graph(_KINDS["array"])
     assert g.edge_pairs() == [(0, 5), (2, 3), (4, 1)]
     views = [lambda x: x, Digraph.reverse, lambda x: x.subgraph_edges(as_kind(range(2, 5, 2))),
-             lambda x: delete_edge_view(x, 2),
+             lambda x: _without_edge(x, 2),
              lambda x: induced_subgraph(x, as_kind(range(1, 6)))]
     for view in views:
         assert _stored(view(g)) == _stored(view(ref))
@@ -329,7 +345,8 @@ def test_partition_stores_int64_arrays_from_any_int_sequence():
         p = Partition(labels)
         assert p.comp.dtype == np.int64 and p.comp.tolist() == [0, 0, 1, 2, 1]
         assert p.count == 3 and p.sizes().tolist() == [2, 2, 1]
-        assert [c.tolist() for c in p.classes()] == [[0, 1], [2, 4], [3]]
+        assert [np.flatnonzero(p.comp == c).tolist() for c in range(p.count)] == [
+            [0, 1], [2, 4], [3]]
         assert p.nontrivial_vertices() == 4
         same = Partition(np.asarray([0, 0, 1, 2, 1]))
         assert p == same and hash(p) == hash(same)

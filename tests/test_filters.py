@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 from twoec.blocks import blocks, preservation_violations
-from twoec.digraph import GraphError, build, delete_edge_view, largest_scc, scc
+from twoec.digraph import GraphError, build, largest_scc, scc
 from twoec.filters import FilterConfig, _Working, filter_b, filter_bc
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected,
     random_two_edge_connected, road_grid,
 )
 from twoec.oracle import _bfs_flow_at_least_two, oracle_blocks
+
+
+def _without_edge(g, e: int):
+    """View of `g` without edge `e`; all other edge ids keep their meaning."""
+    return g.subgraph_edges([f for f in g.edge_ids.tolist() if f != e])
 
 
 def test_two_disjoint_paths_pairs():
@@ -41,7 +46,7 @@ def test_two_disjoint_paths_matches_the_flow_oracle():
             alive = [e for e in work.ids if work.alive[e]]
             current = g.subgraph_edges(np.asarray(alive, dtype=np.int64))
             for e in alive:
-                rest = delete_edge_view(current, e)
+                rest = _without_edge(current, e)
                 x, y = g.tail(e), g.head(e)
                 for a, b in ((x, y), (y, x)):
                     got = work.two_disjoint_paths(a, b, e_skip=e)
@@ -227,7 +232,7 @@ def test_block_test_decisions_replay():
             for e, what in rep.decisions.items():
                 if what == "kept-trivial":
                     continue
-                rest = delete_edge_view(current, e)
+                rest = _without_edge(current, e)
                 connected = scc(rest).count == 1
                 assert (what == "kept-bridge") == (not connected)
                 if connected:
@@ -306,9 +311,14 @@ def test_filter_bc_aux_mode():
 
 
 def test_filters_reject_disconnected():
+    # every path: with and without the certificate, on and off the aux graphs
     g = build(3, [(0, 1), (1, 2)])
-    with pytest.raises(GraphError):
-        filter_b(g)
+    for run in (filter_b, filter_bc):
+        for certificate in (True, False):
+            for on_aux_graphs in (False, True):
+                cfg = FilterConfig(certificate=certificate, on_aux_graphs=on_aux_graphs)
+                with pytest.raises(GraphError, match="must be strongly connected"):
+                    run(g, cfg)
 
 
 def test_edge_order_variants_stay_valid():

@@ -57,6 +57,7 @@ FILTER_VARIANTS = {
     "random-3": {"edge_order": "random", "seed": 3},
     "test2ecb": {"strategy": "test2ecb"},
     "aux-no-certificate": {"on_aux_graphs": True, "certificate": False},
+    "aux-random-3": {"on_aux_graphs": True, "edge_order": "random", "seed": 3},
 }
 
 
