@@ -6,9 +6,7 @@ from .digraph import (
 )
 from .dominators import DominatorTree, dominator_tree, flow_bridges, strong_bridges
 from .spanning import independent_pair, verify_independent
-from .blocks import (
-    AuxGraph, aux_graphs, blocks, components, condense, preservation_violations,
-)
+from .blocks import aux_graphs, blocks, components, condense, preservation_violations
 from .certificates import (
     CertificateEdgeList, CertificateStats, ist_b, ist_b_original, ist_bc,
     two_ecss_edt, zni_c, zni_scss,

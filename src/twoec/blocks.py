@@ -1,8 +1,6 @@
 """Canonical decomposition, auxiliary graphs, 2EC blocks/components, condensation."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .digraph import (
     Digraph, GraphError, Partition, _ensure_strongly_connected, induced_subgraph,
     induced_subgraphs, scc,
@@ -10,58 +8,46 @@ from .digraph import (
 from .dominators import DominatorTree, _strong_bridges, dominator_tree, flow_bridges
 
 __all__ = [
-    "AuxGraph", "aux_graphs",
-    "blocks", "components", "condense", "preservation_violations",
+    "aux_graphs", "blocks", "components", "condense", "preservation_violations",
 ]
 
 _BLOB = -1  # sentinel for the d(r) contraction target
 
 
-@dataclass(frozen=True)
-class AuxGraph:
-    """Contracted auxiliary graph of one marked vertex r.
-
-    Vertices of the parent graph outside r's tree are contracted: each
-    marked child subtree into its root, everything above r into d(r).  The
-    local vertices are r's tree members in dominator-respecting preorder (r
-    first, so r is local vertex 0), then its marked children in ascending
-    id order, then d(r) unless r is the start vertex.  The maps are Python
-    lists: `orig_vertex` gives the vertex each local vertex stands for
-    (idom(r) for d(r)), `orig_edge` the edge each local edge is associated
-    with, and `is_ordinary` is True exactly at the tree members.  A
-    first-level graph maps into its flow graph.  A second-level graph, built
-    on H^R for a first-level graph H, maps through H into the input graph,
-    and its `is_ordinary` means ordinary at both levels.  At the first level
-    the one copy of the bridge d(r) -> r is the only edge out of d(r).  A
-    second-level graph leaves that entering bridge out of its `edge_ids`,
-    because its SCCs without the bridge are what the blocks are read off;
-    its `tails`, `heads` and `orig_edge` still hold the bridge, so every
-    local edge id is the one it would have with the bridge.
-    """
-
-    graph: Digraph
-    is_ordinary: list[bool]
-    orig_vertex: list[int]
-    orig_edge: list[int]
-
-
-def aux_graphs(g: Digraph, s: int, h: AuxGraph | None = None,
-               blocks_only: bool = False) -> tuple[DominatorTree, list[AuxGraph]]:
-    """The dominator tree of the flow graph G(s) and the auxiliary graph of
-    every marked vertex: s and the bridge heads of G(s), in ascending order.
+def aux_graphs(g: Digraph, s: int, h: Digraph | None = None,
+               blocks_only: bool = False) -> tuple[DominatorTree, list[Digraph]]:
+    """The dominator tree of the flow graph G(s) and the contracted
+    auxiliary graph of every marked vertex r: s and the bridge heads of
+    G(s), in ascending order.
 
     Deleting the bridges from the dominator tree leaves one tree per marked
-    vertex, the canonical decomposition; each aux graph keeps one tree and
-    contracts the rest.  Every bridge has its own head, so the full list
-    has one graph more than G(s) has bridges.  At the second level, `g` is
-    H^R and `s` is 0 (r) for a first-level graph `h`: the maps compose
-    through `h` into the input graph, and `blocks_only` keeps just the
-    graphs with at least 2 vertices ordinary at both levels, the only ones
-    that hold a block or a part of n'.
+    vertex, the canonical decomposition.  Every bridge has its own head, so
+    the list has one graph more than G(s) has bridges.  The graph of r keeps
+    r's tree and contracts the rest: each marked child subtree into its
+    root, everything above r into d(r).  Its local vertices are r's tree
+    members in dominator-respecting preorder (r first, so r is local vertex
+    0), then its marked children in ascending id order, then d(r) unless r
+    is s.  `origin` gives the edge each local edge is associated with, and
+    `vertex_origin` the input vertex each ordinary local vertex stands for;
+    it is -1 at every contracted vertex.
+
+    At the second level, `g` is H^R and `s` is 0 (r) for a first-level
+    graph `h`, and both maps compose through `h` into the input graph: a
+    tree member contracted at the first level is -1 too, so a local vertex
+    is ordinary at both levels iff its `vertex_origin` is not -1, and
+    `blocks_only` keeps just the graphs with at least 2 such vertices, the
+    only ones that hold a block or a part of n'.  At the first level the
+    one copy of the bridge d(r) -> r is the only edge out of d(r).  A
+    second-level graph leaves that entering bridge out of its `edge_ids`,
+    because its SCCs without the bridge are what the blocks are read off;
+    its `tails`, `heads` and `origin` still hold the bridge, so every local
+    edge id is the one it would have with the bridge.
     """
     dt = dominator_tree(g, s)
-    if blocks_only and h is not None and sum(h.is_ordinary) < 2:
-        return dt, []
+    if h is not None:
+        h_vertex, h_edge = h.vertex_origin.tolist(), h.origin.tolist()
+        if blocks_only and sum(v >= 0 for v in h_vertex) < 2:
+            return dt, []
     idom = dt.idom
     bridge_into = {g.head(e): e for e in flow_bridges(g, dt)}
     marked = sorted({s, *bridge_into})
@@ -97,15 +83,13 @@ def aux_graphs(g: Digraph, s: int, h: AuxGraph | None = None,
     result = []
     for r in marked:
         ordinary = members[r]
-        flags = [True] * len(ordinary) if h is None else [h.is_ordinary[v] for v in ordinary]
-        if blocks_only and sum(flags) < 2:
+        vertex_origin = ordinary if h is None else [h_vertex[v] for v in ordinary]
+        if blocks_only and sum(v >= 0 for v in vertex_origin) < 2:
             continue
         n_ord = len(ordinary)
-        vertices = ordinary + children[r]
-        local = {v: i for i, v in enumerate(vertices)}
-        local[_BLOB] = len(vertices)
-        if r != s:
-            vertices.append(idom[r])         # d(r)
+        local = {v: i for i, v in enumerate(ordinary + children[r])}
+        n = len(local) + (r != s)            # d(r) last
+        local[_BLOB] = len(local)
 
         tails: list[int] = []
         heads: list[int] = []
@@ -130,38 +114,11 @@ def aux_graphs(g: Digraph, s: int, h: AuxGraph | None = None,
 
         edge_ids = None
         if h is not None:
-            vertices = [h.orig_vertex[v] for v in vertices]
-            orig = [h.orig_edge[e] for e in orig]
+            orig = [h_edge[e] for e in orig]
             edge_ids = [e for e in range(len(orig)) if e != bridge]
-        result.append(AuxGraph(
-            graph=Digraph(len(vertices), tails, heads, edge_ids=edge_ids),
-            is_ordinary=flags + [False] * (len(vertices) - n_ord),
-            orig_vertex=vertices,
-            orig_edge=orig,
-        ))
+        result.append(Digraph(n, tails, heads, edge_ids=edge_ids, origin=orig,
+                              vertex_origin=vertex_origin + [-1] * (n - n_ord)))
     return dt, result
-
-
-class _DSU:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def partition(self) -> Partition:
-        return Partition([self.find(v) for v in range(len(self.parent))])
 
 
 def blocks(g: Digraph) -> Partition:
@@ -171,29 +128,28 @@ def blocks(g: Digraph) -> Partition:
     The blocks are read off the strongly connected components of the
     second-level auxiliary graphs, which are built without their entering
     bridges: two vertices share a block iff they are ordinary at both
-    levels and strongly connected in one of them.
+    levels and strongly connected in one of them.  Every vertex is ordinary
+    at both levels in exactly one second-level graph, so each label below
+    is set at most once.
     """
     _ensure_strongly_connected(g)
-    dsu = _DSU(g.n)
+    label = list(range(g.n))
     if g.n > 1:
         for h in aux_graphs(g, 0)[1]:
-            for aux in aux_graphs(h.graph.reverse(), 0, h)[1]:
-                _block_sccs(aux, dsu)
-    return dsu.partition()
+            for aux in aux_graphs(h.reverse(), 0, h)[1]:
+                _block_sccs(aux, label)
+    return Partition(label)
 
 
-def _block_sccs(aux: AuxGraph, dsu: _DSU) -> Partition:
-    """Read the blocks off one second-level graph: join in `dsu` the
-    vertices ordinary at both levels in each of its SCCs.  Returns its SCC
-    partition."""
-    part = scc(aux.graph)
+def _block_sccs(aux: Digraph, label: list[int]) -> Partition:
+    """Read the blocks off one second-level graph: set the label of every
+    vertex ordinary at both levels to the first such vertex of its SCC.
+    Returns the SCC partition."""
+    part = scc(aux)
     first: dict[int, int] = {}           # class -> its first ordinary vertex
-    for c, ordinary, v in zip(part.comp.tolist(), aux.is_ordinary, aux.orig_vertex):
-        if ordinary:
-            if c in first:
-                dsu.union(first[c], v)
-            else:
-                first[c] = v
+    for c, v in zip(part.comp.tolist(), aux.vertex_origin.tolist()):
+        if v >= 0:
+            label[v] = first.setdefault(c, v)
     return part
 
 

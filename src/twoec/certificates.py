@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import _DSU, _block_sccs, _components, aux_graphs, condense
-from .digraph import Digraph, GraphError, _ensure_strongly_connected, induced_subgraphs, scc
+from .blocks import _block_sccs, _components, aux_graphs, condense
+from .digraph import (
+    Digraph, GraphError, Partition, _ensure_strongly_connected, induced_subgraphs, scc,
+)
 from .dominators import _dfs, _strong_bridges
 from .spanning import independent_pair
 
@@ -60,7 +62,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
             in_l.add(orig)
             new[tag] += 1
 
-    block_dsu = _DSU(g.n)
+    block_label = list(range(g.n))
     dt, level1 = aux_graphs(g, s)
 
     # Phase 1: two independent spanning trees of G(s)
@@ -70,9 +72,9 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                 insert(e, "P1")
 
     for h in level1:
-        rev = h.graph.reverse()
+        rev = h.reverse()
         dtr, level2 = aux_graphs(rev, 0, h, blocks_only=modified)
-        h_edge = h.orig_edge
+        h_vertex, h_edge = h.vertex_origin.tolist(), h.origin.tolist()
 
         # Phase 2: independent trees of the reverse flow graph, reusing edges
         # already chosen where valid
@@ -85,7 +87,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
             if x == 0:                       # the root r
                 continue
             eb, er = h_edge[blue_edge[x]], h_edge[red_edge[x]]
-            if h.is_ordinary[x] or not modified:
+            if h_vertex[x] >= 0 or not modified:
                 insert(eb, "P2")
                 insert(er, "P2")
                 continue
@@ -102,22 +104,23 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
 
         # Phase 3: strongly connected coverage of every second-level SCC
         for aux in level2:
-            for sub in induced_subgraphs(aux.graph, _block_sccs(aux, block_dsu)):
+            aux_vertex, aux_edge = aux.vertex_origin.tolist(), aux.origin.tolist()
+            for sub in induced_subgraphs(aux, _block_sccs(aux, block_label)):
                 cls = sub.vertex_origin.tolist()
-                both_ord = [v for v in cls if aux.is_ordinary[v]]
+                both_ord = [v for v in cls if aux_vertex[v] >= 0]
                 if modified and len(both_ord) <= 1:
                     continue
                 sub_origin = sub.origin.tolist()
 
                 def resolve(e_sub: int) -> int:
-                    return aux.orig_edge[sub_origin[e_sub]]
+                    return aux_edge[sub_origin[e_sub]]
 
                 if modified:
                     pref = {e for e in sub.edge_ids.tolist() if resolve(e) in in_l}
                     for e_sub in zni_scss(sub, preferred=pref):
                         insert(resolve(e_sub), "P3")
                 else:
-                    root = min(both_ord, key=aux.orig_vertex.__getitem__) if both_ord else cls[0]
+                    root = min(both_ord, key=aux_vertex.__getitem__) if both_ord else cls[0]
                     root_local = cls.index(root)
                     # out- and in-DFS trees; sub is strongly connected
                     for graph in (sub, sub.reverse()):
@@ -126,7 +129,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                             if e_sub != -1:
                                 insert(resolve(e_sub), "P3")
 
-    block_part = block_dsu.partition()
+    block_part = Partition(block_label)
     stats = CertificateStats(
         n=g.n, n_prime=block_part.nontrivial_vertices(), bridges=len(level1) - 1,
         phase1_new=new["P1"], phase2_new=new["P2"], phase3_new=new["P3"],
@@ -190,6 +193,25 @@ def _preferred_first(g: Digraph, preferred: set[int]):
         order += [p for p in span if eids[p] in preferred]
         order += [p for p in span if eids[p] not in preferred]
     return start, [eids[p] for p in order], [heads[p] for p in order]
+
+
+class _DSU:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
 
 
 def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:

@@ -11,7 +11,7 @@ import json
 import sys
 from collections import Counter
 
-from .bench import ALGORITHMS, run_algorithm, run_experiment, write_csv
+from .bench import ALGORITHMS, run_algorithm, run_experiment
 from .blocks import blocks, components, preservation_violations
 from .digraph import Digraph, GraphError, largest_scc
 from .dominators import strong_bridges
@@ -67,8 +67,7 @@ def _sparsify(args) -> int:
 def _bench(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
-    reports = run_experiment(config)
-    write_csv(reports, args.output)
+    reports = run_experiment(config, args.output)
     print(f"wrote {len(reports)} rows to {args.output}")
     return 0
 

@@ -55,7 +55,10 @@ class Digraph:
     shares the parent's edge-id space, so ids stay meaningful across views.
     Graphs rebuilt with a fresh id space (``induced_subgraph``,
     contractions) carry ``origin``, mapping each new edge id to the parent
-    graph's edge id, and ``vertex_origin`` likewise.
+    graph's edge id, and ``vertex_origin`` likewise.  An auxiliary graph
+    (``blocks.aux_graphs``) has ``vertex_origin`` -1 at every vertex that
+    stands for a contracted vertex set, not for one vertex; -1 marks such a
+    vertex and is never used as an index.
     A graph read from a file keeps the file's vertex ids in ``vertex_origin``.
     The constructor takes each of these as any int sequence (a list, a range
     or an int64 array) and stores int64 arrays.

@@ -273,14 +273,15 @@ def _on_aux_graphs(view: Digraph, cfg: FilterConfig) -> FilterReport:
     tested = 0
     if view.n > 1:
         for h in aux_graphs(view, 0)[1]:
-            for aux in aux_graphs(h.graph.reverse(), 0, h)[1]:
-                appeared.update(aux.orig_edge)
-                # the strategy filters the entering bridge too, which
-                # aux.graph leaves out of its edges
-                whole = Digraph(aux.graph.n, aux.graph.tails, aux.graph.heads)
+            for aux in aux_graphs(h.reverse(), 0, h)[1]:
+                aux_edge = aux.origin.tolist()
+                appeared.update(aux_edge)
+                # the strategy filters the entering bridge too, which aux
+                # leaves out of its edges
+                whole = Digraph(aux.n, aux.tails, aux.heads)
                 sub_rep = _run_strategy(whole, cfg, blocks(whole))
                 tested += sub_rep.counters["tested_2edp"] + sub_rep.counters["tested_blocks"]
-                kept.update(aux.orig_edge[e] for e in sub_rep.surviving)
+                kept.update(aux_edge[e] for e in sub_rep.surviving)
     surviving = (set(ids) - appeared) | kept
     decisions = {e: ("deleted" if e not in surviving else "kept-needed") for e in ids}
     return FilterReport(

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from twoec.blocks import _DSU, aux_graphs, blocks, components, condense
+from twoec.blocks import aux_graphs, blocks, components, condense
 from twoec.certificates import _condensed, two_ecss_edt, zni_c
 from twoec.digraph import (
     Digraph, GraphError, Partition, build, induced_subgraph, largest_scc, scc,
@@ -26,13 +26,20 @@ def _classes(part: Partition) -> list[np.ndarray]:
 
 def _roots(auxes) -> list[int]:
     """The marked vertex r of every aux graph: local vertex 0."""
-    return [a.orig_vertex[0] for a in auxes]
+    return [int(a.vertex_origin[0]) for a in auxes]
+
+
+def _ordinary(aux) -> list[int]:
+    """The local vertices of `aux` that stand for one input vertex: those
+    ordinary at its level, and at the first level too for a second-level
+    graph."""
+    return [v for v, orig in enumerate(aux.vertex_origin.tolist()) if orig >= 0]
 
 
 def test_canonical_decomposition_fixtures():
     auxes = aux_graphs(g1(), 0)[1]
     assert _roots(auxes) == [0]
-    assert sum(auxes[0].is_ordinary) == g1().n     # one tree holds every vertex
+    assert len(_ordinary(auxes[0])) == g1().n     # one tree holds every vertex
 
     assert _roots(aux_graphs(g2(), 0)[1]) == [0, 1, 2]
     assert _roots(aux_graphs(g4(), 0)[1]) == [0, 1, 2, 3, 4, 5]
@@ -42,15 +49,15 @@ def test_first_level_aux_graph_g1_is_whole():
     auxes = aux_graphs(g1(), 0)[1]
     assert len(auxes) == 1
     a = auxes[0]
-    assert all(a.is_ordinary) and a.graph.m == 6
+    assert len(_ordinary(a)) == a.n and a.m == 6
 
 
 def test_first_level_aux_graph_g2_middle():
     auxes = aux_graphs(g2(), 0)[1]
     by_root = dict(zip(_roots(auxes), auxes))
     mid = by_root[1]
-    assert sum(mid.is_ordinary) == 1
-    assert mid.graph.n == 3  # ordinary 1 plus contractions of both sides
+    assert len(_ordinary(mid)) == 1
+    assert mid.n == 3  # ordinary 1 plus contractions of both sides
 
 
 def test_aux_graph_size_bound():
@@ -63,8 +70,8 @@ def test_aux_graph_size_bound():
         dt, auxes = aux_graphs(g, 0)
         br = flow_bridges(g, dt)
         assert len(auxes) == len(br) + 1               # every bridge has its own head
-        total_v = sum(a.graph.n for a in auxes)
-        total_e = sum(a.graph.m for a in auxes)
+        total_v = sum(a.n for a in auxes)
+        total_e = sum(a.m for a in auxes)
         assert total_v <= g.n + 2 * len(br)
         assert total_e <= 2 * (g.m + g.n + 3 * len(br))
 
@@ -76,14 +83,14 @@ def test_ordinary_vertex_soundness():
         g = random_strongly_connected(rng, rng.randint(2, 10))
         whole = oracle_blocks(g)
         for a in aux_graphs(g, 0)[1]:
-            local = oracle_blocks(a.graph) if a.graph.n <= 12 else None
+            local = oracle_blocks(a) if a.n <= 12 else None
             if local is None:
                 continue
-            ordinary = [v for v in range(a.graph.n) if a.is_ordinary[v]]
+            ordinary = _ordinary(a)
             for i in ordinary:
                 for j in ordinary:
                     if i < j:
-                        oi, oj = a.orig_vertex[i], a.orig_vertex[j]
+                        oi, oj = int(a.vertex_origin[i]), int(a.vertex_origin[j])
                         assert ((local.comp[i] == local.comp[j])
                                 == (whole.comp[oi] == whole.comp[oj]))
 
@@ -98,14 +105,14 @@ def test_lemma_strong_bridge_reversal():
         dt, level1 = aux_graphs(g, 0)
         gs_bridges = flow_bridges(g, dt)
         for h in level1:
-            if h.graph.n <= 1 or scc(h.graph).count != 1:
+            if h.n <= 1 or scc(h).count != 1:
                 continue
-            rev = h.graph.reverse()
+            rev = h.reverse()
             rev_bridges = flow_bridges(rev, dominator_tree(rev, 0))
-            for e in strong_bridges(h.graph):
-                if h.orig_edge[e] in gs_bridges:
+            for e in strong_bridges(h):
+                if int(h.origin[e]) in gs_bridges:
                     continue
-                if h.orig_vertex[0] != 0 and h.graph.head(e) == h.graph.n - 1:
+                if h.vertex_origin[0] != 0 and h.head(e) == h.n - 1:
                     continue
                 assert e in rev_bridges
 
@@ -113,32 +120,32 @@ def test_lemma_strong_bridge_reversal():
 def _left_out(aux) -> list[int]:
     """The local edge ids of `aux` that its graph leaves out: the entering
     bridge of a bridge-headed second-level graph, else none."""
-    return sorted(set(range(len(aux.orig_edge))) - set(aux.graph.edge_ids.tolist()))
+    return sorted(set(range(len(aux.origin))) - set(aux.edge_ids.tolist()))
 
 
 def test_second_level_api():
     h = aux_graphs(g1(), 0)[1][0]
-    level2 = aux_graphs(h.graph.reverse(), 0, h)[1]
+    level2 = aux_graphs(h.reverse(), 0, h)[1]
     assert [_left_out(aux) for aux in level2] == [[]]  # H^R(0) has no bridges
     # every second-level graph of a path-like graph has <= 1 ordinary vertex
     g = g2()
     for h in aux_graphs(g, 0)[1]:
-        rev = h.graph.reverse()
+        rev = h.reverse()
         dtr, level2 = aux_graphs(rev, 0, h)
         assert dtr == dominator_tree(rev, 0)
         assert dtr.dfs_order[0] == 0 and dtr.idom[0] == -1
         for aux in level2:
-            assert [aux.orig_edge[e] for e in _left_out(aux)] in ([], [0], [1], [2])
-            assert sum(aux.is_ordinary) <= 1
+            assert [int(aux.origin[e]) for e in _left_out(aux)] in ([], [0], [1], [2])
+            assert len(_ordinary(aux)) <= 1
 
 
 def test_second_level_contains_g5_block():
     found = False
     for h in aux_graphs(g5(), 0)[1]:
-        for aux in aux_graphs(h.graph.reverse(), 0, h)[1]:
-            part = scc(aux.graph)
+        for aux in aux_graphs(h.reverse(), 0, h)[1]:
+            part = scc(aux)
             for cls in _classes(part):
-                orig = {aux.orig_vertex[v] for v in cls.tolist() if aux.is_ordinary[v]}
+                orig = {int(aux.vertex_origin[v]) for v in cls.tolist()} - {-1}
                 if {0, 1} <= orig:
                     found = True
     assert found
@@ -152,19 +159,20 @@ def _check_aux_contract(g, aux, second_level: bool, at_start: bool) -> None:
     vertex 0: at the first level it is the only edge out of d(r), and a
     second-level graph leaves it out, so no edge of the graph leaves d(r)."""
     pairs = g.edge_pairs()
-    tails, heads = aux.graph.tails.tolist(), aux.graph.heads.tolist()
-    assert len(tails) == len(heads) == len(aux.orig_edge)
+    tails, heads = aux.tails.tolist(), aux.heads.tolist()
+    origin, vertex_origin = aux.origin.tolist(), aux.vertex_origin.tolist()
+    assert len(tails) == len(heads) == len(origin)
     for e in range(len(tails)):
-        if aux.is_ordinary[tails[e]] and aux.is_ordinary[heads[e]]:
-            ends = (aux.orig_vertex[tails[e]], aux.orig_vertex[heads[e]])
-            assert pairs[aux.orig_edge[e]] == (ends[::-1] if second_level else ends)
+        ends = (vertex_origin[tails[e]], vertex_origin[heads[e]])
+        if min(ends) >= 0:
+            assert pairs[origin[e]] == (ends[::-1] if second_level else ends)
     left_out = _left_out(aux)
     if at_start:
         assert left_out == []
         return
-    d_r = aux.graph.n - 1
+    d_r = aux.n - 1
     bridge = [e for e in range(len(tails)) if (tails[e], heads[e]) == (d_r, 0)]
-    out_start, out_eids, _ = aux.graph.out_lists()
+    out_start, out_eids, _ = aux.out_lists()
     assert len(bridge) == 1
     assert left_out == (bridge if second_level else [])
     assert out_eids[out_start[d_r]:out_start[d_r + 1]] == ([] if second_level else bridge)
@@ -176,41 +184,69 @@ def test_second_level_maps_into_the_input_graph():
     for g in graphs + [road_grid(12, 0.12, 0.55, 1)]:
         for i, h in enumerate(aux_graphs(g, 0)[1]):
             _check_aux_contract(g, h, second_level=False, at_start=i == 0)
-            for j, aux in enumerate(aux_graphs(h.graph.reverse(), 0, h)[1]):
+            for j, aux in enumerate(aux_graphs(h.reverse(), 0, h)[1]):
                 _check_aux_contract(g, aux, second_level=True, at_start=j == 0)
 
 
-def _both_ordinary(aux) -> list[int]:
-    """Local vertices of a second-level graph ordinary at both levels."""
-    return [v for v in range(aux.graph.n) if aux.is_ordinary[v]]
+def _tree_members(g, dt) -> list[list[int]]:
+    """The members of each tree of the canonical decomposition of G(s), in
+    dominator-respecting preorder, by ascending marked root."""
+    heads = {g.head(e) for e in flow_bridges(g, dt)}
+    root: dict[int, int] = {}
+    members: dict[int, list[int]] = {}
+    for v in dt.dfs_order:
+        root[v] = v if dt.idom[v] == -1 or v in heads else root[dt.idom[v]]
+        members.setdefault(root[v], []).append(v)
+    return [members[r] for r in sorted(members)]
+
+
+def test_every_vertex_is_ordinary_in_one_graph_per_level():
+    # blocks() labels each vertex from the one second-level graph where it is
+    # ordinary at both levels; -1 marks exactly the contracted local vertices:
+    # the marked children, d(r), and members contracted at the first level
+    rng = random.Random(71)
+    graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
+    for g in graphs + [road_grid(12, 0.12, 0.55, 1), _uniform_digraph(350, 1400, 1)]:
+        dt, level1 = aux_graphs(g, 0)
+        level2 = []
+        for h, members in zip(level1, _tree_members(g, dt), strict=True):
+            assert h.vertex_origin.tolist() == members + [-1] * (h.n - len(members))
+            h_vertex = h.vertex_origin.tolist()
+            rev = h.reverse()
+            dtr, auxes = aux_graphs(rev, 0, h)
+            for aux, members2 in zip(auxes, _tree_members(rev, dtr), strict=True):
+                want = [h_vertex[v] for v in members2]
+                assert aux.vertex_origin.tolist() == want + [-1] * (aux.n - len(want))
+            level2 += auxes
+        for level in (level1, level2):
+            ordinary = [v for aux in level for v in aux.vertex_origin.tolist() if v >= 0]
+            assert sorted(ordinary) == list(range(g.n))
 
 
 def _aux_fields(aux):
-    return (aux.orig_edge, aux.orig_vertex, aux.is_ordinary, aux.graph.n,
-            aux.graph.tails.tolist(), aux.graph.heads.tolist(), aux.graph.edge_ids.tolist())
+    return (aux.origin.tolist(), aux.vertex_origin.tolist(), aux.n,
+            aux.tails.tolist(), aux.heads.tolist(), aux.edge_ids.tolist())
 
 
 def _blocks_from_kept_graphs(g) -> Partition:
     """Blocks read off the SCCs of only the second-level graphs that
     `blocks_only` keeps, as built, after checking that they are exactly the
     full list's graphs with at least 2 vertices ordinary at both levels."""
-    dsu = _DSU(g.n)
+    label = list(range(g.n))
     for h in aux_graphs(g, 0)[1]:
-        rev = h.graph.reverse()
+        rev = h.reverse()
         dtr, full = aux_graphs(rev, 0, h)
         dtr_kept, kept = aux_graphs(rev, 0, h, blocks_only=True)
         assert dtr_kept == dtr
-        want = [aux for aux in full if len(_both_ordinary(aux)) >= 2]
+        want = [aux for aux in full if len(_ordinary(aux)) >= 2]
         assert [_aux_fields(a) for a in kept] == [_aux_fields(a) for a in want]
         for aux in kept:
-            comp = scc(aux.graph).comp.tolist()
-            groups: dict[int, list[int]] = {}
-            for v in _both_ordinary(aux):
-                groups.setdefault(comp[v], []).append(aux.orig_vertex[v])
-            for grp in groups.values():
-                for other in grp[1:]:
-                    dsu.union(grp[0], other)
-    return Partition(np.asarray([dsu.find(v) for v in range(g.n)], dtype=np.int64))
+            comp = scc(aux).comp.tolist()
+            first: dict[int, int] = {}        # SCC -> its first ordinary vertex
+            for v in _ordinary(aux):
+                orig = int(aux.vertex_origin[v])
+                label[orig] = first.setdefault(comp[v], orig)
+    return Partition(label)
 
 
 def test_blocks_only_keeps_every_block_random():
@@ -264,7 +300,7 @@ def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
         in_blocks = len(built)
         built.clear()
         level1 = aux_graphs(g, 0)[1]
-        level2 = [aux for h in level1 for aux in aux_graphs(h.graph.reverse(), 0, h)[1]]
+        level2 = [aux for h in level1 for aux in aux_graphs(h.reverse(), 0, h)[1]]
         assert len(built) == 2 * len(level1) + len(level2)
         assert len(level2) > len(level1)          # some graphs have an entering bridge
         assert in_blocks == len(built)

@@ -136,7 +136,7 @@ def _flow_graphs(g):
     yield g
     yield g.reverse()
     for h in aux_graphs(g, 0)[1]:
-        yield h.graph.reverse()
+        yield h.reverse()
 
 
 def test_low_high_orders_random(monkeypatch):

@@ -8,8 +8,9 @@ JSON line: a digest per graph (with --detail, one per output and graph).
 Two checkouts keep the same outputs iff their lines are equal.
 
 The graphs are the road grids of side 12 and 18, the dense-cert graph (a
-uniform 350-vertex/1400-arc digraph, largest SCC) and 20 seeded random
-strongly connected graphs.  Per graph it covers:
+uniform 350-vertex/1400-arc digraph, largest SCC), 20 seeded random
+strongly connected graphs and 20 seeded strongly connected multigraphs with
+parallel edges and loops.  Per graph it covers:
 - the output edge set of each of the 14 catalog algorithms;
 - the `blocks` and `components` partitions;
 - the tagged insertions of `ist_b` and `ist_b_original` and the statistics
@@ -48,6 +49,14 @@ def _graphs():
     for seed in range(20):
         r = random.Random(seed)
         yield f"random-{seed}", random_strongly_connected(r, r.randint(2, 60))
+    for seed in range(20):
+        r = random.Random(1000 + seed)
+        base = random_strongly_connected(r, r.randint(2, 12))
+        edges = base.edge_pairs()
+        edges += r.sample(edges, r.randint(1, len(edges)))          # parallel copies
+        edges += [(v, v) for v in r.sample(range(base.n), r.randint(1, base.n))]
+        r.shuffle(edges)
+        yield f"multi-{seed}", build(base.n, edges, allow_multi=True)
 
 
 # Non-default filter configurations, besides the strategy/aux grid above.
