@@ -72,6 +72,8 @@ def run_algorithm(name: str, g: Digraph, **opts) -> set[int]:
     for key in opts:
         if key not in _OPTIONS:
             raise ValueError(f"unknown option {key!r}; choose from {', '.join(_OPTIONS)}")
+    if g.n == 0:
+        raise GraphError("graph has no vertices")
     return _CATALOG[name][1](g, opts)
 
 

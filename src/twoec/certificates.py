@@ -9,9 +9,10 @@ cycle-contraction SCSS approximation and its component-preserving variant;
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .blocks import _block_sccs, _components, aux_graphs, condense
+from .blocks import _block_sccs, _components, _within, aux_graphs, condense
 from .digraph import (
     Digraph, GraphError, Partition, _ensure_strongly_connected, induced_subgraphs, scc,
 )
@@ -83,9 +84,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
         rev_tails = rev.tails.tolist()
         blue_inner = {rev_tails[e] for e in blue_edge if e != -1}   # have a child
         red_inner = {rev_tails[e] for e in red_edge if e != -1}
-        for x in range(rev.n):
-            if x == 0:                       # the root r
-                continue
+        for x in range(1, rev.n):            # every vertex but the root r, 0
             eb, er = h_edge[blue_edge[x]], h_edge[red_edge[x]]
             if h_vertex[x] >= 0 or not modified:
                 insert(eb, "P2")
@@ -102,32 +101,27 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
             if blue_leaf and red_leaf:
                 insert(min(eb, er), "P2")
 
-        # Phase 3: strongly connected coverage of every second-level SCC
+        # Phase 3: strongly connected coverage of every second-level SCC,
+        # each with its maps composed into the input graph
         for aux in level2:
-            aux_vertex, aux_edge = aux.vertex_origin.tolist(), aux.origin.tolist()
             for sub in induced_subgraphs(aux, _block_sccs(aux, block_label)):
-                cls = sub.vertex_origin.tolist()
-                both_ord = [v for v in cls if aux_vertex[v] >= 0]
+                sub = _within(aux, sub)
+                vertex, origin = sub.vertex_origin.tolist(), sub.origin.tolist()
+                both_ord = [x for x in vertex if x >= 0]
                 if modified and len(both_ord) <= 1:
                     continue
-                sub_origin = sub.origin.tolist()
-
-                def resolve(e_sub: int) -> int:
-                    return aux_edge[sub_origin[e_sub]]
-
                 if modified:
-                    pref = {e for e in sub.edge_ids.tolist() if resolve(e) in in_l}
+                    pref = {e for e in sub.edge_ids.tolist() if origin[e] in in_l}
                     for e_sub in zni_scss(sub, preferred=pref):
-                        insert(resolve(e_sub), "P3")
+                        insert(origin[e_sub], "P3")
                 else:
-                    root = min(both_ord, key=aux_vertex.__getitem__) if both_ord else cls[0]
-                    root_local = cls.index(root)
+                    root = vertex.index(min(both_ord)) if both_ord else 0
                     # out- and in-DFS trees; sub is strongly connected
                     for graph in (sub, sub.reverse()):
-                        _, _, tree_edges, _ = _dfs(graph, root_local)
+                        _, _, tree_edges, _ = _dfs(graph, root)
                         for e_sub in tree_edges:
                             if e_sub != -1:
-                                insert(resolve(e_sub), "P3")
+                                insert(origin[e_sub], "P3")
 
     block_part = Partition(block_label)
     stats = CertificateStats(
@@ -171,14 +165,13 @@ def _two_ecss(c: Digraph, trees) -> set[int]:
 
 
 class _ZniFrame:
-    __slots__ = ("pending", "entry_edge", "best_idx", "best_edge", "anchor")
+    __slots__ = ("pending", "entry_edge", "best_idx", "best_edge")
 
-    def __init__(self, anchor: int, entry_edge: int, pending: list[list[int]]):
+    def __init__(self, entry_edge: int, pending: list[list[int]]):
         self.pending = pending          # [vertex, next CSR position]
         self.entry_edge = entry_edge
         self.best_idx: int | None = None
         self.best_edge: int | None = None
-        self.anchor = anchor
 
 
 def _preferred_first(g: Digraph, preferred: set[int]):
@@ -195,25 +188,6 @@ def _preferred_first(g: Digraph, preferred: set[int]):
     return start, [eids[p] for p in order], [heads[p] for p in order]
 
 
-class _DSU:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
     """Cycle-contraction SCSS approximation (5/3 bound for the plain run).
 
@@ -223,47 +197,57 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
     connected pieces of the preferred subgraph are contracted upfront (their
     internal preferred edges join the output for free) and preferred edges
     are scanned first.
+
+    Each supervertex is a range of visit numbers, as in Gabow's path-based
+    SCC search.  A vertex is numbered when it is visited, a pre-merged group
+    as a whole, so the members of each new stack frame get consecutive numbers.
+    Only a top segment of the stack ever merges, so frame j holds exactly
+    the numbers from ``start[j]`` to ``start[j + 1] - 1``, and a vertex's
+    frame is found by bisecting `start` with its number.
     """
     _ensure_strongly_connected(g)
     preferred = preferred or set()
     if g.n <= 1:
         return set()
 
-    dsu = _DSU(g.n)
     output: set[int] = set()
-
+    comp = list(range(g.n))              # the pre-merged group of each vertex
     if preferred:
+        # the groups are the SCCs of the preferred subgraph; the preferred
+        # edges inside a group of 2 or more join the output
         psub = g.subgraph_edges(sorted(preferred))
         part = scc(psub)
-        comp, sizes = part.comp.tolist(), part.sizes().tolist()
-        p_start, p_eids, p_heads = psub.out_lists()
-        for t in range(g.n):
-            for pos in range(p_start[t], p_start[t + 1]):
-                h = p_heads[pos]
-                if comp[t] == comp[h] and sizes[comp[t]] >= 2:
-                    dsu.union(t, h)
-                    output.add(p_eids[pos])
-    # The pre-merged groups, ascending.  A group keeps its representative
-    # until it is visited, because contractions only merge visited frames.
-    members: dict[int, list[int]] = {}
+        eids = psub.edge_ids
+        tail_comp = part.comp[psub.tails[eids]]
+        inside = (tail_comp == part.comp[psub.heads[eids]]) & (part.sizes()[tail_comp] >= 2)
+        output.update(eids[inside].tolist())
+        comp = part.comp.tolist()
+    members: dict[int, list[int]] = {}   # each group's vertices, ascending
     for v in range(g.n):
-        members.setdefault(dsu.find(v), []).append(v)
+        members.setdefault(comp[v], []).append(v)
 
     out_start, out_eids, heads = _preferred_first(g, preferred)
+    number = [-1] * g.n                  # visit number, -1 while unvisited
+    start: list[int] = []                # start[j]: the first number of frame j
+    stack: list[_ZniFrame] = []
+    visits = 0
 
-    visited = [False] * g.n
-    root_pos: dict[int, int] = {}
+    def visit(y: int, entry_edge: int) -> None:
+        """Push a frame for y and the vertices pre-merged with it."""
+        nonlocal visits
+        grp = members[comp[y]]
+        start.append(visits)
+        for v in grp:
+            number[v] = visits
+            visits += 1
+        stack.append(_ZniFrame(entry_edge, [[v, out_start[v]] for v in grp]))
 
     # vertices pre-merged with the start vertex 0 belong to frame 0 and must
     # be scanned
-    stack = [_ZniFrame(0, -1, [[v, out_start[v]] for v in members[dsu.find(0)]])]
-    root_pos[dsu.find(0)] = 0
-    for v, _ in stack[0].pending:
-        visited[v] = True
-
+    visit(0, -1)
     while stack:
         frame = stack[-1]
-        my_rep = dsu.find(frame.anchor)
+        low = start[-1]              # the top supervertex's first number
         edge = None                  # a CSR position
         while frame.pending:
             v, pos = frame.pending[-1]
@@ -271,7 +255,7 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
             while pos < end:
                 p = pos
                 pos += 1
-                if dsu.find(heads[p]) != my_rep:
+                if number[heads[p]] < low:
                     edge = p
                     break
             frame.pending[-1][1] = pos
@@ -282,28 +266,18 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
             if frame.best_edge is not None:
                 # contract the deepest cycle available from this supervertex
                 i = frame.best_idx
-                closing = frame.best_edge
-                merged = stack[i:]
-                del stack[i:]
-                base = merged[0]
-                for fr in merged[1:]:
+                output.add(frame.best_edge)
+                base = stack[i]
+                # a frame's best is a frame below it (a merge keeps only
+                # those below the base), so the base's own best stays a
+                # candidate; keep the first of the least
+                for fr in stack[i + 1:]:
                     output.add(fr.entry_edge)
-                    root_pos.pop(dsu.find(fr.anchor), None)
-                output.add(closing)
-                root_pos.pop(dsu.find(base.anchor), None)
-                pending = []
-                best_idx = None
-                best_edge = None
-                for fr in merged:
-                    pending.extend(fr.pending)
-                    if fr.best_idx is not None and fr.best_idx < i:
-                        if best_idx is None or fr.best_idx < best_idx:
-                            best_idx, best_edge = fr.best_idx, fr.best_edge
-                    dsu.union(base.anchor, fr.anchor)
-                base.pending = pending
-                base.best_idx, base.best_edge = best_idx, best_edge
-                root_pos[dsu.find(base.anchor)] = i
-                stack.append(base)
+                    base.pending += fr.pending
+                    if fr.best_idx is not None and fr.best_idx < i and (
+                            base.best_idx is None or fr.best_idx < base.best_idx):
+                        base.best_idx, base.best_edge = fr.best_idx, fr.best_edge
+                del stack[i + 1:], start[i + 1:]
             else:
                 # Only the bottom frame can run out of edges without a cycle.
                 # Frames above it never pop, they merge downwards, so every
@@ -315,25 +289,17 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
                 stack.pop()
         else:
             y = heads[edge]
-            ry = dsu.find(y)
-            if ry in root_pos:
-                idx = root_pos[ry]
+            if number[y] >= 0:
+                # every visited vertex sits in a stack frame (see above)
+                idx = bisect_right(start, number[y]) - 1
                 if frame.best_idx is None or idx < frame.best_idx:
                     frame.best_idx = idx
                     frame.best_edge = out_eids[edge]
             else:
-                # every visited vertex sits in a stack frame (see above), and
-                # each stack frame's representative is in root_pos
-                assert not visited[y], "revisiting a finished supervertex"
-                # vertices pre-merged with y join the new frame
-                grp = members[ry]
-                for v in grp:
-                    visited[v] = True
-                root_pos[ry] = len(stack)
-                stack.append(_ZniFrame(y, out_eids[edge], [[v, out_start[v]] for v in grp]))
+                visit(y, out_eids[edge])
 
     # the search reaches every vertex from the start in a strongly connected graph
-    assert all(visited), "unvisited vertices after contraction"
+    assert -1 not in number, "unvisited vertices after contraction"
     return output
 
 

@@ -137,8 +137,10 @@ def build(n: int, edges, allow_multi: bool = False) -> Digraph:
     """Digraph from an edge list; ids equal list positions.
 
     Without `allow_multi`, duplicate (tail, head) pairs and self loops are
-    rejected.
+    rejected.  `n` must be a non-negative integer (numpy ints included).
     """
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise GraphError(f"vertex count must be a non-negative integer, not {n!r}")
     tails = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
     heads = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
     if len(tails) and (tails.min() < 0 or heads.min() < 0 or

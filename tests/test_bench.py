@@ -29,6 +29,12 @@ def test_lower_bound_of_an_empty_graph_is_an_input_error():
             lower_bound(problem, build(0, []))
 
 
+def test_every_algorithm_rejects_an_empty_graph():
+    for algo in ALGORITHMS:
+        with pytest.raises(GraphError, match="graph has no vertices"):
+            run_algorithm(algo, build(0, []))
+
+
 def test_run_algorithm_unknown():
     with pytest.raises(ValueError):
         run_algorithm("nope", g2())

@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from twoec.blocks import blocks, components, preservation_violations
@@ -8,7 +9,7 @@ from twoec.certificates import (
     CertificateStats, _ist_pipeline, _preferred_first, ist_b, ist_b_original, ist_bc,
     two_ecss_edt, zni_c, zni_scss,
 )
-from twoec.digraph import GraphError, build, scc
+from twoec.digraph import GraphError, build, largest_scc, scc
 from twoec.dominators import dominator_tree, flow_bridges
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected,
@@ -207,6 +208,39 @@ def test_zni_scss_preferred_road_grid():
     inside = {e for e in preferred if part.comp[g.tail(e)] == part.comp[g.head(e)]
               and sizes[part.comp[g.tail(e)]] >= 2}
     assert inside and inside <= out
+
+
+def _dense_cert_graph():
+    """The largest SCC of 1400 arcs with uniform tail and head over 350
+    vertices, loops and duplicates dropped."""
+    rng = np.random.default_rng(1)
+    tails = rng.integers(0, 350, 1400).tolist()
+    heads = rng.integers(0, 350, 1400).tolist()
+    return largest_scc(build(350, sorted({(t, h) for t, h in zip(tails, heads) if t != h})))
+
+
+# zni_scss at scale, plain and with a third of the edges preferred: the
+# size and a digest of the sorted output, as the union-find version gave them.
+ZNI_PINS = {
+    ("road-grid-60", "plain"): (4160, "e9f97b6c9f827500"),
+    ("road-grid-60", "preferred"): (4592, "46d94f7194b4d43d"),
+    ("dense-cert", "plain"): (409, "d11b04a7614e2304"),
+    ("dense-cert", "preferred"): (449, "d6f03e80111d789f"),
+}
+ZNI_GRAPHS = {"road-grid-60": lambda: road_grid(60, 0.12, 0.55, 1),
+              "dense-cert": _dense_cert_graph}
+
+
+@pytest.mark.parametrize("graph,run", sorted(ZNI_PINS))
+def test_zni_scss_pinned_at_scale(graph, run):
+    g = ZNI_GRAPHS[graph]()
+    preferred = None
+    if run == "preferred":
+        preferred = set(random.Random(3).sample(g.edge_ids.tolist(), g.m // 3))
+    out = sorted(zni_scss(g, preferred=preferred))
+    count, digest = ZNI_PINS[graph, run]
+    assert len(out) == count
+    assert hashlib.sha256(",".join(map(str, out)).encode()).hexdigest()[:16] == digest
 
 
 def test_preferred_first_reorders_each_slot():

@@ -39,6 +39,15 @@ def test_build_rejects_bad_input():
     assert g.m == 4
 
 
+def test_build_rejects_a_bad_vertex_count():
+    for n in (-1, 2.5, "2", None):
+        with pytest.raises(GraphError, match="vertex count"):
+            build(n, [])
+    g = build(np.int32(2), [(0, 1), (1, 0)])
+    assert g.n == 2 and type(g.n) is int
+    assert build(0, []).n == 0
+
+
 def test_build_duplicate_check_holds_beyond_int64_products():
     # tail * n + head wraps around int64 here, and (2**32, 3) and (1, 2)
     # would collide under it
