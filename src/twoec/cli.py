@@ -16,7 +16,7 @@ from .blocks import blocks, components, preservation_violations
 from .digraph import Digraph, GraphError, largest_scc
 from .dominators import strong_bridges
 from .filters import EDGE_ORDERS
-from .io import FORMATS, load_graph
+from .io import FORMATS, load_graph, read_pairs
 
 
 def _load(args) -> tuple[Digraph, list[int]]:
@@ -74,17 +74,8 @@ def _bench(args) -> int:
 
 def _verify(args) -> int:
     g, ids = _load(args)
-    pairs = []
     with open(args.subgraph) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                t, h = line.split()[:2]
-                pairs.append((int(t), int(h)))
-            except ValueError as exc:
-                raise GraphError(f"line {lineno}: expected 'tail head'") from exc
+        pairs = read_pairs(fh)
     index = {(ids[g.tail(e)], ids[g.head(e)]): e for e in g.edge_ids.tolist()}
     edges = []
     for p in pairs:

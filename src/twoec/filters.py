@@ -82,15 +82,16 @@ class _Working:
             self.alive[e] = True
         out_start, out_eids, _ = view.out_lists()
         in_start, in_eids, _ = view.in_lists()
-        self.out_adj = [out_eids[out_start[v]:out_start[v + 1]] for v in range(view.n)]
-        self.in_adj = [in_eids[in_start[v]:in_start[v + 1]] for v in range(view.n)]
-        self.out_deg = [len(adj) for adj in self.out_adj]
-        self.in_deg = [len(adj) for adj in self.in_adj]
+        out_adj = [out_eids[out_start[v]:out_start[v + 1]] for v in range(view.n)]
+        in_adj = [in_eids[in_start[v]:in_start[v + 1]] for v in range(view.n)]
+        self.out_deg = [len(adj) for adj in out_adj]
+        self.in_deg = [len(adj) for adj in in_adj]
+        # by direction: 0 searches forwards over out-arcs, 1 backwards over in-arcs
+        self.adj = (out_adj, in_adj)
+        self.end = (self.heads, self.tails)
         self.used = [0] * len(self.tails)    # == the test's stamp: carries flow
-        self.fwd_mark = [0] * view.n         # == the search's stamp: labelled
-        self.bwd_mark = [0] * view.n
-        self.fwd_parent = [0] * view.n       # edge id, ~e for a residual reverse arc
-        self.bwd_parent = [0] * view.n
+        self.mark = ([0] * view.n, [0] * view.n)     # == the search's stamp: labelled
+        self.parent = ([0] * view.n, [0] * view.n)   # edge id, ~e for a residual reverse arc
         self.stamp = 0
         self.scans = 0
 
@@ -130,37 +131,32 @@ class _Working:
     def _augment(self, x: int, y: int, test: int) -> bool:
         """Search one augmenting x->y path and flip its arcs in `used`.
 
-        The forward side grows from x over alive, unused out-arcs and used
-        in-arcs taken backwards; the backward side grows from y over the
-        reverse of those arcs.  Each step labels one whole level of the
-        smaller frontier, until a side labels a vertex of the other.
+        Direction 0 grows from x over alive, unused out-arcs and used
+        in-arcs taken backwards; direction 1 grows from y over the reverse
+        of those arcs.  Each step labels one whole level of the smaller
+        frontier, until a side labels a vertex of the other.
         """
         self.stamp += 1
         stamp = self.stamp
-        fwd = (self.out_adj, self.heads, self.in_adj, self.tails,
-               self.fwd_mark, self.fwd_parent, self.bwd_mark)
-        bwd = (self.in_adj, self.tails, self.out_adj, self.heads,
-               self.bwd_mark, self.bwd_parent, self.fwd_mark)
-        self.fwd_mark[x] = self.bwd_mark[y] = stamp
-        fwd_front, bwd_front = [x], [y]
-        while fwd_front and bwd_front:
-            if len(fwd_front) <= len(bwd_front):
-                fwd_front, meet = self._level(fwd_front, *fwd, stamp, test)
-            else:
-                bwd_front, meet = self._level(bwd_front, *bwd, stamp, test)
+        self.mark[0][x] = self.mark[1][y] = stamp
+        fronts = [[x], [y]]
+        while fronts[0] and fronts[1]:
+            d = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+            fronts[d], meet = self._level(d, fronts[d], stamp, test)
             if meet != -1:
-                self._flip(meet, x, self.heads, self.tails, self.fwd_parent, test)
-                self._flip(meet, y, self.tails, self.heads, self.bwd_parent, test)
+                self._flip(0, meet, x, test)
+                self._flip(1, meet, y, test)
                 return True
         return False
 
-    def _level(self, front, adj, end, rev_adj, rev_end, mark, parent, other,
-               stamp, test):
-        """Label the next level of one side's BFS.  An arc of `adj` leads to
-        its `end`, a used arc of `rev_adj` backwards to its `rev_end`.
-        Returns the new frontier and the first vertex the other side had
-        labelled, or -1."""
+    def _level(self, d, front, stamp, test):
+        """Label the next level of direction d's BFS.  An arc of `adj[d]`
+        leads to its `end[d]`, a used arc of `adj[1 - d]` backwards to its
+        `end[1 - d]`.  Returns the new frontier and the first vertex the
+        other side had labelled, or -1."""
         alive, used = self.alive, self.used
+        adj, end, rev_adj, rev_end = self.adj[d], self.end[d], self.adj[1 - d], self.end[1 - d]
+        mark, parent, other = self.mark[d], self.parent[d], self.mark[1 - d]
         nxt = []
         scans = 0
         for v in front:
@@ -189,11 +185,11 @@ class _Working:
         self.scans += scans
         return nxt, -1
 
-    def _flip(self, v, root, end, rev_end, parent, test):
-        """Walk one side's parent chain from v to its root, putting flow on
-        each arc it crossed forwards and taking it off each arc it crossed
-        backwards."""
-        used = self.used
+    def _flip(self, d, v, root, test):
+        """Walk direction d's parent chain from v to its root, putting flow
+        on each arc it crossed forwards and taking it off each arc it
+        crossed backwards."""
+        used, end, rev_end, parent = self.used, self.end[d], self.end[1 - d], self.parent[d]
         while v != root:
             p = parent[v]
             if p >= 0:
@@ -326,20 +322,19 @@ def filter_bc(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
     the configured strategy (optionally inside second-level aux graphs).
     """
     pieces, reduced = _condensed(g, cap=2)
-    surviving: set[int] = set()
-    comp_edge_count = 0
-    for sub, edges in pieces:
-        # A 2EC component is one block.  The trivial skip keeps an edge that
-        # leaves its tail at most one other out-arc or its head at most one
-        # other in-arc, whose 2EDP test would fail anyway.
-        one_block = Partition([0] * sub.n)
-        minimized = _run_strategy(
-            sub.subgraph_edges(sorted(edges)), FilterConfig(), one_block).surviving
-        surviving |= {int(sub.origin[e]) for e in minimized}
-        comp_edge_count += len(minimized)
+    # One run over every component's 2ECSS decides as one run per component
+    # did.  Components share no vertex and the view has no edge between two
+    # of them, so a 2EDP search never leaves its own component and a
+    # deletion in one changes no test in another.  `_condensed` numbers each
+    # piece's edges in input-id order, so each component's candidates keep
+    # their order.  A 2EC component is one block: the trivial skip's bound
+    # min(size, 2) is 2 at every endpoint of a view edge, as with one class
+    # per piece, and test2edp reads the partition for nothing else.
+    view = g.subgraph_edges(sorted(int(sub.origin[e]) for sub, edges in pieces for e in edges))
+    surviving = _run_strategy(view, FilterConfig(), Partition([0] * g.n)).surviving
 
     decisions: dict[int, str] = {}
-    counters = {"component_edges": comp_edge_count, "input_edges": g.m}
+    counters = {"component_edges": len(surviving), "input_edges": g.m}
     if reduced.n > 1:
         rep = filter_b(reduced, cfg)
         for e_local, what in rep.decisions.items():

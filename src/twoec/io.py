@@ -9,7 +9,7 @@ from .digraph import ID_LIMIT, Digraph, GraphError
 
 log = logging.getLogger("twoec.io")
 
-__all__ = ["FORMATS", "ParseStats", "read_dimacs", "read_snap", "load_graph"]
+__all__ = ["FORMATS", "ParseStats", "read_dimacs", "read_pairs", "read_snap", "load_graph"]
 
 # The values of `load_graph`'s `fmt`; "auto" sniffs the other two.
 FORMATS = ("auto", "dimacs", "snap")
@@ -98,14 +98,10 @@ def read_dimacs(stream) -> tuple[Digraph, ParseStats]:
         raise GraphError(f"line {n_line}: vertex count {n} is too large") from exc
 
 
-def read_snap(stream) -> tuple[Digraph, ParseStats]:
-    """SNAP edge-list reader: '#' comments, whitespace-separated 'u v' pairs.
-
-    Vertex ids may be arbitrary non-negative integers and are densely
-    renumbered in sorted order; `vertex_origin` keeps the file's ids.
-    """
-    raw_pairs: list[tuple[int, int]] = []
-    ids: set[int] = set()
+def read_pairs(stream) -> list[tuple[int, int]]:
+    """The `(u, v)` pairs of an edge list: '#' comments, whitespace-separated
+    'u v' lines (further tokens ignored), ids in 0..2**63 - 1."""
+    pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(stream, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -119,10 +115,18 @@ def read_snap(stream) -> tuple[Digraph, ParseStats]:
             raise GraphError(f"line {lineno}: non-integer token") from exc
         if not (0 <= u < ID_LIMIT and 0 <= v < ID_LIMIT):
             raise GraphError(f"line {lineno}: vertex id outside 0..2**63 - 1")
-        raw_pairs.append((u, v))
-        ids.add(u)
-        ids.add(v)
-    labels = sorted(ids)
+        pairs.append((u, v))
+    return pairs
+
+
+def read_snap(stream) -> tuple[Digraph, ParseStats]:
+    """SNAP edge-list reader: '#' comments, whitespace-separated 'u v' pairs.
+
+    Vertex ids may be arbitrary non-negative integers and are densely
+    renumbered in sorted order; `vertex_origin` keeps the file's ids.
+    """
+    raw_pairs = read_pairs(stream)
+    labels = sorted({v for pair in raw_pairs for v in pair})
     remap = {old: new for new, old in enumerate(labels)}
     return _dedup(labels, [(remap[u], remap[v]) for u, v in raw_pairs])
 

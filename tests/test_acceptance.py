@@ -26,10 +26,7 @@ from twoec.oracle import (
     oracle_components, oracle_min_subgraph, two_edge_connected_pair,
 )
 
-
-def _without_edge(g, e: int):
-    """View of `g` without edge `e`; all other edge ids keep their meaning."""
-    return g.subgraph_edges([f for f in g.edge_ids.tolist() if f != e])
+from graph_builders import without_edge
 
 
 FIXTURES = {"G1": g1(), "G2": g2(), "G4": g4(), "G5": g5()}
@@ -53,7 +50,7 @@ def test_oracle_equivalence():
         assert blocks(g) == oracle_blocks(g), name
         assert components(g) == oracle_components(g), name
         truth = {e for e in g.edge_ids.tolist()
-                 if scc(_without_edge(g, e)).count > 1}
+                 if scc(without_edge(g, e)).count > 1}
         assert strong_bridges(g) == truth, name
     elapsed = time.time() - t0
     assert elapsed < 60, f"oracle equivalence took {elapsed:.1f}s"

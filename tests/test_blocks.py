@@ -8,7 +8,7 @@ import pytest
 from twoec.blocks import aux_graphs, blocks, components, condense
 from twoec.certificates import _condensed, two_ecss_edt, zni_c
 from twoec.digraph import (
-    Digraph, GraphError, Partition, build, induced_subgraph, largest_scc, scc,
+    Digraph, GraphError, Partition, build, induced_subgraph, scc,
 )
 from twoec.dominators import dominator_tree, flow_bridges, strong_bridges
 from twoec.fixtures import (
@@ -17,6 +17,8 @@ from twoec.fixtures import (
 from twoec.oracle import (
     OracleBudget, oracle_blocks, oracle_components, two_edge_connected_pair,
 )
+
+from graph_builders import dense_cert_graph, stdlib_uniform_digraph
 
 
 def _classes(part: Partition) -> list[np.ndarray]:
@@ -206,7 +208,7 @@ def test_every_vertex_is_ordinary_in_one_graph_per_level():
     # the marked children, d(r), and members contracted at the first level
     rng = random.Random(71)
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
-    for g in graphs + [road_grid(12, 0.12, 0.55, 1), _uniform_digraph(350, 1400, 1)]:
+    for g in graphs + [road_grid(12, 0.12, 0.55, 1), stdlib_uniform_digraph(350, 1400, 1)]:
         dt, level1 = aux_graphs(g, 0)
         level2 = []
         for h, members in zip(level1, _tree_members(g, dt), strict=True):
@@ -260,16 +262,10 @@ def test_blocks_only_keeps_every_block_random():
             assert part == oracle_blocks(g, OracleBudget(max_pairwise_n=30))
 
 
-def _uniform_digraph(n: int, m: int, seed: int):
-    rng = random.Random(seed)
-    arcs = {(rng.randrange(n), rng.randrange(n)) for _ in range(m)}
-    return largest_scc(build(n, sorted((u, v) for u, v in arcs if u != v)))
-
-
 @pytest.mark.parametrize("make", [
     lambda: road_grid(18, 0.12, 0.55, 1),
-    lambda: _uniform_digraph(350, 1400, 1),
-], ids=["road-grid-18", "uniform-350-1400"])
+    lambda: stdlib_uniform_digraph(350, 1400, 1),
+], ids=["road-grid-18", "stdlib-350-1400"])
 def test_blocks_only_keeps_every_block_at_scale(make):
     # the pairwise oracle is quadratic, so at this size every vertex is
     # flow-checked against the first vertex of its block only
@@ -388,20 +384,11 @@ def _components_by_bridge_removal(g) -> Partition:
     return Partition(label)
 
 
-def _dense_cert_graph(graph_seed: int):
-    """The benchmark's dense-cert graph: the largest SCC of 1400 arcs with
-    uniform tail and head over 350 vertices, loops and duplicates dropped."""
-    rng = np.random.default_rng(graph_seed)
-    tails = rng.integers(0, 350, 1400).tolist()
-    heads = rng.integers(0, 350, 1400).tolist()
-    return largest_scc(build(350, sorted({(t, h) for t, h in zip(tails, heads) if t != h})))
-
-
 @pytest.mark.parametrize("make", [
     lambda: road_grid(14, 0.12, 0.55, 1),
     lambda: road_grid(30, 0.12, 0.55, 1),
-    lambda: _dense_cert_graph(1),
-    lambda: _dense_cert_graph(2),
+    lambda: dense_cert_graph(1),
+    lambda: dense_cert_graph(2),
 ], ids=["road-grid-14", "road-grid-30", "dense-cert-1", "dense-cert-2"])
 def test_components_match_bridge_removal_at_scale(make):
     g = make()
@@ -426,7 +413,7 @@ def test_peeling_spares_strong_bridge_passes(monkeypatch):
     # iterated removal alone makes 12 passes on dense-cert and 233 on the
     # side-60 road grid; dense-cert has a nontrivial component, whose
     # bridgeless pass must be counted
-    assert 1 <= _strong_bridge_passes(monkeypatch, _dense_cert_graph(1)) <= 2
+    assert 1 <= _strong_bridge_passes(monkeypatch, dense_cert_graph(1)) <= 2
     assert _strong_bridge_passes(monkeypatch, road_grid(60, 0.12, 0.55, 1)) < 233 / 2
 
 
@@ -486,8 +473,8 @@ def _view_with_gaps():
 @pytest.mark.parametrize("make", [
     lambda: road_grid(14, 0.12, 0.55, 1),
     lambda: road_grid(30, 0.12, 0.55, 1),
-    lambda: _dense_cert_graph(1),
-    lambda: _dense_cert_graph(2),
+    lambda: dense_cert_graph(1),
+    lambda: dense_cert_graph(2),
 ], ids=["road-grid-14", "road-grid-30", "dense-cert-1", "dense-cert-2"])
 def test_condensed_2ecss_of_each_component_matches_two_ecss_edt(make):
     _check_condensed_2ecss(make())

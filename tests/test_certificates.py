@@ -1,7 +1,6 @@
 import hashlib
 import random
 
-import numpy as np
 import pytest
 
 from twoec.blocks import blocks, components, preservation_violations
@@ -9,13 +8,15 @@ from twoec.certificates import (
     CertificateStats, _ist_pipeline, _preferred_first, ist_b, ist_b_original, ist_bc,
     two_ecss_edt, zni_c, zni_scss,
 )
-from twoec.digraph import GraphError, build, largest_scc, scc
+from twoec.digraph import GraphError, build, scc
 from twoec.dominators import dominator_tree, flow_bridges
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected,
     random_two_edge_connected, road_grid,
 )
 from twoec.oracle import OracleBudget, oracle_min_subgraph
+
+from graph_builders import dense_cert_graph
 
 
 def test_ist_b_original_fixtures():
@@ -210,15 +211,6 @@ def test_zni_scss_preferred_road_grid():
     assert inside and inside <= out
 
 
-def _dense_cert_graph():
-    """The largest SCC of 1400 arcs with uniform tail and head over 350
-    vertices, loops and duplicates dropped."""
-    rng = np.random.default_rng(1)
-    tails = rng.integers(0, 350, 1400).tolist()
-    heads = rng.integers(0, 350, 1400).tolist()
-    return largest_scc(build(350, sorted({(t, h) for t, h in zip(tails, heads) if t != h})))
-
-
 # zni_scss at scale, plain and with a third of the edges preferred: the
 # size and a digest of the sorted output, as the union-find version gave them.
 ZNI_PINS = {
@@ -228,7 +220,7 @@ ZNI_PINS = {
     ("dense-cert", "preferred"): (449, "d6f03e80111d789f"),
 }
 ZNI_GRAPHS = {"road-grid-60": lambda: road_grid(60, 0.12, 0.55, 1),
-              "dense-cert": _dense_cert_graph}
+              "dense-cert": dense_cert_graph}
 
 
 @pytest.mark.parametrize("graph,run", sorted(ZNI_PINS))

@@ -113,6 +113,11 @@ def test_malformed_subgraph_line_is_named(tmp_path, capsys):
         sub.write_text(text)
         assert main(["verify", str(g), str(sub)]) == 1
         assert "line 2:" in capsys.readouterr().err
+    # an id no input file can hold is named as such, not as a missing edge
+    for text in ("1 2\n-1 3\n", f"1 2\n1 {2**63}\n"):
+        sub.write_text(text)
+        assert main(["verify", str(g), str(sub)]) == 1
+        assert capsys.readouterr().err == "error: line 2: vertex id outside 0..2**63 - 1\n"
 
 
 def test_bench_bad_config_is_input_error(tmp_path, capsys):

@@ -14,6 +14,8 @@ from twoec.digraph import (
 from twoec.dominators import strong_bridges
 from twoec.fixtures import g1, g2, g4, g5, road_grid
 
+from graph_builders import without_edge
+
 
 def test_build_cycle():
     g = g2()
@@ -100,14 +102,9 @@ def test_largest_scc_extracts_and_renumbers():
     assert same.edge_pairs() == g2().edge_pairs()
 
 
-def _without_edge(g, e: int):
-    """View of `g` without edge `e`; all other edge ids keep their meaning."""
-    return g.subgraph_edges([f for f in g.edge_ids.tolist() if f != e])
-
-
 def test_subgraph_edges_without_one_edge_keeps_ids():
     g = g2()
-    v = _without_edge(g, 0)
+    v = without_edge(g, 0)
     assert v.m == 2
     assert v.edge_ids.tolist() == [1, 2]
     assert scc(v).count == 3
@@ -116,14 +113,14 @@ def test_subgraph_edges_without_one_edge_keeps_ids():
         v.subgraph_edges([0, 1])
     # G1 stays strongly connected after any single deletion
     for e in range(6):
-        assert scc(_without_edge(g1(), e)).count == 1
+        assert scc(without_edge(g1(), e)).count == 1
 
 
 def test_subgraph_edges_without_one_g5_edge_breaks_connectivity():
     # every G5 edge is a strong bridge, so any single deletion disconnects
     g = g5()
     for e in range(8):
-        assert scc(_without_edge(g, e)).count > 1
+        assert scc(without_edge(g, e)).count > 1
 
 
 def test_views_reject_ids_outside_the_graph():
@@ -240,7 +237,7 @@ def _fresh_graphs():
     with no vertices or no edges."""
     g = build(5, [(0, 1), (0, 1), (1, 0), (1, 2), (2, 0), (2, 0), (3, 3), (2, 3), (3, 1)],
               allow_multi=True)
-    return [g, g.subgraph_edges([0, 2, 4, 5, 8]), _without_edge(g, 1),
+    return [g, g.subgraph_edges([0, 2, 4, 5, 8]), without_edge(g, 1),
             induced_subgraph(g, np.asarray([0, 1, 2])), g.subgraph_edges([]),
             build(0, []), build(3, [])]
 
@@ -335,7 +332,7 @@ def test_digraph_stores_int64_arrays_from_any_int_sequence(kind):
     g, ref = _graph(as_kind), _graph(_KINDS["array"])
     assert g.edge_pairs() == [(0, 5), (2, 3), (4, 1)]
     views = [lambda x: x, Digraph.reverse, lambda x: x.subgraph_edges(as_kind(range(2, 5, 2))),
-             lambda x: _without_edge(x, 2),
+             lambda x: without_edge(x, 2),
              lambda x: induced_subgraph(x, as_kind(range(1, 6)))]
     for view in views:
         assert _stored(view(g)) == _stored(view(ref))

@@ -6,10 +6,7 @@ from twoec.digraph import GraphError, build, scc
 from twoec.dominators import _dfs, dominator_tree, flow_bridges, strong_bridges
 from twoec.fixtures import g1, g2, g4, g5, random_strongly_connected
 
-
-def _without_edge(g, e: int):
-    """View of `g` without edge `e`; all other edge ids keep their meaning."""
-    return g.subgraph_edges([f for f in g.edge_ids.tolist() if f != e])
+from graph_builders import without_edge
 
 
 def _removal_dominates(g, s, u, w):
@@ -102,7 +99,7 @@ def test_flow_bridges_match_removal_oracle():
         g = random_strongly_connected(rng, rng.randint(2, 10))
         found = flow_bridges(g, dominator_tree(g, 0))
         for e in g.edge_ids.tolist():
-            sub = _without_edge(g, e)
+            sub = without_edge(g, e)
             out_start, _, heads = sub.out_lists()
             seen = {0}
             stack = [0]
@@ -135,7 +132,7 @@ def test_strong_bridges_match_removal_oracle():
         g = random_strongly_connected(rng, rng.randint(2, 12))
         found = strong_bridges(g)
         truth = {e for e in g.edge_ids.tolist()
-                 if scc(_without_edge(g, e)).count > 1}
+                 if scc(without_edge(g, e)).count > 1}
         assert found == truth
 
 

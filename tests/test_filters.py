@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from twoec.blocks import blocks, preservation_violations
-from twoec.digraph import GraphError, build, largest_scc, scc
-from twoec.filters import FilterConfig, _Working, filter_b, filter_bc
+from twoec.certificates import _condensed
+from twoec.digraph import Digraph, GraphError, Partition, build, scc
+from twoec.filters import FilterConfig, _run_strategy, _Working, filter_b, filter_bc
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected,
     random_two_edge_connected, road_grid,
 )
 from twoec.oracle import _bfs_flow_at_least_two, oracle_blocks
 
-
-def _without_edge(g, e: int):
-    """View of `g` without edge `e`; all other edge ids keep their meaning."""
-    return g.subgraph_edges([f for f in g.edge_ids.tolist() if f != e])
+from graph_builders import dense_cert_graph, without_edge
 
 
 def test_two_disjoint_paths_pairs():
@@ -46,7 +44,7 @@ def test_two_disjoint_paths_matches_the_flow_oracle():
             alive = [e for e in work.ids if work.alive[e]]
             current = g.subgraph_edges(np.asarray(alive, dtype=np.int64))
             for e in alive:
-                rest = _without_edge(current, e)
+                rest = without_edge(current, e)
                 x, y = g.tail(e), g.head(e)
                 for a, b in ((x, y), (y, x)):
                     got = work.two_disjoint_paths(a, b, e_skip=e)
@@ -65,13 +63,6 @@ def test_2edp_scans_per_test_stay_local():
     assert per_test[1] < 2.5 * per_test[0], per_test
 
 
-def _uniform_350_1400():
-    rng = np.random.default_rng(1)
-    tails = rng.integers(0, 350, 1400).tolist()
-    heads = rng.integers(0, 350, 1400).tolist()
-    return largest_scc(build(350, sorted({(t, h) for t, h in zip(tails, heads) if t != h})))
-
-
 # Digests of the decisions and counters of filter_b, without the arc-scan
 # counter, as the one-sided DFS search gave them: the 2EDP search and the
 # block partition handed over by the certificate must not change a decision.
@@ -83,7 +74,7 @@ DECISION_PINS = {
 }
 PIN_GRAPHS = {
     "road-grid-18": lambda: road_grid(18, 0.12, 0.55, 1),
-    "uniform-350-1400": _uniform_350_1400,
+    "uniform-350-1400": dense_cert_graph,
 }
 
 
@@ -232,7 +223,7 @@ def test_block_test_decisions_replay():
             for e, what in rep.decisions.items():
                 if what == "kept-trivial":
                     continue
-                rest = _without_edge(current, e)
+                rest = without_edge(current, e)
                 connected = scc(rest).count == 1
                 assert (what == "kept-bridge") == (not connected)
                 if connected:
@@ -300,6 +291,50 @@ def test_filter_bc_fixtures():
     assert filter_bc(g5()).surviving == set(range(8))
     out = filter_bc(linked_triangles()).surviving
     assert out == set(range(14))
+
+
+def _ring_of_multigraphs(rng: random.Random, k: int) -> Digraph:
+    """k 2-edge-connected pieces, each with some arcs doubled, joined in a
+    ring by single arcs, so that the pieces are the 2EC components.  Vertex
+    and edge ids are shuffled, so the components interleave in both."""
+    sizes = [rng.randint(3, 12) for _ in range(k)]
+    starts = [sum(sizes[:i]) for i in range(k)]
+    perm = list(range(sum(sizes)))
+    rng.shuffle(perm)
+    arcs = []
+    for first, size in zip(starts, sizes):
+        piece = random_two_edge_connected(rng, size)
+        inner = [(perm[first + t], perm[first + h])
+                 for t, h in zip(piece.tails.tolist(), piece.heads.tolist())]
+        arcs += inner + rng.sample(inner, rng.randint(1, len(inner) // 2))
+    arcs += [(perm[starts[i]], perm[starts[(i + 1) % k]]) for i in range(k)]
+    rng.shuffle(arcs)
+    return Digraph(len(perm), [t for t, _ in arcs], [h for _, h in arcs])
+
+
+def test_filter_bc_minimizes_components_as_one_run_each():
+    # filter_bc minimizes all components in one run; with a search that
+    # crossed into another component, or candidates out of their order, its
+    # survivors would differ from one run per component under a one-class
+    # partition
+    rng = random.Random(131)
+    graphs = [road_grid(30, 0.12, 0.55, 1), dense_cert_graph()]
+    graphs += [_ring_of_multigraphs(rng, rng.randint(2, 6)) for _ in range(6)]
+    split = deleted = 0
+    for g in graphs:
+        pieces, _ = _condensed(g, cap=2)
+        inside, expected = set(), set()
+        for sub, edges in pieces:
+            run = _run_strategy(sub.subgraph_edges(sorted(edges)), FilterConfig(),
+                                Partition([0] * sub.n))
+            inside.update(sub.origin.tolist())
+            expected |= {int(sub.origin[e]) for e in run.surviving}
+            deleted += run.counters["deleted"]
+        rep = filter_bc(g)
+        assert rep.surviving & inside == expected
+        assert rep.counters["component_edges"] == len(expected)
+        split += len(pieces) >= 2
+    assert split >= 6 and deleted > 0
 
 
 def test_filter_bc_aux_mode():

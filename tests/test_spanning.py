@@ -5,15 +5,12 @@ import pytest
 from twoec import spanning
 from twoec.blocks import aux_graphs
 from twoec.certificates import ist_b
-from twoec.digraph import build, largest_scc
+from twoec.digraph import build
 from twoec.dominators import dominator_tree, flow_bridges
 from twoec.fixtures import g1, g2, g4, random_strongly_connected, road_grid
 from twoec.spanning import independent_pair, verify_independent
 
-
-def _without_edge(g, e: int):
-    """View of `g` without edge `e`; all other edge ids keep their meaning."""
-    return g.subgraph_edges([f for f in g.edge_ids.tolist() if f != e])
+from graph_builders import stdlib_uniform_digraph, without_edge
 
 
 def _edges(tree):
@@ -158,16 +155,10 @@ def test_low_high_orders_random(monkeypatch):
     assert len(sizes) > 1000
 
 
-def _uniform_digraph(n: int, m: int, seed: int):
-    rng = random.Random(seed)
-    arcs = {(rng.randrange(n), rng.randrange(n)) for _ in range(m)}
-    return largest_scc(build(n, sorted((u, v) for u, v in arcs if u != v)))
-
-
 @pytest.mark.parametrize("make", [
     lambda: road_grid(18, 0.12, 0.55, 1),
-    lambda: _uniform_digraph(350, 1400, 1),
-], ids=["road-grid-18", "uniform-350-1400"])
+    lambda: stdlib_uniform_digraph(350, 1400, 1),
+], ids=["road-grid-18", "stdlib-350-1400"])
 def test_independent_pair_at_scale(make, monkeypatch):
     g = make()
     sizes = _check_orders(monkeypatch)
@@ -194,7 +185,7 @@ def test_union_tolerates_nonbridge_deletion():
         for e in union:
             if e in bridges:
                 continue
-            rest = _without_edge(sub, e)
+            rest = without_edge(sub, e)
             out_start, _, heads = rest.out_lists()
             seen = {0}
             stack = [0]
