@@ -1,7 +1,7 @@
 """Sparse certificates: sizes, phase counts, and the 4(n + n') guarantee."""
 import random
 
-from twoec import blocks, ist_b, ist_b_original, ist_bc, preservation_violations
+from twoec import ist_b, ist_b_original, ist_bc, preservation_violations
 from twoec.fixtures import g5, linked_triangles, random_strongly_connected
 
 for name, g in [("two-path gadget", g5()), ("linked triangles", linked_triangles())]:

@@ -102,7 +102,8 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                 insert(min(eb, er), "P2")
 
         # Phase 3: strongly connected coverage of every second-level SCC,
-        # each with its maps composed into the input graph
+        # each with its maps composed into the input graph; an SCC needs no
+        # strong-connectivity check
         for aux in level2:
             for sub in induced_subgraphs(aux, _block_sccs(aux, block_label)):
                 sub = _within(aux, sub)
@@ -112,7 +113,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                     continue
                 if modified:
                     pref = {e for e in sub.edge_ids.tolist() if origin[e] in in_l}
-                    for e_sub in zni_scss(sub, preferred=pref):
+                    for e_sub in _zni_scss(sub, pref):
                         insert(origin[e_sub], "P3")
                 else:
                     root = vertex.index(min(both_ord)) if both_ord else 0
@@ -197,6 +198,13 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
     connected pieces of the preferred subgraph are contracted upfront (their
     internal preferred edges join the output for free) and preferred edges
     are scanned first.
+    """
+    _ensure_strongly_connected(g)
+    return _zni_scss(g, preferred or set())
+
+
+def _zni_scss(g: Digraph, preferred: set[int]) -> set[int]:
+    """`zni_scss` of a strongly connected `g`.
 
     Each supervertex is a range of visit numbers, as in Gabow's path-based
     SCC search.  A vertex is numbered when it is visited, a pre-merged group
@@ -205,8 +213,6 @@ def zni_scss(g: Digraph, preferred: set[int] | None = None) -> set[int]:
     the numbers from ``start[j]`` to ``start[j + 1] - 1``, and a vertex's
     frame is found by bisecting `start` with its number.
     """
-    _ensure_strongly_connected(g)
-    preferred = preferred or set()
     if g.n <= 1:
         return set()
 
@@ -331,5 +337,6 @@ def zni_c(g: Digraph) -> set[int]:
     pieces, reduced = _condensed(g, cap=1)
     out = {int(sub.origin[e]) for sub, edges in pieces for e in edges}
     if reduced.n > 1:
-        out |= {int(reduced.origin[e]) for e in zni_scss(reduced)}
+        # the condensation of a strongly connected graph is strongly connected
+        out |= {int(reduced.origin[e]) for e in _zni_scss(reduced, set())}
     return out

@@ -16,7 +16,10 @@ TALG 2016): every child without an arc from u has an entering arc from an
 earlier child and one from a later child.  Blue takes the earlier (or root)
 arc and red the later (or root) arc, so blue paths run front to back, red
 paths back to front, and the two meet only at u.  Single-entry children are
-exactly the flow bridges and share their arc.
+exactly the flow bridges and share their arc.  `_solve_local` picks both
+arcs of a child in one scan over its arcs, keeping the best later arc, the
+best two earlier-or-root arcs and the best root arc; when red must take a
+root arc that is also blue's best, blue takes the second best.
 
 `_low_high_order` builds the order front to back.  A child is *fed* when it
 has an arc from u or from a placed child, and a tree T spans the unplaced
@@ -33,6 +36,10 @@ more, one subtree is regrown by the same search.  A placement costs the
 child's arcs and a regrowth the arcs of its subtree, and a placement follows
 every regrowth, so the worst case is O(k*m) for k children and m arcs, not
 the linear bound of Georgiadis and Tarjan's own construction.
+
+When every child has an arc from u, any order is low-high, and
+`_low_high_order` returns the children back to front, as the search would,
+without building any search state.
 """
 from __future__ import annotations
 
@@ -43,20 +50,24 @@ from .dominators import DominatorTree
 
 __all__ = ["independent_pair", "verify_independent"]
 
+_NO_ARC = (True, float("inf"))   # a key above every arc's
+
 
 def _low_high_order(root: int, in_arcs: dict[int, list[tuple[int, int]]]) -> list[int]:
     """Children of one local graph in low-high order (see the module docstring)."""
     children = list(in_arcs)
+    rooted = [any(t == root for t, _ in in_arcs[c]) for c in children]
+    if all(rooted):
+        # every child is fed and a leaf of T from the start, so the search
+        # below would place them back to front
+        return children[::-1]
     k = len(children)
     index = {c: i for i, c in enumerate(children)}
     succs: list[list[int]] = [[] for _ in range(k)]
     preds: list[list[int]] = [[] for _ in range(k)]
-    rooted = [False] * k
     for i, c in enumerate(children):
         for t, _ in in_arcs[c]:
-            if t == root:
-                rooted[i] = True
-            else:
+            if t != root:
                 preds[i].append(index[t])
                 succs[index[t]].append(i)
 
@@ -150,11 +161,12 @@ def _order_valid(root: int, in_arcs: dict[int, list[tuple[int, int]]],
 
 def _solve_local(root: int, in_arcs: dict[int, list[tuple[int, int]]],
                  preferred: set[int]) -> dict[int, tuple[int, int]]:
-    """Choose (blue, red) entering edge ids per child of one local graph."""
-    def pick(arcs: list[tuple[int, int]], exclude: int = -1) -> int:
-        ids = [eid for _, eid in arcs if eid != exclude]
-        return min(ids, key=lambda e: (e not in preferred, e), default=-1)
+    """Choose (blue, red) entering edge ids per child of one local graph.
 
+    Red takes the best later arc, or else the best root arc; blue the best
+    earlier-or-root arc other than red.  The best arc is the least under
+    ``(e not in preferred, e)``, so preferred arcs win, then lower ids.
+    """
     pos = {v: i for i, v in enumerate(_low_high_order(root, in_arcs))}
     parents: dict[int, tuple[int, int]] = {}
     for v, arcs in in_arcs.items():
@@ -162,19 +174,29 @@ def _solve_local(root: int, in_arcs: dict[int, list[tuple[int, int]]],
             e = arcs[0][1]
             parents[v] = (e, e)
             continue
-        later = [a for a in arcs if a[0] != root and pos[a[0]] > pos[v]]
-        root_arcs = [a for a in arcs if a[0] == root]
-        earlier = [a for a in arcs if a[0] != root and pos[a[0]] < pos[v]]
-        if later:
-            e_red = pick(later)
-            e_blue = pick(earlier + root_arcs)
+        p = pos[v]
+        later = first = second = root_arc = _NO_ARC      # keys of the best arcs
+        for t, e in arcs:
+            key = (e not in preferred, e)
+            if t != root and pos[t] > p:
+                if key < later:
+                    later = key
+                continue
+            if key < first:
+                first, second = key, first
+            elif key < second:
+                second = key
+            if t == root and key < root_arc:
+                root_arc = key
+        if later < _NO_ARC:
+            red, blue = later, first
         else:
-            e_red = pick(root_arcs)
-            e_blue = pick(earlier + root_arcs, exclude=e_red)
+            red = root_arc
+            blue = second if first == red else first
         # The order leaves v an earlier-or-root and a later-or-root arc; when red
         # takes a root arc, v's other arc is earlier or a parallel root arc.
-        assert e_red >= 0 and e_blue >= 0 and e_red != e_blue
-        parents[v] = (e_blue, e_red)
+        assert red < _NO_ARC and blue < _NO_ARC
+        parents[v] = (blue[1], red[1])
     return parents
 
 
@@ -206,23 +228,22 @@ def independent_pair(
         if h == s:
             continue
         u = idom[h]
-        for pos in range(in_start[h], in_start[h + 1]):
-            t = tails[pos]
-            if t == h:
-                continue
-            if t == u:
-                rep = u
-            else:
+        arcs = locals_[u][h]
+        lo, hi = in_start[h], in_start[h + 1]
+        for t, e in zip(tails[lo:hi], in_eids[lo:hi]):
+            # a tail is u or in the dominator subtree of a child of u, and
+            # stands for that child; a loop stands for h and is dropped
+            if t != u and idom[t] != u:
                 # idom(h) dominates every tail of an edge into h
                 assert tin[u] <= tin[t] < tout[u], "edge tail outside the idom's subtree"
-                rep = euler[u][bisect_right(euler_tin[u], tin[t]) - 1]
-            if rep != h:
-                locals_[u][h].append((rep, in_eids[pos]))
+                t = euler[u][bisect_right(euler_tin[u], tin[t]) - 1]
+            if t != h:
+                arcs.append((t, e))
 
     blue = [-1] * n
     red = [-1] * n
-    for u in sorted(locals_):
-        for v, (eb, er) in _solve_local(u, locals_[u], preferred).items():
+    for u, in_arcs in locals_.items():
+        for v, (eb, er) in _solve_local(u, in_arcs, preferred).items():
             blue[v] = eb
             red[v] = er
     return blue, red

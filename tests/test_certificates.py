@@ -3,17 +3,15 @@ import random
 
 import pytest
 
-from twoec.blocks import blocks, components, preservation_violations
+from twoec import certificates
+from twoec.blocks import blocks, preservation_violations
 from twoec.certificates import (
     CertificateStats, _ist_pipeline, _preferred_first, ist_b, ist_b_original, ist_bc,
     two_ecss_edt, zni_c, zni_scss,
 )
 from twoec.digraph import GraphError, build, scc
 from twoec.dominators import dominator_tree, flow_bridges
-from twoec.fixtures import (
-    g1, g2, g4, g5, linked_triangles, random_strongly_connected,
-    random_two_edge_connected, road_grid,
-)
+from twoec.fixtures import g1, g2, g4, g5, linked_triangles, random_strongly_connected, road_grid
 from twoec.oracle import OracleBudget, oracle_min_subgraph
 
 from graph_builders import dense_cert_graph
@@ -253,6 +251,37 @@ def test_preferred_first_reorders_each_slot():
 def test_zni_scss_rejects_disconnected():
     with pytest.raises(GraphError):
         zni_scss(build(3, [(0, 1), (1, 2)]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: road_grid(12, 0.12, 0.55, 1), dense_cert_graph,
+], ids=["road-grid-12", "dense-cert"])
+def test_one_strong_connectivity_check_per_certificate(make, monkeypatch):
+    """`ist_b` checks its input once and `zni_c` leaves the check to
+    `components`: the zni_scss runs inside them get strongly connected graphs."""
+    checked, cores = [], []
+    check, core = certificates._ensure_strongly_connected, certificates._zni_scss
+
+    def counting_check(g):
+        checked.append(g.n)
+        check(g)
+
+    def counting_core(g, preferred):
+        cores.append(g.n)
+        return core(g, preferred)
+
+    monkeypatch.setattr(certificates, "_ensure_strongly_connected", counting_check)
+    monkeypatch.setattr(certificates, "_zni_scss", counting_core)
+    g = make()
+    for calls in (1, 2):
+        ist_b(g)
+        assert len(checked) == calls
+    assert cores                        # phase 3 ran zni_scss
+    checked.clear()
+    cores.clear()
+    zni_c(g)
+    assert checked == [] and len(cores) == 1
+    assert zni_scss(g) and len(checked) == 1
 
 
 def test_zni_ratio_small():

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -171,6 +172,101 @@ def test_independent_pair_at_scale(make, monkeypatch):
     assert stats.phase2_new <= 2 * stats.n - stats.bridges
     assert stats.phase3_new <= 2 * stats.n_prime + 2 * stats.bridges
     assert len(cert.edge_set()) <= 4 * (stats.n + stats.n_prime)
+
+
+def _three_list_rule(root, in_arcs, preferred, cases):
+    """The arc choice as it was first written, kept as the reference for the
+    one-scan choice: three arc lists per child and a keyed `min` over each.
+    Counts in `cases` which rule each child took."""
+    def pick(arcs, exclude=-1):
+        ids = [eid for _, eid in arcs if eid != exclude]
+        return min(ids, key=lambda e: (e not in preferred, e), default=-1)
+
+    pos = {v: i for i, v in enumerate(spanning._low_high_order(root, in_arcs))}
+    parents = {}
+    for v, arcs in in_arcs.items():
+        if len(arcs) == 1:
+            cases["single"] += 1
+            parents[v] = (arcs[0][1], arcs[0][1])
+            continue
+        later = [a for a in arcs if a[0] != root and pos[a[0]] > pos[v]]
+        root_arcs = [a for a in arcs if a[0] == root]
+        earlier = [a for a in arcs if a[0] != root and pos[a[0]] < pos[v]]
+        if later:
+            cases["later"] += 1
+            parents[v] = (pick(earlier + root_arcs), pick(later))
+        else:
+            e_red = pick(root_arcs)
+            # red took the best earlier-or-root arc, so blue takes the next
+            cases["root, red best" if e_red == pick(earlier + root_arcs) else "root"] += 1
+            parents[v] = (pick(earlier + root_arcs, exclude=e_red), e_red)
+    return parents
+
+
+def _local_corpus():
+    """The flow graphs of 150 seeded random graphs, with their reversed
+    first-level aux graphs, and of the two graphs at scale."""
+    rng = random.Random(31)
+    for _ in range(150):
+        yield from _flow_graphs(random_strongly_connected(rng, rng.randint(4, 60)))
+    for g in (road_grid(18, 0.12, 0.55, 1), stdlib_uniform_digraph(350, 1400, 1)):
+        yield g
+        yield g.reverse()
+
+
+@pytest.mark.parametrize("share", [0, 3], ids=["none-preferred", "third-preferred"])
+def test_one_scan_choice_matches_the_three_list_rule(share, monkeypatch):
+    cases = collections.Counter()
+    solve_local = spanning._solve_local
+
+    def checked(root, in_arcs, preferred):
+        parents = solve_local(root, in_arcs, preferred)
+        assert parents == _three_list_rule(root, in_arcs, preferred, cases)
+        return parents
+
+    monkeypatch.setattr(spanning, "_solve_local", checked)
+    rng = random.Random(37)
+    for flow in _local_corpus():
+        ids = flow.edge_ids.tolist()
+        preferred = set(rng.sample(ids, len(ids) // share)) if share else set()
+        dt = dominator_tree(flow, 0)
+        assert verify_independent(flow, *independent_pair(flow, dt, preferred), dt)
+    # every rule is taken, the exclusion of red from blue's choice too
+    assert min(cases[c] for c in ("single", "later", "root", "root, red best")) > 0
+    assert sum(cases.values()) > 15000
+
+
+def test_rooted_local_graphs_come_back_to_front(monkeypatch):
+    rooted = []
+    low_high_order = spanning._low_high_order
+
+    def checked(root, in_arcs):
+        order = low_high_order(root, in_arcs)
+        if all(any(t == root for t, _ in arcs) for arcs in in_arcs.values()):
+            assert order == list(in_arcs)[::-1]
+            assert spanning._order_valid(root, in_arcs, {v: i for i, v in enumerate(order)})
+            rooted.append(len(order))
+        return order
+
+    monkeypatch.setattr(spanning, "_low_high_order", checked)
+    for flow in _local_corpus():
+        independent_pair(flow, dominator_tree(flow, 0))
+    assert len(rooted) > 1000 and max(rooted) >= 3
+    # every child rooted, with arcs between the children besides
+    in_arcs = {1: [(0, 0), (3, 5)], 2: [(1, 3), (0, 1)], 3: [(0, 2), (2, 4), (1, 6)]}
+    assert spanning._low_high_order(0, in_arcs) == [3, 2, 1]
+
+
+def test_chorded_reverse_cycle(monkeypatch):
+    """The reverse of an n-cycle with chords i -> i + 2: arcs i -> i - 1 and
+    i -> i - 2, whose orders regrow a subtree at nearly every placement."""
+    n = 300
+    g = build(n, [(i, (i - 1) % n) for i in range(n)] + [(i, (i - 2) % n) for i in range(n)])
+    sizes = _check_orders(monkeypatch)
+    for flow in (g, g.reverse()):
+        dt = dominator_tree(flow, 0)
+        assert verify_independent(flow, *independent_pair(flow, dt), dt)
+    assert sizes == [n - 1, n - 1]          # every vertex is a child of 0
 
 
 def test_union_tolerates_nonbridge_deletion():
