@@ -74,7 +74,7 @@ def _bench(args) -> int:
 
 def _verify(args) -> int:
     g, ids = _load(args)
-    with open(args.subgraph) as fh:
+    with open(args.subgraph, encoding="utf-8-sig") as fh:
         pairs = read_pairs(fh)
     index = {(ids[g.tail(e)], ids[g.head(e)]): e for e in g.edge_ids.tolist()}
     edges = []

@@ -33,6 +33,16 @@ def _int64(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+def _distinct(values) -> np.ndarray:
+    """The distinct values of an int sequence, ascending: ``np.unique`` by a
+    sort.  On numpy 2.4, ``np.unique`` finds int64 ids with a hash table
+    that takes 10-60 times as long."""
+    out = np.sort(_int64(values))
+    first = np.ones(len(out), dtype=bool)
+    first[1:] = out[1:] != out[:-1]
+    return out[first]
+
+
 def _csr(n: int, keys: np.ndarray, eids: np.ndarray, ends: np.ndarray):
     """Index the ascending `eids` and their other endpoints `ends[eids]` by
     vertex (or any key below n) `keys[eids]`; within a vertex, edges stay in
@@ -63,12 +73,17 @@ class Digraph:
     The constructor takes each of these as any int sequence (a list, a range
     or an int64 array) and stores int64 arrays.
 
-    The edges never change after construction, and building a direction is
-    idempotent (a race builds equal arrays twice), so instances are safe to
-    share between threads.
+    A graph also keeps whether it is strongly connected once that is known
+    (``is_strongly_connected``, ``largest_scc``); ``reverse()`` hands it
+    over, and a subgraph view starts without it.
+
+    The edges never change after construction, and building a direction or
+    the strong-connectivity answer is idempotent (a race computes equal
+    values twice), so instances are safe to share between threads.
     """
 
-    __slots__ = ("n", "tails", "heads", "edge_ids", "origin", "vertex_origin", "_out", "_in")
+    __slots__ = ("n", "tails", "heads", "edge_ids", "origin", "vertex_origin", "_out", "_in",
+                 "_strong")
 
     def __init__(self, n: int, tails, heads, *, edge_ids=None, origin=None,
                  vertex_origin=None):
@@ -79,6 +94,7 @@ class Digraph:
         self.origin = None if origin is None else _int64(origin)
         self.vertex_origin = None if vertex_origin is None else _int64(vertex_origin)
         self._out = self._in = None
+        self._strong = None              # strongly connected? None: not known yet
 
     # -- basic queries ------------------------------------------------------
 
@@ -119,12 +135,13 @@ class Digraph:
         r = Digraph(self.n, self.heads, self.tails, edge_ids=self.edge_ids,
                     origin=self.origin, vertex_origin=self.vertex_origin)
         r._out, r._in = self._in, self._out
+        r._strong = self._strong
         return r
 
     def subgraph_edges(self, keep) -> "Digraph":
         """View restricted to the given edge ids, each active in this graph;
         all ids keep their meaning."""
-        keep = np.unique(_int64(keep))
+        keep = _distinct(keep)
         # both arrays ascend, so the last position is the largest one
         pos = np.searchsorted(self.edge_ids, keep)
         if len(keep) and (pos[-1] >= self.m or (self.edge_ids[pos] != keep).any()):
@@ -152,6 +169,37 @@ def build(n: int, edges, allow_multi: bool = False) -> Digraph:
         if len(np.unique(np.stack([tails, heads], axis=1), axis=0)) != len(tails):
             raise GraphError("duplicate edge in a simple graph")
     return Digraph(n, tails, heads)
+
+
+def _file_graph(tails, heads, n: int | None = None) -> tuple[Digraph, int, int]:
+    """The simple graph of a file's arcs `tails[i]` -> `heads[i]` (int64
+    buffers of the file's vertex ids, in file order), with the number of
+    repeated pairs and of loops it drops; of each pair, its first arc keeps
+    its place.
+
+    With `n`, the ids are 1..n and vertex v is id v + 1; without, the ids
+    that occur are numbered densely in ascending order.  `vertex_origin`
+    holds the file's id of every vertex.
+    """
+    tails = np.frombuffer(tails, dtype=np.int64)
+    heads = np.frombuffer(heads, dtype=np.int64)
+    if n is None:
+        labels, ends = np.unique(np.concatenate([tails, heads]), return_inverse=True)
+        n, first_id = len(labels), 0
+        tails, heads = ends[:len(tails)], ends[len(tails):]
+    else:
+        labels, first_id = range(1, n + 1), 1
+    # sorted by pair, and in file order within a pair (lexsort is stable):
+    # keep the first arc of each pair unless it is a loop
+    order = np.lexsort((heads, tails))
+    ts, hs = tails[order], heads[order]
+    loop = tails == heads
+    keep = ~loop[order]
+    keep[1:] &= (ts[1:] != ts[:-1]) | (hs[1:] != hs[:-1])
+    keep = np.sort(order[keep])
+    loops = int(np.count_nonzero(loop))
+    g = Digraph(n, tails[keep] - first_id, heads[keep] - first_id, vertex_origin=labels)
+    return g, len(tails) - loops - len(keep), loops
 
 
 class Partition:
@@ -185,57 +233,68 @@ class Partition:
 
 
 def scc(g: Digraph) -> Partition:
-    """Strongly connected components (iterative Tarjan lowlink)."""
+    """Strongly connected components (iterative Tarjan lowlink).
+
+    The DFS keeps one next-arc position per vertex.  A vertex's index
+    becomes n once its component is popped, so a visited head is on the
+    Tarjan stack iff its index is below n: the lowlink takes the minimum
+    over all visited heads without an on-stack test.
+    """
     n = g.n
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     comp = [-1] * n
     stack: list[int] = []
     out_start, _, heads = g.out_lists()
+    nxt = out_start[:n]                  # the next out-arc position of each vertex
     counter = 0
     ncomp = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, out_start[root])]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
+        work = [root]
         while work:
-            v, pos = work[-1]
-            if pos < out_start[v + 1]:
-                work[-1] = (v, pos + 1)
+            v = work[-1]
+            pos, end, lv = nxt[v], out_start[v + 1], low[v]
+            while pos < end:
                 w = heads[pos]
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, out_start[w]))
-                elif on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            else:
+                pos += 1
+                x = index[w]
+                if x == -1:
+                    break
+                if x < lv:
+                    lv = x
+            else:                        # v is done
                 work.pop()
-                if work:
-                    p = work[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                if low[v] == index[v]:
+                if lv < index[v]:
+                    p = work[-1]
+                    if lv < low[p]:
+                        low[p] = lv
+                else:
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
+                        index[w] = n
                         comp[w] = ncomp
                         if w == v:
                             break
                     ncomp += 1
+                continue
+            nxt[v], low[v] = pos, lv
+            index[w] = low[w] = counter
+            counter += 1
+            stack.append(w)
+            work.append(w)
     return Partition(comp)
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    return g.n <= 1 or scc(g).count == 1
+    """Whether g is strongly connected; the answer is kept on g."""
+    if g._strong is None:
+        g._strong = g.n <= 1 or scc(g).count == 1
+    return g._strong
 
 
 def _ensure_strongly_connected(g: Digraph) -> None:
@@ -250,7 +309,7 @@ def induced_subgraph(g: Digraph, vertices) -> Digraph:
     Edge ids restart from 0 in old-edge-id order; `origin` and
     `vertex_origin` map back into `g`.
     """
-    vertices = np.unique(_int64(vertices))
+    vertices = _distinct(vertices)
     if len(vertices) and (vertices[0] < 0 or vertices[-1] >= g.n):
         raise GraphError("vertex id out of range")
     vmap = np.full(g.n, -1, dtype=np.int64)
@@ -288,11 +347,12 @@ def induced_subgraphs(g: Digraph, part: Partition) -> list[Digraph]:
 
 
 def largest_scc(g: Digraph) -> Digraph:
-    """Induced subgraph on the largest SCC (ties: lowest component id)."""
+    """Induced subgraph on the largest SCC (ties: lowest component id),
+    known to be strongly connected."""
     if g.n == 0:
         raise GraphError("graph has no vertices")
     part = scc(g)
-    sizes = part.sizes()
-    target = int(np.argmax(sizes))
-    return induced_subgraph(g, np.flatnonzero(part.comp == target))
+    top = induced_subgraph(g, np.flatnonzero(part.comp == np.argmax(part.sizes())))
+    top._strong = True
+    return top
 

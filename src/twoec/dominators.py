@@ -56,22 +56,27 @@ def _dfs(g: Digraph, s: int):
     order = [s]
     pre[s] = 0
     out_start, out_eids, heads = g.out_lists()
-    stack = [(s, out_start[s])]
+    nxt = out_start[:n]                # the next out-arc position of each vertex
+    stack = [s]
     cnt = 1
     while stack:
-        v, pos = stack[-1]
-        if pos < out_start[v + 1]:
-            stack[-1] = (v, pos + 1)
+        v = stack[-1]
+        pos, end = nxt[v], out_start[v + 1]
+        while pos < end:
             w = heads[pos]
+            pos += 1
             if pre[w] == -1:
-                pre[w] = cnt
-                cnt += 1
-                parent[w] = v
-                parent_edge[w] = out_eids[pos]
-                order.append(w)
-                stack.append((w, out_start[w]))
+                break
         else:
             stack.pop()
+            continue
+        nxt[v] = pos
+        pre[w] = cnt
+        cnt += 1
+        parent[w] = v
+        parent_edge[w] = out_eids[pos - 1]
+        order.append(w)
+        stack.append(w)
     return pre, parent, parent_edge, order
 
 
@@ -115,6 +120,8 @@ def dominator_tree(g: Digraph, s: int) -> DominatorTree:
             u = tails[pos]
             if pre[u] <= pw:
                 cand = pre[u]
+            elif ancestor[ancestor[u]] == -1:    # nothing to compress
+                cand = semi[label[u]]
             else:
                 cand = semi[evaluate(u)]
             if cand < best:

@@ -103,12 +103,15 @@ def random_two_edge_connected(rng: random.Random, n: int, tries: int = 120) -> D
 
 
 def road_grid(side: int, p_drop: float, p_two_way: float, seed: int) -> Digraph:
-    """Seeded synthetic road network: the largest SCC of a side x side grid.
+    """Seeded synthetic road network: the largest SCC of a side x side grid
+    with the arcs of ``_road_grid_arcs``."""
+    return largest_scc(build(side * side, _road_grid_arcs(side, p_drop, p_two_way, seed)))
 
-    Each grid edge is dropped with probability p_drop; a kept edge is
-    two-way with probability p_two_way, otherwise one-way in a random
-    direction.
-    """
+
+def _road_grid_arcs(side: int, p_drop: float, p_two_way: float, seed: int) -> list[tuple[int, int]]:
+    """The arcs of a side x side grid: each grid edge is dropped with
+    probability p_drop; a kept edge is two-way with probability p_two_way,
+    otherwise one-way in a random direction."""
     rng = random.Random(seed)
     arcs: list[tuple[int, int]] = []
     for i in range(side):
@@ -124,4 +127,4 @@ def road_grid(side: int, p_drop: float, p_two_way: float, seed: int) -> Digraph:
                     arcs.append((u, v))
                 else:
                     arcs.append((v, u))
-    return largest_scc(build(side * side, arcs))
+    return arcs

@@ -81,6 +81,22 @@ def test_bench_cli(tmp_path, capsys):
     assert len(rows) == 3  # header + 2
 
 
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    # editors on Windows save UTF-8 files with a leading U+FEFF
+    dimacs, snap = tmp_path / "g.gr", tmp_path / "g.txt"
+    _write_g1(dimacs)
+    snap.write_text("0 1\n1 0\n1 2\n2 1\n0 2\n2 0\n")
+    for path in (dimacs, snap):
+        assert main(["analyze", str(path)]) == 0
+        plain = capsys.readouterr().out
+        path.write_text("\ufeff" + path.read_text(), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+    sub = tmp_path / "sub.txt"
+    sub.write_text("\ufeff1 2\n2 1\n1 3\n3 1\n2 3\n3 2\n", encoding="utf-8")
+    assert main(["verify", str(dimacs), str(sub)]) == 0
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.gr")]) == 1
 

@@ -11,8 +11,11 @@ from twoec.digraph import (
     Digraph, GraphError, Partition, build, induced_subgraph, induced_subgraphs, largest_scc,
     scc,
 )
+from twoec.bench import run_algorithm
+from twoec.blocks import blocks, components
 from twoec.dominators import strong_bridges
 from twoec.fixtures import g1, g2, g4, g5, road_grid
+from twoec.io import load_graph
 
 from graph_builders import without_edge
 
@@ -100,6 +103,41 @@ def test_largest_scc_extracts_and_renumbers():
     # already strongly connected graph maps onto itself
     same = largest_scc(g2())
     assert same.edge_pairs() == g2().edge_pairs()
+
+
+def test_a_loaded_largest_scc_is_checked_without_tarjan(tmp_path, monkeypatch):
+    """`largest_scc` marks its result strongly connected, so the analysis
+    and a certificate on it run no `scc` on the graph itself."""
+    grid = road_grid(8, 0.12, 0.55, 1)
+    path = tmp_path / "grid.gr"
+    path.write_text("".join([f"p sp {grid.n} {grid.m}\n"] +
+                            [f"a {u + 1} {v + 1} 1\n" for u, v in grid.edge_pairs()]))
+    calls = []
+
+    def counting_scc(h):
+        calls.append(h)
+        return scc(h)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("twoec") and getattr(mod, "scc", None) is scc:
+            monkeypatch.setattr(mod, "scc", counting_scc)
+    g = largest_scc(load_graph(path))
+    assert len(calls) == 1                 # largest_scc's own, on the loaded graph
+    strong_bridges(g)
+    blocks(g)
+    components(g)
+    run_algorithm("ist-b", g)
+    assert [h for h in calls if h is g] == []
+
+
+def test_a_view_of_a_marked_graph_is_checked_again():
+    # the hybrid filter's block test relies on blocks() rejecting G' - e
+    g = largest_scc(g5())
+    blocks(g)
+    view = without_edge(g, 0)           # every edge of G5 is a strong bridge
+    for h in (view, view.reverse()):
+        with pytest.raises(GraphError, match="strongly connected"):
+            blocks(h)
 
 
 def test_subgraph_edges_without_one_edge_keeps_ids():

@@ -1,9 +1,11 @@
 import io
 import re
+import tracemalloc
 
 import pytest
 
 from twoec.digraph import GraphError, largest_scc
+from twoec.fixtures import _road_grid_arcs
 from twoec.io import load_graph, read_dimacs, read_snap
 
 
@@ -111,3 +113,34 @@ def test_vertex_count_no_array_holds_names_the_line():
         with pytest.raises(GraphError,
                            match=re.escape(f"line 2: vertex count {n} is too large")):
             read_dimacs(io.StringIO(f"c x\np sp {n} 1\na 1 2 1\n"))
+
+
+def test_load_graph_skips_a_byte_order_mark(tmp_path):
+    # the sniffing pass reads the first line of the suffix-less file
+    for name, text in (("a.gr", "p sp 2 2\na 1 2 1\na 2 1 1\n"), ("b.txt", "7 9\n9 7\n"),
+                       ("c.graph", "c x\np sp 2 1\na 1 2 1\n")):
+        plain, marked = tmp_path / name, tmp_path / "bom" / name
+        marked.parent.mkdir(exist_ok=True)
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        want, got = load_graph(plain), load_graph(marked)
+        assert got.edge_pairs() == want.edge_pairs()
+        assert got.vertex_origin.tolist() == want.vertex_origin.tolist()
+
+
+def test_read_dimacs_memory_per_arc(tmp_path):
+    """The reader keeps the endpoints in int64 arrays, not a tuple per arc:
+    its traced peak on a side-120 road grid stays below 200 bytes per arc."""
+    arcs = _road_grid_arcs(120, 0.12, 0.55, 1)
+    path = tmp_path / "grid.gr"
+    path.write_text("".join([f"p sp {120 * 120} {len(arcs)}\n"] +
+                            [f"a {u + 1} {v + 1} 1\n" for u, v in arcs]))
+    tracemalloc.start()
+    try:
+        with path.open() as fh:
+            g = read_dimacs(fh)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == len(arcs) == 38937
+    assert peak / len(arcs) < 200
