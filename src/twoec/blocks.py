@@ -14,8 +14,7 @@ __all__ = [
 _BLOB = -1  # sentinel for the d(r) contraction target
 
 
-def aux_graphs(g: Digraph, s: int, h: Digraph | None = None,
-               blocks_only: bool = False) -> tuple[DominatorTree, list[Digraph]]:
+def aux_graphs(g: Digraph, s: int) -> tuple[DominatorTree, list[Digraph]]:
     """The dominator tree of the flow graph G(s) and the contracted
     auxiliary graph of every marked vertex r: s and the bridge heads of
     G(s), in ascending order.
@@ -29,25 +28,20 @@ def aux_graphs(g: Digraph, s: int, h: Digraph | None = None,
     0), then its marked children in ascending id order, then d(r) unless r
     is s.  `origin` gives the edge each local edge is associated with, and
     `vertex_origin` the input vertex each ordinary local vertex stands for;
-    it is -1 at every contracted vertex.
-
-    At the second level, `g` is H^R and `s` is 0 (r) for a first-level
-    graph `h`, and both maps compose through `h` into the input graph: a
-    tree member contracted at the first level is -1 too, so a local vertex
-    is ordinary at both levels iff its `vertex_origin` is not -1, and
-    `blocks_only` keeps just the graphs with at least 2 such vertices, the
-    only ones that hold a block or a part of n'.  At the first level the
-    one copy of the bridge d(r) -> r is the only edge out of d(r).  A
-    second-level graph leaves that entering bridge out of its `edge_ids`,
-    because its SCCs without the bridge are what the blocks are read off;
-    its `tails`, `heads` and `origin` still hold the bridge, so every local
-    edge id is the one it would have with the bridge.
+    it is -1 at every contracted vertex.  The one copy of the bridge
+    d(r) -> r is the only edge out of d(r).
     """
     dt = dominator_tree(g, s)
+    return dt, _contract(g, s, dt)
+
+
+def _contract(g: Digraph, s: int, dt: DominatorTree, h: Digraph | None = None,
+              blocks_only: bool = False) -> list[Digraph]:
+    """`aux_graphs(g, s)[1]`, given `dt`; with `h`, h's second level on g = H^R."""
     if h is not None:
         h_vertex, h_edge = h.vertex_origin.tolist(), h.origin.tolist()
         if blocks_only and sum(v >= 0 for v in h_vertex) < 2:
-            return dt, []
+            return []
     idom = dt.idom
     bridge_into = {g.head(e): e for e in flow_bridges(g, dt)}
     marked = sorted({s, *bridge_into})
@@ -118,39 +112,52 @@ def aux_graphs(g: Digraph, s: int, h: Digraph | None = None,
             edge_ids = [e for e in range(len(orig)) if e != bridge]
         result.append(Digraph(n, tails, heads, edge_ids=edge_ids, origin=orig,
                               vertex_origin=vertex_origin + [-1] * (n - n_ord)))
-    return dt, result
+    return result
+
+
+def _decompose(g: Digraph, s: int, blocks_only: bool = False):
+    """The two levels of auxiliary graphs of G(s): `aux_graphs(g, s)`, a
+    block label per vertex, and an iterator that gives one first-level
+    graph h at a time with H^R, the dominator tree of H^R(0), and the
+    auxiliary graphs of H^R(0), each with its SCC partition.
+
+    Their maps compose through h into g, so a local vertex is ordinary at
+    both levels iff its `vertex_origin` is not -1; `blocks_only` builds only
+    the graphs with 2 such vertices or more, the only ones that hold a block
+    or a part of n'.  Their `edge_ids` leave out the entering bridge d(r) ->
+    r, which `tails`, `heads` and `origin` keep.  The blocks are their SCCs
+    without it, restricted to those vertices, and each vertex is ordinary at
+    both levels in exactly one graph, so each label is set once, to the
+    first such vertex of its SCC, by the time the iterator is exhausted.
+    """
+    dt, level1 = aux_graphs(g, s)
+    label = list(range(g.n))
+
+    def walk():
+        for h in level1:
+            rev = h.reverse()
+            dtr = dominator_tree(rev, 0)
+            level2 = [(aux, scc(aux)) for aux in _contract(rev, 0, dtr, h, blocks_only)]
+            for aux, part in level2:
+                first: dict[int, int] = {}       # class -> its first ordinary vertex
+                for c, v in zip(part.comp.tolist(), aux.vertex_origin.tolist()):
+                    if v >= 0:
+                        label[v] = first.setdefault(c, v)
+            yield h, rev, dtr, level2
+
+    return dt, level1, label, walk()
 
 
 def blocks(g: Digraph) -> Partition:
     """2-edge-connected blocks: vertex classes pairwise joined by two
-    edge-disjoint paths in each direction.
-
-    The blocks are read off the strongly connected components of the
-    second-level auxiliary graphs, which are built without their entering
-    bridges: two vertices share a block iff they are ordinary at both
-    levels and strongly connected in one of them.  Every vertex is ordinary
-    at both levels in exactly one second-level graph, so each label below
-    is set at most once.
-    """
+    edge-disjoint paths in each direction, read off by `_decompose`."""
     _ensure_strongly_connected(g)
-    label = list(range(g.n))
-    if g.n > 1:
-        for h in aux_graphs(g, 0)[1]:
-            for aux in aux_graphs(h.reverse(), 0, h)[1]:
-                _block_sccs(aux, label)
+    if g.n <= 1:
+        return Partition(list(range(g.n)))
+    *_, label, walk = _decompose(g, 0)
+    for _ in walk:
+        pass
     return Partition(label)
-
-
-def _block_sccs(aux: Digraph, label: list[int]) -> Partition:
-    """Read the blocks off one second-level graph: set the label of every
-    vertex ordinary at both levels to the first such vertex of its SCC.
-    Returns the SCC partition."""
-    part = scc(aux)
-    first: dict[int, int] = {}           # class -> its first ordinary vertex
-    for c, v in zip(part.comp.tolist(), aux.vertex_origin.tolist()):
-        if v >= 0:
-            label[v] = first.setdefault(c, v)
-    return part
 
 
 def components(g: Digraph) -> Partition:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .blocks import _block_sccs, _components, _within, aux_graphs, condense
+from .blocks import _components, _decompose, _within, condense
 from .digraph import (
     Digraph, GraphError, Partition, _ensure_strongly_connected, induced_subgraphs, scc,
 )
@@ -63,8 +63,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
             in_l.add(orig)
             new[tag] += 1
 
-    block_label = list(range(g.n))
-    dt, level1 = aux_graphs(g, s)
+    dt, level1, block_label, walk = _decompose(g, s, blocks_only=modified)
 
     # Phase 1: two independent spanning trees of G(s)
     for tree in independent_pair(g, dt):
@@ -72,9 +71,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
             if e != -1:
                 insert(e, "P1")
 
-    for h in level1:
-        rev = h.reverse()
-        dtr, level2 = aux_graphs(rev, 0, h, blocks_only=modified)
+    for h, rev, dtr, level2 in walk:
         h_vertex, h_edge = h.vertex_origin.tolist(), h.origin.tolist()
 
         # Phase 2: independent trees of the reverse flow graph, reusing edges
@@ -104,8 +101,8 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
         # Phase 3: strongly connected coverage of every second-level SCC,
         # each with its maps composed into the input graph; an SCC needs no
         # strong-connectivity check
-        for aux in level2:
-            for sub in induced_subgraphs(aux, _block_sccs(aux, block_label)):
+        for aux, part in level2:
+            for sub in induced_subgraphs(aux, part):
                 sub = _within(aux, sub)
                 vertex, origin = sub.vertex_origin.tolist(), sub.origin.tolist()
                 both_ord = [x for x in vertex if x >= 0]

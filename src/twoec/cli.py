@@ -65,7 +65,7 @@ def _sparsify(args) -> int:
 
 
 def _bench(args) -> int:
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8-sig") as fh:
         config = json.load(fh)
     reports = run_experiment(config, args.output)
     print(f"wrote {len(reports)} rows to {args.output}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .blocks import aux_graphs, blocks
+from .blocks import _decompose, blocks
 from .certificates import _condensed, _ist_pipeline
 from .digraph import Digraph, GraphError, Partition, _ensure_strongly_connected
 
@@ -268,8 +268,8 @@ def _on_aux_graphs(view: Digraph, cfg: FilterConfig) -> FilterReport:
     kept: set[int] = set()
     tested = 0
     if view.n > 1:
-        for h in aux_graphs(view, 0)[1]:
-            for aux in aux_graphs(h.reverse(), 0, h)[1]:
+        for *_, level2 in _decompose(view, 0)[-1]:
+            for aux, _ in level2:
                 aux_edge = aux.origin.tolist()
                 appeared.update(aux_edge)
                 # the strategy filters the entering bridge too, which aux

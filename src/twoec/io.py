@@ -60,8 +60,8 @@ def _stats(g: Digraph, dups: int, loops: int) -> tuple[Digraph, ParseStats]:
 def read_dimacs(stream) -> tuple[Digraph, ParseStats]:
     """DIMACS .gr reader: 'c' comments, 'p sp n m', 'a u v w' 1-based arcs.
 
-    Weights are parsed and discarded; duplicate arcs and loops are dropped
-    with counts recorded.  Vertex v stands for the file's vertex v + 1.
+    Weights are ignored and may be absent; duplicate arcs and loops are
+    dropped with counts recorded.  Vertex v stands for the file's vertex v + 1.
     Errors name the first bad line.
     """
     stream = iter(stream)

@@ -1,4 +1,5 @@
-"""Test graphs and views that several test modules build, one builder each.
+"""Test graphs, views and a reachability search that several test modules
+share, one builder each.
 
 Imported by name: pytest puts this directory on `sys.path` for the test
 modules beside it.
@@ -8,6 +9,20 @@ import random
 import numpy as np
 
 from twoec.digraph import build, largest_scc
+
+
+def reachable(g, s: int) -> set[int]:
+    """The vertices of `g` that a path from `s` reaches."""
+    out_start, _, heads = g.out_lists()
+    seen = {s}
+    stack = [s]
+    while stack:
+        v = stack.pop()
+        for h in heads[out_start[v]:out_start[v + 1]]:
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return seen
 
 
 def without_edge(g, e: int):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from twoec.blocks import aux_graphs, blocks, components, condense
+from twoec.blocks import _decompose, aux_graphs, blocks, components, condense
 from twoec.certificates import _condensed, two_ecss_edt, zni_c
 from twoec.digraph import (
     Digraph, GraphError, Partition, build, induced_subgraph, scc,
@@ -104,13 +104,12 @@ def test_lemma_strong_bridge_reversal():
     rng = random.Random(41)
     for _ in range(80):
         g = random_strongly_connected(rng, rng.randint(2, 10))
-        dt, level1 = aux_graphs(g, 0)
+        dt, _, _, walk = _decompose(g, 0)
         gs_bridges = flow_bridges(g, dt)
-        for h in level1:
+        for h, rev, dtr, _ in walk:
             if h.n <= 1 or scc(h).count != 1:
                 continue
-            rev = h.reverse()
-            rev_bridges = flow_bridges(rev, dominator_tree(rev, 0))
+            rev_bridges = flow_bridges(rev, dtr)
             for e in strong_bridges(h):
                 if int(h.origin[e]) in gs_bridges:
                     continue
@@ -126,26 +125,24 @@ def _left_out(aux) -> list[int]:
 
 
 def test_second_level_api():
-    h = aux_graphs(g1(), 0)[1][0]
-    level2 = aux_graphs(h.reverse(), 0, h)[1]
-    assert [_left_out(aux) for aux in level2] == [[]]  # H^R(0) has no bridges
+    [(_, _, _, level2)] = _decompose(g1(), 0)[-1]
+    assert [_left_out(aux) for aux, _ in level2] == [[]]  # H^R(0) has no bridges
     # every second-level graph of a path-like graph has <= 1 ordinary vertex
     g = g2()
-    for h in aux_graphs(g, 0)[1]:
-        rev = h.reverse()
-        dtr, level2 = aux_graphs(rev, 0, h)
+    for h, rev, dtr, level2 in _decompose(g, 0)[-1]:
+        assert _aux_fields(rev) == _aux_fields(h.reverse())
         assert dtr == dominator_tree(rev, 0)
         assert dtr.dfs_order[0] == 0 and dtr.idom[0] == -1
-        for aux in level2:
+        for aux, _ in level2:
             assert [int(aux.origin[e]) for e in _left_out(aux)] in ([], [0], [1], [2])
             assert len(_ordinary(aux)) <= 1
 
 
 def test_second_level_contains_g5_block():
     found = False
-    for h in aux_graphs(g5(), 0)[1]:
-        for aux in aux_graphs(h.reverse(), 0, h)[1]:
-            part = scc(aux)
+    for *_, level2 in _decompose(g5(), 0)[-1]:
+        for aux, part in level2:
+            assert part == scc(aux)
             for cls in _classes(part):
                 orig = {int(aux.vertex_origin[v]) for v in cls.tolist()} - {-1}
                 if {0, 1} <= orig:
@@ -184,9 +181,9 @@ def test_second_level_maps_into_the_input_graph():
     rng = random.Random(67)
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
     for g in graphs + [road_grid(12, 0.12, 0.55, 1)]:
-        for i, h in enumerate(aux_graphs(g, 0)[1]):
+        for i, (h, _, _, level2) in enumerate(_decompose(g, 0)[-1]):
             _check_aux_contract(g, h, second_level=False, at_start=i == 0)
-            for j, aux in enumerate(aux_graphs(h.reverse(), 0, h)[1]):
+            for j, (aux, _) in enumerate(level2):
                 _check_aux_contract(g, aux, second_level=True, at_start=j == 0)
 
 
@@ -209,17 +206,15 @@ def test_every_vertex_is_ordinary_in_one_graph_per_level():
     rng = random.Random(71)
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
     for g in graphs + [road_grid(12, 0.12, 0.55, 1), stdlib_uniform_digraph(350, 1400, 1)]:
-        dt, level1 = aux_graphs(g, 0)
+        dt, level1, _, walk = _decompose(g, 0)
         level2 = []
-        for h, members in zip(level1, _tree_members(g, dt), strict=True):
+        for (h, rev, dtr, auxes), members in zip(walk, _tree_members(g, dt), strict=True):
             assert h.vertex_origin.tolist() == members + [-1] * (h.n - len(members))
             h_vertex = h.vertex_origin.tolist()
-            rev = h.reverse()
-            dtr, auxes = aux_graphs(rev, 0, h)
-            for aux, members2 in zip(auxes, _tree_members(rev, dtr), strict=True):
+            for (aux, _), members2 in zip(auxes, _tree_members(rev, dtr), strict=True):
                 want = [h_vertex[v] for v in members2]
                 assert aux.vertex_origin.tolist() == want + [-1] * (aux.n - len(want))
-            level2 += auxes
+            level2 += [aux for aux, _ in auxes]
         for level in (level1, level2):
             ordinary = [v for aux in level for v in aux.vertex_origin.tolist() if v >= 0]
             assert sorted(ordinary) == list(range(g.n))
@@ -231,23 +226,15 @@ def _aux_fields(aux):
 
 
 def _blocks_from_kept_graphs(g) -> Partition:
-    """Blocks read off the SCCs of only the second-level graphs that
-    `blocks_only` keeps, as built, after checking that they are exactly the
-    full list's graphs with at least 2 vertices ordinary at both levels."""
-    label = list(range(g.n))
-    for h in aux_graphs(g, 0)[1]:
-        rev = h.reverse()
-        dtr, full = aux_graphs(rev, 0, h)
-        dtr_kept, kept = aux_graphs(rev, 0, h, blocks_only=True)
+    """The blocks that the walk with `blocks_only` reads off the SCCs of the
+    second-level graphs it builds, after checking that they are exactly the
+    full walk's graphs with at least 2 vertices ordinary at both levels."""
+    *_, label, kept_walk = _decompose(g, 0, blocks_only=True)
+    for (_, _, dtr, full), (_, _, dtr_kept, kept) in zip(
+            _decompose(g, 0)[-1], kept_walk, strict=True):
         assert dtr_kept == dtr
-        want = [aux for aux in full if len(_ordinary(aux)) >= 2]
-        assert [_aux_fields(a) for a in kept] == [_aux_fields(a) for a in want]
-        for aux in kept:
-            comp = scc(aux).comp.tolist()
-            first: dict[int, int] = {}        # SCC -> its first ordinary vertex
-            for v in _ordinary(aux):
-                orig = int(aux.vertex_origin[v])
-                label[orig] = first.setdefault(comp[v], orig)
+        want = [aux for aux, _ in full if len(_ordinary(aux)) >= 2]
+        assert [_aux_fields(a) for a, _ in kept] == [_aux_fields(a) for a in want]
     return Partition(label)
 
 
@@ -295,8 +282,8 @@ def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
         blocks(g)
         in_blocks = len(built)
         built.clear()
-        level1 = aux_graphs(g, 0)[1]
-        level2 = [aux for h in level1 for aux in aux_graphs(h.reverse(), 0, h)[1]]
+        _, level1, _, walk = _decompose(g, 0)
+        level2 = [aux for *_, auxes in walk for aux in auxes]
         assert len(built) == 2 * len(level1) + len(level2)
         assert len(level2) > len(level1)          # some graphs have an entering bridge
         assert in_blocks == len(built)
@@ -365,6 +352,14 @@ def test_components_of_multigraphs_match_oracle():
         assert components(g) == oracle_components(g)
 
 
+_AT_SCALE = pytest.mark.parametrize("make", [
+    lambda: road_grid(14, 0.12, 0.55, 1),
+    lambda: road_grid(30, 0.12, 0.55, 1),
+    lambda: dense_cert_graph(1),
+    lambda: dense_cert_graph(2),
+], ids=["road-grid-14", "road-grid-30", "dense-cert-1", "dense-cert-2"])
+
+
 def _components_by_bridge_removal(g) -> Partition:
     """Reference 2EC components: delete every strong bridge of each piece
     and split it into SCCs, until every piece is bridgeless."""
@@ -384,12 +379,7 @@ def _components_by_bridge_removal(g) -> Partition:
     return Partition(label)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: road_grid(14, 0.12, 0.55, 1),
-    lambda: road_grid(30, 0.12, 0.55, 1),
-    lambda: dense_cert_graph(1),
-    lambda: dense_cert_graph(2),
-], ids=["road-grid-14", "road-grid-30", "dense-cert-1", "dense-cert-2"])
+@_AT_SCALE
 def test_components_match_bridge_removal_at_scale(make):
     g = make()
     part = components(g)
@@ -470,12 +460,7 @@ def _view_with_gaps():
     return tripled.subgraph_edges([e for e in range(tripled.m) if e % 3 == 0])
 
 
-@pytest.mark.parametrize("make", [
-    lambda: road_grid(14, 0.12, 0.55, 1),
-    lambda: road_grid(30, 0.12, 0.55, 1),
-    lambda: dense_cert_graph(1),
-    lambda: dense_cert_graph(2),
-], ids=["road-grid-14", "road-grid-30", "dense-cert-1", "dense-cert-2"])
+@_AT_SCALE
 def test_condensed_2ecss_of_each_component_matches_two_ecss_edt(make):
     _check_condensed_2ecss(make())
 

@@ -95,6 +95,10 @@ def test_byte_order_mark_is_skipped(tmp_path, capsys):
     sub = tmp_path / "sub.txt"
     sub.write_text("\ufeff1 2\n2 1\n1 3\n3 1\n2 3\n3 2\n", encoding="utf-8")
     assert main(["verify", str(dimacs), str(sub)]) == 0
+    cfg = tmp_path / "cfg.json"
+    config = {"datasets": [{"name": "g1", "path": str(dimacs)}], "algorithms": ["zni-c"]}
+    cfg.write_text("\ufeff" + json.dumps(config), encoding="utf-8")
+    assert main(["bench", "--config", str(cfg), "-o", str(tmp_path / "out.csv")]) == 0
 
 
 def test_missing_file_is_input_error(tmp_path):

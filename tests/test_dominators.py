@@ -6,7 +6,7 @@ from twoec.digraph import GraphError, build, scc
 from twoec.dominators import _dfs, dominator_tree, flow_bridges, strong_bridges
 from twoec.fixtures import g1, g2, g4, g5, random_strongly_connected
 
-from graph_builders import without_edge
+from graph_builders import reachable, without_edge
 
 
 def _removal_dominates(g, s, u, w):
@@ -14,17 +14,7 @@ def _removal_dominates(g, s, u, w):
     if u == w or u == s:
         return True
     keep = [e for e in g.edge_ids.tolist() if g.tail(e) != u and g.head(e) != u]
-    sub = g.subgraph_edges(keep)
-    out_start, _, heads = sub.out_lists()
-    seen = {s}
-    stack = [s]
-    while stack:
-        v = stack.pop()
-        for h in heads[out_start[v]:out_start[v + 1]]:
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    return w not in seen
+    return w not in reachable(g.subgraph_edges(keep), s)
 
 
 def test_dominator_tree_path():
@@ -99,17 +89,7 @@ def test_flow_bridges_match_removal_oracle():
         g = random_strongly_connected(rng, rng.randint(2, 10))
         found = flow_bridges(g, dominator_tree(g, 0))
         for e in g.edge_ids.tolist():
-            sub = without_edge(g, e)
-            out_start, _, heads = sub.out_lists()
-            seen = {0}
-            stack = [0]
-            while stack:
-                v = stack.pop()
-                for h in heads[out_start[v]:out_start[v + 1]]:
-                    if h not in seen:
-                        seen.add(h)
-                        stack.append(h)
-            assert (len(seen) != g.n) == (e in found)
+            assert (len(reachable(without_edge(g, e), 0)) != g.n) == (e in found)
 
 
 def test_strong_bridges_fixtures():

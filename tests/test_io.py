@@ -10,8 +10,10 @@ from twoec.io import load_graph, read_dimacs, read_snap
 
 
 def test_dimacs_basic():
-    g = read_dimacs(io.StringIO("c comment\np sp 3 3\na 1 2 4\na 2 3 1\na 3 1 7\n"))[0]
-    assert g.n == 3 and g.edge_pairs() == [(0, 1), (1, 2), (2, 0)]
+    # weights are ignored: a missing or non-numeric one loads too
+    for arcs in ("a 1 2 4\na 2 3 1\na 3 1 7\n", "a 1 2\na 2 3 x\na 3 1 7\n"):
+        g = read_dimacs(io.StringIO("c comment\np sp 3 3\n" + arcs))[0]
+        assert g.n == 3 and g.edge_pairs() == [(0, 1), (1, 2), (2, 0)]
 
 
 def test_dimacs_one_based_violation():

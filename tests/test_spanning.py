@@ -4,14 +4,14 @@ import random
 import pytest
 
 from twoec import spanning
-from twoec.blocks import aux_graphs
+from twoec.blocks import _decompose
 from twoec.certificates import ist_b
 from twoec.digraph import build
 from twoec.dominators import dominator_tree, flow_bridges
 from twoec.fixtures import g1, g2, g4, random_strongly_connected, road_grid
 from twoec.spanning import independent_pair, verify_independent
 
-from graph_builders import stdlib_uniform_digraph, without_edge
+from graph_builders import reachable, stdlib_uniform_digraph, without_edge
 
 
 def _edges(tree):
@@ -133,8 +133,7 @@ def _flow_graphs(g):
     multigraphs, as ist_b builds them; each flow graph starts at 0."""
     yield g
     yield g.reverse()
-    for h in aux_graphs(g, 0)[1]:
-        yield h.reverse()
+    yield from (rev for _, rev, _, _ in _decompose(g, 0, blocks_only=True)[-1])
 
 
 def test_low_high_orders_random(monkeypatch):
@@ -281,17 +280,7 @@ def test_union_tolerates_nonbridge_deletion():
         for e in union:
             if e in bridges:
                 continue
-            rest = without_edge(sub, e)
-            out_start, _, heads = rest.out_lists()
-            seen = {0}
-            stack = [0]
-            while stack:
-                v = stack.pop()
-                for h in heads[out_start[v]:out_start[v + 1]]:
-                    if h not in seen:
-                        seen.add(h)
-                        stack.append(h)
-            assert len(seen) == g.n
+            assert len(reachable(without_edge(sub, e), 0)) == g.n
 
 
 def test_determinism():
