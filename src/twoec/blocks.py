@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from .digraph import (
     Digraph, GraphError, Partition, _ensure_strongly_connected, induced_subgraph,
-    induced_subgraphs, scc,
+    induced_subgraphs, is_strongly_connected, scc,
 )
 from .dominators import DominatorTree, _strong_bridges, dominator_tree, flow_bridges
 
@@ -129,6 +129,11 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
     without it, restricted to those vertices, and each vertex is ordinary at
     both levels in exactly one graph, so each label is set once, to the
     first such vertex of its SCC, by the time the iterator is exhausted.
+
+    Three consumers read those SCCs: `blocks()` returns the labels,
+    `certificates._ist_pipeline` covers every SCC in its phase 3 and returns
+    the labels as g's block partition, and `filters._on_aux_graphs` reads
+    each graph's blocks with its entering bridge off its SCCs.
     """
     dt, level1 = aux_graphs(g, s)
     label = list(range(g.n))
@@ -284,7 +289,7 @@ def preservation_violations(g: Digraph, edge_ids, problem: str) -> list[str]:
         raise ValueError(f"unknown problem {problem!r}")
     sub = g.subgraph_edges(sorted(edge_ids))
     out: list[str] = []
-    if g.n > 1 and scc(sub).count != 1:
+    if not is_strongly_connected(sub):        # kept on sub for blocks(sub)
         out.append("subgraph is not strongly connected")
         return out
     if problem in ("B", "BC") and blocks(sub) != blocks(g):

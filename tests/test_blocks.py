@@ -5,12 +5,16 @@ import time
 import numpy as np
 import pytest
 
-from twoec.blocks import _decompose, aux_graphs, blocks, components, condense
-from twoec.certificates import _condensed, two_ecss_edt, zni_c
+from twoec import digraph, filters
+from twoec.blocks import (
+    _decompose, aux_graphs, blocks, components, condense, preservation_violations,
+)
+from twoec.certificates import _condensed, ist_b, ist_bc, two_ecss_edt, zni_c
 from twoec.digraph import (
-    Digraph, GraphError, Partition, build, induced_subgraph, scc,
+    Digraph, GraphError, Partition, build, induced_subgraph, is_strongly_connected, scc,
 )
 from twoec.dominators import dominator_tree, flow_bridges, strong_bridges
+from twoec.filters import FilterConfig, _whole_blocks, filter_b
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected, road_grid,
 )
@@ -266,9 +270,19 @@ def test_blocks_only_keeps_every_block_at_scale(make):
             assert two_edge_connected_pair(g, cls[0], v)
 
 
+def _graphs_built_by_blocks(g) -> int:
+    """The graphs one blocks() call must build, counted without the walk:
+    each first-level graph h, its reverse H^R, and one second-level graph
+    per marked vertex of H^R(0), its start vertex and each flow-bridge head."""
+    level1 = aux_graphs(g, 0)[1]
+    count = 2 * len(level1)
+    for h in level1:
+        rev = h.reverse()
+        count += 1 + len(flow_bridges(rev, dominator_tree(rev, 0)))
+    return count
+
+
 def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
-    # one blocks() call builds each first-level graph, its reverse and each
-    # second-level graph, and reads the second-level graphs as built
     built = []
     init = Digraph.__init__
 
@@ -276,17 +290,70 @@ def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Digraph, "__init__", counting_init)
-    for g in (g4(), g5(), road_grid(12, 0.12, 0.55, 1)):
-        built.clear()
-        blocks(g)
-        in_blocks = len(built)
-        built.clear()
-        _, level1, _, walk = _decompose(g, 0)
-        level2 = [aux for *_, auxes in walk for aux in auxes]
-        assert len(built) == 2 * len(level1) + len(level2)
-        assert len(level2) > len(level1)          # some graphs have an entering bridge
-        assert in_blocks == len(built)
+    for g, want in ((g4(), 24), (g5(), 23), (road_grid(12, 0.12, 0.55, 1), 159),
+                    (road_grid(18, 0.12, 0.2, 1), 348)):
+        assert _graphs_built_by_blocks(g) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(Digraph, "__init__", counting_init)
+            built.clear()
+            blocks(g)
+        assert len(built) == want
+
+
+def _check_blocks_read_off_the_walk(g) -> None:
+    """Every second-level graph of g with its entering bridge is strongly
+    connected, and the aux filters' partition read off its SCCs without the
+    bridge is its blocks."""
+    for *_, level2 in _decompose(g, 0)[-1]:
+        for aux, part in level2:
+            whole = Digraph(aux.n, aux.tails, aux.heads)
+            assert is_strongly_connected(whole)
+            assert blocks(whole) == _whole_blocks(aux, part)
+
+
+def test_second_level_blocks_are_read_off_the_walk():
+    rng = random.Random(73)
+    graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
+    graphs += [_random_multigraph(rng, rng.randint(2, 12)) for _ in range(60)]
+    graphs += [road_grid(18, 0.12, p, 1) for p in (0.2, 0.55, 0.9)]
+    for g in graphs:
+        view = g.subgraph_edges(sorted(ist_b(g)[0].edge_set()))
+        _check_blocks_read_off_the_walk(g)
+        _check_blocks_read_off_the_walk(view)
+
+
+@pytest.mark.parametrize("strategy, calls", [("test2edp", 0), ("hybrid", 186)])
+def test_aux_filter_calls_blocks_only_in_block_tests(monkeypatch, strategy, calls):
+    # the walk yields each second-level graph's starting partition, so the
+    # only blocks() calls are hybrid's block tests; this grid has 187 graphs
+    seen = []
+    monkeypatch.setattr(filters, "blocks", lambda g: seen.append(g) or blocks(g))
+    filter_b(road_grid(18, 0.12, 0.55, 1), FilterConfig(strategy=strategy, on_aux_graphs=True))
+    assert len(seen) == calls
+
+
+def test_preservation_check_runs_one_tarjan_pass_on_the_subgraph(monkeypatch):
+    g = road_grid(12, 0.12, 0.55, 1)
+    edges = ist_bc(g).edge_set()
+    subs, passes = [], []
+    subgraph_edges = Digraph.subgraph_edges
+
+    def recording_subgraph_edges(self, *args, **kwargs):
+        subs.append(subgraph_edges(self, *args, **kwargs))
+        return subs[-1]
+
+    def counting_scc(h):
+        passes.append(h)
+        return scc(h)
+
+    monkeypatch.setattr(Digraph, "subgraph_edges", recording_subgraph_edges)
+    monkeypatch.setattr(digraph, "scc", counting_scc)
+    monkeypatch.setattr(importlib.import_module("twoec.blocks"), "scc", counting_scc)
+    for problem in ("B", "C", "BC"):
+        subs.clear()
+        passes.clear()
+        assert preservation_violations(g, edges, problem) == []
+        assert sum(h is subs[0] for h in passes) == 1
 
 
 def test_blocks_fixtures():

@@ -278,12 +278,21 @@ def test_aux_variant_fixture_values():
     assert filter_b(g2(), aux).surviving == set(range(3))
 
 
+# the road-mix and dense-cert graphs of the benchmark, n = 311 and 335
+_AUX_AT_SCALE = (lambda: road_grid(18, 0.12, 0.55, 1), dense_cert_graph)
+
+
 def test_aux_variant_never_smaller_guarantees():
     rng = random.Random(101)
     for _ in range(30):
         g = random_strongly_connected(rng, rng.randint(3, 12))
         out = filter_b(g, FilterConfig(strategy="test2edp", on_aux_graphs=True)).surviving
         assert preservation_violations(g, out, "B") == []
+    for make in _AUX_AT_SCALE:
+        g = make()
+        for strategy in ("test2edp", "hybrid"):
+            out = filter_b(g, FilterConfig(strategy=strategy, on_aux_graphs=True)).surviving
+            assert preservation_violations(g, out, "B") == [], strategy
 
 
 def test_filter_bc_fixtures():
@@ -343,6 +352,11 @@ def test_filter_bc_aux_mode():
         g = random_strongly_connected(rng, rng.randint(3, 10))
         cfg = FilterConfig(strategy="hybrid", on_aux_graphs=True)
         assert preservation_violations(g, filter_bc(g, cfg).surviving, "BC") == []
+    for make in _AUX_AT_SCALE:
+        g = make()
+        for strategy in ("test2edp", "hybrid"):
+            cfg = FilterConfig(strategy=strategy, on_aux_graphs=True)
+            assert preservation_violations(g, filter_bc(g, cfg).surviving, "BC") == [], strategy
 
 
 def test_filters_reject_disconnected():
