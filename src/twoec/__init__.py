@@ -5,7 +5,7 @@ from .digraph import (
     Digraph, GraphError, Partition, build, induced_subgraph, largest_scc, scc,
 )
 from .dominators import DominatorTree, dominator_tree, flow_bridges, strong_bridges
-from .spanning import independent_pair, verify_independent
+from .spanning import independent_pair
 from .blocks import aux_graphs, blocks, components, condense, preservation_violations
 from .certificates import (
     CertificateEdgeList, CertificateStats, ist_b, ist_b_original, ist_bc,

@@ -1,10 +1,12 @@
 """Brute-force ground truth: pairwise 2-edge-connectivity, exhaustive minima,
-and the lower-bound gadget family.
+the lower-bound gadget family, and checks of independent spanning trees.
 
 Everything here is deliberately independent of the production algorithms:
 flows are a plain BFS Edmonds-Karp, components come from exhaustive subset
 search, and bridges from per-edge removal, so oracle and implementation can
-cross-validate each other.
+cross-validate each other.  `verify_independent` walks the two tree paths
+of every vertex and compares them with a given dominator tree, and
+`_order_valid` checks one local low-high order of `twoec.spanning`.
 """
 from __future__ import annotations
 
@@ -12,10 +14,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .digraph import Digraph, GraphError, Partition, build, induced_subgraph, scc
+from .dominators import DominatorTree
 
 __all__ = [
     "OracleBudget", "oracle_blocks", "oracle_components", "oracle_min_subgraph",
     "two_edge_connected_pair", "gadget_family", "gadget_minimal_witness",
+    "verify_independent", "_order_valid",
 ]
 
 
@@ -308,3 +312,46 @@ def gadget_minimal_witness(k: int) -> list[int]:
     for i in range(k):
         chosen.append(index[(d, i)])
     return sorted(chosen)
+
+
+def verify_independent(g: Digraph, blue: list[int], red: list[int],
+                       dt: DominatorTree) -> bool:
+    """Check the normative contract on the flow graph G(s), with `dt` its
+    dominator tree, for two parent-edge lists: the two root-to-v paths of
+    every vertex intersect exactly in the dominator set of v."""
+    s = dt.dfs_order[0]
+
+    def path(tree: list[int], v: int) -> set[int] | None:
+        """The vertices on the tree path from s to v; None if it runs into
+        a detached vertex, an edge that does not enter its vertex or a
+        parent cycle."""
+        out = {v}
+        while v != s:
+            if tree[v] == -1 or g.head(tree[v]) != v:
+                return None
+            v = g.tail(tree[v])
+            if v in out:
+                return None
+            out.add(v)
+        return out
+
+    for v in range(g.n):
+        if v == s:
+            continue
+        pb, pr = path(blue, v), path(red, v)
+        if pb is None or pr is None or pb & pr != set(dt.dominators(v)):
+            return False
+    return True
+
+
+def _order_valid(root: int, in_arcs: dict[int, list[tuple[int, int]]],
+                 pos: dict[int, int]) -> bool:
+    """Linear low-high check: every child without an arc from the root has
+    one from an earlier child and one from a later child."""
+    for v, arcs in in_arcs.items():
+        tails = [t for t, _ in arcs]
+        if root in tails:
+            continue
+        if not (any(pos[t] < pos[v] for t in tails) and any(pos[t] > pos[v] for t in tails)):
+            return False
+    return True

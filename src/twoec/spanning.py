@@ -48,7 +48,7 @@ from bisect import bisect_right
 from .digraph import Digraph
 from .dominators import DominatorTree
 
-__all__ = ["independent_pair", "verify_independent"]
+__all__ = ["independent_pair"]
 
 _NO_ARC = (True, float("inf"))   # a key above every arc's
 
@@ -146,19 +146,6 @@ def _low_high_order(root: int, in_arcs: dict[int, list[tuple[int, int]]]) -> lis
     return [children[i] for i in order]
 
 
-def _order_valid(root: int, in_arcs: dict[int, list[tuple[int, int]]],
-                 pos: dict[int, int]) -> bool:
-    """Linear low-high check: every child without an arc from the root has
-    one from an earlier child and one from a later child."""
-    for v, arcs in in_arcs.items():
-        tails = [t for t, _ in arcs]
-        if root in tails:
-            continue
-        if not (any(pos[t] < pos[v] for t in tails) and any(pos[t] > pos[v] for t in tails)):
-            return False
-    return True
-
-
 def _solve_local(root: int, in_arcs: dict[int, list[tuple[int, int]]],
                  preferred: set[int]) -> dict[int, tuple[int, int]]:
     """Choose (blue, red) entering edge ids per child of one local graph.
@@ -247,33 +234,3 @@ def independent_pair(
             blue[v] = eb
             red[v] = er
     return blue, red
-
-
-def verify_independent(g: Digraph, blue: list[int], red: list[int],
-                       dt: DominatorTree) -> bool:
-    """Check the normative contract on the flow graph G(s), with `dt` its
-    dominator tree, for two parent-edge lists: the two root-to-v paths of
-    every vertex intersect exactly in the dominator set of v."""
-    s = dt.dfs_order[0]
-
-    def path(tree: list[int], v: int) -> set[int] | None:
-        """The vertices on the tree path from s to v; None if it runs into
-        a detached vertex, an edge that does not enter its vertex or a
-        parent cycle."""
-        out = {v}
-        while v != s:
-            if tree[v] == -1 or g.head(tree[v]) != v:
-                return None
-            v = g.tail(tree[v])
-            if v in out:
-                return None
-            out.add(v)
-        return out
-
-    for v in range(g.n):
-        if v == s:
-            continue
-        pb, pr = path(blue, v), path(red, v)
-        if pb is None or pr is None or pb & pr != set(dt.dominators(v)):
-            return False
-    return True

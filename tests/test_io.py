@@ -79,6 +79,18 @@ def test_load_graph_sniffing(tmp_path):
     assert load_graph(anon).m == 1
 
 
+def test_load_graph_sniffs_snap_and_blank_files(tmp_path):
+    # a file with no known suffix is DIMACS only if its first non-blank line
+    # starts with c, p or a; a DIMACS read would fail on each of these
+    for name, text, pairs in (("hash.graph", "\n  \n# x\n0 1\n1 0\n", [(0, 1), (1, 0)]),
+                              ("pair.graph", "\n0 1\n1 2\n", [(0, 1), (1, 2)]),
+                              ("empty.graph", "", []), ("blank.graph", " \n\t\n\n", [])):
+        path = tmp_path / name
+        path.write_text(text)
+        g = load_graph(path)
+        assert g.edge_pairs() == pairs and g.n == len({v for pair in pairs for v in pair})
+
+
 def test_load_graph_rejects_unknown_format_before_opening(tmp_path):
     existing = tmp_path / "a.gr"
     existing.write_text("p sp 2 2\na 1 2 1\na 2 1 1\n")

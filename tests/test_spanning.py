@@ -9,7 +9,8 @@ from twoec.certificates import ist_b
 from twoec.digraph import build
 from twoec.dominators import dominator_tree, flow_bridges
 from twoec.fixtures import g1, g2, g4, random_strongly_connected, road_grid
-from twoec.spanning import independent_pair, verify_independent
+from twoec.oracle import _order_valid, verify_independent
+from twoec.spanning import independent_pair
 
 from graph_builders import reachable, stdlib_uniform_digraph, without_edge
 
@@ -120,7 +121,7 @@ def _check_orders(monkeypatch) -> list[int]:
     def checked(root, in_arcs):
         order = low_high_order(root, in_arcs)
         assert sorted(order) == sorted(in_arcs)
-        assert spanning._order_valid(root, in_arcs, {v: i for i, v in enumerate(order)})
+        assert _order_valid(root, in_arcs, {v: i for i, v in enumerate(order)})
         sizes.append(len(order))
         return order
 
@@ -243,7 +244,7 @@ def test_rooted_local_graphs_come_back_to_front(monkeypatch):
         order = low_high_order(root, in_arcs)
         if all(any(t == root for t, _ in arcs) for arcs in in_arcs.values()):
             assert order == list(in_arcs)[::-1]
-            assert spanning._order_valid(root, in_arcs, {v: i for i, v in enumerate(order)})
+            assert _order_valid(root, in_arcs, {v: i for i, v in enumerate(order)})
             rooted.append(len(order))
         return order
 

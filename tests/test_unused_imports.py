@@ -1,7 +1,8 @@
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "unused_imports.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "unused_imports.py"
 
 
 def _tool():
@@ -37,3 +38,8 @@ def test_unused_imports_skips_init_files_and_reports_by_line(tmp_path, capsys):
     (package / "mod.py").write_text("import json\n\nf = json.dumps\n")
     assert tool.main([str(package / "mod.py")]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_the_repository_has_no_unused_imports(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert _tool().main(["src", "tests", "tools", "demos"]) == 0, capsys.readouterr().out
