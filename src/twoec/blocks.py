@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 from .digraph import (
-    Digraph, GraphError, Partition, _ensure_strongly_connected, induced_subgraph,
-    induced_subgraphs, is_strongly_connected, scc,
+    Digraph, GraphError, Partition, _ensure_strongly_connected, _first_arcs, induced_subgraphs,
+    is_strongly_connected, scc,
 )
 from .dominators import DominatorTree, _strong_bridges, dominator_tree, flow_bridges
 
@@ -32,17 +32,17 @@ def aux_graphs(g: Digraph, s: int) -> tuple[DominatorTree, list[Digraph]]:
     d(r) -> r is the only edge out of d(r).
     """
     dt = dominator_tree(g, s)
-    return dt, _contract(g, s, dt)
+    return dt, _contract(g, dt)
 
 
-def _contract(g: Digraph, s: int, dt: DominatorTree, h: Digraph | None = None,
+def _contract(g: Digraph, dt: DominatorTree, h: Digraph | None = None,
               blocks_only: bool = False) -> list[Digraph]:
-    """`aux_graphs(g, s)[1]`, given `dt`; with `h`, h's second level on g = H^R."""
+    """`aux_graphs(g, s)[1]`, given `dt` of G(s); with `h`, h's second level on g = H^R."""
     if h is not None:
         h_vertex, h_edge = h.vertex_origin.tolist(), h.origin.tolist()
         if blocks_only and sum(v >= 0 for v in h_vertex) < 2:
             return []
-    idom = dt.idom
+    s, idom = dt.dfs_order[0], dt.idom
     bridge_into = {g.head(e): e for e in flow_bridges(g, dt)}
     marked = sorted({s, *bridge_into})
     tree_id = [0] * g.n                      # the marked root of every vertex
@@ -95,7 +95,9 @@ def _contract(g: Digraph, s: int, dt: DominatorTree, h: Digraph | None = None,
             if la >= n_ord or lb >= n_ord:
                 # contraction-created parallels collapse onto the two
                 # smallest original edges; a second copy is kept because
-                # double edges are what 2-edge-connectivity can still see
+                # double edges are what 2-edge-connectivity can still see.
+                # A dict, not _first_arcs: a block test builds tiny region
+                # graphs by the thousand, and numpy per region costs more
                 cnt = seen_pair.get((la, lb), 0)
                 if cnt >= 2:
                     continue
@@ -142,7 +144,7 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
         for h in level1:
             rev = h.reverse()
             dtr = dominator_tree(rev, 0)
-            level2 = [(aux, scc(aux)) for aux in _contract(rev, 0, dtr, h, blocks_only)]
+            level2 = [(aux, scc(aux)) for aux in _contract(rev, dtr, h, blocks_only)]
             for aux, part in level2:
                 first: dict[int, int] = {}       # class -> its first ordinary vertex
                 for c, v in zip(part.comp.tolist(), aux.vertex_origin.tolist()):
@@ -172,14 +174,13 @@ def components(g: Digraph) -> Partition:
     Every piece is a strongly connected graph that holds whole components.
     A piece is first peeled: every vertex with fewer than 2 out-edges or
     fewer than 2 in-edges inside it (parallel edges counted, loops not) is
-    removed, repeatedly, and if any went, the rest is split into SCCs.  The
-    peel is exact because in a 2-edge-connected digraph on 2 or more
-    vertices every vertex has 2 out- and 2 in-edges (deleting the only one
-    would cut it off), so it never removes a vertex of a nontrivial
-    component that lies whole in the piece.  Only a piece the peel leaves
-    whole gets its strong bridges computed: none means the piece is a
-    maximal 2-edge-connected subgraph; otherwise they are deleted and the
-    SCCs split the piece.
+    removed, repeatedly.  The peel is exact because in a 2-edge-connected
+    digraph on 2 or more vertices every vertex has 2 out- and 2 in-edges
+    (deleting the only one would cut it off), so it never removes a vertex
+    of a nontrivial component that lies whole in the piece.  Only a piece
+    the peel leaves whole gets its strong bridges computed: none means the
+    piece is a maximal 2-edge-connected subgraph.  Otherwise the SCCs of
+    the edges that the peel or the bridges leave are the next pieces.
     """
     return _components(g)[0]
 
@@ -199,10 +200,8 @@ def _components(g: Digraph) -> tuple[Partition, list[tuple[Digraph, tuple]]]:
                      origin=range(len(g.tails)), vertex_origin=range(g.n))] if g.n > 1 else []
     while queue:
         piece = queue.pop()
-        kept = _peel(piece)
-        if len(kept) < piece.n:
-            rest = _within(piece, induced_subgraph(piece, kept))
-        else:
+        keep = _peel(piece)
+        if len(keep) == piece.m:                  # the peel removed no vertex
             sb, trees = _strong_bridges(piece)    # pieces are SCCs by construction
             if not sb:
                 vertices = piece.vertex_origin.tolist()
@@ -210,7 +209,8 @@ def _components(g: Digraph) -> tuple[Partition, list[tuple[Digraph, tuple]]]:
                     label[v] = vertices[0]
                 found.append((piece, trees))
                 continue
-            rest = piece.subgraph_edges([e for e in piece.edge_ids.tolist() if e not in sb])
+            keep = [e for e in keep if e not in sb]
+        rest = piece.subgraph_edges(keep)
         queue += [_within(rest, sub) for sub in induced_subgraphs(rest, scc(rest))]
     found.sort(key=lambda f: int(f[0].vertex_origin[0]))
     return Partition(label), found
@@ -224,13 +224,14 @@ def _within(parent: Digraph, sub: Digraph) -> Digraph:
 
 
 def _peel(g: Digraph) -> list[int]:
-    """The vertices left, ascending, after repeatedly removing every vertex
-    with fewer than 2 non-loop out-edges or in-edges among those left."""
+    """The ids, ascending, of the edges between the vertices left after repeatedly
+    removing every vertex with fewer than 2 non-loop out- or in-edges among them."""
     out_start, _, heads = g.out_lists()
     in_start, _, tails = g.in_lists()
     out_deg = [out_start[v + 1] - out_start[v] for v in range(g.n)]
     in_deg = [in_start[v + 1] - in_start[v] for v in range(g.n)]
-    for x, y in g.edge_pairs():
+    pairs = g.edge_pairs()
+    for x, y in pairs:
         if x == y:
             out_deg[x] -= 1
             in_deg[x] -= 1
@@ -250,7 +251,7 @@ def _peel(g: Digraph) -> list[int]:
                 if out_deg[u] < 2:
                     removed[u] = True
                     stack.append(u)
-    return [v for v in range(g.n) if not removed[v]]
+    return [e for e, (x, y) in zip(g.edge_ids.tolist(), pairs) if not (removed[x] or removed[y])]
 
 
 def condense(g: Digraph, comp: Partition, cap: int) -> Digraph:
@@ -261,20 +262,10 @@ def condense(g: Digraph, comp: Partition, cap: int) -> Digraph:
     """
     if len(comp.comp) != g.n:
         raise GraphError("partition does not match the graph")
-    label = comp.comp.tolist()
-    tails: list[int] = []
-    heads: list[int] = []
-    origin: list[int] = []
-    kept: dict[tuple[int, int], int] = {}        # edges kept per ordered pair
-    for e, (x, y) in zip(g.edge_ids.tolist(), g.edge_pairs()):
-        a, b = label[x], label[y]
-        count = kept.get((a, b), 0)
-        if a != b and count < cap:
-            kept[a, b] = count + 1
-            tails.append(a)
-            heads.append(b)
-            origin.append(e)
-    return Digraph(comp.count, tails, heads, origin=origin)
+    eids = g.edge_ids
+    tails, heads = comp.comp[g.tails[eids]], comp.comp[g.heads[eids]]
+    keep = _first_arcs(tails, heads, cap)
+    return Digraph(comp.count, tails[keep], heads[keep], origin=eids[keep])
 
 
 def preservation_violations(g: Digraph, edge_ids, problem: str) -> list[str]:

@@ -166,7 +166,7 @@ def build(n: int, edges, allow_multi: bool = False) -> Digraph:
     if not allow_multi:
         if np.any(tails == heads):
             raise GraphError("self loop in a simple graph")
-        if len(np.unique(np.stack([tails, heads], axis=1), axis=0)) != len(tails):
+        if not _first_arcs(tails, heads, 1).all():
             raise GraphError("duplicate edge in a simple graph")
     return Digraph(n, tails, heads)
 
@@ -189,17 +189,25 @@ def _file_graph(tails, heads, n: int | None = None) -> tuple[Digraph, int, int]:
         tails, heads = ends[:len(tails)], ends[len(tails):]
     else:
         labels, first_id = range(1, n + 1), 1
-    # sorted by pair, and in file order within a pair (lexsort is stable):
-    # keep the first arc of each pair unless it is a loop
-    order = np.lexsort((heads, tails))
-    ts, hs = tails[order], heads[order]
-    loop = tails == heads
-    keep = ~loop[order]
-    keep[1:] &= (ts[1:] != ts[:-1]) | (hs[1:] != hs[:-1])
-    keep = np.sort(order[keep])
-    loops = int(np.count_nonzero(loop))
+    keep = _first_arcs(tails, heads, 1)
+    loops = int(np.count_nonzero(tails == heads))
     g = Digraph(n, tails[keep] - first_id, heads[keep] - first_id, vertex_origin=labels)
-    return g, len(tails) - loops - len(keep), loops
+    return g, len(tails) - loops - int(np.count_nonzero(keep)), loops
+
+
+def _first_arcs(tails: np.ndarray, heads: np.ndarray, cap: int) -> np.ndarray:
+    """The mask of the arcs `tails[i]` -> `heads[i]` kept when loops are
+    dropped and each ordered pair keeps its first `cap` arcs in the given
+    order: the parallel-arc rule of the readers, `build` and `condense`."""
+    order = np.lexsort((heads, tails))      # by pair; stable, so in order within one
+    ts, hs = tails[order], heads[order]
+    pos = np.arange(len(order))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ts[1:] != ts[:-1]) | (hs[1:] != hs[:-1])
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))    # within its pair
+    keep = np.empty(len(order), dtype=bool)
+    keep[order] = (rank < cap) & (ts != hs)
+    return keep
 
 
 class Partition:

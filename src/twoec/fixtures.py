@@ -88,12 +88,12 @@ def random_strongly_connected(rng: random.Random, n: int, m: int | None = None) 
     return build(n, sorted(edges))
 
 
-def random_two_edge_connected(rng: random.Random, n: int, tries: int = 120) -> Digraph:
+def random_two_edge_connected(rng: random.Random, n: int) -> Digraph:
     """Seeded random 2-edge-connected digraph (no strong bridges)."""
     if n < 2:
         raise ValueError("need n >= 2")
     m = max(2 * n, min(3 * n, n * (n - 1)))
-    for _ in range(tries):
+    for _ in range(120):
         g = random_strongly_connected(rng, n, min(m, n * (n - 1)))
         if not strong_bridges(g):
             return g

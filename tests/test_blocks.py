@@ -607,17 +607,25 @@ def test_condense_caps_parallel_edges():
     assert condense(g, part, cap=1).origin.tolist() == [4, 7]
     with pytest.raises(GraphError):
         condense(g, Partition(np.asarray([0, 0])), cap=1)
-    # loop reference: the first `cap` edges of every ordered pair, no loops
+    # loop reference: the first `cap` edges of every ordered pair, no loops,
+    # on simple graphs, multigraphs with parallel edges and loops in random
+    # order, views whose edge ids have gaps, and a graph with no edges
     rng = random.Random(53)
-    for _ in range(40):
-        g = random_strongly_connected(rng, rng.randint(2, 12))
+    graphs = [random_strongly_connected(rng, rng.randint(2, 12)) for _ in range(40)]
+    graphs += [_random_multigraph(rng, rng.randint(2, 12)) for _ in range(40)]
+    gapped = _view_with_gaps()
+    graphs += [gapped, gapped.subgraph_edges(gapped.edge_ids[1::3]), Digraph(3, [], [])]
+    for g in graphs:
         part = Partition(np.asarray([rng.randrange(4) for _ in range(g.n)]))
-        for cap in (1, 2):
+        for cap in (1, 2, 3):
             seen: dict = {}
             want = []
-            for e, (t, h) in enumerate(g.edge_pairs()):
+            for e, (t, h) in zip(g.edge_ids.tolist(), g.edge_pairs()):
                 pair = (int(part.comp[t]), int(part.comp[h]))
                 if pair[0] != pair[1] and seen.get(pair, 0) < cap:
                     seen[pair] = seen.get(pair, 0) + 1
                     want.append(e)
-            assert condense(g, part, cap).origin.tolist() == want
+            cond = condense(g, part, cap)
+            assert cond.n == part.count and cond.origin.tolist() == want
+            assert cond.edge_pairs() == [(int(part.comp[g.tail(e)]), int(part.comp[g.head(e)]))
+                                         for e in want]

@@ -2,10 +2,13 @@
 
 Usage:
     python tools/output_digest.py --src <checkout>/src [--detail]
+    python tools/output_digest.py --compare BASE HEAD
 
 Imports the `twoec` package from the given source directory and prints one
 JSON line: a digest per graph (with --detail, one per output and graph).
-Two checkouts keep the same outputs iff their lines are equal.
+Two checkouts keep the same outputs iff their lines are equal.  --compare
+reads two files of --detail lines, prints each differing `graph: key` (or
+`all outputs equal`) and exits 1 if any output differs.
 
 The graphs are the road grids of side 12 and 18, the dense-cert graph (a
 uniform 350-vertex/1400-arc digraph, largest SCC), 20 seeded random
@@ -99,11 +102,27 @@ def _outputs(g) -> dict[str, object]:
     return out
 
 
-def main(argv=None) -> None:
+def _compare(base_path, head_path) -> int:
+    """Print each `graph: key` whose digest differs between two --detail
+    outputs, or `all outputs equal`; 1 if any differs, else 0."""
+    base, head = (json.loads(Path(path).read_text()) for path in (base_path, head_path))
+    # one tool wrote both, so both hold the same graphs and keys
+    differ = [f"{graph}: {key}" for graph in sorted(base) for key in sorted(base[graph])
+              if base[graph][key] != head[graph][key]]
+    print("\n".join(differ) or "all outputs equal")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", required=True, help="source directory holding twoec/")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--src", help="source directory holding twoec/")
+    mode.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"),
+                      help="two files of --detail output to compare")
     ap.add_argument("--detail", action="store_true", help="one digest per output")
     args = ap.parse_args(argv)
+    if args.compare:
+        return _compare(*args.compare)
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import twoec
@@ -116,7 +135,8 @@ def main(argv=None) -> None:
         result[name] = ({k: _digest(v) for k, v in outs.items()} if args.detail
                         else _digest(outs))
     print(json.dumps(result, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
