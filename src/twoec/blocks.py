@@ -189,9 +189,10 @@ def _components(g: Digraph) -> tuple[Partition, list[tuple[Digraph, tuple]]]:
     """`components(g)`, and each nontrivial component in class order with
     the two dominator trees from `_strong_bridges` that proved it bridgeless.
 
-    Splits keep vertices ascending and edges in id order, so a component's
-    graph is numbered as ``induced_subgraph(g, cls)``, with `origin` and
-    `vertex_origin` into g; only a bridgeless g keeps its own edge ids.
+    Every piece maps into g itself, not through g's maps: the first piece
+    starts the chain and the splits carry it.  Splits keep vertices
+    ascending and edges in id order, so a component's graph is numbered as
+    ``induced_subgraph(g, cls)``; only a bridgeless g keeps its own edge ids.
     """
     _ensure_strongly_connected(g)
     label = list(range(g.n))
@@ -211,16 +212,9 @@ def _components(g: Digraph) -> tuple[Partition, list[tuple[Digraph, tuple]]]:
                 continue
             keep = [e for e in keep if e not in sb]
         rest = piece.subgraph_edges(keep)
-        queue += [_within(rest, sub) for sub in induced_subgraphs(rest, scc(rest))]
+        queue += induced_subgraphs(rest, scc(rest))
     found.sort(key=lambda f: int(f[0].vertex_origin[0]))
     return Partition(label), found
-
-
-def _within(parent: Digraph, sub: Digraph) -> Digraph:
-    """`sub`, an induced subgraph of `parent`, with its maps composed with
-    the parent's."""
-    return Digraph(sub.n, sub.tails, sub.heads, origin=parent.origin[sub.origin],
-                   vertex_origin=parent.vertex_origin[sub.vertex_origin])
 
 
 def _peel(g: Digraph) -> list[int]:
@@ -255,17 +249,16 @@ def _peel(g: Digraph) -> list[int]:
 
 
 def condense(g: Digraph, comp: Partition, cap: int) -> Digraph:
-    """Multigraph with every class of `comp` contracted to one vertex.
-
-    Loops are dropped and at most `cap` parallel edges are kept per ordered
-    pair (the lowest ids); `origin` maps each edge to its id in `g`.
+    """Multigraph with every class of `comp` contracted to one vertex, in
+    g's edge-id space: `tails`/`heads` hold the class of every edge's ends,
+    and `edge_ids` keep, of g's active edges, all but the loops and, of each
+    ordered pair, the first `cap` (the lowest ids).
     """
     if len(comp.comp) != g.n:
         raise GraphError("partition does not match the graph")
-    eids = g.edge_ids
-    tails, heads = comp.comp[g.tails[eids]], comp.comp[g.heads[eids]]
-    keep = _first_arcs(tails, heads, cap)
-    return Digraph(comp.count, tails[keep], heads[keep], origin=eids[keep])
+    tails, heads, eids = comp.comp[g.tails], comp.comp[g.heads], g.edge_ids
+    keep = _first_arcs(tails[eids], heads[eids], cap)
+    return Digraph(comp.count, tails, heads, edge_ids=eids[keep])
 
 
 def preservation_violations(g: Digraph, edge_ids, problem: str) -> list[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .blocks import _components, _decompose, _within, condense
+from .blocks import _components, _decompose, condense
 from .digraph import (
     Digraph, GraphError, Partition, _ensure_strongly_connected, induced_subgraphs, scc,
 )
@@ -98,12 +98,10 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
             if blue_leaf and red_leaf:
                 insert(min(eb, er), "P2")
 
-        # Phase 3: strongly connected coverage of every second-level SCC,
-        # each with its maps composed into the input graph; an SCC needs no
-        # strong-connectivity check
+        # Phase 3: strongly connected coverage of every second-level SCC, whose
+        # maps lead into the input graph; an SCC needs no strong-connectivity check
         for aux, part in level2:
             for sub in induced_subgraphs(aux, part):
-                sub = _within(aux, sub)
                 vertex, origin = sub.vertex_origin.tolist(), sub.origin.tolist()
                 both_ord = [x for x in vertex if x >= 0]
                 if modified and len(both_ord) <= 1:
@@ -306,34 +304,32 @@ def _zni_scss(g: Digraph, preferred: set[int]) -> set[int]:
     return output
 
 
-def _condensed(g: Digraph, cap: int) -> tuple[list[tuple[Digraph, set[int]]], Digraph]:
+def _condensed(g: Digraph, cap: int) -> tuple[list[int], Digraph]:
     """Shared prologue of the condensed-graph algorithms.
 
-    Returns the graph of every nontrivial 2EC component of `g`, with
-    `origin` into g, and a 2ECSS of it (in the component's edge ids), and
-    the condensed multigraph with at most `cap` parallel edges per pair.
+    Returns a 2ECSS of every nontrivial 2EC component of `g` in g's edge
+    ids, component by component and ascending within one, and the condensed
+    multigraph with at most `cap` parallel edges per pair, also in g's edge
+    ids.
     """
     comp, pieces = _components(g)
-    return [(sub, _two_ecss(sub, trees)) for sub, trees in pieces], condense(g, comp, cap)
+    edges = [e for sub, trees in pieces
+             for e in sub.origin[sorted(_two_ecss(sub, trees))].tolist()]
+    return edges, condense(g, comp, cap)
 
 
 def ist_bc(g: Digraph) -> CertificateEdgeList:
     """Block-and-component-preserving certificate via the condensed graph."""
-    pieces, reduced = _condensed(g, cap=2)
-    inserts = [(int(sub.origin[e]), "C") for sub, edges in pieces for e in sorted(edges)]
+    edges, reduced = _condensed(g, cap=2)
+    inserts = [(e, "C") for e in edges]
     if reduced.n > 1:
-        cert, _ = ist_b(reduced, 0)
-        for e_local, tag in cert.insertions:
-            inserts.append((int(reduced.origin[e_local]), tag))
+        inserts += ist_b(reduced, 0)[0].insertions
     return CertificateEdgeList(inserts)
 
 
 def zni_c(g: Digraph) -> set[int]:
     """2-approximate component-preserving subgraph: per-component 2ECSS plus
     an SCSS of the simple condensed graph."""
-    pieces, reduced = _condensed(g, cap=1)
-    out = {int(sub.origin[e]) for sub, edges in pieces for e in edges}
-    if reduced.n > 1:
-        # the condensation of a strongly connected graph is strongly connected
-        out |= {int(reduced.origin[e]) for e in _zni_scss(reduced, set())}
-    return out
+    edges, reduced = _condensed(g, cap=1)
+    # the condensation of a strongly connected graph is strongly connected
+    return set(edges) | _zni_scss(reduced, set())

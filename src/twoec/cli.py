@@ -21,10 +21,8 @@ from .io import FORMATS, load_graph, read_pairs
 
 def _load(args) -> tuple[Digraph, list[int]]:
     """Largest SCC of the input file and the file's id of each of its vertices."""
-    g = load_graph(args.graph, args.format)
-    top = largest_scc(g)
-    file_ids = g.vertex_origin.tolist()
-    return top, [file_ids[v] for v in top.vertex_origin.tolist()]
+    top = largest_scc(load_graph(args.graph, args.format))
+    return top, top.vertex_origin.tolist()
 
 
 def _analyze(args) -> int:

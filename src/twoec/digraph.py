@@ -61,17 +61,20 @@ class Digraph:
     carry stable integer ids, and `edge_ids` (the active ones) is always
     ascending.  The adjacency is one CSR per direction, built on the first
     ``out_lists()`` or ``in_lists()`` call and kept; ``reverse()`` hands over
-    the directions already built.  A subgraph view (``subgraph_edges``)
-    shares the parent's edge-id space, so ids stay meaningful across views.
-    Graphs rebuilt with a fresh id space (``induced_subgraph``,
-    contractions) carry ``origin``, mapping each new edge id to the parent
-    graph's edge id, and ``vertex_origin`` likewise.  An auxiliary graph
-    (``blocks.aux_graphs``) has ``vertex_origin`` -1 at every vertex that
-    stands for a contracted vertex set, not for one vertex; -1 marks such a
-    vertex and is never used as an index.
-    A graph read from a file keeps the file's vertex ids in ``vertex_origin``.
-    The constructor takes each of these as any int sequence (a list, a range
-    or an int64 array) and stores int64 arrays.
+    the directions already built.
+
+    Derived graphs follow one id rule.  A view (``subgraph_edges``) and the
+    condensed graph (``blocks.condense``) share their input's edge ids.  A
+    graph with a fresh id space carries ``origin`` and ``vertex_origin``,
+    mapping its edge and vertex ids to those of the graph where its chain of
+    maps starts: a graph read from a file (``vertex_origin`` holds the
+    file's ids), a first-level auxiliary graph or a component piece.  Views,
+    reverses and induced subgraphs (``largest_scc`` too) carry their
+    parent's maps, composed where it has any.  An auxiliary graph has
+    ``vertex_origin`` -1 at every vertex that stands for a contracted vertex
+    set; -1 is never used as an index.  The constructor takes each of these
+    as any int sequence (a list, a range or an int64 array) and stores int64
+    arrays.
 
     A graph also keeps whether it is strongly connected once that is known
     (``is_strongly_connected``, ``largest_scc``); ``reverse()`` hands it
@@ -311,11 +314,18 @@ def _ensure_strongly_connected(g: Digraph) -> None:
         raise GraphError("input graph must be strongly connected")
 
 
+def _induced(g: Digraph, n: int, tails, heads, eids, vertices) -> Digraph:
+    """The graph on `n` vertices induced in g on g's edges `eids` and
+    `vertices`, with g's maps carried through."""
+    return Digraph(n, tails, heads, origin=eids if g.origin is None else g.origin[eids],
+                   vertex_origin=vertices if g.vertex_origin is None else g.vertex_origin[vertices])
+
+
 def induced_subgraph(g: Digraph, vertices) -> Digraph:
     """Subgraph induced on `vertices`, densely renumbered in ascending order.
 
-    Edge ids restart from 0 in old-edge-id order; `origin` and
-    `vertex_origin` map back into `g`.
+    Edge ids restart from 0 in old-edge-id order.  `origin` and
+    `vertex_origin` map into g, through g's own maps where g has them.
     """
     vertices = _distinct(vertices)
     if len(vertices) and (vertices[0] < 0 or vertices[-1] >= g.n):
@@ -325,15 +335,12 @@ def induced_subgraph(g: Digraph, vertices) -> Digraph:
     tails = vmap[g.tails[g.edge_ids]]
     heads = vmap[g.heads[g.edge_ids]]
     inside = (tails >= 0) & (heads >= 0)
-    return Digraph(
-        len(vertices), tails[inside], heads[inside],
-        origin=g.edge_ids[inside], vertex_origin=vertices,
-    )
+    return _induced(g, len(vertices), tails[inside], heads[inside], g.edge_ids[inside], vertices)
 
 
 def induced_subgraphs(g: Digraph, part: Partition) -> list[Digraph]:
-    """``induced_subgraph(g, cls)`` for every class `cls` of `part` with at
-    least two vertices, in class order, all built in one O(n + m) pass."""
+    """``induced_subgraph(g, cls)``, maps included, for every class `cls` of
+    `part` with at least two vertices, in class order, in one O(n + m) pass."""
     if len(part.comp) != g.n:
         raise GraphError("partition does not match the graph")
     comp, eids = part.comp, g.edge_ids
@@ -349,14 +356,15 @@ def induced_subgraphs(g: Digraph, part: Partition) -> list[Digraph]:
     out = []
     for c in np.flatnonzero(np.diff(first) >= 2).tolist():
         span = slice(edge_first[c], edge_first[c + 1])
-        out.append(Digraph(first[c + 1] - first[c], tails[span], heads[span], origin=eids[span],
-                           vertex_origin=members[first[c]:first[c + 1]]))
+        out.append(_induced(g, first[c + 1] - first[c], tails[span], heads[span], eids[span],
+                            members[first[c]:first[c + 1]]))
     return out
 
 
 def largest_scc(g: Digraph) -> Digraph:
     """Induced subgraph on the largest SCC (ties: lowest component id),
-    known to be strongly connected."""
+    known to be strongly connected; it carries g's maps, so a loaded file's
+    largest SCC keeps the file's vertex ids in `vertex_origin`."""
     if g.n == 0:
         raise GraphError("graph has no vertices")
     part = scc(g)

@@ -54,8 +54,8 @@ class FilterConfig:
                            ("on_aux_graphs", bool), ("certificate", bool)):
             value = getattr(self, name)
             if type(value) is not kind:
-                raise ValueError(
-                    f"filter option {name!r} must be a {kind.__name__}, not {value!r}")
+                noun = "an integer" if kind is int else "a boolean"
+                raise ValueError(f"filter option {name!r} must be {noun}, not {value!r}")
 
 
 @dataclass
@@ -338,25 +338,24 @@ def filter_bc(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
     two-edge-disjoint-paths test; the surviving condensed edges come from
     the configured strategy (optionally inside second-level aux graphs).
     """
-    pieces, reduced = _condensed(g, cap=2)
+    edges, reduced = _condensed(g, cap=2)
     # One run over every component's 2ECSS decides as one run per component
     # did.  Components share no vertex and the view has no edge between two
     # of them, so a 2EDP search never leaves its own component and a
-    # deletion in one changes no test in another.  `_condensed` numbers each
-    # piece's edges in input-id order, so each component's candidates keep
-    # their order.  A 2EC component is one block: the trivial skip's bound
-    # min(size, 2) is 2 at every endpoint of a view edge, as with one class
-    # per piece, and test2edp reads the partition for nothing else.
-    view = g.subgraph_edges(sorted(int(sub.origin[e]) for sub, edges in pieces for e in edges))
+    # deletion in one changes no test in another.  The view keeps g's edge
+    # ids, so each component's candidates keep their order.  A 2EC component
+    # is one block: the trivial skip's bound min(size, 2) is 2 at every
+    # endpoint of a view edge, as with one class per piece, and test2edp
+    # reads the partition for nothing else.
+    view = g.subgraph_edges(edges)
     surviving = _run_strategy(view, FilterConfig(), Partition([0] * g.n)).surviving
 
     decisions: dict[int, str] = {}
     counters = {"component_edges": len(surviving), "input_edges": g.m}
     if reduced.n > 1:
         rep = filter_b(reduced, cfg)
-        for e_local, what in rep.decisions.items():
-            decisions[int(reduced.origin[e_local])] = what
-        surviving |= {int(reduced.origin[e]) for e in rep.surviving}
+        decisions = rep.decisions
+        surviving |= rep.surviving
         for key, val in rep.counters.items():
             counters["condensed_" + key] = val
     return FilterReport(surviving=surviving, decisions=decisions, counters=counters)

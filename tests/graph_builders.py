@@ -1,5 +1,5 @@
-"""Test graphs, views and a reachability search that several test modules
-share, one builder each.
+"""Test graphs, views, a reachability search and the Theorem-2 check that
+several test modules share, one builder each.
 
 Imported by name: pytest puts this directory on `sys.path` for the test
 modules beside it.
@@ -8,6 +8,7 @@ import random
 
 import numpy as np
 
+from twoec.certificates import ist_b
 from twoec.digraph import build, largest_scc
 
 
@@ -46,3 +47,15 @@ def stdlib_uniform_digraph(n: int, m: int, seed: int):
     rng = random.Random(seed)
     arcs = {(rng.randrange(n), rng.randrange(n)) for _ in range(m)}
     return largest_scc(build(n, sorted((u, v) for u, v in arcs if u != v)))
+
+
+def ist_b_within_theorem2(g):
+    """`ist_b(g)`, checked against Theorem 2: phases 1, 2 and 3 add
+    2n - b - 2, at most 2n - b and at most 2n' + 2b distinct edges (b the
+    bridges of G(s)), and the certificate has at most 4(n + n') edges."""
+    cert, stats = ist_b(g)
+    assert stats.phase1_new == 2 * stats.n - stats.bridges - 2
+    assert stats.phase2_new <= 2 * stats.n - stats.bridges
+    assert stats.phase3_new <= 2 * stats.n_prime + 2 * stats.bridges
+    assert len(cert.edge_set()) <= 4 * (stats.n + stats.n_prime)
+    return cert, stats

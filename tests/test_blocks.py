@@ -7,9 +7,9 @@ import pytest
 
 from twoec import digraph, filters
 from twoec.blocks import (
-    _decompose, aux_graphs, blocks, components, condense, preservation_violations,
+    _components, _decompose, aux_graphs, blocks, components, condense, preservation_violations,
 )
-from twoec.certificates import _condensed, ist_b, ist_bc, two_ecss_edt, zni_c
+from twoec.certificates import _condensed, ist_b, ist_bc, two_ecss_edt, zni_c, zni_scss
 from twoec.digraph import (
     Digraph, GraphError, Partition, build, induced_subgraph, is_strongly_connected, scc,
 )
@@ -536,10 +536,10 @@ def test_condensed_2ecss_of_a_2ec_view_keeps_its_edge_ids():
     # g is its own one component, so the component's edge map spans g's ids
     g = _view_with_gaps()
     _check_condensed_2ecss(g)
-    [(sub, edges)], _ = _condensed(g, cap=2)
+    edges, _ = _condensed(g, cap=2)
+    [(sub, _)] = _components(g)[1]
     assert components(g).count == 1 and sub.n == g.n
-    mapped = {int(sub.origin[e]) for e in edges}
-    assert mapped <= set(g.edge_ids.tolist()) and max(mapped) >= g.m
+    assert set(edges) <= set(g.edge_ids.tolist()) and max(edges) >= g.m
 
 
 def test_condensed_2ecss_of_multigraph_components_matches_two_ecss_edt():
@@ -549,16 +549,20 @@ def test_condensed_2ecss_of_multigraph_components_matches_two_ecss_edt():
 
 
 def _check_condensed_2ecss(g):
-    """`_condensed` hands every component with its trees to the 2ECSS: the
-    edges must be those of `two_ecss_edt` on the component's own copy."""
+    """`_condensed` hands every component with its trees to the 2ECSS: its
+    edges must be those of `two_ecss_edt` on the component's own copy, in g's
+    edge ids, component by component and ascending within one."""
     classes = [cls for cls in _classes(components(g)) if len(cls) >= 2]
-    pieces, _ = _condensed(g, cap=2)
+    pieces = _components(g)[1]
     assert len(pieces) == len(classes)
-    for (sub, edges), cls in zip(pieces, classes):
-        own = induced_subgraph(g, cls)
+    # without g's own maps (a road grid has them), `origin` points into g
+    plain = Digraph(g.n, g.tails, g.heads, edge_ids=g.edge_ids)
+    want = []
+    for (sub, _), cls in zip(pieces, classes):
+        own = induced_subgraph(plain, cls)
         assert sub.vertex_origin.tolist() == cls.tolist()
-        assert {int(sub.origin[e]) for e in edges} == {
-            int(own.origin[e]) for e in two_ecss_edt(own)}
+        want += sorted(int(own.origin[e]) for e in two_ecss_edt(own))
+    assert _condensed(g, cap=2)[0] == want
 
 
 def test_nontrivial_components_sit_inside_blocks():
@@ -584,7 +588,7 @@ def test_condense_g5_isomorphic():
     comp = components(g)
     cond = condense(g, comp, cap=2)
     assert cond.n == 6 and cond.m == 8
-    assert cond.origin.tolist() == list(range(8))
+    assert cond.edge_ids.tolist() == list(range(8))
     mapped = sorted((int(comp.comp[g.tail(e)]), int(comp.comp[g.head(e)])) for e in range(8))
     assert mapped == sorted(cond.edge_pairs())
 
@@ -594,7 +598,7 @@ def test_condense_linked_triangles():
     cond = condense(g, components(g), cap=2)
     assert cond.n == 2
     assert cond.m == 2
-    assert sorted(cond.origin.tolist()) == [12, 13]
+    assert cond.edge_ids.tolist() == [12, 13]
     assert sorted(cond.edge_pairs()) == [(0, 1), (1, 0)]
 
 
@@ -603,8 +607,8 @@ def test_condense_caps_parallel_edges():
     # partition; the lowest ids survive, up to `cap`
     g = build(4, [(0, 2), (2, 0), (1, 3), (3, 1), (0, 1), (2, 3), (0, 3), (3, 0)])
     part = Partition(np.asarray([0, 1, 0, 1]))
-    assert condense(g, part, cap=2).origin.tolist() == [4, 5, 7]
-    assert condense(g, part, cap=1).origin.tolist() == [4, 7]
+    assert condense(g, part, cap=2).edge_ids.tolist() == [4, 5, 7]
+    assert condense(g, part, cap=1).edge_ids.tolist() == [4, 7]
     with pytest.raises(GraphError):
         condense(g, Partition(np.asarray([0, 0])), cap=1)
     # loop reference: the first `cap` edges of every ordered pair, no loops,
@@ -626,6 +630,31 @@ def test_condense_caps_parallel_edges():
                     seen[pair] = seen.get(pair, 0) + 1
                     want.append(e)
             cond = condense(g, part, cap)
-            assert cond.n == part.count and cond.origin.tolist() == want
-            assert cond.edge_pairs() == [(int(part.comp[g.tail(e)]), int(part.comp[g.head(e)]))
-                                         for e in want]
+            assert cond.n == part.count and cond.edge_ids.tolist() == want
+            assert cond.origin is None and cond.vertex_origin is None
+            # g's edge-id space: every edge of g, kept or not, has its classes
+            assert cond.tails.tolist() == part.comp[g.tails].tolist()
+            assert cond.heads.tolist() == part.comp[g.heads].tolist()
+
+
+def test_algorithms_on_the_condensed_graph_answer_in_input_ids():
+    # the condensed graph shares its input's edge ids, so what ist_b,
+    # filter_b and zni_scss return on it are g's edges between two classes
+    rng = random.Random(67)
+    graphs = [road_grid(18, 0.12, 0.55, 1), dense_cert_graph(1)]
+    graphs += [_random_multigraph(rng, rng.randint(4, 10)) for _ in range(30)]
+    checked = 0
+    for g in graphs:
+        part = components(g)
+        cond, comp = condense(g, part, 2), part.comp
+        if cond.n <= 1:
+            continue
+        checked += 1
+        for e in cond.edge_ids.tolist():
+            assert (cond.tail(e), cond.head(e)) == (comp[g.tail(e)], comp[g.head(e)])
+        for out in (ist_b(cond)[0].edge_set(), filter_b(cond).surviving, zni_scss(cond)):
+            assert out <= set(cond.edge_ids.tolist())
+            # read as g's edges and contracted, they strongly connect the classes
+            kept = Digraph(cond.n, comp[g.tails], comp[g.heads], edge_ids=sorted(out))
+            assert is_strongly_connected(kept)
+    assert checked >= 10

@@ -14,7 +14,7 @@ from twoec.dominators import dominator_tree, flow_bridges
 from twoec.fixtures import g1, g2, g4, g5, linked_triangles, random_strongly_connected, road_grid
 from twoec.oracle import OracleBudget, oracle_min_subgraph
 
-from graph_builders import dense_cert_graph
+from graph_builders import dense_cert_graph, ist_b_within_theorem2
 
 
 def test_ist_b_original_fixtures():
@@ -135,11 +135,7 @@ def test_ist_b_phase_counts_random():
     rng = random.Random(59)
     for _ in range(150):
         g = random_strongly_connected(rng, rng.randint(2, 30))
-        cert, stats = ist_b(g)
-        assert stats.phase1_new == 2 * stats.n - stats.bridges - 2
-        assert stats.phase2_new <= 2 * stats.n - stats.bridges
-        assert stats.phase3_new <= 2 * stats.n_prime + 2 * stats.bridges
-        assert stats.total_distinct <= 4 * (stats.n + stats.n_prime)
+        cert, stats = ist_b_within_theorem2(g)
         assert stats.total_distinct == len(cert.edge_set())
         # n' really is the nontrivial-block vertex count
         part = blocks(g)

@@ -221,6 +221,26 @@ def test_induced_subgraphs_match_induced_subgraph_per_class():
             assert a.vertex_origin.tolist() == b.vertex_origin.tolist()
 
 
+def test_induced_subgraphs_carry_the_parent_maps():
+    # each graph gets maps of its own, as a loaded file's largest SCC or a
+    # component piece has; its pieces map through them
+    rng = np.random.default_rng(13)
+    for g, part in _split_cases():
+        plain = Digraph(g.n, g.tails, g.heads, edge_ids=g.edge_ids)
+        mapped = Digraph(g.n, g.tails, g.heads, edge_ids=g.edge_ids,
+                         origin=rng.permutation(len(g.tails)) + 1000,
+                         vertex_origin=rng.permutation(g.n) * 7 + 3)
+        classes = [np.flatnonzero(part.comp == c) for c in range(part.count)]
+        classes = [cls for cls in classes if len(cls) >= 2]
+        got = induced_subgraphs(mapped, part)
+        assert len(got) == len(classes)
+        for a, cls in zip(got, classes):
+            own, b = induced_subgraph(plain, cls), induced_subgraph(mapped, cls)
+            assert a.origin.tolist() == b.origin.tolist() == mapped.origin[own.origin].tolist()
+            assert (a.vertex_origin.tolist() == b.vertex_origin.tolist()
+                    == mapped.vertex_origin[cls].tolist())
+
+
 def test_induced_subgraphs_of_trivial_partitions():
     g = g5()
     assert induced_subgraphs(g, Partition(range(g.n))) == []

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from twoec.blocks import blocks, preservation_violations
+from twoec.blocks import _components, blocks, preservation_violations
 from twoec.certificates import _condensed
 from twoec.digraph import Digraph, GraphError, Partition, build, scc
 from twoec.filters import FilterConfig, _run_strategy, _Working, filter_b, filter_bc
@@ -249,20 +249,6 @@ def test_trivial_edges():
     assert chord not in trivial(G4)
 
 
-def test_trivial_skip_neutrality():
-    rng = random.Random(97)
-    corpus = [g1(), g2(), g4(), g5(), linked_triangles()]
-    for i, g in enumerate(corpus + [random_strongly_connected(rng, rng.randint(3, 10))
-                                    for _ in range(30)]):
-        for strat in ("test2edp", "test2ecb", "hybrid"):
-            on = filter_b(g, FilterConfig(strategy=strat, trivial_skip=True))
-            off = filter_b(g, FilterConfig(strategy=strat, trivial_skip=False))
-            assert on.surviving == off.surviving
-            tested_on = on.counters["tested_2edp"] + on.counters["tested_blocks"]
-            tested_off = off.counters["tested_2edp"] + off.counters["tested_blocks"]
-            assert tested_on <= tested_off
-
-
 def test_report_covers_every_working_edge():
     g = g4()
     rep = filter_b(g, FilterConfig(strategy="test2ecb", certificate=False))
@@ -331,13 +317,15 @@ def test_filter_bc_minimizes_components_as_one_run_each():
     graphs += [_ring_of_multigraphs(rng, rng.randint(2, 6)) for _ in range(6)]
     split = deleted = 0
     for g in graphs:
-        pieces, _ = _condensed(g, cap=2)
+        edges = set(_condensed(g, cap=2)[0])
+        pieces = _components(g)[1]
         inside, expected = set(), set()
-        for sub, edges in pieces:
-            run = _run_strategy(sub.subgraph_edges(sorted(edges)), FilterConfig(),
-                                Partition([0] * sub.n))
-            inside.update(sub.origin.tolist())
-            expected |= {int(sub.origin[e]) for e in run.surviving}
+        for sub, _ in pieces:
+            origin = sub.origin.tolist()
+            own = [e for e in sub.edge_ids.tolist() if origin[e] in edges]
+            run = _run_strategy(sub.subgraph_edges(own), FilterConfig(), Partition([0] * sub.n))
+            inside.update(origin[e] for e in sub.edge_ids.tolist())
+            expected |= {origin[e] for e in run.surviving}
             deleted += run.counters["deleted"]
         rep = filter_bc(g)
         assert rep.surviving & inside == expected
@@ -384,8 +372,10 @@ def test_filter_config_rejects_unknown_values():
         FilterConfig(strategy="bogus")
     with pytest.raises(ValueError, match="'sideways'"):
         FilterConfig(edge_order="sideways")
-    with pytest.raises(ValueError, match="'seed'.*'7'"):
+    with pytest.raises(ValueError, match="^filter option 'seed' must be an integer, not '7'$"):
         FilterConfig(seed="7")
+    with pytest.raises(ValueError, match="^filter option 'certificate' must be a boolean, not 1$"):
+        FilterConfig(certificate=1)
     with pytest.raises(ValueError, match="'seed'.*True"):
         FilterConfig(seed=True)
     for name, value in (("certificate", "false"), ("trivial_skip", "no"),

@@ -106,6 +106,21 @@ def test_largest_scc_of_parsed_file(tmp_path):
     assert top.n == 3 and top.m == 3
 
 
+def test_largest_scc_of_a_file_keeps_the_file_ids(tmp_path):
+    # vertex 1 of the DIMACS file and id 7 of the SNAP file (whose ids are
+    # sparse) lie outside the largest SCC
+    dimacs, snap = tmp_path / "g.gr", tmp_path / "g.txt"
+    dimacs.write_text("p sp 5 6\na 1 2 1\na 2 3 1\na 3 4 1\na 4 2 1\na 4 5 1\na 5 3 1\n")
+    snap.write_text("900000000000 42\n42 7\n42 123456789012\n123456789012 900000000000\n")
+    cases = ((dimacs, [2, 3, 4, 5], {(2, 3), (3, 4), (4, 2), (4, 5), (5, 3)}),
+             (snap, [42, 123456789012, 900000000000],
+              {(900000000000, 42), (42, 123456789012), (123456789012, 900000000000)}))
+    for path, ids, arcs in cases:
+        top = largest_scc(load_graph(path))
+        assert top.vertex_origin.tolist() == ids
+        assert {(ids[t], ids[h]) for t, h in top.edge_pairs()} == arcs
+
+
 def test_ids_beyond_int64_name_the_line():
     too_big = 2**63
     for text, line in ((f"0 1\n{too_big} 1\n", 2), (f"1 {too_big}\n", 1), ("-1 0\n", 1)):

@@ -5,14 +5,13 @@ import pytest
 
 from twoec import spanning
 from twoec.blocks import _decompose
-from twoec.certificates import ist_b
 from twoec.digraph import build
 from twoec.dominators import dominator_tree, flow_bridges
 from twoec.fixtures import g1, g2, g4, random_strongly_connected, road_grid
 from twoec.oracle import _order_valid, verify_independent
 from twoec.spanning import independent_pair
 
-from graph_builders import reachable, stdlib_uniform_digraph, without_edge
+from graph_builders import ist_b_within_theorem2, reachable, stdlib_uniform_digraph, without_edge
 
 
 def _edges(tree):
@@ -167,11 +166,7 @@ def test_independent_pair_at_scale(make, monkeypatch):
         dt = dominator_tree(flow, 0)
         assert verify_independent(flow, *independent_pair(flow, dt), dt)
     assert max(sizes) >= 200
-    cert, stats = ist_b(g)
-    assert stats.phase1_new == 2 * stats.n - stats.bridges - 2
-    assert stats.phase2_new <= 2 * stats.n - stats.bridges
-    assert stats.phase3_new <= 2 * stats.n_prime + 2 * stats.bridges
-    assert len(cert.edge_set()) <= 4 * (stats.n + stats.n_prime)
+    ist_b_within_theorem2(g)
 
 
 def _three_list_rule(root, in_arcs, preferred, cases):
