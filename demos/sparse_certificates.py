@@ -6,10 +6,10 @@ from twoec.fixtures import g5, linked_triangles, random_strongly_connected
 
 for name, g in [("two-path gadget", g5()), ("linked triangles", linked_triangles())]:
     cert, stats = ist_b(g)
-    print(f"{name}: m={g.m} -> certificate {stats.total_distinct} edges "
+    print(f"{name}: m={g.m} -> certificate {len(cert)} edges "
           f"(phases {stats.phase1_new}/{stats.phase2_new}/{stats.phase3_new}, "
           f"cap 4(n+n')={4 * (stats.n + stats.n_prime)})")
-    assert preservation_violations(g, cert.edge_set(), "B") == []
+    assert preservation_violations(g, cert, "B") == []
 
 rng = random.Random(0)
 print("\nrandom graphs, certificate size vs the input:")
@@ -18,8 +18,8 @@ for _ in range(5):
     cert, stats = ist_b(g)
     orig = ist_b_original(g)
     bc = ist_bc(g)
-    print(f"  n={g.n} m={g.m}: ist-b {len(cert.edge_set())}, "
-          f"ist-b-original {len(orig.edge_set())}, ist-bc {len(bc.edge_set())}")
-    assert preservation_violations(g, cert.edge_set(), "B") == []
-    assert preservation_violations(g, bc.edge_set(), "BC") == []
+    print(f"  n={g.n} m={g.m}: ist-b {len(cert)}, "
+          f"ist-b-original {len(orig)}, ist-bc {len(bc)}")
+    assert preservation_violations(g, cert, "B") == []
+    assert preservation_violations(g, bc, "BC") == []
 print("\nall certificates preserved their structures")

@@ -8,8 +8,7 @@ from .dominators import DominatorTree, dominator_tree, flow_bridges, strong_brid
 from .spanning import independent_pair
 from .blocks import aux_graphs, blocks, components, condense, preservation_violations
 from .certificates import (
-    CertificateEdgeList, CertificateStats, ist_b, ist_b_original, ist_bc,
-    two_ecss_edt, zni_c, zni_scss,
+    CertificateStats, ist_b, ist_b_original, ist_bc, two_ecss_edt, zni_c, zni_scss,
 )
 from .filters import FilterConfig, FilterReport, filter_b, filter_bc
 from .bench import ALGORITHMS, QualityReport, lower_bound, run_algorithm, run_experiment

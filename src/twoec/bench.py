@@ -3,9 +3,8 @@ from __future__ import annotations
 
 import csv
 import logging
-import statistics
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .blocks import blocks, components
@@ -21,40 +20,42 @@ __all__ = ["ALGORITHMS", "QualityReport", "run_algorithm", "lower_bound",
            "run_experiment", "write_csv"]
 
 _OPTIONS = ("order", "seed", "trivial_skip", "certificate")
+_CONFIG_KEYS = ("datasets", "algorithms", "runs") + _OPTIONS
+_DATASET_KEYS = ("name", "path", "format")
 
 
-def _cfg(opts: dict, **extra) -> FilterConfig:
+def _cfg(opts: dict) -> FilterConfig:
+    """The filter configuration of `run_algorithm`'s options, checked."""
     return FilterConfig(
         edge_order=opts.get("order", "input"),
         seed=opts.get("seed", 0),
         trivial_skip=opts.get("trivial_skip", True),
         certificate=opts.get("certificate", True),
-        **extra,
     )
 
 
-# The algorithm catalog: name -> (problem it solves, runner(g, opts)).  The
+# The algorithm catalog: name -> (problem it solves, runner(g, cfg)).  The
 # runners look the library functions up when called, so a wrapper installed
 # on this module (a tracer, a profiler) sees every call.
 _CATALOG = {
-    "ist-b-original": ("B", lambda g, o: ist_b_original(g).edge_set()),
-    "ist-b": ("B", lambda g, o: ist_b(g)[0].edge_set()),
-    "test2edp-b": ("B", lambda g, o: filter_b(g, _cfg(o, strategy="test2edp")).surviving),
-    "test2ecb-b": ("B", lambda g, o: filter_b(g, _cfg(o, strategy="test2ecb")).surviving),
-    "hybrid-b": ("B", lambda g, o: filter_b(g, _cfg(o, strategy="hybrid")).surviving),
-    "test2edp-b-aux": ("B", lambda g, o: filter_b(
-        g, _cfg(o, strategy="test2edp", on_aux_graphs=True)).surviving),
-    "hybrid-b-aux": ("B", lambda g, o: filter_b(
-        g, _cfg(o, strategy="hybrid", on_aux_graphs=True)).surviving),
-    "ist-bc": ("BC", lambda g, o: ist_bc(g).edge_set()),
-    "test2edp-bc": ("BC", lambda g, o: filter_bc(g, _cfg(o, strategy="test2edp")).surviving),
-    "test2ecb-bc": ("BC", lambda g, o: filter_bc(g, _cfg(o, strategy="test2ecb")).surviving),
-    "hybrid-bc": ("BC", lambda g, o: filter_bc(g, _cfg(o, strategy="hybrid")).surviving),
-    "test2edp-bc-aux": ("BC", lambda g, o: filter_bc(
-        g, _cfg(o, strategy="test2edp", on_aux_graphs=True)).surviving),
-    "hybrid-bc-aux": ("BC", lambda g, o: filter_bc(
-        g, _cfg(o, strategy="hybrid", on_aux_graphs=True)).surviving),
-    "zni-c": ("C", lambda g, o: zni_c(g)),
+    "ist-b-original": ("B", lambda g, c: ist_b_original(g)),
+    "ist-b": ("B", lambda g, c: ist_b(g)[0]),
+    "test2edp-b": ("B", lambda g, c: filter_b(g, replace(c, strategy="test2edp")).surviving),
+    "test2ecb-b": ("B", lambda g, c: filter_b(g, replace(c, strategy="test2ecb")).surviving),
+    "hybrid-b": ("B", lambda g, c: filter_b(g, replace(c, strategy="hybrid")).surviving),
+    "test2edp-b-aux": ("B", lambda g, c: filter_b(
+        g, replace(c, strategy="test2edp", on_aux_graphs=True)).surviving),
+    "hybrid-b-aux": ("B", lambda g, c: filter_b(
+        g, replace(c, strategy="hybrid", on_aux_graphs=True)).surviving),
+    "ist-bc": ("BC", lambda g, c: ist_bc(g)),
+    "test2edp-bc": ("BC", lambda g, c: filter_bc(g, replace(c, strategy="test2edp")).surviving),
+    "test2ecb-bc": ("BC", lambda g, c: filter_bc(g, replace(c, strategy="test2ecb")).surviving),
+    "hybrid-bc": ("BC", lambda g, c: filter_bc(g, replace(c, strategy="hybrid")).surviving),
+    "test2edp-bc-aux": ("BC", lambda g, c: filter_bc(
+        g, replace(c, strategy="test2edp", on_aux_graphs=True)).surviving),
+    "hybrid-bc-aux": ("BC", lambda g, c: filter_bc(
+        g, replace(c, strategy="hybrid", on_aux_graphs=True)).surviving),
+    "zni-c": ("C", lambda g, c: zni_c(g)),
 }
 
 # Table of algorithms: name -> problem it solves.
@@ -64,7 +65,7 @@ ALGORITHMS: dict[str, str] = {name: problem for name, (problem, _) in _CATALOG.i
 def run_algorithm(name: str, g: Digraph, **opts) -> set[int]:
     """Run one catalog algorithm on a strongly connected digraph.
 
-    Options, accepted by every algorithm and read by the deletion filters:
+    Options, checked for every algorithm and read by the deletion filters:
     order (input|reverse|random), seed (int), trivial_skip, certificate (bool).
     """
     if name not in ALGORITHMS:
@@ -72,9 +73,10 @@ def run_algorithm(name: str, g: Digraph, **opts) -> set[int]:
     for key in opts:
         if key not in _OPTIONS:
             raise ValueError(f"unknown option {key!r}; choose from {', '.join(_OPTIONS)}")
+    cfg = _cfg(opts)
     if g.n == 0:
         raise GraphError("graph has no vertices")
-    return _CATALOG[name][1](g, opts)
+    return _CATALOG[name][1](g, cfg)
 
 
 def lower_bound(problem: str, g: Digraph,
@@ -115,10 +117,15 @@ def run_experiment(config: dict, out_csv: str | Path | None = None) -> list[Qual
     Per cell the largest SCC is extracted once, the algorithm runs
     `runs` times (timing includes certificate preprocessing and, for the
     BC/C problems, component computation), output sizes must agree across
-    runs for deterministic configs, and the mean CPU time is reported.
+    runs (the random order is seeded, so every config is deterministic),
+    and the mean CPU time is reported.
     """
     if not isinstance(config, dict):
         raise ValueError(f"experiment config must be a JSON object, not {config!r}")
+    for key in config:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown experiment config key {key!r}; "
+                             f"choose from {', '.join(_CONFIG_KEYS)}")
     for key in ("datasets", "algorithms"):
         if key not in config:
             raise ValueError(f"experiment config has no {key!r} key")
@@ -131,6 +138,10 @@ def run_experiment(config: dict, out_csv: str | Path | None = None) -> list[Qual
     for i, ds in enumerate(config["datasets"]):
         if not isinstance(ds, dict) or not {"name", "path"} <= ds.keys():
             raise ValueError(f"dataset entry {i} needs 'name' and 'path' keys")
+        for key in ds:
+            if key not in _DATASET_KEYS:
+                raise ValueError(f"dataset entry {i} has unknown key {key!r}; "
+                                 f"choose from {', '.join(_DATASET_KEYS)}")
         if not isinstance(ds["path"], str):
             raise ValueError(f"dataset entry {i} key 'path' must be a string, "
                              f"not {ds['path']!r}")
@@ -165,9 +176,9 @@ def run_experiment(config: dict, out_csv: str | Path | None = None) -> list[Qual
                 out = run_algorithm(algo, g, **opts)
                 times.append(time.process_time() - t0)
                 sizes.append(len(out))
-            if opts.get("order", "input") != "random" and len(set(sizes)) != 1:
+            if len(set(sizes)) != 1:
                 raise RuntimeError(f"nondeterministic output size for {algo} on {name}")
-            edges_out = int(statistics.median(sizes))
+            edges_out = sizes[0]
             lb = lower_bound(problem, g, block_part, comp_part)
             delta = edges_out / g.n
             reports.append(QualityReport(

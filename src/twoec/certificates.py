@@ -20,19 +20,9 @@ from .dominators import _dfs, _strong_bridges
 from .spanning import independent_pair
 
 __all__ = [
-    "CertificateEdgeList", "CertificateStats",
+    "CertificateStats",
     "ist_b_original", "ist_b", "two_ecss_edt", "zni_scss", "ist_bc", "zni_c",
 ]
-
-
-@dataclass
-class CertificateEdgeList:
-    """Multiset of inserted original edges, tagged by construction phase."""
-
-    insertions: list[tuple[int, str]]
-
-    def edge_set(self) -> set[int]:
-        return {e for e, _ in self.insertions}
 
 
 @dataclass(frozen=True)
@@ -40,36 +30,27 @@ class CertificateStats:
     n: int
     n_prime: int          # vertices in nontrivial blocks
     bridges: int          # bridges of G(s)
-    phase1_new: int
+    phase1_new: int       # distinct edges first inserted by each phase
     phase2_new: int
     phase3_new: int
-
-    @property
-    def total_distinct(self) -> int:
-        return self.phase1_new + self.phase2_new + self.phase3_new
 
 
 def _ist_pipeline(g: Digraph, s: int, modified: bool):
     """The certificate, its statistics, and the block partition of g, which
     phase 3 reads off the second-level SCCs on the way."""
     _ensure_strongly_connected(g)
-    inserts: list[tuple[int, str]] = []
-    in_l: set[int] = set()
-    new = {"P1": 0, "P2": 0, "P3": 0}     # distinct edges first inserted by each phase
+    in_l: set[int] = set()                # the certificate so far
+    new = [0, 0, 0]                       # distinct edges first added by phases 1-3
 
-    def insert(orig: int, tag: str) -> None:
-        inserts.append((orig, tag))
-        if orig not in in_l:
-            in_l.add(orig)
-            new[tag] += 1
+    def insert(phase: int, edges) -> None:
+        before = len(in_l)
+        in_l.update(edges)
+        new[phase - 1] += len(in_l) - before
 
     dt, level1, block_label, walk = _decompose(g, s, blocks_only=modified)
 
     # Phase 1: two independent spanning trees of G(s)
-    for tree in independent_pair(g, dt):
-        for e in tree:
-            if e != -1:
-                insert(e, "P1")
+    insert(1, (e for tree in independent_pair(g, dt) for e in tree if e != -1))
 
     for h, rev, dtr, level2 in walk:
         h_vertex, h_edge = h.vertex_origin.tolist(), h.origin.tolist()
@@ -81,22 +62,23 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
         rev_tails = rev.tails.tolist()
         blue_inner = {rev_tails[e] for e in blue_edge if e != -1}   # have a child
         red_inner = {rev_tails[e] for e in red_edge if e != -1}
+        chosen: list[int] = []
         for x in range(1, rev.n):            # every vertex but the root r, 0
             eb, er = h_edge[blue_edge[x]], h_edge[red_edge[x]]
             if h_vertex[x] >= 0 or not modified:
-                insert(eb, "P2")
-                insert(er, "P2")
+                chosen += (eb, er)
                 continue
             # auxiliary vertex: a tree edge into a leaf carries no path and
             # may be dropped; if dropped from both trees keep one exit edge
             blue_leaf = x not in blue_inner
             red_leaf = x not in red_inner
             if not blue_leaf:
-                insert(eb, "P2")
+                chosen.append(eb)
             if not red_leaf:
-                insert(er, "P2")
+                chosen.append(er)
             if blue_leaf and red_leaf:
-                insert(min(eb, er), "P2")
+                chosen.append(min(eb, er))
+        insert(2, chosen)
 
         # Phase 3: strongly connected coverage of every second-level SCC, whose
         # maps lead into the input graph; an SCC needs no strong-connectivity check
@@ -108,34 +90,31 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
                     continue
                 if modified:
                     pref = {e for e in sub.edge_ids.tolist() if origin[e] in in_l}
-                    for e_sub in _zni_scss(sub, pref):
-                        insert(origin[e_sub], "P3")
+                    insert(3, (origin[e] for e in _zni_scss(sub, pref)))
                 else:
                     root = vertex.index(min(both_ord)) if both_ord else 0
                     # out- and in-DFS trees; sub is strongly connected
                     for graph in (sub, sub.reverse()):
-                        _, _, tree_edges, _ = _dfs(graph, root)
-                        for e_sub in tree_edges:
-                            if e_sub != -1:
-                                insert(origin[e_sub], "P3")
+                        tree_edges = _dfs(graph, root)[2]
+                        insert(3, (origin[e] for e in tree_edges if e != -1))
 
     block_part = Partition(block_label)
     stats = CertificateStats(
         n=g.n, n_prime=block_part.nontrivial_vertices(), bridges=len(level1) - 1,
-        phase1_new=new["P1"], phase2_new=new["P2"], phase3_new=new["P3"],
+        phase1_new=new[0], phase2_new=new[1], phase3_new=new[2],
     )
-    return CertificateEdgeList(inserts), stats, block_part
+    return in_l, stats, block_part
 
 
-def ist_b_original(g: Digraph, s: int = 0) -> CertificateEdgeList:
+def ist_b_original(g: Digraph, s: int = 0) -> set[int]:
     """Plain three-phase sparse certificate for the 2EC blocks."""
     return _ist_pipeline(g, s, modified=False)[0]
 
 
-def ist_b(g: Digraph, s: int = 0) -> tuple[CertificateEdgeList, CertificateStats]:
-    """Modified sparse certificate; at most 4(n + n') distinct edges."""
-    cert, stats, _ = _ist_pipeline(g, s, modified=True)
-    return cert, stats
+def ist_b(g: Digraph, s: int = 0) -> tuple[set[int], CertificateStats]:
+    """Modified sparse certificate; at most 4(n + n') edges."""
+    edges, stats, _ = _ist_pipeline(g, s, modified=True)
+    return edges, stats
 
 
 def two_ecss_edt(c: Digraph) -> set[int]:
@@ -307,10 +286,9 @@ def _zni_scss(g: Digraph, preferred: set[int]) -> set[int]:
 def _condensed(g: Digraph, cap: int) -> tuple[list[int], Digraph]:
     """Shared prologue of the condensed-graph algorithms.
 
-    Returns a 2ECSS of every nontrivial 2EC component of `g` in g's edge
-    ids, component by component and ascending within one, and the condensed
-    multigraph with at most `cap` parallel edges per pair, also in g's edge
-    ids.
+    Returns a 2ECSS of every nontrivial 2EC component of `g` and the
+    condensed multigraph with at most `cap` parallel edges per pair, both in
+    g's edge ids.
     """
     comp, pieces = _components(g)
     edges = [e for sub, trees in pieces
@@ -318,13 +296,13 @@ def _condensed(g: Digraph, cap: int) -> tuple[list[int], Digraph]:
     return edges, condense(g, comp, cap)
 
 
-def ist_bc(g: Digraph) -> CertificateEdgeList:
+def ist_bc(g: Digraph) -> set[int]:
     """Block-and-component-preserving certificate via the condensed graph."""
     edges, reduced = _condensed(g, cap=2)
-    inserts = [(e, "C") for e in edges]
+    certificate = set(edges)
     if reduced.n > 1:
-        inserts += ist_b(reduced, 0)[0].insertions
-    return CertificateEdgeList(inserts)
+        certificate |= ist_b(reduced)[0]
+    return certificate
 
 
 def zni_c(g: Digraph) -> set[int]:

@@ -318,7 +318,7 @@ def filter_b(g: Digraph, cfg: FilterConfig = FilterConfig()) -> FilterReport:
         # the certificate keeps the blocks, so g's partition is its own;
         # building it checks that g is strongly connected
         cert, _, part = _ist_pipeline(g, 0, modified=True)
-        view = g.subgraph_edges(sorted(cert.edge_set()))
+        view = g.subgraph_edges(sorted(cert))
     else:
         _ensure_strongly_connected(g)
         view, part = g, None

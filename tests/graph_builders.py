@@ -57,5 +57,5 @@ def ist_b_within_theorem2(g):
     assert stats.phase1_new == 2 * stats.n - stats.bridges - 2
     assert stats.phase2_new <= 2 * stats.n - stats.bridges
     assert stats.phase3_new <= 2 * stats.n_prime + 2 * stats.bridges
-    assert len(cert.edge_set()) <= 4 * (stats.n + stats.n_prime)
+    assert len(cert) <= 4 * (stats.n + stats.n_prime)
     return cert, stats

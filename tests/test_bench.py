@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from twoec import bench
 from twoec.bench import ALGORITHMS, lower_bound, run_algorithm, run_experiment, write_csv
 from twoec.blocks import preservation_violations
 from twoec.digraph import GraphError, build
@@ -43,6 +44,17 @@ def test_run_algorithm_rejects_unknown_options():
     for algo in ALGORITHMS:
         with pytest.raises(ValueError, match="'ordr'"):
             run_algorithm(algo, g4(), ordr="random", certificat=False)
+
+
+def test_every_algorithm_checks_option_values():
+    # the certificates read no option, yet reject a bad value as the filters do
+    for algo in ALGORITHMS:
+        with pytest.raises(ValueError, match="option 'seed' must be an integer"):
+            run_algorithm(algo, g4(), seed="7")
+        with pytest.raises(ValueError, match="option 'certificate' must be a boolean"):
+            run_algorithm(algo, g4(), certificate="no")
+        with pytest.raises(ValueError, match="unknown edge order 'sideways'"):
+            run_algorithm(algo, g4(), order="sideways")
 
 
 def test_every_algorithm_valid_on_corpus():
@@ -110,17 +122,30 @@ def test_missing_dataset_skipped(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("runs", 0), ("runs", -2), ("runs", "3"), ("runs", True), ("order", "sideways"),
     ("seed", "7"), ("seed", True), ("trivial_skip", "no"), ("certificate", "false"),
-    ("path", 5), ("format", "csv"),
+    ("path", 5), ("format", "csv"), ("sede", 3), ("trivial-skip", False),
+    ("fromat", "snap"),
 ])
 def test_experiment_rejects_bad_runs_and_order(tmp_path, key, value):
     # the dataset paths do not exist: rejecting the config before any
     # dataset is looked at is what makes this a ValueError, not a skip
     datasets = [{"name": "gone", "path": str(tmp_path / "none.gr")}]
     config = {"datasets": datasets, "algorithms": ["ist-b"]}
-    if key in ("path", "format"):
+    if key in ("path", "format", "fromat"):
         # a dataset key, set on the second entry
         datasets.append({"name": "bad", "path": str(tmp_path / "other.gr"), key: value})
     else:
         config[key] = value
     with pytest.raises(ValueError, match=f"'{key}'"):
+        run_experiment(config)
+
+
+def test_experiment_requires_one_output_size_under_every_order(tmp_path, monkeypatch):
+    # the random order is seeded, so runs that disagree are a fault there too
+    gp = tmp_path / "g2.gr"
+    gp.write_text("p sp 3 3\na 1 2 1\na 2 3 1\na 3 1 1\n")
+    sizes = iter([2, 3])
+    monkeypatch.setattr(bench, "run_algorithm", lambda *a, **o: set(range(next(sizes))))
+    config = {"datasets": [{"name": "g2", "path": str(gp)}], "algorithms": ["hybrid-b"],
+              "runs": 2, "order": "random"}
+    with pytest.raises(RuntimeError, match="nondeterministic output size for hybrid-b"):
         run_experiment(config)

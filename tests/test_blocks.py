@@ -317,7 +317,7 @@ def test_second_level_blocks_are_read_off_the_walk():
     graphs += [_random_multigraph(rng, rng.randint(2, 12)) for _ in range(60)]
     graphs += [road_grid(18, 0.12, p, 1) for p in (0.2, 0.55, 0.9)]
     for g in graphs:
-        view = g.subgraph_edges(sorted(ist_b(g)[0].edge_set()))
+        view = g.subgraph_edges(sorted(ist_b(g)[0]))
         _check_blocks_read_off_the_walk(g)
         _check_blocks_read_off_the_walk(view)
 
@@ -334,7 +334,7 @@ def test_aux_filter_calls_blocks_only_in_block_tests(monkeypatch, strategy, call
 
 def test_preservation_check_runs_one_tarjan_pass_on_the_subgraph(monkeypatch):
     g = road_grid(12, 0.12, 0.55, 1)
-    edges = ist_bc(g).edge_set()
+    edges = ist_bc(g)
     subs, passes = [], []
     subgraph_edges = Digraph.subgraph_edges
 
@@ -652,7 +652,7 @@ def test_algorithms_on_the_condensed_graph_answer_in_input_ids():
         checked += 1
         for e in cond.edge_ids.tolist():
             assert (cond.tail(e), cond.head(e)) == (comp[g.tail(e)], comp[g.head(e)])
-        for out in (ist_b(cond)[0].edge_set(), filter_b(cond).surviving, zni_scss(cond)):
+        for out in (ist_b(cond)[0], filter_b(cond).surviving, zni_scss(cond)):
             assert out <= set(cond.edge_ids.tolist())
             # read as g's edges and contracted, they strongly connect the classes
             kept = Digraph(cond.n, comp[g.tails], comp[g.heads], edge_ids=sorted(out))

@@ -18,37 +18,37 @@ from graph_builders import dense_cert_graph, ist_b_within_theorem2
 
 
 def test_ist_b_original_fixtures():
-    assert ist_b_original(g2()).edge_set() == {0, 1, 2}
-    assert ist_b_original(g5()).edge_set() == set(range(8))
-    out = ist_b_original(g1()).edge_set()
+    assert ist_b_original(g2()) == {0, 1, 2}
+    assert ist_b_original(g5()) == set(range(8))
+    out = ist_b_original(g1())
     assert len(out) <= 6
     assert preservation_violations(g1(), out, "B") == []
 
 
 def test_ist_b_fixtures_and_bounds():
     cert, stats = ist_b(g2())
-    assert cert.edge_set() == {0, 1, 2}
-    assert stats.total_distinct <= 4 * (stats.n + stats.n_prime) == 12
+    assert cert == {0, 1, 2}
+    assert len(cert) <= 4 * (stats.n + stats.n_prime) == 12
 
     cert, stats = ist_b(g5())
-    assert cert.edge_set() == set(range(8))
+    assert cert == set(range(8))
     assert stats.n == 6 and stats.n_prime == 2
 
 
 # ist_b on the two graphs of tests/test_catalog_outputs.py: its statistics,
-# and the number and a digest of its tagged insertions.  The edge-set pins
-# there cannot see n', nor a phase-3 insertion of an edge already chosen.
+# and the size and a digest of its sorted edge set.  The edge-set pins there
+# cannot see n' nor how the edges split among the phases.
 CERTIFICATE_PINS = {
     "road-grid-12": (
         lambda: road_grid(12, 0.12, 0.55, 1),
         CertificateStats(n=130, n_prime=81, bridges=32,
                          phase1_new=226, phase2_new=43, phase3_new=0),
-        754, "2ff1701b4d3f9fcc"),
+        269, "469fb282355fa8d5"),
     "random-40-120": (
         lambda: random_strongly_connected(random.Random(5), 40, 120),
         CertificateStats(n=40, n_prime=25, bridges=7,
                          phase1_new=71, phase2_new=20, phase3_new=0),
-        240, "64c10306c4e68140"),
+        91, "c881a24c2f3106da"),
 }
 
 
@@ -57,30 +57,30 @@ def test_ist_b_certificate_pinned(graph):
     make, stats, count, digest = CERTIFICATE_PINS[graph]
     cert, got = ist_b(make())
     assert got == stats
-    assert len(cert.insertions) == count
-    assert _insertions_digest(cert) == digest
+    assert len(cert) == count
+    assert _edges_digest(cert) == digest
 
 
-# The same two graphs: ist_b from the last vertex, and the tagged insertions
-# of ist_b_original from the first and the last vertex.
+# The same two graphs: ist_b from the last vertex, and ist_b_original from
+# the first and the last vertex.
 LAST_VERTEX_PINS = {
     "road-grid-12": (CertificateStats(n=130, n_prime=81, bridges=28,
                                       phase1_new=230, phase2_new=43, phase3_new=0),
-                     752, "dac131c160a1a3f2"),
+                     273, "d6ac062577314561"),
     "random-40-120": (CertificateStats(n=40, n_prime=25, bridges=7,
                                        phase1_new=71, phase2_new=17, phase3_new=0),
-                      241, "e8140aabc3bef0b9"),
+                      88, "641e06b23740fb53"),
 }
 ORIGINAL_PINS = {
-    ("road-grid-12", "first"): (894, "20b7b1e544f62b59"),
-    ("road-grid-12", "last"): (880, "e3686cdf00776c9b"),
-    ("random-40-120", "first"): (258, "680558f43555386b"),
-    ("random-40-120", "last"): (260, "3549bc4fdfbe06e5"),
+    ("road-grid-12", "first"): (299, "93475b73a0d49288"),
+    ("road-grid-12", "last"): (296, "ba7d68b8f2076d2b"),
+    ("random-40-120", "first"): (102, "daa229b89ccdecd3"),
+    ("random-40-120", "last"): (101, "04c36193460235e7"),
 }
 
 
-def _insertions_digest(cert) -> str:
-    text = ",".join(f"{e}:{tag}" for e, tag in cert.insertions)
+def _edges_digest(edges) -> str:
+    text = ",".join(map(str, sorted(edges)))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -90,8 +90,8 @@ def test_ist_b_certificate_pinned_at_last_vertex(graph):
     stats, count, digest = LAST_VERTEX_PINS[graph]
     cert, got = ist_b(g, g.n - 1)
     assert got == stats
-    assert len(cert.insertions) == count
-    assert _insertions_digest(cert) == digest
+    assert len(cert) == count
+    assert _edges_digest(cert) == digest
 
 
 @pytest.mark.parametrize("graph,start", sorted(ORIGINAL_PINS))
@@ -99,8 +99,8 @@ def test_ist_b_original_certificate_pinned(graph, start):
     g = CERTIFICATE_PINS[graph][0]()
     count, digest = ORIGINAL_PINS[graph, start]
     cert = ist_b_original(g, 0 if start == "first" else g.n - 1)
-    assert len(cert.insertions) == count
-    assert _insertions_digest(cert) == digest
+    assert len(cert) == count
+    assert _edges_digest(cert) == digest
 
 
 def test_pipeline_partition_is_the_blocks():
@@ -120,7 +120,7 @@ def test_ist_b_root_invariance_of_correctness():
         g = random_strongly_connected(rng, rng.randint(2, 10))
         for root in range(min(g.n, 3)):
             cert, _ = ist_b(g, root)
-            assert preservation_violations(g, cert.edge_set(), "B") == []
+            assert preservation_violations(g, cert, "B") == []
 
 
 def test_start_vertex_out_of_range():
@@ -136,7 +136,7 @@ def test_ist_b_phase_counts_random():
     for _ in range(150):
         g = random_strongly_connected(rng, rng.randint(2, 30))
         cert, stats = ist_b_within_theorem2(g)
-        assert stats.total_distinct == len(cert.edge_set())
+        assert stats.phase1_new + stats.phase2_new + stats.phase3_new == len(cert)
         # n' really is the nontrivial-block vertex count
         part = blocks(g)
         sizes = part.sizes()
@@ -149,7 +149,7 @@ def test_certificates_preserve_blocks():
     for _ in range(120):
         g = random_strongly_connected(rng, rng.randint(2, 10))
         for cert in (ist_b(g)[0], ist_b_original(g)):
-            assert preservation_violations(g, cert.edge_set(), "B") == []
+            assert preservation_violations(g, cert, "B") == []
 
 
 def test_two_ecss_edt():
@@ -293,9 +293,9 @@ def test_zni_ratio_small():
 
 
 def test_ist_bc_fixtures():
-    assert ist_bc(g1()).edge_set() == two_ecss_edt(g1())
-    assert ist_bc(g5()).edge_set() == set(range(8))
-    out = ist_bc(linked_triangles()).edge_set()
+    assert ist_bc(g1()) == two_ecss_edt(g1())
+    assert ist_bc(g5()) == set(range(8))
+    out = ist_bc(linked_triangles())
     assert preservation_violations(linked_triangles(), out, "BC") == []
     assert out == set(range(14))  # both triangles need all 6; both cross bridges stay
 
@@ -304,7 +304,7 @@ def test_ist_bc_and_zni_c_preserve():
     rng = random.Random(71)
     for _ in range(100):
         g = random_strongly_connected(rng, rng.randint(2, 10))
-        assert preservation_violations(g, ist_bc(g).edge_set(), "BC") == []
+        assert preservation_violations(g, ist_bc(g), "BC") == []
         assert preservation_violations(g, zni_c(g), "C") == []
 
 
@@ -320,6 +320,6 @@ def test_certificate_multigraph_input():
     # parallel edges must survive the pipeline (condensed graphs are multi)
     g = build(2, [(0, 1), (0, 1), (1, 0), (1, 0)], allow_multi=True)
     cert, stats = ist_b(g)
-    sub = g.subgraph_edges(sorted(cert.edge_set()))
+    sub = g.subgraph_edges(sorted(cert))
     assert scc(sub).count == 1
     assert blocks(sub) == blocks(g)

@@ -172,6 +172,12 @@ def test_bench_bad_config_is_input_error(tmp_path, capsys):
          "key 'algorithms' must be a list"),
         ({"datasets": [{"name": "g", "path": str(g)}], "algorithms": "ist-b"},
          "key 'algorithms' must be a list"),
+        ({"datasets": [{"name": "g", "path": str(g)}], "algorithms": ["ist-b"], "sede": 3},
+         "unknown experiment config key 'sede'"),
+        ({"datasets": [{"name": "g", "path": str(g)}], "algorithms": ["ist-b"],
+          "trivial-skip": False}, "unknown experiment config key 'trivial-skip'"),
+        ({"datasets": [{"name": "g", "path": str(g), "fromat": "snap"}],
+          "algorithms": ["ist-b"]}, "dataset entry 0 has unknown key 'fromat'"),
         (5, "config must be a JSON object"),
         ([], "config must be a JSON object"),
     ]

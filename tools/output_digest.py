@@ -16,8 +16,8 @@ strongly connected graphs and 20 seeded strongly connected multigraphs with
 parallel edges and loops.  Per graph it covers:
 - the output edge set of each of the 14 catalog algorithms;
 - the `blocks` and `components` partitions;
-- the tagged insertions of `ist_b` and `ist_b_original` and the statistics
-  of `ist_b`, at the first and at the last vertex;
+- the edge sets of `ist_b` and `ist_b_original` and the statistics of
+  `ist_b`, at the first and at the last vertex;
 - the decisions, counters and surviving edges of `filter_b` and
   `filter_bc` for `test2edp` and `hybrid`, on and off the aux graphs, and
   under each of `FILTER_VARIANTS`.
@@ -73,6 +73,12 @@ FILTER_VARIANTS = {
 }
 
 
+def _edges(cert) -> list[int]:
+    """A certificate's edges, ascending."""
+    # edge_set(): a checkout whose certificates still return CertificateEdgeList
+    return sorted(cert.edge_set() if hasattr(cert, "edge_set") else cert)
+
+
 def _outputs(g) -> dict[str, object]:
     from dataclasses import asdict
 
@@ -88,8 +94,8 @@ def _outputs(g) -> dict[str, object]:
     out["components"] = components(g).comp.tolist()
     for s in sorted({0, g.n - 1}):
         cert, stats = ist_b(g, s)
-        out[f"ist_b/{s}"] = [cert.insertions, asdict(stats)]
-        out[f"ist_b_original/{s}"] = ist_b_original(g, s).insertions
+        out[f"ist_b/{s}"] = [_edges(cert), asdict(stats)]
+        out[f"ist_b_original/{s}"] = _edges(ist_b_original(g, s))
     configs = {f"{strategy}/aux={aux}": {"strategy": strategy, "on_aux_graphs": aux}
                for strategy in ("test2edp", "hybrid") for aux in (False, True)}
     configs.update(FILTER_VARIANTS)
