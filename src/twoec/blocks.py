@@ -1,6 +1,8 @@
 """Canonical decomposition, auxiliary graphs, 2EC blocks/components, condensation."""
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .digraph import (
     Digraph, GraphError, Partition, _ensure_strongly_connected, _first_arcs, induced_subgraphs,
     is_strongly_connected, scc,
@@ -36,12 +38,20 @@ def aux_graphs(g: Digraph, s: int) -> tuple[DominatorTree, list[Digraph]]:
 
 
 def _contract(g: Digraph, dt: DominatorTree, h: Digraph | None = None,
-              blocks_only: bool = False) -> list[Digraph]:
-    """`aux_graphs(g, s)[1]`, given `dt` of G(s); with `h`, h's second level on g = H^R."""
+              blocks_only: bool = False):
+    """`aux_graphs(g, s)[1]`, given `dt` of G(s); with `h`, h's second level
+    on g = H^R as one layout `(aux, starts)`, or None if it keeps no graph.
+
+    The layout lays the graphs side by side in one graph `aux`: graph i
+    sits on vertices ``starts[i][0]`` to ``starts[i + 1][0] - 1`` and on
+    edges ``starts[i][1]`` to ``starts[i + 1][1] - 1``, numbered as it would
+    be alone but for those offsets, and `edge_ids` leave out every entering
+    bridge d(r) -> r, which `tails`, `heads` and `origin` keep.
+    """
     if h is not None:
         h_vertex, h_edge = h.vertex_origin.tolist(), h.origin.tolist()
         if blocks_only and sum(v >= 0 for v in h_vertex) < 2:
-            return []
+            return None
     s, idom = dt.dfs_order[0], dt.idom
     bridge_into = {g.head(e): e for e in flow_bridges(g, dt)}
     marked = sorted({s, *bridge_into})
@@ -74,25 +84,30 @@ def _contract(g: Digraph, dt: DominatorTree, h: Digraph | None = None,
             rep, rx = rx, tree_id[idom[rx]]
         region_edges[rx].append((rep, y, e))
 
-    result = []
+    # a first-level graph is built on its own; the second level accumulates
+    # its graphs into the layout's lists, each from offset `base` on
+    result: list[Digraph] = []
+    tails: list[int] = []
+    heads: list[int] = []
+    orig: list[int] = []
+    vertex_origin: list[int] = []
+    edge_ids: list[int] = []                 # all but the entering bridges
+    starts = [(0, 0)]
     for r in marked:
         ordinary = members[r]
-        vertex_origin = ordinary if h is None else [h_vertex[v] for v in ordinary]
-        if blocks_only and sum(v >= 0 for v in vertex_origin) < 2:
+        r_vertex = ordinary if h is None else [h_vertex[v] for v in ordinary]
+        if blocks_only and sum(v >= 0 for v in r_vertex) < 2:
             continue
-        n_ord = len(ordinary)
-        local = {v: i for i, v in enumerate(ordinary + children[r])}
+        base = len(vertex_origin)
+        contracted = base + len(ordinary)    # the first local vertex that is not ordinary
+        local = {v: base + i for i, v in enumerate(ordinary + children[r])}
         n = len(local) + (r != s)            # d(r) last
-        local[_BLOB] = len(local)
+        local[_BLOB] = base + len(local)
 
-        tails: list[int] = []
-        heads: list[int] = []
-        orig: list[int] = []
-        bridge = -1
         seen_pair: dict[tuple[int, int], int] = {}
         for a, b, e in region_edges[r]:
             la, lb = local[a], local[b]
-            if la >= n_ord or lb >= n_ord:
+            if la >= contracted or lb >= contracted:
                 # contraction-created parallels collapse onto the two
                 # smallest original edges; a second copy is kept because
                 # double edges are what 2-edge-connectivity can still see.
@@ -102,40 +117,68 @@ def _contract(g: Digraph, dt: DominatorTree, h: Digraph | None = None,
                 if cnt >= 2:
                     continue
                 seen_pair[(la, lb)] = cnt + 1
-            if a == _BLOB:
-                bridge = len(orig)
+            if a != _BLOB:
+                edge_ids.append(len(orig))
             tails.append(la)
             heads.append(lb)
             orig.append(e)
+        vertex_origin += r_vertex + [-1] * (base + n - contracted)
+        if h is None:
+            result.append(Digraph(n, tails, heads, origin=orig, vertex_origin=vertex_origin))
+            tails, heads, orig, vertex_origin, edge_ids = [], [], [], [], []
+        else:
+            starts.append((len(vertex_origin), len(orig)))
 
-        edge_ids = None
-        if h is not None:
-            orig = [h_edge[e] for e in orig]
-            edge_ids = [e for e in range(len(orig)) if e != bridge]
-        result.append(Digraph(n, tails, heads, edge_ids=edge_ids, origin=orig,
-                              vertex_origin=vertex_origin + [-1] * (n - n_ord)))
-    return result
+    if h is None:
+        return result
+    if len(starts) == 1:
+        return None
+    aux = Digraph(len(vertex_origin), tails, heads, edge_ids=edge_ids,
+                  origin=[h_edge[e] for e in orig], vertex_origin=vertex_origin)
+    return aux, starts
+
+
+def _regions(layout):
+    """Each graph of a second-level layout `(aux, part, starts)` from
+    `_decompose`, with its slice of the SCC partition `part`: the graph is
+    numbered and its edge ids kept as if it were built alone, so its
+    entering bridge stays out of `edge_ids`.  A layout of None has none."""
+    if layout is None:
+        return
+    aux, part, starts = layout
+    comp, ids = part.comp.tolist(), aux.edge_ids.tolist()
+    for (v0, e0), (v1, e1) in zip(starts, starts[1:]):
+        lo, hi = bisect_left(ids, e0), bisect_left(ids, e1)
+        region = Digraph(v1 - v0, aux.tails[e0:e1] - v0, aux.heads[e0:e1] - v0,
+                         edge_ids=aux.edge_ids[lo:hi] - e0, origin=aux.origin[e0:e1],
+                         vertex_origin=aux.vertex_origin[v0:v1])
+        yield region, Partition(comp[v0:v1])
 
 
 def _decompose(g: Digraph, s: int, blocks_only: bool = False):
     """The two levels of auxiliary graphs of G(s): `aux_graphs(g, s)`, a
     block label per vertex, and an iterator that gives one first-level
     graph h at a time with H^R, the dominator tree of H^R(0), and the
-    auxiliary graphs of H^R(0), each with its SCC partition.
+    auxiliary graphs of H^R(0) as one layout (see `_contract`) with the SCC
+    partition of one `scc` call, `(aux, part, starts)`.
 
     Their maps compose through h into g, so a local vertex is ordinary at
     both levels iff its `vertex_origin` is not -1; `blocks_only` builds only
     the graphs with 2 such vertices or more, the only ones that hold a block
-    or a part of n'.  Their `edge_ids` leave out the entering bridge d(r) ->
-    r, which `tails`, `heads` and `origin` keep.  The blocks are their SCCs
-    without it, restricted to those vertices, and each vertex is ordinary at
-    both levels in exactly one graph, so each label is set once, to the
-    first such vertex of its SCC, by the time the iterator is exhausted.
+    or a part of n', and gives None, with no `scc` call, where none is
+    left.  The layout leaves every entering bridge d(r) -> r out of its
+    `edge_ids`, so its SCCs are those of each graph without it.  The blocks
+    are the SCCs restricted to the vertices ordinary at both levels, and
+    each vertex is ordinary at both levels in exactly one graph, so each
+    label is set once, to the first such vertex of its SCC, by the time the
+    iterator is exhausted.
 
     Three consumers read those SCCs: `blocks()` returns the labels,
-    `certificates._ist_pipeline` covers every SCC in its phase 3 and returns
-    the labels as g's block partition, and `filters._on_aux_graphs` reads
-    each graph's blocks with its entering bridge off its SCCs.
+    `certificates._ist_pipeline` covers every SCC of each layout in its
+    phase 3 and returns the labels as g's block partition, and
+    `filters._on_aux_graphs` reads each graph's blocks with its entering
+    bridge off its slice of the SCCs, one graph at a time through
+    `_regions`.
     """
     dt, level1 = aux_graphs(g, s)
     label = list(range(g.n))
@@ -144,13 +187,16 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
         for h in level1:
             rev = h.reverse()
             dtr = dominator_tree(rev, 0)
-            level2 = [(aux, scc(aux)) for aux in _contract(rev, dtr, h, blocks_only)]
-            for aux, part in level2:
+            layout = _contract(rev, dtr, h, blocks_only)
+            if layout is not None:
+                aux, starts = layout
+                part = scc(aux)
                 first: dict[int, int] = {}       # class -> its first ordinary vertex
                 for c, v in zip(part.comp.tolist(), aux.vertex_origin.tolist()):
                     if v >= 0:
                         label[v] = first.setdefault(c, v)
-            yield h, rev, dtr, level2
+                layout = aux, part, starts
+            yield h, rev, dtr, layout
 
     return dt, level1, label, walk()
 

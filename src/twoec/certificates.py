@@ -37,8 +37,11 @@ class CertificateStats:
 
 def _ist_pipeline(g: Digraph, s: int, modified: bool):
     """The certificate, its statistics, and the block partition of g, which
-    phase 3 reads off the second-level SCCs on the way."""
+    phase 3 reads off the second-level SCCs on the way; all three are empty
+    for a graph without vertices, whatever `s`."""
     _ensure_strongly_connected(g)
+    if g.n == 0:
+        return set(), CertificateStats(0, 0, 0, 0, 0, 0), Partition([])
     in_l: set[int] = set()                # the certificate so far
     new = [0, 0, 0]                       # distinct edges first added by phases 1-3
 
@@ -52,7 +55,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
     # Phase 1: two independent spanning trees of G(s)
     insert(1, (e for tree in independent_pair(g, dt) for e in tree if e != -1))
 
-    for h, rev, dtr, level2 in walk:
+    for h, rev, dtr, layout in walk:
         h_vertex, h_edge = h.vertex_origin.tolist(), h.origin.tolist()
 
         # Phase 2: independent trees of the reverse flow graph, reusing edges
@@ -82,21 +85,23 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
 
         # Phase 3: strongly connected coverage of every second-level SCC, whose
         # maps lead into the input graph; an SCC needs no strong-connectivity check
-        for aux, part in level2:
-            for sub in induced_subgraphs(aux, part):
-                vertex, origin = sub.vertex_origin.tolist(), sub.origin.tolist()
-                both_ord = [x for x in vertex if x >= 0]
-                if modified and len(both_ord) <= 1:
-                    continue
-                if modified:
-                    pref = {e for e in sub.edge_ids.tolist() if origin[e] in in_l}
-                    insert(3, (origin[e] for e in _zni_scss(sub, pref)))
-                else:
-                    root = vertex.index(min(both_ord)) if both_ord else 0
-                    # out- and in-DFS trees; sub is strongly connected
-                    for graph in (sub, sub.reverse()):
-                        tree_edges = _dfs(graph, root)[2]
-                        insert(3, (origin[e] for e in tree_edges if e != -1))
+        if layout is None:
+            continue
+        aux, part, _ = layout
+        for sub in induced_subgraphs(aux, part):
+            vertex, origin = sub.vertex_origin.tolist(), sub.origin.tolist()
+            both_ord = [x for x in vertex if x >= 0]
+            if modified and len(both_ord) <= 1:
+                continue
+            if modified:
+                pref = {e for e in sub.edge_ids.tolist() if origin[e] in in_l}
+                insert(3, (origin[e] for e in _zni_scss(sub, pref)))
+            else:
+                root = vertex.index(min(both_ord)) if both_ord else 0
+                # out- and in-DFS trees; sub is strongly connected
+                for graph in (sub, sub.reverse()):
+                    tree_edges = _dfs(graph, root)[2]
+                    insert(3, (origin[e] for e in tree_edges if e != -1))
 
     block_part = Partition(block_label)
     stats = CertificateStats(

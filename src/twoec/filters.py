@@ -16,16 +16,16 @@ and at n=3473 (`counters["scans_2edp"]`).  A block test costs one
 `blocks()` call on G' - e.  Each run starts from a block partition: one
 run over the whole working graph takes it from the certificate's own
 construction, or from one `blocks()` call without it; the run in each
-second-level auxiliary graph reads it off the SCC partition that the shared
-walk (`blocks._decompose`) yields with that graph, so `blocks()` is called
-only by block tests.
+second-level auxiliary graph reads it off that graph's slice of the SCC
+partition that the shared walk (`blocks._decompose`) yields with the
+graph's first-level graph, so `blocks()` is called only by block tests.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 
-from .blocks import _decompose, blocks
+from .blocks import _decompose, _regions, blocks
 from .certificates import _condensed, _ist_pipeline
 from .digraph import Digraph, GraphError, Partition, _ensure_strongly_connected
 
@@ -285,8 +285,8 @@ def _on_aux_graphs(view: Digraph, cfg: FilterConfig) -> FilterReport:
     kept: set[int] = set()
     tested = 0
     if view.n > 1:
-        for *_, level2 in _decompose(view, 0)[-1]:
-            for aux, part in level2:
+        for *_, layout in _decompose(view, 0)[-1]:
+            for aux, part in _regions(layout):
                 aux_edge = aux.origin.tolist()
                 appeared.update(aux_edge)
                 # the strategy filters the entering bridge too, which aux

@@ -89,9 +89,11 @@ def random_strongly_connected(rng: random.Random, n: int, m: int | None = None) 
 
 
 def random_two_edge_connected(rng: random.Random, n: int) -> Digraph:
-    """Seeded random 2-edge-connected digraph (no strong bridges)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    """Seeded random 2-edge-connected digraph (no strong bridges) on n >= 3
+    vertices; on 2, the only simple strongly connected digraph is the
+    2-cycle, whose edges are both strong bridges."""
+    if n < 3:
+        raise ValueError("need n >= 3")
     m = max(2 * n, min(3 * n, n * (n - 1)))
     for _ in range(120):
         g = random_strongly_connected(rng, n, min(m, n * (n - 1)))

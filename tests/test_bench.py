@@ -4,8 +4,13 @@ import pytest
 
 from twoec import bench
 from twoec.bench import ALGORITHMS, lower_bound, run_algorithm, run_experiment, write_csv
-from twoec.blocks import preservation_violations
-from twoec.digraph import GraphError, build
+from twoec.blocks import aux_graphs, blocks, components, preservation_violations
+from twoec.certificates import (
+    CertificateStats, ist_b, ist_b_original, ist_bc, two_ecss_edt, zni_c, zni_scss,
+)
+from twoec.digraph import GraphError, Partition, build, largest_scc
+from twoec.dominators import dominator_tree, strong_bridges
+from twoec.filters import FilterConfig, filter_b, filter_bc
 from twoec.fixtures import corpus, g2, g4, g5
 
 
@@ -33,6 +38,25 @@ def test_every_algorithm_rejects_an_empty_graph():
     for algo in ALGORITHMS:
         with pytest.raises(GraphError, match="graph has no vertices"):
             run_algorithm(algo, build(0, []))
+
+
+def test_library_entry_points_return_empty_results_on_an_empty_graph():
+    # the catalog, lower_bound and largest_scc take an input graph and reject
+    # this one; the library's entry points answer it, and a start vertex
+    # named explicitly must still lie in the graph
+    g = build(0, [])
+    assert ist_b(g) == (set(), CertificateStats(0, 0, 0, 0, 0, 0))
+    for algorithm in (ist_b_original, ist_bc, zni_c, zni_scss, two_ecss_edt, strong_bridges):
+        assert algorithm(g) == set()
+    assert blocks(g) == components(g) == Partition([])
+    for cfg in (FilterConfig(), FilterConfig(certificate=False),
+                FilterConfig(strategy="hybrid", on_aux_graphs=True)):
+        assert filter_b(g, cfg).surviving == filter_bc(g, cfg).surviving == set()
+    with pytest.raises(GraphError, match="graph has no vertices"):
+        largest_scc(g)
+    for decompose in (dominator_tree, aux_graphs):
+        with pytest.raises(GraphError, match="out of range"):
+            decompose(g, 0)
 
 
 def test_run_algorithm_unknown():

@@ -7,7 +7,8 @@ import pytest
 
 from twoec import digraph, filters
 from twoec.blocks import (
-    _components, _decompose, aux_graphs, blocks, components, condense, preservation_violations,
+    _components, _decompose, _regions, aux_graphs, blocks, components, condense,
+    preservation_violations,
 )
 from twoec.certificates import _condensed, ist_b, ist_bc, two_ecss_edt, zni_c, zni_scss
 from twoec.digraph import (
@@ -129,23 +130,23 @@ def _left_out(aux) -> list[int]:
 
 
 def test_second_level_api():
-    [(_, _, _, level2)] = _decompose(g1(), 0)[-1]
-    assert [_left_out(aux) for aux, _ in level2] == [[]]  # H^R(0) has no bridges
+    [(_, _, _, layout)] = _decompose(g1(), 0)[-1]
+    assert [_left_out(aux) for aux, _ in _regions(layout)] == [[]]  # H^R(0) has no bridges
     # every second-level graph of a path-like graph has <= 1 ordinary vertex
     g = g2()
-    for h, rev, dtr, level2 in _decompose(g, 0)[-1]:
+    for h, rev, dtr, layout in _decompose(g, 0)[-1]:
         assert _aux_fields(rev) == _aux_fields(h.reverse())
         assert dtr == dominator_tree(rev, 0)
         assert dtr.dfs_order[0] == 0 and dtr.idom[0] == -1
-        for aux, _ in level2:
+        for aux, _ in _regions(layout):
             assert [int(aux.origin[e]) for e in _left_out(aux)] in ([], [0], [1], [2])
             assert len(_ordinary(aux)) <= 1
 
 
 def test_second_level_contains_g5_block():
     found = False
-    for *_, level2 in _decompose(g5(), 0)[-1]:
-        for aux, part in level2:
+    for *_, layout in _decompose(g5(), 0)[-1]:
+        for aux, part in _regions(layout):
             assert part == scc(aux)
             for cls in _classes(part):
                 orig = {int(aux.vertex_origin[v]) for v in cls.tolist()} - {-1}
@@ -185,9 +186,9 @@ def test_second_level_maps_into_the_input_graph():
     rng = random.Random(67)
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
     for g in graphs + [road_grid(12, 0.12, 0.55, 1)]:
-        for i, (h, _, _, level2) in enumerate(_decompose(g, 0)[-1]):
+        for i, (h, _, _, layout) in enumerate(_decompose(g, 0)[-1]):
             _check_aux_contract(g, h, second_level=False, at_start=i == 0)
-            for j, (aux, _) in enumerate(level2):
+            for j, (aux, _) in enumerate(_regions(layout)):
                 _check_aux_contract(g, aux, second_level=True, at_start=j == 0)
 
 
@@ -212,13 +213,14 @@ def test_every_vertex_is_ordinary_in_one_graph_per_level():
     for g in graphs + [road_grid(12, 0.12, 0.55, 1), stdlib_uniform_digraph(350, 1400, 1)]:
         dt, level1, _, walk = _decompose(g, 0)
         level2 = []
-        for (h, rev, dtr, auxes), members in zip(walk, _tree_members(g, dt), strict=True):
+        for (h, rev, dtr, layout), members in zip(walk, _tree_members(g, dt), strict=True):
             assert h.vertex_origin.tolist() == members + [-1] * (h.n - len(members))
             h_vertex = h.vertex_origin.tolist()
-            for (aux, _), members2 in zip(auxes, _tree_members(rev, dtr), strict=True):
+            auxes = [aux for aux, _ in _regions(layout)]
+            for aux, members2 in zip(auxes, _tree_members(rev, dtr), strict=True):
                 want = [h_vertex[v] for v in members2]
                 assert aux.vertex_origin.tolist() == want + [-1] * (aux.n - len(want))
-            level2 += [aux for aux, _ in auxes]
+            level2 += auxes
         for level in (level1, level2):
             ordinary = [v for aux in level for v in aux.vertex_origin.tolist() if v >= 0]
             assert sorted(ordinary) == list(range(g.n))
@@ -237,8 +239,8 @@ def _blocks_from_kept_graphs(g) -> Partition:
     for (_, _, dtr, full), (_, _, dtr_kept, kept) in zip(
             _decompose(g, 0)[-1], kept_walk, strict=True):
         assert dtr_kept == dtr
-        want = [aux for aux, _ in full if len(_ordinary(aux)) >= 2]
-        assert [_aux_fields(a) for a, _ in kept] == [_aux_fields(a) for a in want]
+        want = [aux for aux, _ in _regions(full) if len(_ordinary(aux)) >= 2]
+        assert [_aux_fields(a) for a, _ in _regions(kept)] == [_aux_fields(a) for a in want]
     return Partition(label)
 
 
@@ -272,14 +274,9 @@ def test_blocks_only_keeps_every_block_at_scale(make):
 
 def _graphs_built_by_blocks(g) -> int:
     """The graphs one blocks() call must build, counted without the walk:
-    each first-level graph h, its reverse H^R, and one second-level graph
-    per marked vertex of H^R(0), its start vertex and each flow-bridge head."""
-    level1 = aux_graphs(g, 0)[1]
-    count = 2 * len(level1)
-    for h in level1:
-        rev = h.reverse()
-        count += 1 + len(flow_bridges(rev, dominator_tree(rev, 0)))
-    return count
+    each first-level graph h, its reverse H^R, and the one layout that holds
+    every second-level graph of H^R(0)."""
+    return 3 * len(aux_graphs(g, 0)[1])
 
 
 def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
@@ -290,8 +287,8 @@ def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
-    for g, want in ((g4(), 24), (g5(), 23), (road_grid(12, 0.12, 0.55, 1), 159),
-                    (road_grid(18, 0.12, 0.2, 1), 348)):
+    for g, want in ((g4(), 18), (g5(), 15), (road_grid(12, 0.12, 0.55, 1), 99),
+                    (road_grid(18, 0.12, 0.2, 1), 231)):
         assert _graphs_built_by_blocks(g) == want
         with monkeypatch.context() as patch:
             patch.setattr(Digraph, "__init__", counting_init)
@@ -300,12 +297,28 @@ def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
         assert len(built) == want
 
 
+@pytest.mark.parametrize("side, want", [(18, 63), (60, 428)])
+def test_blocks_runs_one_scc_per_first_level_graph(monkeypatch, side, want):
+    # the second level of each first-level graph is one layout and one scc
+    # call; with blocks_only, a graph whose second level keeps nothing has none
+    g = road_grid(side, 0.12, 0.55, 1)
+    passes = []
+    monkeypatch.setattr(importlib.import_module("twoec.blocks"), "scc",
+                        lambda h: passes.append(h) or scc(h))
+    blocks(g)
+    assert len(passes) == len(aux_graphs(g, 0)[1]) == want
+    passes.clear()
+    layouts = [layout for *_, layout in _decompose(g, 0, blocks_only=True)[-1]]
+    assert [aux for aux, _, _ in filter(None, layouts)] == passes
+    assert 0 < len(passes) < want
+
+
 def _check_blocks_read_off_the_walk(g) -> None:
     """Every second-level graph of g with its entering bridge is strongly
     connected, and the aux filters' partition read off its SCCs without the
     bridge is its blocks."""
-    for *_, level2 in _decompose(g, 0)[-1]:
-        for aux, part in level2:
+    for *_, layout in _decompose(g, 0)[-1]:
+        for aux, part in _regions(layout):
             whole = Digraph(aux.n, aux.tails, aux.heads)
             assert is_strongly_connected(whole)
             assert blocks(whole) == _whole_blocks(aux, part)

@@ -4,7 +4,7 @@ import pytest
 
 from twoec.digraph import GraphError, build, scc
 from twoec.dominators import _dfs, dominator_tree, flow_bridges, strong_bridges
-from twoec.fixtures import g1, g2, g4, g5, random_strongly_connected
+from twoec.fixtures import g1, g2, g4, g5, random_strongly_connected, random_two_edge_connected
 
 from graph_builders import reachable, without_edge
 
@@ -121,3 +121,15 @@ def test_flow_bridges_subset_of_strong_bridges():
     for _ in range(60):
         g = random_strongly_connected(rng, rng.randint(2, 10))
         assert flow_bridges(g, dominator_tree(g, 0)) <= strong_bridges(g)
+
+
+def test_random_two_edge_connected_has_no_strong_bridges():
+    # on 2 vertices the only simple strongly connected graph is the 2-cycle,
+    # whose two edges are strong bridges
+    with pytest.raises(ValueError, match="n >= 3"):
+        random_two_edge_connected(random.Random(1), 2)
+    for seed in range(6):
+        rng = random.Random(seed)
+        for n in range(3, 9):
+            g = random_two_edge_connected(rng, n)
+            assert g.n == n and strong_bridges(g) == set()
