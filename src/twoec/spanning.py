@@ -5,10 +5,16 @@ built region by region: for each dominator-tree node u, the graph induces a
 "local" flow graph on u and its dominator children, obtained by contracting
 every child subtree to its root.  Every child has idom u there, and the
 global pair is independent iff inside every local graph the two tree paths
-of each child are internally disjoint.  A local graph is passed as u and
-a dict `in_arcs` from each child, in order, to the (tail representative,
-edge id) arcs that enter it.  A spanning tree is its parent-edge list: the
-entering edge id of every vertex, -1 at the root.
+of each child are internally disjoint.  A spanning tree is its parent-edge
+list: the entering edge id of every vertex, -1 at the root.
+
+Every vertex but the root is a child in exactly one local graph, so
+`_Locals` keeps all of them as flat per-vertex lists, built in one pass over
+the graph's in-arcs: the arcs entering each child, as (tail representative,
+key) in edge-id order, and the search state below, allocated once per flow
+graph.  An arc's key is its edge id e if e is preferred and e + m otherwise
+(m the size of the edge-id space), so the least key is the best arc:
+preferred arcs win, then lower ids.
 
 Such children admit a *low-high order* (Georgiadis and Tarjan, Dominators,
 Directed Bipolar Orders, and Independent Spanning Trees, ICALP 2012; ACM
@@ -39,43 +45,100 @@ the linear bound of Georgiadis and Tarjan's own construction.
 
 When every child has an arc from u, any order is low-high, and
 `_low_high_order` returns the children back to front, as the search would,
-without building any search state.
+without touching any search state.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .digraph import Digraph
+from .digraph import Digraph, GraphError
 from .dominators import DominatorTree
 
 __all__ = ["independent_pair"]
 
-_NO_ARC = (True, float("inf"))   # a key above every arc's
+
+class _Locals:
+    """Every local graph of one flow graph, as lists indexed by vertex.
+
+    `children[u]` lists the children of u's local graph in vertex order, and
+    `tails[v]`/`keys[v]` the arcs entering child v; `m` is the size of the
+    edge-id space, so a key's edge id is the key modulo m.  `rooted[v]` is
+    set iff v has an arc from its idom, and `searched[u]` iff some child of u
+    has none.  Then come the search state of `_low_high_order` (fed,
+    placed, T-parent, unplaced T-children, tree kids, region, successors
+    among the children; `label` is the last region label handed out), the
+    positions of the children in their order, and the two trees.
+    """
+
+    __slots__ = ("children", "tails", "keys", "m", "rooted", "searched", "succs", "fed",
+                 "placed", "parent", "kids", "tree_kids", "region", "label", "pos",
+                 "blue", "red")
+
+    def __init__(self, g: Digraph, dt: DominatorTree, preferred: set[int]):
+        n = g.n
+        s = dt.dfs_order[0]
+        idom, tin, tout = dt.idom, dt.pre, dt.post
+        self.children = children = dt.children()
+        # The children of u in Euler order: the one whose dominator subtree
+        # holds a proper descendant t of u is the last one entered by tin[t].
+        euler = [sorted(ch, key=tin.__getitem__) if len(ch) > 1 else ch for ch in children]
+        euler_tin = [[tin[c] for c in ch] for ch in euler]
+
+        self.m = m = len(g.tails)
+        self.tails = tails = [[] for _ in range(n)]
+        self.keys = keys = [[] for _ in range(n)]
+        self.succs = succs = [[] for _ in range(n)]
+        self.rooted = rooted = [False] * n
+        self.searched = searched = [False] * n
+        in_start, in_eids, in_tails = g.in_lists()
+        for h in range(n):
+            if h == s:
+                continue
+            u = idom[h]
+            ts, ks = tails[h], keys[h]
+            for i in range(in_start[h], in_start[h + 1]):
+                t = in_tails[i]
+                if t == u:
+                    rooted[h] = True
+                else:
+                    # a tail is u or in the dominator subtree of a child of
+                    # u, and stands for that child; a loop stands for h and
+                    # is dropped
+                    if idom[t] != u:
+                        # idom(h) dominates every tail of an edge into h
+                        assert tin[u] <= tin[t] < tout[u], "edge tail outside the idom's subtree"
+                        t = euler[u][bisect_right(euler_tin[u], tin[t]) - 1]
+                    if t == h:
+                        continue
+                    succs[t].append(h)
+                e = in_eids[i]
+                ts.append(t)
+                ks.append(e if e in preferred else e + m)
+            if not rooted[h]:
+                searched[u] = True
+
+        self.fed = rooted[:]
+        self.placed = [False] * n
+        self.parent = [-2] * n          # in T; -1: the root, -2: not in T yet
+        self.kids = [0] * n             # unplaced T-children
+        self.tree_kids = [[] for _ in range(n)]
+        self.region = [0] * n           # a search claims the vertices of its region
+        self.label = 0
+        self.pos = [0] * n
+        self.blue = [-1] * n
+        self.red = [-1] * n
 
 
-def _low_high_order(root: int, in_arcs: dict[int, list[tuple[int, int]]]) -> list[int]:
-    """Children of one local graph in low-high order (see the module docstring)."""
-    children = list(in_arcs)
-    rooted = [any(t == root for t, _ in in_arcs[c]) for c in children]
-    if all(rooted):
+def _low_high_order(root: int, children: list[int], st: _Locals) -> list[int]:
+    """The children of root's local graph in low-high order (see the module
+    docstring)."""
+    if not st.searched[root]:
         # every child is fed and a leaf of T from the start, so the search
         # below would place them back to front
         return children[::-1]
-    k = len(children)
-    index = {c: i for i, c in enumerate(children)}
-    succs: list[list[int]] = [[] for _ in range(k)]
-    preds: list[list[int]] = [[] for _ in range(k)]
-    for i, c in enumerate(children):
-        for t, _ in in_arcs[c]:
-            if t != root:
-                preds[i].append(index[t])
-                succs[index[t]].append(i)
-
-    fed, placed = rooted[:], [False] * k
-    parent = [-2] * k            # in T; -1: the root, -2: not in T yet
-    kids = [0] * k               # unplaced T-children
-    tree_kids: list[list[int]] = [[] for _ in range(k)]
-    region = [0] * k             # a search claims the vertices of its region
+    fed, placed, parent, kids, tree_kids, region, succs, rooted, tails = (
+        st.fed, st.placed, st.parent, st.kids, st.tree_kids, st.region, st.succs,
+        st.rooted, st.tails)
 
     def grow(sources: list[tuple[int, int]], label: int) -> None:
         active: list[int] = []
@@ -95,11 +158,11 @@ def _low_high_order(root: int, in_arcs: dict[int, list[tuple[int, int]]]) -> lis
                     tree_kids[v].append(w)
                     (held if fed[w] else active).append(w)
 
-    grow([(i, -1) for i in range(k) if rooted[i]], 0)
-    order: list[int] = []
-    fed_stack = [i for i in range(k) if rooted[i]]
+    fed_stack = [c for c in children if rooted[c]]
     ready = fed_stack[:]
-    regrowths = 0
+    grow([(c, -1) for c in fed_stack], 0)
+    order: list[int] = []
+    k = len(children)
     while len(order) < k:
         while ready and (placed[ready[-1]] or not fed[ready[-1]] or kids[ready[-1]]):
             ready.pop()
@@ -107,27 +170,31 @@ def _low_high_order(root: int, in_arcs: dict[int, list[tuple[int, int]]]) -> lis
             # no fed leaf: regrow the subtree of the most recently fed child
             while placed[fed_stack[-1]]:
                 fed_stack.pop()
-            regrowths += 1
+            st.label += 1
+            label = st.label
             top = fed_stack[-1]
-            region[top] = regrowths
+            region[top] = label
             sub = [top]
             for v in sub:
                 for w in tree_kids[v]:
-                    if parent[w] == v and not placed[w] and region[w] != regrowths:
-                        region[w] = regrowths
+                    if parent[w] == v and not placed[w] and region[w] != label:
+                        region[w] = label
                         sub.append(w)
             if parent[top] >= 0:
                 kids[parent[top]] -= 1
                 ready.append(parent[top])
             sources = []
             for z in sub:
-                entry = -1 if rooted[z] else next(
-                    (u for u in preds[z] if not placed[u] and region[u] != regrowths), -2)
-                if entry != -2:
-                    sources.append((z, entry))
-            for z in sub:
                 parent[z], kids[z], tree_kids[z] = -2, 0, []
-            grow(sources, regrowths)
+                if rooted[z]:
+                    sources.append((z, -1))
+                    continue
+                # an unrooted child's tails are all children
+                for t in tails[z]:
+                    if not placed[t] and region[t] != label:
+                        sources.append((z, t))
+                        break
+            grow(sources, label)
             assert all(parent[z] != -2 for z in sub) and any(
                 fed[z] and kids[z] == 0 for z in sub), "local graph is not flat"
             ready.extend(sub)
@@ -143,28 +210,28 @@ def _low_high_order(root: int, in_arcs: dict[int, list[tuple[int, int]]]) -> lis
                 fed[w] = True
                 fed_stack.append(w)
                 ready.append(w)
-    return [children[i] for i in order]
+    return order
 
 
-def _solve_local(root: int, in_arcs: dict[int, list[tuple[int, int]]],
-                 preferred: set[int]) -> dict[int, tuple[int, int]]:
-    """Choose (blue, red) entering edge ids per child of one local graph.
+def _solve_local(root: int, children: list[int], order: list[int], st: _Locals) -> None:
+    """Choose the blue and red entering edge ids of every child of root's
+    local graph, given their low-high `order`.
 
     Red takes the best later arc, or else the best root arc; blue the best
-    earlier-or-root arc other than red.  The best arc is the least under
-    ``(e not in preferred, e)``, so preferred arcs win, then lower ids.
+    earlier-or-root arc other than red.  The best arc has the least key.
     """
-    pos = {v: i for i, v in enumerate(_low_high_order(root, in_arcs))}
-    parents: dict[int, tuple[int, int]] = {}
-    for v, arcs in in_arcs.items():
-        if len(arcs) == 1:
-            e = arcs[0][1]
-            parents[v] = (e, e)
+    pos, tails, keys, blue, red, m = st.pos, st.tails, st.keys, st.blue, st.red, st.m
+    no_arc = 2 * m                      # a key above every arc's
+    for i, v in enumerate(order):
+        pos[v] = i
+    for v in children:
+        ks = keys[v]
+        if len(ks) == 1:
+            blue[v] = red[v] = ks[0] % m
             continue
         p = pos[v]
-        later = first = second = root_arc = _NO_ARC      # keys of the best arcs
-        for t, e in arcs:
-            key = (e not in preferred, e)
+        later = first = second = root_arc = no_arc
+        for t, key in zip(tails[v], ks):
             if t != root and pos[t] > p:
                 if key < later:
                     later = key
@@ -175,16 +242,15 @@ def _solve_local(root: int, in_arcs: dict[int, list[tuple[int, int]]],
                 second = key
             if t == root and key < root_arc:
                 root_arc = key
-        if later < _NO_ARC:
-            red, blue = later, first
+        if later < no_arc:
+            r, b = later, first
         else:
-            red = root_arc
-            blue = second if first == red else first
+            r = root_arc
+            b = second if first == r else first
         # The order leaves v an earlier-or-root and a later-or-root arc; when red
         # takes a root arc, v's other arc is earlier or a parallel root arc.
-        assert red < _NO_ARC and blue < _NO_ARC
-        parents[v] = (blue[1], red[1])
-    return parents
+        assert r < no_arc and b < no_arc
+        blue[v], red[v] = b % m, r % m     # a key's edge id
 
 
 def independent_pair(
@@ -197,40 +263,11 @@ def independent_pair(
     maximally edge-disjoint.  `preferred` biases arc choices towards the
     given edge ids where several are valid.
     """
-    n = g.n
-    s = dt.dfs_order[0]
-    preferred = preferred or set()
-
-    idom, tin, tout = dt.idom, dt.pre, dt.post
-    children = dt.children()
-    # the local graph of every node with children, as its in_arcs
-    locals_ = {u: {c: [] for c in ch} for u, ch in enumerate(children) if ch}
-    # The children of u in Euler order: the one whose dominator subtree
-    # holds a proper descendant t of u is the last one entered by tin[t].
-    euler = {u: sorted(ch, key=tin.__getitem__) for u, ch in enumerate(children) if ch}
-    euler_tin = {u: [tin[c] for c in ch] for u, ch in euler.items()}
-
-    in_start, in_eids, tails = g.in_lists()
-    for h in range(n):
-        if h == s:
-            continue
-        u = idom[h]
-        arcs = locals_[u][h]
-        lo, hi = in_start[h], in_start[h + 1]
-        for t, e in zip(tails[lo:hi], in_eids[lo:hi]):
-            # a tail is u or in the dominator subtree of a child of u, and
-            # stands for that child; a loop stands for h and is dropped
-            if t != u and idom[t] != u:
-                # idom(h) dominates every tail of an edge into h
-                assert tin[u] <= tin[t] < tout[u], "edge tail outside the idom's subtree"
-                t = euler[u][bisect_right(euler_tin[u], tin[t]) - 1]
-            if t != h:
-                arcs.append((t, e))
-
-    blue = [-1] * n
-    red = [-1] * n
-    for u, in_arcs in locals_.items():
-        for v, (eb, er) in _solve_local(u, in_arcs, preferred).items():
-            blue[v] = eb
-            red[v] = er
-    return blue, red
+    if len(dt.idom) != g.n:
+        raise GraphError(f"the dominator tree has {len(dt.idom)} vertices, "
+                         f"the graph {g.n}")
+    st = _Locals(g, dt, preferred or set())
+    for u, children in enumerate(st.children):
+        if children:
+            _solve_local(u, children, _low_high_order(u, children, st), st)
+    return st.blue, st.red

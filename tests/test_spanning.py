@@ -1,11 +1,13 @@
 import collections
+import hashlib
+import json
 import random
 
 import pytest
 
 from twoec import spanning
 from twoec.blocks import _decompose
-from twoec.digraph import build
+from twoec.digraph import GraphError, build
 from twoec.dominators import dominator_tree, flow_bridges
 from twoec.fixtures import g1, g2, g4, random_strongly_connected, road_grid
 from twoec.oracle import _order_valid, verify_independent
@@ -112,13 +114,20 @@ def test_independent_random_graphs():
         assert distinct == 2 * (g.n - 1) - len(bridges)
 
 
+def _in_arcs(children, st):
+    """One local graph's arcs as `_order_valid` reads them: each child, in
+    order, to its (tail representative, edge id) arcs."""
+    return {c: [(t, key % st.m) for t, key in zip(st.tails[c], st.keys[c])] for c in children}
+
+
 def _check_orders(monkeypatch) -> list[int]:
     """Check every local order the solver computes; returns their sizes."""
     sizes: list[int] = []
     low_high_order = spanning._low_high_order
 
-    def checked(root, in_arcs):
-        order = low_high_order(root, in_arcs)
+    def checked(root, children, st):
+        order = low_high_order(root, children, st)
+        in_arcs = _in_arcs(children, st)
         assert sorted(order) == sorted(in_arcs)
         assert _order_valid(root, in_arcs, {v: i for i, v in enumerate(order)})
         sizes.append(len(order))
@@ -169,15 +178,16 @@ def test_independent_pair_at_scale(make, monkeypatch):
     ist_b_within_theorem2(g)
 
 
-def _three_list_rule(root, in_arcs, preferred, cases):
+def _three_list_rule(root, in_arcs, preferred, order, cases):
     """The arc choice as it was first written, kept as the reference for the
-    one-scan choice: three arc lists per child and a keyed `min` over each.
-    Counts in `cases` which rule each child took."""
+    one-scan choice: three arc lists per child and a keyed `min` over each,
+    given the children's low-high `order`.  Counts in `cases` which rule each
+    child took."""
     def pick(arcs, exclude=-1):
         ids = [eid for _, eid in arcs if eid != exclude]
         return min(ids, key=lambda e: (e not in preferred, e), default=-1)
 
-    pos = {v: i for i, v in enumerate(spanning._low_high_order(root, in_arcs))}
+    pos = {v: i for i, v in enumerate(order)}
     parents = {}
     for v, arcs in in_arcs.items():
         if len(arcs) == 1:
@@ -213,17 +223,20 @@ def _local_corpus():
 def test_one_scan_choice_matches_the_three_list_rule(share, monkeypatch):
     cases = collections.Counter()
     solve_local = spanning._solve_local
+    preferred: set[int] = set()          # the current flow graph's
 
-    def checked(root, in_arcs, preferred):
-        parents = solve_local(root, in_arcs, preferred)
-        assert parents == _three_list_rule(root, in_arcs, preferred, cases)
-        return parents
+    def checked(root, children, order, st):
+        solve_local(root, children, order, st)
+        parents = {v: (st.blue[v], st.red[v]) for v in children}
+        assert parents == _three_list_rule(root, _in_arcs(children, st), preferred, order, cases)
 
     monkeypatch.setattr(spanning, "_solve_local", checked)
     rng = random.Random(37)
     for flow in _local_corpus():
         ids = flow.edge_ids.tolist()
-        preferred = set(rng.sample(ids, len(ids) // share)) if share else set()
+        preferred.clear()
+        if share:
+            preferred.update(rng.sample(ids, len(ids) // share))
         dt = dominator_tree(flow, 0)
         assert verify_independent(flow, *independent_pair(flow, dt, preferred), dt)
     # every rule is taken, the exclusion of red from blue's choice too
@@ -235,8 +248,9 @@ def test_rooted_local_graphs_come_back_to_front(monkeypatch):
     rooted = []
     low_high_order = spanning._low_high_order
 
-    def checked(root, in_arcs):
-        order = low_high_order(root, in_arcs)
+    def checked(root, children, st):
+        order = low_high_order(root, children, st)
+        in_arcs = _in_arcs(children, st)
         if all(any(t == root for t, _ in arcs) for arcs in in_arcs.values()):
             assert order == list(in_arcs)[::-1]
             assert _order_valid(root, in_arcs, {v: i for i, v in enumerate(order)})
@@ -249,19 +263,78 @@ def test_rooted_local_graphs_come_back_to_front(monkeypatch):
     assert len(rooted) > 1000 and max(rooted) >= 3
     # every child rooted, with arcs between the children besides
     in_arcs = {1: [(0, 0), (3, 5)], 2: [(1, 3), (0, 1)], 3: [(0, 2), (2, 4), (1, 6)]}
-    assert spanning._low_high_order(0, in_arcs) == [3, 2, 1]
+    arcs = sorted((e, t, v) for v, entering in in_arcs.items() for t, e in entering)
+    g = build(4, [(t, v) for _, t, v in arcs])
+    st = spanning._Locals(g, dominator_tree(g, 0), set())
+    assert {c: sorted(a) for c, a in _in_arcs([1, 2, 3], st).items()} == {
+        c: sorted(a) for c, a in in_arcs.items()}
+    assert spanning._low_high_order(0, [1, 2, 3], st) == [3, 2, 1]
+
+
+def _chorded_reverse_cycle(n):
+    """The reverse of an n-cycle with chords i -> i + 2: arcs i -> i - 1 and
+    i -> i - 2, whose orders regrow a subtree at nearly every placement."""
+    return build(n, [(i, (i - 1) % n) for i in range(n)] + [(i, (i - 2) % n) for i in range(n)])
 
 
 def test_chorded_reverse_cycle(monkeypatch):
-    """The reverse of an n-cycle with chords i -> i + 2: arcs i -> i - 1 and
-    i -> i - 2, whose orders regrow a subtree at nearly every placement."""
     n = 300
-    g = build(n, [(i, (i - 1) % n) for i in range(n)] + [(i, (i - 2) % n) for i in range(n)])
+    g = _chorded_reverse_cycle(n)
     sizes = _check_orders(monkeypatch)
     for flow in (g, g.reverse()):
         dt = dominator_tree(flow, 0)
         assert verify_independent(flow, *independent_pair(flow, dt), dt)
     assert sizes == [n - 1, n - 1]          # every vertex is a child of 0
+
+
+def _pinned_flow_graphs(name):
+    """G(0) and G^R(0) of one graph at scale, or the `_flow_graphs` of 40
+    seeded random graphs."""
+    if name == "random-40":
+        rng = random.Random(41)
+        for _ in range(40):
+            yield from _flow_graphs(random_strongly_connected(rng, rng.randint(4, 60)))
+        return
+    g = {"road-grid-18": lambda: road_grid(18, 0.12, 0.55, 1),
+         "stdlib-350-1400": lambda: stdlib_uniform_digraph(350, 1400, 1),
+         "chorded-300": lambda: _chorded_reverse_cycle(300)}[name]()
+    yield g
+    yield g.reverse()
+
+
+# sha256 of the (blue, red) pairs of `_pinned_flow_graphs`, with no edges
+# preferred and with a seeded third preferred
+TREE_PINS = {
+    ("road-grid-18", 0): "a7aa0acec385a6e155a5a2313bce75fcd52590e153566be0684d4aba1a06bff0",
+    ("road-grid-18", 3): "41dd1bc08dfeebc4097759d180237b2b2957d96875dc4da425531bb02ff8feb1",
+    ("stdlib-350-1400", 0): "b4c12cd7284bf407d6f292e4ae13821bcdee20f72a186b82c4a452335bde4f37",
+    ("stdlib-350-1400", 3): "aaa57cc033d09e022b8e5dd2db1379d6f8936d7b68e5dbc6943ae182dbfc04d9",
+    # every child has one earlier and one later arc, so no choice is left
+    ("chorded-300", 0): "b635b7548d8cdeaac1d5ccf15b6490a68670e474f7c410d41297bb3c0b7853c1",
+    ("chorded-300", 3): "b635b7548d8cdeaac1d5ccf15b6490a68670e474f7c410d41297bb3c0b7853c1",
+    ("random-40", 0): "13033b7af54dc66b23ca82733ee743143a3606687fff58168ade46a7502fe253",
+    ("random-40", 3): "b7cfdfb91c3be1a165e5423a56320f77f3f1864829ed7e06af02bfe20180b945",
+}
+
+
+@pytest.mark.parametrize("share", [0, 3], ids=["none-preferred", "third-preferred"])
+@pytest.mark.parametrize("name", ["road-grid-18", "stdlib-350-1400", "chorded-300",
+                                  "random-40"])
+def test_trees_are_pinned(name, share):
+    rng = random.Random(43)
+    trees = []
+    for flow in _pinned_flow_graphs(name):
+        ids = flow.edge_ids.tolist()
+        preferred = set(rng.sample(ids, len(ids) // share)) if share else set()
+        trees.append(independent_pair(flow, dominator_tree(flow, 0), preferred))
+    assert hashlib.sha256(json.dumps(trees).encode()).hexdigest() == TREE_PINS[name, share]
+
+
+def test_independent_pair_rejects_a_dominator_tree_of_another_size():
+    g = build(3, [(0, 1), (1, 2)])
+    for other in (build(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), build(2, [(0, 1)])):
+        with pytest.raises(GraphError, match=f"dominator tree has {other.n} vertices, the graph 3"):
+            independent_pair(g, dominator_tree(other, 0))
 
 
 def test_union_tolerates_nonbridge_deletion():

@@ -18,6 +18,8 @@ parallel edges and loops.  Per graph it covers:
 - the `blocks` and `components` partitions;
 - the edge sets of `ist_b` and `ist_b_original` and the statistics of
   `ist_b`, at the first and at the last vertex;
+- the (blue, red) trees of `independent_pair` on G(0) and G^R(0), with no
+  edges preferred and with a seeded third preferred;
 - the decisions, counters and surviving edges of `filter_b` and
   `filter_bc` for `test2edp` and `hybrid`, on and off the aux graphs, and
   under each of `FILTER_VARIANTS`.
@@ -85,7 +87,9 @@ def _outputs(g) -> dict[str, object]:
     from twoec.bench import ALGORITHMS, run_algorithm
     from twoec.blocks import blocks, components
     from twoec.certificates import ist_b, ist_b_original
+    from twoec.dominators import dominator_tree
     from twoec.filters import FilterConfig, filter_b, filter_bc
+    from twoec.spanning import independent_pair
 
     out: dict[str, object] = {}
     for name in sorted(ALGORITHMS):
@@ -96,6 +100,13 @@ def _outputs(g) -> dict[str, object]:
         cert, stats = ist_b(g, s)
         out[f"ist_b/{s}"] = [_edges(cert), asdict(stats)]
         out[f"ist_b_original/{s}"] = _edges(ist_b_original(g, s))
+    rng = random.Random(7)
+    for label, flow in (("G", g), ("GR", g.reverse())):
+        dt = dominator_tree(flow, 0)
+        ids = flow.edge_ids.tolist()
+        preferred = set(rng.sample(ids, len(ids) // 3))
+        out[f"independent_pair/{label}"] = [independent_pair(flow, dt),
+                                            independent_pair(flow, dt, preferred)]
     configs = {f"{strategy}/aux={aux}": {"strategy": strategy, "on_aux_graphs": aux}
                for strategy in ("test2edp", "hybrid") for aux in (False, True)}
     configs.update(FILTER_VARIANTS)
