@@ -1,8 +1,6 @@
 """Canonical decomposition, auxiliary graphs, 2EC blocks/components, condensation."""
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .digraph import (
     Digraph, GraphError, Partition, _ensure_strongly_connected, _first_arcs, induced_subgraphs,
     is_strongly_connected, scc,
@@ -34,13 +32,14 @@ def aux_graphs(g: Digraph, s: int) -> tuple[DominatorTree, list[Digraph]]:
     d(r) -> r is the only edge out of d(r).
     """
     dt = dominator_tree(g, s)
-    return dt, _contract(g, dt)
+    return dt, [h for h, _ in _regions(_contract(g, dt))]
 
 
 def _contract(g: Digraph, dt: DominatorTree, h: Digraph | None = None,
               blocks_only: bool = False):
-    """`aux_graphs(g, s)[1]`, given `dt` of G(s); with `h`, h's second level
-    on g = H^R as one layout `(aux, starts)`, or None if it keeps no graph.
+    """The auxiliary graphs of G(s), given `dt` of G(s), as one layout
+    `(aux, starts)`, or None if it keeps no graph; with `h`, h's second
+    level on g = H^R, its maps composed through h.
 
     The layout lays the graphs side by side in one graph `aux`: graph i
     sits on vertices ``starts[i][0]`` to ``starts[i + 1][0] - 1`` and on
@@ -84,9 +83,7 @@ def _contract(g: Digraph, dt: DominatorTree, h: Digraph | None = None,
             rep, rx = rx, tree_id[idom[rx]]
         region_edges[rx].append((rep, y, e))
 
-    # a first-level graph is built on its own; the second level accumulates
-    # its graphs into the layout's lists, each from offset `base` on
-    result: list[Digraph] = []
+    # each graph goes into the layout's lists from offset `base` on
     tails: list[int] = []
     heads: list[int] = []
     orig: list[int] = []
@@ -123,36 +120,33 @@ def _contract(g: Digraph, dt: DominatorTree, h: Digraph | None = None,
             heads.append(lb)
             orig.append(e)
         vertex_origin += r_vertex + [-1] * (base + n - contracted)
-        if h is None:
-            result.append(Digraph(n, tails, heads, origin=orig, vertex_origin=vertex_origin))
-            tails, heads, orig, vertex_origin, edge_ids = [], [], [], [], []
-        else:
-            starts.append((len(vertex_origin), len(orig)))
-
-    if h is None:
-        return result
+        starts.append((len(vertex_origin), len(orig)))
     if len(starts) == 1:
         return None
     aux = Digraph(len(vertex_origin), tails, heads, edge_ids=edge_ids,
-                  origin=[h_edge[e] for e in orig], vertex_origin=vertex_origin)
+                  origin=orig if h is None else [h_edge[e] for e in orig],
+                  vertex_origin=vertex_origin)
     return aux, starts
 
 
 def _regions(layout):
-    """Each graph of a second-level layout `(aux, part, starts)` from
-    `_decompose`, with its slice of the SCC partition `part`: the graph is
-    numbered and its edge ids kept as if it were built alone, so its
-    entering bridge stays out of `edge_ids`.  A layout of None has none."""
+    """Each graph of a layout from `_contract` (None has none), whole:
+    numbered as if built alone, its entering bridge among its `edge_ids`,
+    with its blocks if the layout comes with `_decompose`'s SCC partition,
+    `(aux, starts, part)`, else None.  A vertex ordinary at both levels
+    keeps its SCC class; every other one (a marked child, d(r), or a vertex
+    contracted at the first level) has a single in- or out-edge in the
+    strongly connected graph, so it is a block of its own."""
     if layout is None:
         return
-    aux, part, starts = layout
-    comp, ids = part.comp.tolist(), aux.edge_ids.tolist()
+    aux, starts, *part = layout
+    if part:
+        comp, vertex_origin = part[0].comp.tolist(), aux.vertex_origin.tolist()
     for (v0, e0), (v1, e1) in zip(starts, starts[1:]):
-        lo, hi = bisect_left(ids, e0), bisect_left(ids, e1)
-        region = Digraph(v1 - v0, aux.tails[e0:e1] - v0, aux.heads[e0:e1] - v0,
-                         edge_ids=aux.edge_ids[lo:hi] - e0, origin=aux.origin[e0:e1],
-                         vertex_origin=aux.vertex_origin[v0:v1])
-        yield region, Partition(comp[v0:v1])
+        graph = Digraph(v1 - v0, aux.tails[e0:e1] - v0, aux.heads[e0:e1] - v0,
+                        origin=aux.origin[e0:e1], vertex_origin=aux.vertex_origin[v0:v1])
+        yield graph, (Partition([comp[v] if vertex_origin[v] >= 0 else ~v
+                                 for v in range(v0, v1)]) if part else None)
 
 
 def _decompose(g: Digraph, s: int, blocks_only: bool = False):
@@ -160,7 +154,8 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
     block label per vertex, and an iterator that gives one first-level
     graph h at a time with H^R, the dominator tree of H^R(0), and the
     auxiliary graphs of H^R(0) as one layout (see `_contract`) with the SCC
-    partition of one `scc` call, `(aux, part, starts)`.
+    partition of one `scc` call, `(aux, starts, part)`.  `_regions` is the
+    one code that cuts a layout into its graphs, at either level.
 
     Their maps compose through h into g, so a local vertex is ordinary at
     both levels iff its `vertex_origin` is not -1; `blocks_only` builds only
@@ -176,9 +171,8 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
     Three consumers read those SCCs: `blocks()` returns the labels,
     `certificates._ist_pipeline` covers every SCC of each layout in its
     phase 3 and returns the labels as g's block partition, and
-    `filters._on_aux_graphs` reads each graph's blocks with its entering
-    bridge off its slice of the SCCs, one graph at a time through
-    `_regions`.
+    `filters._on_aux_graphs` runs its strategy on each second-level graph
+    with the blocks that `_regions` reads off the SCCs.
     """
     dt, level1 = aux_graphs(g, s)
     label = list(range(g.n))
@@ -195,7 +189,7 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
                 for c, v in zip(part.comp.tolist(), aux.vertex_origin.tolist()):
                     if v >= 0:
                         label[v] = first.setdefault(c, v)
-                layout = aux, part, starts
+                layout = aux, starts, part
             yield h, rev, dtr, layout
 
     return dt, level1, label, walk()

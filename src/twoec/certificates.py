@@ -87,7 +87,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
         # maps lead into the input graph; an SCC needs no strong-connectivity check
         if layout is None:
             continue
-        aux, part, _ = layout
+        aux, _, part = layout
         for sub in induced_subgraphs(aux, part):
             vertex, origin = sub.vertex_origin.tolist(), sub.origin.tolist()
             both_ord = [x for x in vertex if x >= 0]

@@ -25,14 +25,6 @@ class DominatorTree:
     post: list[int]
     dfs_order: list[int]
 
-    def dominators(self, w: int) -> list[int]:
-        """Ancestors of w in the dominator tree, inclusive of w."""
-        out = [w]
-        while self.idom[w] != -1:
-            w = self.idom[w]
-            out.append(w)
-        return out[::-1]
-
     def children(self) -> list[list[int]]:
         ch: list[list[int]] = [[] for _ in range(len(self.idom))]
         for v, p in enumerate(self.idom):

@@ -16,9 +16,10 @@ and at n=3473 (`counters["scans_2edp"]`).  A block test costs one
 `blocks()` call on G' - e.  Each run starts from a block partition: one
 run over the whole working graph takes it from the certificate's own
 construction, or from one `blocks()` call without it; the run in each
-second-level auxiliary graph reads it off that graph's slice of the SCC
-partition that the shared walk (`blocks._decompose`) yields with the
-graph's first-level graph, so `blocks()` is called only by block tests.
+second-level auxiliary graph takes the graph whole, its entering bridge
+among its edges, with the blocks that `blocks._regions` reads off the SCC
+partition of the shared walk (`blocks._decompose`), so `blocks()` is
+called only by block tests.
 """
 from __future__ import annotations
 
@@ -260,19 +261,6 @@ def _run_strategy(view: Digraph, cfg: FilterConfig, blocks0: Partition) -> Filte
     return FilterReport(surviving=surviving, decisions=decisions, counters=counters)
 
 
-def _whole_blocks(aux: Digraph, part: Partition) -> Partition:
-    """The blocks of a second-level graph `aux` with its entering bridge,
-    read off `part`, its SCCs without it.
-
-    A vertex ordinary at both levels keeps its SCC.  Every other vertex (a
-    marked child, d(r), or a vertex contracted at the first level) has a
-    single in-edge or a single out-edge in the strongly connected graph, so
-    it is a block of its own.
-    """
-    return Partition([c if v >= 0 else ~i for i, (c, v) in enumerate(
-        zip(part.comp.tolist(), aux.vertex_origin.tolist()))])
-
-
 def _on_aux_graphs(view: Digraph, cfg: FilterConfig) -> FilterReport:
     """Run the strategy inside every second-level auxiliary graph of the
     working graph `view`.
@@ -286,13 +274,11 @@ def _on_aux_graphs(view: Digraph, cfg: FilterConfig) -> FilterReport:
     tested = 0
     if view.n > 1:
         for *_, layout in _decompose(view, 0)[-1]:
-            for aux, part in _regions(layout):
+            for aux, aux_blocks in _regions(layout):
                 aux_edge = aux.origin.tolist()
                 appeared.update(aux_edge)
-                # the strategy filters the entering bridge too, which aux
-                # leaves out of its edges
-                whole = Digraph(aux.n, aux.tails, aux.heads)
-                sub_rep = _run_strategy(whole, cfg, _whole_blocks(aux, part))
+                # aux comes whole, so the strategy filters its entering bridge too
+                sub_rep = _run_strategy(aux, cfg, aux_blocks)
                 tested += sub_rep.counters["tested_2edp"] + sub_rep.counters["tested_blocks"]
                 kept.update(aux_edge[e] for e in sub_rep.surviving)
     surviving = (set(ids) - appeared) | kept

@@ -1,14 +1,13 @@
-"""Canonical test graphs shared by the whole suite, plus seeded generators."""
+"""Canonical small graphs and seeded generators, shared by the demos, the
+tools and the tests."""
 from __future__ import annotations
 
 import random
 
 from .digraph import Digraph, build, is_strongly_connected, largest_scc
-from .dominators import strong_bridges
 
 __all__ = [
-    "g1", "g2", "g4", "g5", "linked_triangles", "corpus",
-    "random_strongly_connected", "random_two_edge_connected", "road_grid",
+    "g1", "g2", "g4", "g5", "linked_triangles", "random_strongly_connected", "road_grid",
 ]
 
 
@@ -49,16 +48,6 @@ def linked_triangles() -> Digraph:
     return build(6, edges)
 
 
-def corpus() -> dict[str, Digraph]:
-    return {
-        "G1": g1(),
-        "G2": g2(),
-        "G4": g4(),
-        "G5": g5(),
-        "linked_triangles": linked_triangles(),
-    }
-
-
 def random_strongly_connected(rng: random.Random, n: int, m: int | None = None) -> Digraph:
     """Seeded random strongly connected simple digraph.
 
@@ -86,22 +75,6 @@ def random_strongly_connected(rng: random.Random, n: int, m: int | None = None) 
     for p in pairs[: max(0, m - n)]:
         edges.add(p)
     return build(n, sorted(edges))
-
-
-def random_two_edge_connected(rng: random.Random, n: int) -> Digraph:
-    """Seeded random 2-edge-connected digraph (no strong bridges) on n >= 3
-    vertices; on 2, the only simple strongly connected digraph is the
-    2-cycle, whose edges are both strong bridges."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    m = max(2 * n, min(3 * n, n * (n - 1)))
-    for _ in range(120):
-        g = random_strongly_connected(rng, n, min(m, n * (n - 1)))
-        if not strong_bridges(g):
-            return g
-        m = min(m + n, n * (n - 1))
-    # fall back to the densest simple digraph, which is always 2EC for n >= 3
-    return build(n, [(u, v) for u in range(n) for v in range(n) if u != v])
 
 
 def road_grid(side: int, p_drop: float, p_two_way: float, seed: int) -> Digraph:

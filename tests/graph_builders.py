@@ -1,5 +1,6 @@
 """Test graphs, views, a reachability search and the Theorem-2 check that
-several test modules share, one builder each.
+several test modules share, one builder each: among the graphs, the
+fixture corpus and seeded 2-edge-connected digraphs.
 
 Imported by name: pytest puts this directory on `sys.path` for the test
 modules beside it.
@@ -9,7 +10,9 @@ import random
 import numpy as np
 
 from twoec.certificates import ist_b
-from twoec.digraph import build, largest_scc
+from twoec.digraph import Digraph, build, largest_scc
+from twoec.dominators import strong_bridges
+from twoec.fixtures import g1, g2, g4, g5, linked_triangles, random_strongly_connected
 
 
 def reachable(g, s: int) -> set[int]:
@@ -59,3 +62,29 @@ def ist_b_within_theorem2(g):
     assert stats.phase3_new <= 2 * stats.n_prime + 2 * stats.bridges
     assert len(cert) <= 4 * (stats.n + stats.n_prime)
     return cert, stats
+
+
+def corpus() -> dict[str, Digraph]:
+    return {
+        "G1": g1(),
+        "G2": g2(),
+        "G4": g4(),
+        "G5": g5(),
+        "linked_triangles": linked_triangles(),
+    }
+
+
+def random_two_edge_connected(rng: random.Random, n: int) -> Digraph:
+    """Seeded random 2-edge-connected digraph (no strong bridges) on n >= 3
+    vertices; on 2, the only simple strongly connected digraph is the
+    2-cycle, whose edges are both strong bridges."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    m = max(2 * n, min(3 * n, n * (n - 1)))
+    for _ in range(120):
+        g = random_strongly_connected(rng, n, min(m, n * (n - 1)))
+        if not strong_bridges(g):
+            return g
+        m = min(m + n, n * (n - 1))
+    # fall back to the densest simple digraph, which is always 2EC for n >= 3
+    return build(n, [(u, v) for u in range(n) for v in range(n) if u != v])

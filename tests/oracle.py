@@ -5,21 +5,24 @@ Everything here is deliberately independent of the production algorithms:
 flows are a plain BFS Edmonds-Karp, components come from exhaustive subset
 search, and bridges from per-edge removal, so oracle and implementation can
 cross-validate each other.  `verify_independent` walks the two tree paths
-of every vertex and compares them with a given dominator tree, and
-`_order_valid` checks one local low-high order of `twoec.spanning`.
+of every vertex and compares them with the dominators of each vertex,
+which `dominators` reads off a given dominator tree, and `_order_valid`
+checks one local low-high order of `twoec.spanning`.
+
+Imported by name, like `graph_builders`, by the test modules beside it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .digraph import Digraph, GraphError, Partition, build, induced_subgraph, scc
-from .dominators import DominatorTree
+from twoec.digraph import Digraph, GraphError, Partition, build, induced_subgraph, scc
+from twoec.dominators import DominatorTree
 
 __all__ = [
     "OracleBudget", "oracle_blocks", "oracle_components", "oracle_min_subgraph",
     "two_edge_connected_pair", "gadget_family", "gadget_minimal_witness",
-    "verify_independent", "_order_valid",
+    "dominators", "verify_independent", "_order_valid",
 ]
 
 
@@ -314,6 +317,16 @@ def gadget_minimal_witness(k: int) -> list[int]:
     return sorted(chosen)
 
 
+def dominators(dt: DominatorTree, w: int) -> list[int]:
+    """The ancestors of w in the dominator tree `dt`, w included, from the
+    start vertex down."""
+    out = [w]
+    while dt.idom[w] != -1:
+        w = dt.idom[w]
+        out.append(w)
+    return out[::-1]
+
+
 def verify_independent(g: Digraph, blue: list[int], red: list[int],
                        dt: DominatorTree) -> bool:
     """Check the normative contract on the flow graph G(s), with `dt` its
@@ -339,7 +352,7 @@ def verify_independent(g: Digraph, blue: list[int], red: list[int],
         if v == s:
             continue
         pb, pr = path(blue, v), path(red, v)
-        if pb is None or pr is None or pb & pr != set(dt.dominators(v)):
+        if pb is None or pr is None or pb & pr != set(dominators(dt, v)):
             return False
     return True
 

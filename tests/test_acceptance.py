@@ -17,16 +17,14 @@ from twoec.certificates import two_ecss_edt, zni_scss
 from twoec.digraph import largest_scc, scc
 from twoec.dominators import strong_bridges
 from twoec.filters import FilterConfig, filter_b
-from twoec.fixtures import (
-    corpus, g1, g2, g4, g5, random_strongly_connected, random_two_edge_connected, road_grid,
-)
+from twoec.fixtures import g1, g2, g4, g5, random_strongly_connected, road_grid
 from twoec.io import load_graph
-from twoec.oracle import (
+
+from graph_builders import corpus, ist_b_within_theorem2, random_two_edge_connected, without_edge
+from oracle import (
     OracleBudget, gadget_family, gadget_minimal_witness, oracle_blocks,
     oracle_components, oracle_min_subgraph, two_edge_connected_pair,
 )
-
-from graph_builders import ist_b_within_theorem2, without_edge
 
 
 FIXTURES = {"G1": g1(), "G2": g2(), "G4": g4(), "G5": g5()}

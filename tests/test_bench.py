@@ -11,7 +11,9 @@ from twoec.certificates import (
 from twoec.digraph import GraphError, Partition, build, largest_scc
 from twoec.dominators import dominator_tree, strong_bridges
 from twoec.filters import FilterConfig, filter_b, filter_bc
-from twoec.fixtures import corpus, g2, g4, g5
+from twoec.fixtures import g2, g4, g5
+
+from graph_builders import corpus
 
 
 def test_catalog_matches_the_paper_table():

@@ -7,7 +7,7 @@ import pytest
 
 from twoec import digraph, filters
 from twoec.blocks import (
-    _components, _decompose, _regions, aux_graphs, blocks, components, condense,
+    _components, _contract, _decompose, _regions, aux_graphs, blocks, components, condense,
     preservation_violations,
 )
 from twoec.certificates import _condensed, ist_b, ist_bc, two_ecss_edt, zni_c, zni_scss
@@ -15,15 +15,15 @@ from twoec.digraph import (
     Digraph, GraphError, Partition, build, induced_subgraph, is_strongly_connected, scc,
 )
 from twoec.dominators import dominator_tree, flow_bridges, strong_bridges
-from twoec.filters import FilterConfig, _whole_blocks, filter_b
+from twoec.filters import FilterConfig, filter_b
 from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected, road_grid,
 )
-from twoec.oracle import (
-    OracleBudget, oracle_blocks, oracle_components, two_edge_connected_pair,
-)
 
 from graph_builders import dense_cert_graph, stdlib_uniform_digraph
+from oracle import (
+    OracleBudget, oracle_blocks, oracle_components, two_edge_connected_pair,
+)
 
 
 def _classes(part: Partition) -> list[np.ndarray]:
@@ -124,30 +124,67 @@ def test_lemma_strong_bridge_reversal():
 
 
 def _left_out(aux) -> list[int]:
-    """The local edge ids of `aux` that its graph leaves out: the entering
-    bridge of a bridge-headed second-level graph, else none."""
+    """The edge ids of `aux` that it leaves out of its `edge_ids`."""
     return sorted(set(range(len(aux.origin))) - set(aux.edge_ids.tolist()))
+
+
+def _entering_bridge(aux) -> list[int]:
+    """The edges d(r) -> r of the auxiliary graph of a marked vertex r other
+    than the start vertex: from its last local vertex into local vertex 0."""
+    pairs = zip(aux.tails.tolist(), aux.heads.tolist())
+    return [e for e, p in enumerate(pairs) if p == (aux.n - 1, 0)]
 
 
 def test_second_level_api():
     [(_, _, _, layout)] = _decompose(g1(), 0)[-1]
-    assert [_left_out(aux) for aux, _ in _regions(layout)] == [[]]  # H^R(0) has no bridges
+    assert [_left_out(aux) for aux, _ in _regions(layout)] == [[]]   # graphs come whole
+    assert _left_out(layout[0]) == []                     # H^R(0) has no bridges
     # every second-level graph of a path-like graph has <= 1 ordinary vertex
     g = g2()
     for h, rev, dtr, layout in _decompose(g, 0)[-1]:
         assert _aux_fields(rev) == _aux_fields(h.reverse())
         assert dtr == dominator_tree(rev, 0)
         assert dtr.dfs_order[0] == 0 and dtr.idom[0] == -1
-        for aux, _ in _regions(layout):
-            assert [int(aux.origin[e]) for e in _left_out(aux)] in ([], [0], [1], [2])
+        for j, (aux, _) in enumerate(_regions(layout)):
+            assert _left_out(aux) == []
+            bridge = [] if j == 0 else _entering_bridge(aux)
+            assert [int(aux.origin[e]) for e in bridge] in ([], [0], [1], [2])
             assert len(_ordinary(aux)) <= 1
+
+
+def _check_layout_leaves_out_the_entering_bridges(layout, start: int) -> None:
+    """The `edge_ids` of a layout leave out exactly the entering bridge of
+    each of its graphs but the one of the start vertex `start`, whose
+    first local vertex stands for `start`."""
+    aux, starts = layout[:2]
+    tails, heads = aux.tails.tolist(), aux.heads.tolist()
+    vertex_origin = aux.vertex_origin.tolist()
+    want = []
+    for (v0, e0), (v1, e1) in zip(starts, starts[1:]):
+        bridge = [e for e in range(e0, e1) if (tails[e], heads[e]) == (v1 - 1, v0)]
+        if vertex_origin[v0] != start:
+            assert len(bridge) == 1
+            want += bridge
+    assert _left_out(aux) == want
+
+
+def test_layouts_leave_out_exactly_the_entering_bridges():
+    rng = random.Random(79)
+    graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
+    for g in graphs + [g2(), g4(), g5(), road_grid(12, 0.12, 0.55, 1)]:
+        dt = dominator_tree(g, 0)
+        _check_layout_leaves_out_the_entering_bridges(_contract(g, dt), 0)
+        for blocks_only in (False, True):
+            for h, _, _, layout in _decompose(g, 0, blocks_only)[-1]:
+                if layout is not None:
+                    _check_layout_leaves_out_the_entering_bridges(layout, int(h.vertex_origin[0]))
 
 
 def test_second_level_contains_g5_block():
     found = False
     for *_, layout in _decompose(g5(), 0)[-1]:
         for aux, part in _regions(layout):
-            assert part == scc(aux)
+            assert part == blocks(aux)
             for cls in _classes(part):
                 orig = {int(aux.vertex_origin[v]) for v in cls.tolist()} - {-1}
                 if {0, 1} <= orig:
@@ -158,10 +195,10 @@ def test_second_level_contains_g5_block():
 def _check_aux_contract(g, aux, second_level: bool, at_start: bool) -> None:
     """An edge between two ordinary vertices of `aux` maps to the edge of `g`
     between the vertices they stand for, reversed at the second level, which
-    is built on a reverse graph.  Unless r is the start vertex, one entering
-    bridge d(r) -> r leaves the last local vertex and enters the root, local
-    vertex 0: at the first level it is the only edge out of d(r), and a
-    second-level graph leaves it out, so no edge of the graph leaves d(r)."""
+    is built on a reverse graph.  Every edge of `aux` is among its edge ids.
+    Unless r is the start vertex, one entering bridge d(r) -> r leaves the
+    last local vertex and enters the root, local vertex 0, and it is the
+    only edge out of d(r), at both levels."""
     pairs = g.edge_pairs()
     tails, heads = aux.tails.tolist(), aux.heads.tolist()
     origin, vertex_origin = aux.origin.tolist(), aux.vertex_origin.tolist()
@@ -170,16 +207,14 @@ def _check_aux_contract(g, aux, second_level: bool, at_start: bool) -> None:
         ends = (vertex_origin[tails[e]], vertex_origin[heads[e]])
         if min(ends) >= 0:
             assert pairs[origin[e]] == (ends[::-1] if second_level else ends)
-    left_out = _left_out(aux)
+    assert _left_out(aux) == []
     if at_start:
-        assert left_out == []
         return
     d_r = aux.n - 1
-    bridge = [e for e in range(len(tails)) if (tails[e], heads[e]) == (d_r, 0)]
+    bridge = _entering_bridge(aux)
     out_start, out_eids, _ = aux.out_lists()
     assert len(bridge) == 1
-    assert left_out == (bridge if second_level else [])
-    assert out_eids[out_start[d_r]:out_start[d_r + 1]] == ([] if second_level else bridge)
+    assert out_eids[out_start[d_r]:out_start[d_r + 1]] == bridge
 
 
 def test_second_level_maps_into_the_input_graph():
@@ -274,9 +309,10 @@ def test_blocks_only_keeps_every_block_at_scale(make):
 
 def _graphs_built_by_blocks(g) -> int:
     """The graphs one blocks() call must build, counted without the walk:
-    each first-level graph h, its reverse H^R, and the one layout that holds
-    every second-level graph of H^R(0)."""
-    return 3 * len(aux_graphs(g, 0)[1])
+    the one layout that holds every first-level graph, and for each
+    first-level graph h cut from it, h, its reverse H^R, and the one layout
+    that holds every second-level graph of H^R(0)."""
+    return 3 * len(aux_graphs(g, 0)[1]) + 1
 
 
 def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
@@ -287,8 +323,8 @@ def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
-    for g, want in ((g4(), 18), (g5(), 15), (road_grid(12, 0.12, 0.55, 1), 99),
-                    (road_grid(18, 0.12, 0.2, 1), 231)):
+    for g, want in ((g4(), 19), (g5(), 16), (road_grid(12, 0.12, 0.55, 1), 100),
+                    (road_grid(18, 0.12, 0.2, 1), 232)):
         assert _graphs_built_by_blocks(g) == want
         with monkeypatch.context() as patch:
             patch.setattr(Digraph, "__init__", counting_init)
@@ -315,13 +351,12 @@ def test_blocks_runs_one_scc_per_first_level_graph(monkeypatch, side, want):
 
 def _check_blocks_read_off_the_walk(g) -> None:
     """Every second-level graph of g with its entering bridge is strongly
-    connected, and the aux filters' partition read off its SCCs without the
-    bridge is its blocks."""
+    connected, and the aux filters' partition that `_regions` reads off its
+    SCCs without the bridge is its blocks."""
     for *_, layout in _decompose(g, 0)[-1]:
         for aux, part in _regions(layout):
-            whole = Digraph(aux.n, aux.tails, aux.heads)
-            assert is_strongly_connected(whole)
-            assert blocks(whole) == _whole_blocks(aux, part)
+            assert is_strongly_connected(aux)
+            assert blocks(aux) == part
 
 
 def test_second_level_blocks_are_read_off_the_walk():

@@ -12,9 +12,9 @@ from twoec.certificates import (
 from twoec.digraph import GraphError, build, scc
 from twoec.dominators import dominator_tree, flow_bridges
 from twoec.fixtures import g1, g2, g4, g5, linked_triangles, random_strongly_connected, road_grid
-from twoec.oracle import OracleBudget, oracle_min_subgraph
 
 from graph_builders import dense_cert_graph, ist_b_within_theorem2
+from oracle import OracleBudget, oracle_min_subgraph
 
 
 def test_ist_b_original_fixtures():

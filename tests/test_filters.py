@@ -9,13 +9,10 @@ from twoec.blocks import _components, blocks, preservation_violations
 from twoec.certificates import _condensed
 from twoec.digraph import Digraph, GraphError, Partition, build, scc
 from twoec.filters import FilterConfig, _run_strategy, _Working, filter_b, filter_bc
-from twoec.fixtures import (
-    g1, g2, g4, g5, linked_triangles, random_strongly_connected,
-    random_two_edge_connected, road_grid,
-)
-from twoec.oracle import _bfs_flow_at_least_two, oracle_blocks
+from twoec.fixtures import g1, g2, g4, g5, linked_triangles, random_strongly_connected, road_grid
 
-from graph_builders import dense_cert_graph, without_edge
+from graph_builders import dense_cert_graph, random_two_edge_connected, without_edge
+from oracle import _bfs_flow_at_least_two, oracle_blocks
 
 
 def test_two_disjoint_paths_pairs():

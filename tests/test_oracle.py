@@ -5,7 +5,8 @@ import pytest
 from twoec.blocks import preservation_violations
 from twoec.digraph import GraphError, build
 from twoec.fixtures import g1, g2, g5, random_strongly_connected
-from twoec.oracle import (
+
+from oracle import (
     OracleBudget, gadget_family, gadget_minimal_witness, oracle_blocks,
     oracle_components, oracle_min_subgraph, two_edge_connected_pair,
 )

@@ -39,14 +39,7 @@ def test_outputs_of_a_small_graph():
                                      "filter_b", "filter_bc")] == [14, 2, 2, 2, 10, 10]
     assert outs["blocks"] == [0, 0, 1, 2, 3, 4] and outs["components"] == list(range(6))
     assert outs["catalog/ist-b"] == list(range(8))    # g5 has no edge to spare
-    # certificates are digested as sorted edge sets, also from a checkout
-    # whose certificates are insertion logs with an `edge_set()`
+    # certificates are digested as sorted edge sets
     assert outs["ist_b/0"][0] == outs["ist_b_original/0"] == list(range(8))
     assert outs["ist_b/0"][1]["n_prime"] == 2
-
-    class InsertionLog:
-        def edge_set(self):
-            return {3, 1, 2}
-
-    assert tool._edges(InsertionLog()) == tool._edges({2, 3, 1}) == [1, 2, 3]
 

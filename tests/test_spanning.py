@@ -10,10 +10,10 @@ from twoec.blocks import _decompose
 from twoec.digraph import GraphError, build
 from twoec.dominators import dominator_tree, flow_bridges
 from twoec.fixtures import g1, g2, g4, random_strongly_connected, road_grid
-from twoec.oracle import _order_valid, verify_independent
 from twoec.spanning import independent_pair
 
 from graph_builders import ist_b_within_theorem2, reachable, stdlib_uniform_digraph, without_edge
+from oracle import _order_valid, verify_independent
 
 
 def _edges(tree):

@@ -75,12 +75,6 @@ FILTER_VARIANTS = {
 }
 
 
-def _edges(cert) -> list[int]:
-    """A certificate's edges, ascending."""
-    # edge_set(): a checkout whose certificates still return CertificateEdgeList
-    return sorted(cert.edge_set() if hasattr(cert, "edge_set") else cert)
-
-
 def _outputs(g) -> dict[str, object]:
     from dataclasses import asdict
 
@@ -98,8 +92,8 @@ def _outputs(g) -> dict[str, object]:
     out["components"] = components(g).comp.tolist()
     for s in sorted({0, g.n - 1}):
         cert, stats = ist_b(g, s)
-        out[f"ist_b/{s}"] = [_edges(cert), asdict(stats)]
-        out[f"ist_b_original/{s}"] = _edges(ist_b_original(g, s))
+        out[f"ist_b/{s}"] = [sorted(cert), asdict(stats)]
+        out[f"ist_b_original/{s}"] = sorted(ist_b_original(g, s))
     rng = random.Random(7)
     for label, flow in (("G", g), ("GR", g.reverse())):
         dt = dominator_tree(flow, 0)
