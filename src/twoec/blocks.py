@@ -11,9 +11,6 @@ __all__ = [
     "aux_graphs", "blocks", "components", "condense", "preservation_violations",
 ]
 
-_BLOB = -1  # sentinel for the d(r) contraction target
-
-
 def aux_graphs(g: Digraph, s: int) -> tuple[DominatorTree, list[Digraph]]:
     """The dominator tree of the flow graph G(s) and the contracted
     auxiliary graph of every marked vertex r: s and the bridge heads of
@@ -35,11 +32,12 @@ def aux_graphs(g: Digraph, s: int) -> tuple[DominatorTree, list[Digraph]]:
     return dt, [h for h, _ in _regions(_contract(g, dt))]
 
 
-def _contract(g: Digraph, dt: DominatorTree, h: Digraph | None = None,
+def _contract(g: Digraph, dt: DominatorTree, second_level: bool = False,
               blocks_only: bool = False):
     """The auxiliary graphs of G(s), given `dt` of G(s), as one layout
-    `(aux, starts)`, or None if it keeps no graph; with `h`, h's second
-    level on g = H^R, its maps composed through h.
+    `(aux, starts)`, or None if it keeps no graph.  At the first level the
+    maps lead into g; at the second, g is a first-level H^R and they compose
+    through its maps into the input graph.
 
     The layout lays the graphs side by side in one graph `aux`: graph i
     sits on vertices ``starts[i][0]`` to ``starts[i + 1][0] - 1`` and on
@@ -47,22 +45,28 @@ def _contract(g: Digraph, dt: DominatorTree, h: Digraph | None = None,
     be alone but for those offsets, and `edge_ids` leave out every entering
     bridge d(r) -> r, which `tails`, `heads` and `origin` keep.
     """
-    if h is not None:
-        h_vertex, h_edge = h.vertex_origin.tolist(), h.origin.tolist()
-        if blocks_only and sum(v >= 0 for v in h_vertex) < 2:
+    if second_level:
+        g_vertex = g.vertex_origin.tolist()
+        if blocks_only and sum(v >= 0 for v in g_vertex) < 2:
             return None
     s, idom = dt.dfs_order[0], dt.idom
     bridge_into = {g.head(e): e for e in flow_bridges(g, dt)}
     marked = sorted({s, *bridge_into})
     tree_id = [0] * g.n                      # the marked root of every vertex
+    local = [0] * g.n                        # its place among its tree's members
     members: dict[int, list[int]] = {r: [] for r in marked}
     for v in dt.dfs_order:                   # dominator-respecting preorder
-        tree_id[v] = v if v in members else tree_id[idom[v]]
-        members[tree_id[v]].append(v)
-    children: dict[int, list[int]] = {r: [] for r in marked}
+        tree_id[v] = r = v if v in members else tree_id[idom[v]]
+        local[v] = len(members[r])
+        members[r].append(v)
+    # a marked child's local id in its parent's graph; d(r) comes after
+    # r's marked children, so it ends up at top[r]
+    as_child: dict[int, int] = {}
+    top = {r: len(members[r]) for r in marked}
     for r in marked:                         # ascending
         if r != s:
-            children[tree_id[idom[r]]].append(r)
+            p = tree_id[idom[r]]
+            as_child[r], top[p] = top[p], top[p] + 1
 
     # idom(y) dominates every tail x of an edge into y, so x's region lies
     # in the region subtree of y's: the edge climbs from x's region to y's,
@@ -74,14 +78,14 @@ def _contract(g: Digraph, dt: DominatorTree, h: Digraph | None = None,
         if x == y:
             continue
         if bridge_into.get(y) == e:
-            region_edges[y].append((_BLOB, y, e))
-            region_edges[tree_id[x]].append((x, y, e))
+            region_edges[y].append((top[y], 0, e))
+            region_edges[tree_id[x]].append((local[x], as_child[y], e))
             continue
-        rx, rep = tree_id[x], x
-        while rx != tree_id[y]:
-            region_edges[rx].append((rep, _BLOB, e))
-            rep, rx = rx, tree_id[idom[rx]]
-        region_edges[rx].append((rep, y, e))
+        rx, a, ry = tree_id[x], local[x], tree_id[y]
+        while rx != ry:
+            region_edges[rx].append((a, top[rx], e))
+            a, rx = as_child[rx], tree_id[idom[rx]]
+        region_edges[rx].append((a, local[y], e))
 
     # each graph goes into the layout's lists from offset `base` on
     tails: list[int] = []
@@ -92,39 +96,33 @@ def _contract(g: Digraph, dt: DominatorTree, h: Digraph | None = None,
     starts = [(0, 0)]
     for r in marked:
         ordinary = members[r]
-        r_vertex = ordinary if h is None else [h_vertex[v] for v in ordinary]
+        r_vertex = [g_vertex[v] for v in ordinary] if second_level else ordinary
         if blocks_only and sum(v >= 0 for v in r_vertex) < 2:
             continue
-        base = len(vertex_origin)
-        contracted = base + len(ordinary)    # the first local vertex that is not ordinary
-        local = {v: base + i for i, v in enumerate(ordinary + children[r])}
-        n = len(local) + (r != s)            # d(r) last
-        local[_BLOB] = base + len(local)
-
+        base, contracted, d_r = len(vertex_origin), len(ordinary), top[r]
         seen_pair: dict[tuple[int, int], int] = {}
         for a, b, e in region_edges[r]:
-            la, lb = local[a], local[b]
-            if la >= contracted or lb >= contracted:
+            if a >= contracted or b >= contracted:
                 # contraction-created parallels collapse onto the two
                 # smallest original edges; a second copy is kept because
                 # double edges are what 2-edge-connectivity can still see.
                 # A dict, not _first_arcs: a block test builds tiny region
                 # graphs by the thousand, and numpy per region costs more
-                cnt = seen_pair.get((la, lb), 0)
+                cnt = seen_pair.get((a, b), 0)
                 if cnt >= 2:
                     continue
-                seen_pair[(la, lb)] = cnt + 1
-            if a != _BLOB:
+                seen_pair[(a, b)] = cnt + 1
+            if a != d_r:                     # only the entering bridge leaves d(r)
                 edge_ids.append(len(orig))
-            tails.append(la)
-            heads.append(lb)
+            tails.append(base + a)
+            heads.append(base + b)
             orig.append(e)
-        vertex_origin += r_vertex + [-1] * (base + n - contracted)
+        vertex_origin += r_vertex + [-1] * (d_r + (r != s) - contracted)
         starts.append((len(vertex_origin), len(orig)))
     if len(starts) == 1:
         return None
     aux = Digraph(len(vertex_origin), tails, heads, edge_ids=edge_ids,
-                  origin=orig if h is None else [h_edge[e] for e in orig],
+                  origin=g.origin[orig] if second_level else orig,
                   vertex_origin=vertex_origin)
     return aux, starts
 
@@ -150,23 +148,25 @@ def _regions(layout):
 
 
 def _decompose(g: Digraph, s: int, blocks_only: bool = False):
-    """The two levels of auxiliary graphs of G(s): `aux_graphs(g, s)`, a
-    block label per vertex, and an iterator that gives one first-level
-    graph h at a time with H^R, the dominator tree of H^R(0), and the
+    """The two levels of auxiliary graphs of G(s): the dominator tree of
+    G(s), its number of bridges, a block label per vertex, and an iterator
+    that gives one first-level graph at a time as H^R, cut from the reverse
+    of the first-level layout, with the dominator tree of H^R(0) and the
     auxiliary graphs of H^R(0) as one layout (see `_contract`) with the SCC
     partition of one `scc` call, `(aux, starts, part)`.  `_regions` is the
     one code that cuts a layout into its graphs, at either level.
 
-    Their maps compose through h into g, so a local vertex is ordinary at
-    both levels iff its `vertex_origin` is not -1; `blocks_only` builds only
-    the graphs with 2 such vertices or more, the only ones that hold a block
-    or a part of n', and gives None, with no `scc` call, where none is
-    left.  The layout leaves every entering bridge d(r) -> r out of its
-    `edge_ids`, so its SCCs are those of each graph without it.  The blocks
-    are the SCCs restricted to the vertices ordinary at both levels, and
-    each vertex is ordinary at both levels in exactly one graph, so each
-    label is set once, to the first such vertex of its SCC, by the time the
-    iterator is exhausted.
+    H^R carries the maps of H, so the second level's maps compose through
+    it into g, and a local vertex is ordinary at both levels iff its
+    `vertex_origin` is not -1; `blocks_only` builds only the graphs with 2
+    such vertices or more, the only ones that hold a block or a part of n',
+    and gives None, with no `scc` call, where none is left.  The layout
+    leaves every entering bridge d(r) -> r out of its `edge_ids`, so its
+    SCCs are those of each graph without it.  The blocks are the SCCs
+    restricted to the vertices ordinary at both levels, and each vertex is
+    ordinary at both levels in exactly one graph, so each label is set
+    once, to the first such vertex of its SCC, by the time the iterator is
+    exhausted.
 
     Three consumers read those SCCs: `blocks()` returns the labels,
     `certificates._ist_pipeline` covers every SCC of each layout in its
@@ -174,25 +174,24 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
     `filters._on_aux_graphs` runs its strategy on each second-level graph
     with the blocks that `_regions` reads off the SCCs.
     """
-    dt, level1 = aux_graphs(g, s)
+    dt = dominator_tree(g, s)
+    aux, starts = _contract(g, dt)
     label = list(range(g.n))
 
     def walk():
-        for h in level1:
-            rev = h.reverse()
+        for rev, _ in _regions((aux.reverse(), starts)):
             dtr = dominator_tree(rev, 0)
-            layout = _contract(rev, dtr, h, blocks_only)
+            layout = _contract(rev, dtr, second_level=True, blocks_only=blocks_only)
             if layout is not None:
-                aux, starts = layout
-                part = scc(aux)
+                part = scc(layout[0])
                 first: dict[int, int] = {}       # class -> its first ordinary vertex
-                for c, v in zip(part.comp.tolist(), aux.vertex_origin.tolist()):
+                for c, v in zip(part.comp.tolist(), layout[0].vertex_origin.tolist()):
                     if v >= 0:
                         label[v] = first.setdefault(c, v)
-                layout = aux, starts, part
-            yield h, rev, dtr, layout
+                layout += (part,)
+            yield rev, dtr, layout
 
-    return dt, level1, label, walk()
+    return dt, len(starts) - 2, label, walk()
 
 
 def blocks(g: Digraph) -> Partition:

@@ -50,13 +50,13 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
         in_l.update(edges)
         new[phase - 1] += len(in_l) - before
 
-    dt, level1, block_label, walk = _decompose(g, s, blocks_only=modified)
+    dt, bridges, block_label, walk = _decompose(g, s, blocks_only=modified)
 
     # Phase 1: two independent spanning trees of G(s)
     insert(1, (e for tree in independent_pair(g, dt) for e in tree if e != -1))
 
-    for h, rev, dtr, layout in walk:
-        h_vertex, h_edge = h.vertex_origin.tolist(), h.origin.tolist()
+    for rev, dtr, layout in walk:
+        h_vertex, h_edge = rev.vertex_origin.tolist(), rev.origin.tolist()
 
         # Phase 2: independent trees of the reverse flow graph, reusing edges
         # already chosen where valid
@@ -105,7 +105,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
 
     block_part = Partition(block_label)
     stats = CertificateStats(
-        n=g.n, n_prime=block_part.nontrivial_vertices(), bridges=len(level1) - 1,
+        n=g.n, n_prime=block_part.nontrivial_vertices(), bridges=bridges,
         phase1_new=new[0], phase2_new=new[1], phase3_new=new[2],
     )
     return in_l, stats, block_part

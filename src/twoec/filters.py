@@ -12,9 +12,10 @@ A 2EDP test (two edge-disjoint paths) runs two augmenting-path searches,
 each a bidirectional BFS from both ends of the edge that stops where the
 two sides meet, so it costs about the arcs near the edge, not the working
 graph: on road grids the mean is about 200 arc scans per test at n=1529
-and at n=3473 (`counters["scans_2edp"]`).  A block test costs one
-`blocks()` call on G' - e.  Each run starts from a block partition: one
-run over the whole working graph takes it from the certificate's own
+and at n=3473 (`counters["scans_2edp"]`).  A block test costs an SCC
+pass over G' - e and, where G' - e is strongly connected, one `blocks()`
+call, which reuses that answer.  Each run starts from a block partition:
+one run over the whole working graph takes it from the certificate's own
 construction, or from one `blocks()` call without it; the run in each
 second-level auxiliary graph takes the graph whole, its entering bridge
 among its edges, with the blocks that `blocks._regions` reads off the SCC
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .blocks import _decompose, _regions, blocks
 from .certificates import _condensed, _ist_pipeline
-from .digraph import Digraph, GraphError, Partition, _ensure_strongly_connected
+from .digraph import Digraph, Partition, _ensure_strongly_connected, is_strongly_connected
 
 __all__ = ["EDGE_ORDERS", "FilterConfig", "FilterReport", "filter_b", "filter_bc"]
 
@@ -244,13 +245,12 @@ def _run_strategy(view: Digraph, cfg: FilterConfig, blocks0: Partition) -> Filte
             counters["tested_2edp"] += 1
             what = "deleted" if work.two_disjoint_paths(x, y, e_skip=e) else "kept-needed"
         else:
-            try:
-                # the precondition of blocks() fails iff G' - e is not
-                # strongly connected
-                what = "deleted" if blocks(work.without(e)) == blocks0 else "kept-needed"
-                counters["tested_blocks"] += 1
-            except GraphError:
+            rest = work.without(e)
+            if not is_strongly_connected(rest):   # kept on rest for blocks(rest)
                 what = "kept-bridge"
+            else:
+                counters["tested_blocks"] += 1
+                what = "deleted" if blocks(rest) == blocks0 else "kept-needed"
         if what == "deleted":
             work.delete(e)
         decisions[e] = what
@@ -273,7 +273,7 @@ def _on_aux_graphs(view: Digraph, cfg: FilterConfig) -> FilterReport:
     kept: set[int] = set()
     tested = 0
     if view.n > 1:
-        for *_, layout in _decompose(view, 0)[-1]:
+        for _, _, layout in _decompose(view, 0)[-1]:
             for aux, aux_blocks in _regions(layout):
                 aux_edge = aux.origin.tolist()
                 appeared.update(aux_edge)

@@ -20,7 +20,7 @@ from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected, road_grid,
 )
 
-from graph_builders import dense_cert_graph, stdlib_uniform_digraph
+from graph_builders import corpus, dense_cert_graph, stdlib_uniform_digraph
 from oracle import (
     OracleBudget, oracle_blocks, oracle_components, two_edge_connected_pair,
 )
@@ -111,7 +111,7 @@ def test_lemma_strong_bridge_reversal():
         g = random_strongly_connected(rng, rng.randint(2, 10))
         dt, _, _, walk = _decompose(g, 0)
         gs_bridges = flow_bridges(g, dt)
-        for h, rev, dtr, _ in walk:
+        for h, (rev, dtr, _) in zip(aux_graphs(g, 0)[1], walk, strict=True):
             if h.n <= 1 or scc(h).count != 1:
                 continue
             rev_bridges = flow_bridges(rev, dtr)
@@ -136,12 +136,12 @@ def _entering_bridge(aux) -> list[int]:
 
 
 def test_second_level_api():
-    [(_, _, _, layout)] = _decompose(g1(), 0)[-1]
+    [(_, _, layout)] = _decompose(g1(), 0)[-1]
     assert [_left_out(aux) for aux, _ in _regions(layout)] == [[]]   # graphs come whole
     assert _left_out(layout[0]) == []                     # H^R(0) has no bridges
     # every second-level graph of a path-like graph has <= 1 ordinary vertex
     g = g2()
-    for h, rev, dtr, layout in _decompose(g, 0)[-1]:
+    for h, (rev, dtr, layout) in zip(aux_graphs(g, 0)[1], _decompose(g, 0)[-1], strict=True):
         assert _aux_fields(rev) == _aux_fields(h.reverse())
         assert dtr == dominator_tree(rev, 0)
         assert dtr.dfs_order[0] == 0 and dtr.idom[0] == -1
@@ -175,9 +175,10 @@ def test_layouts_leave_out_exactly_the_entering_bridges():
         dt = dominator_tree(g, 0)
         _check_layout_leaves_out_the_entering_bridges(_contract(g, dt), 0)
         for blocks_only in (False, True):
-            for h, _, _, layout in _decompose(g, 0, blocks_only)[-1]:
+            for rev, _, layout in _decompose(g, 0, blocks_only)[-1]:
                 if layout is not None:
-                    _check_layout_leaves_out_the_entering_bridges(layout, int(h.vertex_origin[0]))
+                    _check_layout_leaves_out_the_entering_bridges(layout,
+                                                                  int(rev.vertex_origin[0]))
 
 
 def test_second_level_contains_g5_block():
@@ -221,10 +222,35 @@ def test_second_level_maps_into_the_input_graph():
     rng = random.Random(67)
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
     for g in graphs + [road_grid(12, 0.12, 0.55, 1)]:
-        for i, (h, _, _, layout) in enumerate(_decompose(g, 0)[-1]):
+        walk = zip(aux_graphs(g, 0)[1], _decompose(g, 0)[-1], strict=True)
+        for i, (h, (_, _, layout)) in enumerate(walk):
             _check_aux_contract(g, h, second_level=False, at_start=i == 0)
             for j, (aux, _) in enumerate(_regions(layout)):
                 _check_aux_contract(g, aux, second_level=True, at_start=j == 0)
+
+
+def _check_second_level_is_aux_graphs_of_rev(g) -> None:
+    """The second-level graphs that the walk cuts for each H^R are
+    `aux_graphs(rev, 0)`, with their maps composed through rev's."""
+    for rev, _, layout in _decompose(g, 0)[-1]:
+        rev_edge, rev_vertex = rev.origin.tolist(), rev.vertex_origin.tolist()
+        for want, (got, _) in zip(aux_graphs(rev, 0)[1], _regions(layout), strict=True):
+            assert got.tails.tolist() == want.tails.tolist()
+            assert got.heads.tolist() == want.heads.tolist()
+            assert got.edge_ids.tolist() == want.edge_ids.tolist()
+            assert got.origin.tolist() == [rev_edge[e] for e in want.origin.tolist()]
+            assert got.vertex_origin.tolist() == [rev_vertex[v] if v >= 0 else -1
+                                                  for v in want.vertex_origin.tolist()]
+
+
+def test_second_level_is_aux_graphs_of_rev():
+    rng = random.Random(83)
+    graphs = list(corpus().values())
+    graphs += [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(40)]
+    graphs += [_random_multigraph(rng, rng.randint(2, 12)) for _ in range(40)]
+    graphs += [road_grid(18, 0.12, 0.55, 1), dense_cert_graph()]
+    for g in graphs:
+        _check_second_level_is_aux_graphs_of_rev(g)
 
 
 def _tree_members(g, dt) -> list[list[int]]:
@@ -246,9 +272,10 @@ def test_every_vertex_is_ordinary_in_one_graph_per_level():
     rng = random.Random(71)
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
     for g in graphs + [road_grid(12, 0.12, 0.55, 1), stdlib_uniform_digraph(350, 1400, 1)]:
-        dt, level1, _, walk = _decompose(g, 0)
-        level2 = []
-        for (h, rev, dtr, layout), members in zip(walk, _tree_members(g, dt), strict=True):
+        dt, _, _, walk = _decompose(g, 0)
+        level1, level2 = aux_graphs(g, 0)[1], []
+        for h, (rev, dtr, layout), members in zip(level1, walk, _tree_members(g, dt),
+                                                  strict=True):
             assert h.vertex_origin.tolist() == members + [-1] * (h.n - len(members))
             h_vertex = h.vertex_origin.tolist()
             auxes = [aux for aux, _ in _regions(layout)]
@@ -271,7 +298,7 @@ def _blocks_from_kept_graphs(g) -> Partition:
     second-level graphs it builds, after checking that they are exactly the
     full walk's graphs with at least 2 vertices ordinary at both levels."""
     *_, label, kept_walk = _decompose(g, 0, blocks_only=True)
-    for (_, _, dtr, full), (_, _, dtr_kept, kept) in zip(
+    for (_, dtr, full), (_, dtr_kept, kept) in zip(
             _decompose(g, 0)[-1], kept_walk, strict=True):
         assert dtr_kept == dtr
         want = [aux for aux, _ in _regions(full) if len(_ordinary(aux)) >= 2]
@@ -309,10 +336,10 @@ def test_blocks_only_keeps_every_block_at_scale(make):
 
 def _graphs_built_by_blocks(g) -> int:
     """The graphs one blocks() call must build, counted without the walk:
-    the one layout that holds every first-level graph, and for each
-    first-level graph h cut from it, h, its reverse H^R, and the one layout
-    that holds every second-level graph of H^R(0)."""
-    return 3 * len(aux_graphs(g, 0)[1]) + 1
+    the one layout that holds every first-level graph and its reverse, and
+    for each first-level graph, H^R cut from that reverse and the one
+    layout that holds every second-level graph of H^R(0)."""
+    return 2 * len(aux_graphs(g, 0)[1]) + 2
 
 
 def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
@@ -323,8 +350,8 @@ def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
-    for g, want in ((g4(), 19), (g5(), 16), (road_grid(12, 0.12, 0.55, 1), 100),
-                    (road_grid(18, 0.12, 0.2, 1), 232)):
+    for g, want in ((g4(), 14), (g5(), 12), (road_grid(12, 0.12, 0.55, 1), 68),
+                    (road_grid(18, 0.12, 0.2, 1), 156)):
         assert _graphs_built_by_blocks(g) == want
         with monkeypatch.context() as patch:
             patch.setattr(Digraph, "__init__", counting_init)

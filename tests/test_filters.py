@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from twoec import filters
 from twoec.blocks import _components, blocks, preservation_violations
 from twoec.certificates import _condensed
 from twoec.digraph import Digraph, GraphError, Partition, build, scc
@@ -231,6 +232,24 @@ def test_block_test_decisions_replay():
                     current = rest
             assert set(current.edge_ids.tolist()) == rep.surviving
     assert block_tests > 100
+
+
+def test_block_tests_call_blocks_only_on_strongly_connected_graphs(monkeypatch):
+    # a candidate whose deletion leaves G' - e not strongly connected is kept
+    # as a bridge without a blocks() call, so blocks() runs once per counted
+    # block test, besides the one call for the starting partition
+    seen = []
+    monkeypatch.setattr(filters, "blocks", lambda g: seen.append(g) or blocks(g))
+    rng = random.Random(127)
+    kept_bridge = 0
+    for _ in range(20):
+        g = random_strongly_connected(rng, rng.randint(2, 12))
+        seen.clear()
+        rep = filter_b(g, FilterConfig(strategy="test2ecb", certificate=False,
+                                       trivial_skip=False))
+        assert len(seen) == rep.counters["tested_blocks"] + 1
+        kept_bridge += rep.counters["kept_bridge"]
+    assert kept_bridge > 0
 
 
 def test_trivial_edges():

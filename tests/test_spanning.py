@@ -142,7 +142,7 @@ def _flow_graphs(g):
     multigraphs, as ist_b builds them; each flow graph starts at 0."""
     yield g
     yield g.reverse()
-    yield from (rev for _, rev, _, _ in _decompose(g, 0, blocks_only=True)[-1])
+    yield from (rev for rev, _, _ in _decompose(g, 0, blocks_only=True)[-1])
 
 
 def test_low_high_orders_random(monkeypatch):

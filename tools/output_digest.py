@@ -20,6 +20,8 @@ parallel edges and loops.  Per graph it covers:
   `ist_b`, at the first and at the last vertex;
 - the (blue, red) trees of `independent_pair` on G(0) and G^R(0), with no
   edges preferred and with a seeded third preferred;
+- the tails, heads, edge ids, origin and vertex_origin of every
+  first-level auxiliary graph of G(0) and of G^R(0) (`aux_graphs`);
 - the decisions, counters and surviving edges of `filter_b` and
   `filter_bc` for `test2edp` and `hybrid`, on and off the aux graphs, and
   under each of `FILTER_VARIANTS`.
@@ -79,7 +81,7 @@ def _outputs(g) -> dict[str, object]:
     from dataclasses import asdict
 
     from twoec.bench import ALGORITHMS, run_algorithm
-    from twoec.blocks import blocks, components
+    from twoec.blocks import aux_graphs, blocks, components
     from twoec.certificates import ist_b, ist_b_original
     from twoec.dominators import dominator_tree
     from twoec.filters import FilterConfig, filter_b, filter_bc
@@ -101,6 +103,9 @@ def _outputs(g) -> dict[str, object]:
         preferred = set(rng.sample(ids, len(ids) // 3))
         out[f"independent_pair/{label}"] = [independent_pair(flow, dt),
                                             independent_pair(flow, dt, preferred)]
+        out[f"aux_graphs/{label}"] = [
+            [h.tails.tolist(), h.heads.tolist(), h.edge_ids.tolist(), h.origin.tolist(),
+             h.vertex_origin.tolist()] for h in aux_graphs(flow, 0)[1]]
     configs = {f"{strategy}/aux={aux}": {"strategy": strategy, "on_aux_graphs": aux}
                for strategy in ("test2edp", "hybrid") for aux in (False, True)}
     configs.update(FILTER_VARIANTS)
