@@ -116,9 +116,9 @@ def run_experiment(config: dict, out_csv: str | Path | None = None) -> list[Qual
 
     Per cell the largest SCC is extracted once, the algorithm runs
     `runs` times (timing includes certificate preprocessing and, for the
-    BC/C problems, component computation), output sizes must agree across
-    runs (the random order is seeded, so every config is deterministic),
-    and the mean CPU time is reported.
+    BC/C problems, component computation), every run must output the same
+    edge set (the random order is seeded, so every config is
+    deterministic), and the mean CPU time is reported.
     """
     if not isinstance(config, dict):
         raise ValueError(f"experiment config must be a JSON object, not {config!r}")
@@ -169,16 +169,16 @@ def run_experiment(config: dict, out_csv: str | Path | None = None) -> list[Qual
         comp_part = components(g)
         for algo in config["algorithms"]:
             problem = ALGORITHMS[algo]
-            sizes = []
+            outputs = []
             times = []
             for _ in range(runs):
                 t0 = time.process_time()
-                out = run_algorithm(algo, g, **opts)
+                outputs.append(run_algorithm(algo, g, **opts))
                 times.append(time.process_time() - t0)
-                sizes.append(len(out))
-            if len(set(sizes)) != 1:
-                raise RuntimeError(f"nondeterministic output size for {algo} on {name}")
-            edges_out = sizes[0]
+            if any(out != outputs[0] for out in outputs):
+                raise RuntimeError(f"nondeterministic output for {algo} on {name}: "
+                                   f"the runs gave different edge sets")
+            edges_out = len(outputs[0])
             lb = lower_bound(problem, g, block_part, comp_part)
             delta = edges_out / g.n
             reports.append(QualityReport(

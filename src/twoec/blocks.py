@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 from .digraph import (
-    Digraph, GraphError, Partition, _ensure_strongly_connected, _first_arcs, induced_subgraphs,
-    is_strongly_connected, scc,
+    Digraph, GraphError, Partition, _ensure_strongly_connected, _first_arcs, _rooted_reverse,
+    induced_subgraphs, is_strongly_connected, scc,
 )
 from .dominators import DominatorTree, _strong_bridges, dominator_tree, flow_bridges
 
@@ -47,8 +47,6 @@ def _contract(g: Digraph, dt: DominatorTree, second_level: bool = False,
     """
     if second_level:
         g_vertex = g.vertex_origin.tolist()
-        if blocks_only and sum(v >= 0 for v in g_vertex) < 2:
-            return None
     s, idom = dt.dfs_order[0], dt.idom
     bridge_into = {g.head(e): e for e in flow_bridges(g, dt)}
     marked = sorted({s, *bridge_into})
@@ -127,60 +125,97 @@ def _contract(g: Digraph, dt: DominatorTree, second_level: bool = False,
     return aux, starts
 
 
+def _cut(aux: Digraph, v0: int, e0: int, v1: int, e1: int) -> Digraph:
+    """The graph of a layout from `_contract` on vertices v0 to v1 - 1 and
+    edges e0 to e1 - 1, whole: numbered as if built alone, its entering
+    bridge among its `edge_ids`."""
+    return Digraph(v1 - v0, aux.tails[e0:e1] - v0, aux.heads[e0:e1] - v0,
+                   origin=aux.origin[e0:e1], vertex_origin=aux.vertex_origin[v0:v1])
+
+
 def _regions(layout):
-    """Each graph of a layout from `_contract` (None has none), whole:
-    numbered as if built alone, its entering bridge among its `edge_ids`,
-    with its blocks if the layout comes with `_decompose`'s SCC partition,
-    `(aux, starts, part)`, else None.  A vertex ordinary at both levels
-    keeps its SCC class; every other one (a marked child, d(r), or a vertex
-    contracted at the first level) has a single in- or out-edge in the
-    strongly connected graph, so it is a block of its own."""
+    """Each graph of a layout from `_contract` (None has none), `_cut`
+    whole, with its blocks if the layout comes with `_decompose`'s SCC
+    partition, `(aux, starts, part)`, else None.  A vertex ordinary at both
+    levels keeps its SCC class; every other one (a marked child, d(r), or a
+    vertex contracted at the first level) has a single in- or out-edge in
+    the strongly connected graph, so it is a block of its own."""
     if layout is None:
         return
     aux, starts, *part = layout
     if part:
         comp, vertex_origin = part[0].comp.tolist(), aux.vertex_origin.tolist()
     for (v0, e0), (v1, e1) in zip(starts, starts[1:]):
-        graph = Digraph(v1 - v0, aux.tails[e0:e1] - v0, aux.heads[e0:e1] - v0,
-                        origin=aux.origin[e0:e1], vertex_origin=aux.vertex_origin[v0:v1])
-        yield graph, (Partition([comp[v] if vertex_origin[v] >= 0 else ~v
-                                 for v in range(v0, v1)]) if part else None)
+        yield _cut(aux, v0, e0, v1, e1), (Partition([comp[v] if vertex_origin[v] >= 0 else ~v
+                                                     for v in range(v0, v1)]) if part else None)
+
+
+def _subtree(dt: DominatorTree, v0: int, v1: int) -> DominatorTree:
+    """The dominator tree of H^R(0) for the H^R on vertices v0 to v1 - 1 of
+    `_decompose`'s flow graph C, read off C's tree `dt`.  The DFS from the
+    virtual root z visits z, the v0 vertices of the graphs before H^R, then
+    all of H^R from its root v0, so H^R's slice of every field is offset by
+    v0, and by one more in the DFS and the Euler numbering, which start at
+    z."""
+    idom = [p - v0 for p in dt.idom[v0:v1]]
+    idom[0] = -1
+    return DominatorTree(idom=idom, pre=[t - v0 - 1 for t in dt.pre[v0:v1]],
+                         post=[t - v0 - 1 for t in dt.post[v0:v1]],
+                         dfs_order=[v - v0 for v in dt.dfs_order[v0 + 1:v1 + 1]])
 
 
 def _decompose(g: Digraph, s: int, blocks_only: bool = False):
     """The two levels of auxiliary graphs of G(s): the dominator tree of
-    G(s), its number of bridges, a block label per vertex, and an iterator
-    that gives one first-level graph at a time as H^R, cut from the reverse
-    of the first-level layout, with the dominator tree of H^R(0) and the
-    auxiliary graphs of H^R(0) as one layout (see `_contract`) with the SCC
-    partition of one `scc` call, `(aux, starts, part)`.  `_regions` is the
-    one code that cuts a layout into its graphs, at either level.
+    G(s), its number of bridges, the reversed first level `(flow, flow_dt,
+    starts)`, a block label per vertex, and an iterator that gives one
+    first-level graph at a time as H^R, with the dominator tree of H^R(0)
+    and the auxiliary graphs of H^R(0) as one layout (see `_contract`) with
+    the SCC partition of one `scc` call, `(aux, starts, part)`.
+
+    The reversed first level is one flow graph C, `flow`: the reverse of
+    the first-level layout, whose graph i is H^R on vertices ``starts[i][0]``
+    to ``starts[i + 1][0] - 1`` and edges ``starts[i][1]`` to
+    ``starts[i + 1][1] - 1``, plus a virtual root z, vertex
+    ``starts[-1][0]``, with one arc to the root r of each H^R, numbered
+    after the layout's edges.  Nothing leads from one H^R into another, so
+    one `dominator_tree` from z, `flow_dt`, holds every H^R(r)'s tree below
+    the bridge z -> r, and `_subtree` reads each off it.  The walk cuts an
+    H^R with `_cut`, and slices its tree, only where it builds a second
+    level, and gives `(None, None, None)` elsewhere; no z-arc reaches a
+    graph, a tree or a layout it gives.
 
     H^R carries the maps of H, so the second level's maps compose through
     it into g, and a local vertex is ordinary at both levels iff its
     `vertex_origin` is not -1; `blocks_only` builds only the graphs with 2
     such vertices or more, the only ones that hold a block or a part of n',
-    and gives None, with no `scc` call, where none is left.  The layout
-    leaves every entering bridge d(r) -> r out of its `edge_ids`, so its
-    SCCs are those of each graph without it.  The blocks are the SCCs
-    restricted to the vertices ordinary at both levels, and each vertex is
-    ordinary at both levels in exactly one graph, so each label is set
-    once, to the first such vertex of its SCC, by the time the iterator is
-    exhausted.
+    and skips an H^R with fewer than 2 ordinary vertices, and its `scc`
+    call, whole.  The layout leaves every entering bridge d(r) -> r out of
+    its `edge_ids`, so its SCCs are those of each graph without it.  The
+    blocks are the SCCs restricted to the vertices ordinary at both levels,
+    and each vertex is ordinary at both levels in exactly one graph, so
+    each label is set once, to the first such vertex of its SCC, by the
+    time the iterator is exhausted.
 
     Three consumers read those SCCs: `blocks()` returns the labels,
     `certificates._ist_pipeline` covers every SCC of each layout in its
     phase 3 and returns the labels as g's block partition, and
     `filters._on_aux_graphs` runs its strategy on each second-level graph
-    with the blocks that `_regions` reads off the SCCs.
+    with the blocks that `_regions` reads off the SCCs.  The certificate's
+    phase 2 runs over C itself, H^R by H^R in walk order.
     """
     dt = dominator_tree(g, s)
     aux, starts = _contract(g, dt)
+    flow = _rooted_reverse(aux, [v0 for v0, _ in starts[:-1]])
+    flow_dt = dominator_tree(flow, aux.n)
+    flow_vertex = flow.vertex_origin.tolist()
     label = list(range(g.n))
 
     def walk():
-        for rev, _ in _regions((aux.reverse(), starts)):
-            dtr = dominator_tree(rev, 0)
+        for (v0, e0), (v1, e1) in zip(starts, starts[1:]):
+            if blocks_only and sum(v >= 0 for v in flow_vertex[v0:v1]) < 2:
+                yield None, None, None
+                continue
+            rev, dtr = _cut(flow, v0, e0, v1, e1), _subtree(flow_dt, v0, v1)
             layout = _contract(rev, dtr, second_level=True, blocks_only=blocks_only)
             if layout is not None:
                 part = scc(layout[0])
@@ -191,7 +226,7 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
                 layout += (part,)
             yield rev, dtr, layout
 
-    return dt, len(starts) - 2, label, walk()
+    return dt, len(starts) - 2, (flow, flow_dt, starts), label, walk()
 
 
 def blocks(g: Digraph) -> Partition:

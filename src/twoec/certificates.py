@@ -17,7 +17,7 @@ from .digraph import (
     Digraph, GraphError, Partition, _ensure_strongly_connected, induced_subgraphs, scc,
 )
 from .dominators import _dfs, _strong_bridges
-from .spanning import independent_pair
+from .spanning import _Locals, _solve, independent_pair
 
 __all__ = [
     "CertificateStats",
@@ -50,25 +50,29 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
         in_l.update(edges)
         new[phase - 1] += len(in_l) - before
 
-    dt, bridges, block_label, walk = _decompose(g, s, blocks_only=modified)
+    dt, bridges, (flow, flow_dt, starts), block_label, walk = _decompose(
+        g, s, blocks_only=modified)
 
     # Phase 1: two independent spanning trees of G(s)
     insert(1, (e for tree in independent_pair(g, dt) for e in tree if e != -1))
 
-    for rev, dtr, layout in walk:
-        h_vertex, h_edge = rev.vertex_origin.tolist(), rev.origin.tolist()
-
-        # Phase 2: independent trees of the reverse flow graph, reusing edges
-        # already chosen where valid
-        preferred = {e for e in rev.edge_ids.tolist() if h_edge[e] in in_l}
-        blue_edge, red_edge = independent_pair(rev, dtr, preferred=preferred)
-        rev_tails = rev.tails.tolist()
-        blue_inner = {rev_tails[e] for e in blue_edge if e != -1}   # have a child
-        red_inner = {rev_tails[e] for e in red_edge if e != -1}
+    # Phase 2: independent trees of every reverse flow graph H^R, reusing
+    # edges already chosen where valid.  Each H^R is solved where it sits in
+    # the reversed first level C, whose local graphs are built once: their
+    # low-high orders ignore preference, read when each H^R is solved
+    rev_level = _Locals(flow, flow_dt)
+    blue_edge, red_edge = rev_level.blue, rev_level.red
+    f_vertex, f_edge = flow.vertex_origin.tolist(), flow.origin.tolist()
+    f_tails = flow.tails.tolist()
+    for ((v0, e0), (v1, e1)), (_, _, layout) in zip(zip(starts, starts[1:]), walk):
+        _solve(rev_level, range(v0, v1), {e for e in range(e0, e1) if f_edge[e] in in_l})
+        inner = range(v0 + 1, v1)            # every vertex but the root r, v0
+        blue_inner = {f_tails[blue_edge[x]] for x in inner}   # have a child
+        red_inner = {f_tails[red_edge[x]] for x in inner}
         chosen: list[int] = []
-        for x in range(1, rev.n):            # every vertex but the root r, 0
-            eb, er = h_edge[blue_edge[x]], h_edge[red_edge[x]]
-            if h_vertex[x] >= 0 or not modified:
+        for x in inner:
+            eb, er = f_edge[blue_edge[x]], f_edge[red_edge[x]]
+            if f_vertex[x] >= 0 or not modified:
                 chosen += (eb, er)
                 continue
             # auxiliary vertex: a tree edge into a leaf carries no path and

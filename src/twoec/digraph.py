@@ -72,7 +72,8 @@ class Digraph:
     reverses and induced subgraphs (``largest_scc`` too) carry their
     parent's maps, composed where it has any.  An auxiliary graph has
     ``vertex_origin`` -1 at every vertex that stands for a contracted vertex
-    set; -1 is never used as an index.  The constructor takes each of these
+    set, and a virtual root and its arcs (``_rooted_reverse``) map to -1;
+    -1 is never used as an index.  The constructor takes each of these
     as any int sequence (a list, a range or an int64 array) and stores int64
     arrays.
 
@@ -151,6 +152,17 @@ class Digraph:
             raise GraphError("edge id not active in this graph")
         return Digraph(self.n, self.tails, self.heads, edge_ids=keep,
                        origin=self.origin, vertex_origin=self.vertex_origin)
+
+
+def _rooted_reverse(g: Digraph, targets: list[int]) -> Digraph:
+    """The reverse of a graph with maps, every edge active, plus a root:
+    vertex g.n, with one arc to each of `targets` in order, numbered after
+    g's edges.  The root and its arcs map to -1."""
+    k = len(targets)
+    return Digraph(g.n + 1, np.concatenate([g.heads, np.full(k, g.n)]),
+                   np.concatenate([g.tails, _int64(targets)]),
+                   origin=np.concatenate([g.origin, np.full(k, -1)]),
+                   vertex_origin=np.append(g.vertex_origin, -1))
 
 
 def build(n: int, edges, allow_multi: bool = False) -> Digraph:

@@ -11,10 +11,15 @@ list: the entering edge id of every vertex, -1 at the root.
 Every vertex but the root is a child in exactly one local graph, so
 `_Locals` keeps all of them as flat per-vertex lists, built in one pass over
 the graph's in-arcs: the arcs entering each child, as (tail representative,
-key) in edge-id order, and the search state below, allocated once per flow
-graph.  An arc's key is its edge id e if e is preferred and e + m otherwise
-(m the size of the edge-id space), so the least key is the best arc:
-preferred arcs win, then lower ids.
+edge id) in edge-id order, and the search state below, allocated once per
+flow graph.  Preference is read when a local graph is solved, not when it
+is built: an arc's key is its edge id e if e is preferred and e + m
+otherwise (m the size of the edge-id space), so the least key is the best
+arc: preferred arcs win, then lower ids.  `_solve` solves the local graphs
+of any set of vertices with the preferred edges of the moment, so one
+`_Locals` can serve several flow graphs laid side by side under one root,
+each with its own preference: the B certificate solves every H^R of its
+reversed first level that way, with the certificate built so far.
 
 Such children admit a *low-high order* (Georgiadis and Tarjan, Dominators,
 Directed Bipolar Orders, and Independent Spanning Trees, ICALP 2012; ACM
@@ -61,20 +66,20 @@ class _Locals:
     """Every local graph of one flow graph, as lists indexed by vertex.
 
     `children[u]` lists the children of u's local graph in vertex order, and
-    `tails[v]`/`keys[v]` the arcs entering child v; `m` is the size of the
-    edge-id space, so a key's edge id is the key modulo m.  `rooted[v]` is
-    set iff v has an arc from its idom, and `searched[u]` iff some child of u
-    has none.  Then come the search state of `_low_high_order` (fed,
-    placed, T-parent, unplaced T-children, tree kids, region, successors
-    among the children; `label` is the last region label handed out), the
-    positions of the children in their order, and the two trees.
+    `tails[v]`/`eids[v]` the arcs entering child v; `m` is the size of the
+    edge-id space.  `rooted[v]` is set iff v has an arc from its idom, and
+    `searched[u]` iff some child of u has none.  Then come the search state
+    of `_low_high_order` (fed, placed, T-parent, unplaced T-children, tree
+    kids, region, successors among the children; `label` is the last
+    region label handed out), the positions of the children in their
+    order, and the two trees.
     """
 
-    __slots__ = ("children", "tails", "keys", "m", "rooted", "searched", "succs", "fed",
+    __slots__ = ("children", "tails", "eids", "m", "rooted", "searched", "succs", "fed",
                  "placed", "parent", "kids", "tree_kids", "region", "label", "pos",
                  "blue", "red")
 
-    def __init__(self, g: Digraph, dt: DominatorTree, preferred: set[int]):
+    def __init__(self, g: Digraph, dt: DominatorTree):
         n = g.n
         s = dt.dfs_order[0]
         idom, tin, tout = dt.idom, dt.pre, dt.post
@@ -84,9 +89,9 @@ class _Locals:
         euler = [sorted(ch, key=tin.__getitem__) if len(ch) > 1 else ch for ch in children]
         euler_tin = [[tin[c] for c in ch] for ch in euler]
 
-        self.m = m = len(g.tails)
+        self.m = len(g.tails)
         self.tails = tails = [[] for _ in range(n)]
-        self.keys = keys = [[] for _ in range(n)]
+        self.eids = eids = [[] for _ in range(n)]
         self.succs = succs = [[] for _ in range(n)]
         self.rooted = rooted = [False] * n
         self.searched = searched = [False] * n
@@ -95,7 +100,7 @@ class _Locals:
             if h == s:
                 continue
             u = idom[h]
-            ts, ks = tails[h], keys[h]
+            ts, es = tails[h], eids[h]
             for i in range(in_start[h], in_start[h + 1]):
                 t = in_tails[i]
                 if t == u:
@@ -111,9 +116,8 @@ class _Locals:
                     if t == h:
                         continue
                     succs[t].append(h)
-                e = in_eids[i]
                 ts.append(t)
-                ks.append(e if e in preferred else e + m)
+                es.append(in_eids[i])
             if not rooted[h]:
                 searched[u] = True
 
@@ -213,25 +217,27 @@ def _low_high_order(root: int, children: list[int], st: _Locals) -> list[int]:
     return order
 
 
-def _solve_local(root: int, children: list[int], order: list[int], st: _Locals) -> None:
+def _solve_local(root: int, children: list[int], order: list[int], st: _Locals,
+                 preferred: set[int]) -> None:
     """Choose the blue and red entering edge ids of every child of root's
     local graph, given their low-high `order`.
 
     Red takes the best later arc, or else the best root arc; blue the best
     earlier-or-root arc other than red.  The best arc has the least key.
     """
-    pos, tails, keys, blue, red, m = st.pos, st.tails, st.keys, st.blue, st.red, st.m
+    pos, tails, eids, blue, red, m = st.pos, st.tails, st.eids, st.blue, st.red, st.m
     no_arc = 2 * m                      # a key above every arc's
     for i, v in enumerate(order):
         pos[v] = i
     for v in children:
-        ks = keys[v]
-        if len(ks) == 1:
-            blue[v] = red[v] = ks[0] % m
+        es = eids[v]
+        if len(es) == 1:
+            blue[v] = red[v] = es[0]
             continue
         p = pos[v]
         later = first = second = root_arc = no_arc
-        for t, key in zip(tails[v], ks):
+        for t, e in zip(tails[v], es):
+            key = e if e in preferred else e + m
             if t != root and pos[t] > p:
                 if key < later:
                     later = key
@@ -266,8 +272,16 @@ def independent_pair(
     if len(dt.idom) != g.n:
         raise GraphError(f"the dominator tree has {len(dt.idom)} vertices, "
                          f"the graph {g.n}")
-    st = _Locals(g, dt, preferred or set())
-    for u, children in enumerate(st.children):
-        if children:
-            _solve_local(u, children, _low_high_order(u, children, st), st)
+    st = _Locals(g, dt)
+    _solve(st, range(g.n), preferred or set())
     return st.blue, st.red
+
+
+def _solve(st: _Locals, vertices, preferred: set[int]) -> None:
+    """Choose the blue and red entering edge ids in the local graph of every
+    vertex of `vertices`, preferring the edge ids in `preferred`; the
+    trees are `st.blue` and `st.red`."""
+    for u in vertices:
+        children = st.children[u]
+        if children:
+            _solve_local(u, children, _low_high_order(u, children, st), st, preferred)

@@ -173,5 +173,21 @@ def test_experiment_requires_one_output_size_under_every_order(tmp_path, monkeyp
     monkeypatch.setattr(bench, "run_algorithm", lambda *a, **o: set(range(next(sizes))))
     config = {"datasets": [{"name": "g2", "path": str(gp)}], "algorithms": ["hybrid-b"],
               "runs": 2, "order": "random"}
-    with pytest.raises(RuntimeError, match="nondeterministic output size for hybrid-b"):
+    with pytest.raises(RuntimeError, match="nondeterministic output for hybrid-b on g2"):
         run_experiment(config)
+
+
+def test_experiment_requires_one_edge_set_per_cell(tmp_path, monkeypatch):
+    # runs that agree on the output size but not on the edges are caught too
+    gp = tmp_path / "g2.gr"
+    gp.write_text("p sp 3 3\na 1 2 1\na 2 3 1\na 3 1 1\n")
+    config = {"datasets": [{"name": "tri", "path": str(gp)}], "algorithms": ["ist-b"],
+              "runs": 3}
+    outputs = iter([{0, 1}, {0, 1}, {0, 2}])
+    monkeypatch.setattr(bench, "run_algorithm", lambda *a, **o: next(outputs))
+    with pytest.raises(RuntimeError, match="nondeterministic output for ist-b on tri: "
+                                           "the runs gave different edge sets"):
+        run_experiment(config)
+    outputs = iter([{0, 2}, {2, 0}, {0, 2}])
+    [report] = run_experiment(config)
+    assert (report.dataset, report.algorithm, report.edges_out) == ("tri", "ist-b", 2)

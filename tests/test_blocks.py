@@ -5,12 +5,14 @@ import time
 import numpy as np
 import pytest
 
-from twoec import digraph, filters
+from twoec import digraph, filters, spanning
 from twoec.blocks import (
     _components, _contract, _decompose, _regions, aux_graphs, blocks, components, condense,
     preservation_violations,
 )
-from twoec.certificates import _condensed, ist_b, ist_bc, two_ecss_edt, zni_c, zni_scss
+from twoec.certificates import (
+    _condensed, ist_b, ist_b_original, ist_bc, two_ecss_edt, zni_c, zni_scss,
+)
 from twoec.digraph import (
     Digraph, GraphError, Partition, build, induced_subgraph, is_strongly_connected, scc,
 )
@@ -109,7 +111,7 @@ def test_lemma_strong_bridge_reversal():
     rng = random.Random(41)
     for _ in range(80):
         g = random_strongly_connected(rng, rng.randint(2, 10))
-        dt, _, _, walk = _decompose(g, 0)
+        dt, *_, walk = _decompose(g, 0)
         gs_bridges = flow_bridges(g, dt)
         for h, (rev, dtr, _) in zip(aux_graphs(g, 0)[1], walk, strict=True):
             if h.n <= 1 or scc(h).count != 1:
@@ -253,6 +255,68 @@ def test_second_level_is_aux_graphs_of_rev():
         _check_second_level_is_aux_graphs_of_rev(g)
 
 
+def _check_one_flow_graph_per_reversed_level(g) -> None:
+    """The reversed first level is one flow graph C: the layout's reverse
+    plus a virtual root z with one arc, mapped to -1, to each H^R's root.
+    Every H^R tree that the walk hands out, sliced off C's one tree, is
+    `dominator_tree(rev, 0)` in all four fields, and no z-arc reaches a
+    graph, a layout or a certificate: their edges all map into g."""
+    in_g = set(range(len(g.tails)))
+    _, _, (flow, flow_dt, starts), _, walk = _decompose(g, 0)
+    z, layout_edges = starts[-1]
+    roots = [v0 for v0, _ in starts[:-1]]
+    assert flow.n == z + 1 and flow.m == len(flow.tails) == layout_edges + len(roots)
+    assert flow.tails[layout_edges:].tolist() == [z] * len(roots)
+    assert flow.heads[layout_edges:].tolist() == roots
+    assert flow.origin[layout_edges:].tolist() == [-1] * len(roots)
+    assert set(flow.origin[:layout_edges].tolist()) <= in_g
+    assert flow_dt.dfs_order[0] == z
+    assert [flow_dt.idom[r] for r in roots] == [z] * len(roots)
+    spans = zip(starts, starts[1:])
+    for ((v0, e0), (v1, e1)), (rev, dtr, layout) in zip(spans, walk, strict=True):
+        assert (rev.n, len(rev.tails)) == (v1 - v0, e1 - e0)
+        want = dominator_tree(rev, 0)
+        for field in ("idom", "pre", "post", "dfs_order"):
+            assert getattr(dtr, field) == getattr(want, field), field
+        assert set(rev.origin.tolist()) <= in_g
+        for aux, _ in _regions(layout):
+            assert set(aux.origin.tolist()) <= in_g
+    assert ist_b(g)[0] <= in_g
+    assert ist_b_original(g) <= in_g
+
+
+def test_one_flow_graph_per_reversed_first_level():
+    rng = random.Random(89)
+    graphs = list(corpus().values())
+    graphs += [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(40)]
+    graphs += [_random_multigraph(rng, rng.randint(2, 12)) for _ in range(40)]
+    graphs += [road_grid(18, 0.12, 0.55, 1), dense_cert_graph()]
+    for g in graphs:
+        _check_one_flow_graph_per_reversed_level(g)
+
+
+@pytest.mark.parametrize("side", [18, 60])
+def test_two_dominator_trees_per_walk(monkeypatch, side):
+    # one for G(s) and one for the reversed first level C, however many
+    # first-level graphs there are; the certificate builds the local graphs
+    # of G(s) and of C once each
+    g = road_grid(side, 0.12, 0.55, 1)
+    trees, locals_built = [], []
+    for module in ("twoec.blocks", "twoec.dominators"):
+        monkeypatch.setattr(importlib.import_module(module), "dominator_tree",
+                            lambda h, s: trees.append(h) or dominator_tree(h, s))
+    init = spanning._Locals.__init__
+    monkeypatch.setattr(spanning._Locals, "__init__",
+                        lambda self, h, dt: locals_built.append(h) or init(self, h, dt))
+    blocks(g)
+    assert len(trees) == 2 and not locals_built
+    trees.clear()
+    ist_b(g)
+    assert len(trees) == len(locals_built) == 2
+    assert locals_built[0] is g and locals_built[1] is trees[1]
+    assert len(aux_graphs(g, 0)[1]) > 50
+
+
 def _tree_members(g, dt) -> list[list[int]]:
     """The members of each tree of the canonical decomposition of G(s), in
     dominator-respecting preorder, by ascending marked root."""
@@ -272,7 +336,7 @@ def test_every_vertex_is_ordinary_in_one_graph_per_level():
     rng = random.Random(71)
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
     for g in graphs + [road_grid(12, 0.12, 0.55, 1), stdlib_uniform_digraph(350, 1400, 1)]:
-        dt, _, _, walk = _decompose(g, 0)
+        dt, *_, walk = _decompose(g, 0)
         level1, level2 = aux_graphs(g, 0)[1], []
         for h, (rev, dtr, layout), members in zip(level1, walk, _tree_members(g, dt),
                                                   strict=True):
@@ -296,10 +360,15 @@ def _aux_fields(aux):
 def _blocks_from_kept_graphs(g) -> Partition:
     """The blocks that the walk with `blocks_only` reads off the SCCs of the
     second-level graphs it builds, after checking that they are exactly the
-    full walk's graphs with at least 2 vertices ordinary at both levels."""
+    full walk's graphs with at least 2 vertices ordinary at both levels.
+    It skips exactly the H^R with fewer than 2 ordinary vertices."""
     *_, label, kept_walk = _decompose(g, 0, blocks_only=True)
-    for (_, dtr, full), (_, dtr_kept, kept) in zip(
+    for (rev, dtr, full), (rev_kept, dtr_kept, kept) in zip(
             _decompose(g, 0)[-1], kept_walk, strict=True):
+        if len(_ordinary(rev)) < 2:
+            assert (rev_kept, dtr_kept, kept) == (None, None, None)
+            continue
+        assert _aux_fields(rev_kept) == _aux_fields(rev)
         assert dtr_kept == dtr
         want = [aux for aux, _ in _regions(full) if len(_ordinary(aux)) >= 2]
         assert [_aux_fields(a) for a, _ in _regions(kept)] == [_aux_fields(a) for a in want]

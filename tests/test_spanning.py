@@ -117,7 +117,7 @@ def test_independent_random_graphs():
 def _in_arcs(children, st):
     """One local graph's arcs as `_order_valid` reads them: each child, in
     order, to its (tail representative, edge id) arcs."""
-    return {c: [(t, key % st.m) for t, key in zip(st.tails[c], st.keys[c])] for c in children}
+    return {c: list(zip(st.tails[c], st.eids[c])) for c in children}
 
 
 def _check_orders(monkeypatch) -> list[int]:
@@ -139,10 +139,10 @@ def _check_orders(monkeypatch) -> list[int]:
 
 def _flow_graphs(g):
     """G, G^R and the reversed first-level aux graphs of G(0), which are
-    multigraphs, as ist_b builds them; each flow graph starts at 0."""
+    multigraphs, as the walk cuts them; each flow graph starts at 0."""
     yield g
     yield g.reverse()
-    yield from (rev for rev, _, _ in _decompose(g, 0, blocks_only=True)[-1])
+    yield from (rev for rev, _, _ in _decompose(g, 0)[-1])
 
 
 def test_low_high_orders_random(monkeypatch):
@@ -225,8 +225,9 @@ def test_one_scan_choice_matches_the_three_list_rule(share, monkeypatch):
     solve_local = spanning._solve_local
     preferred: set[int] = set()          # the current flow graph's
 
-    def checked(root, children, order, st):
-        solve_local(root, children, order, st)
+    def checked(root, children, order, st, preferred_now):
+        assert preferred_now == preferred
+        solve_local(root, children, order, st, preferred_now)
         parents = {v: (st.blue[v], st.red[v]) for v in children}
         assert parents == _three_list_rule(root, _in_arcs(children, st), preferred, order, cases)
 
@@ -265,7 +266,7 @@ def test_rooted_local_graphs_come_back_to_front(monkeypatch):
     in_arcs = {1: [(0, 0), (3, 5)], 2: [(1, 3), (0, 1)], 3: [(0, 2), (2, 4), (1, 6)]}
     arcs = sorted((e, t, v) for v, entering in in_arcs.items() for t, e in entering)
     g = build(4, [(t, v) for _, t, v in arcs])
-    st = spanning._Locals(g, dominator_tree(g, 0), set())
+    st = spanning._Locals(g, dominator_tree(g, 0))
     assert {c: sorted(a) for c, a in _in_arcs([1, 2, 3], st).items()} == {
         c: sorted(a) for c, a in in_arcs.items()}
     assert spanning._low_high_order(0, [1, 2, 3], st) == [3, 2, 1]
@@ -328,6 +329,27 @@ def test_trees_are_pinned(name, share):
         preferred = set(rng.sample(ids, len(ids) // share)) if share else set()
         trees.append(independent_pair(flow, dominator_tree(flow, 0), preferred))
     assert hashlib.sha256(json.dumps(trees).encode()).hexdigest() == TREE_PINS[name, share]
+
+
+def test_graphs_side_by_side_solve_as_alone():
+    # the B certificate solves every H^R where it sits in the reversed first
+    # level C, with a preference that changes from one H^R to the next; each
+    # gets the trees that independent_pair gives it alone, offset by its place
+    rng = random.Random(47)
+    graphs = [random_strongly_connected(rng, rng.randint(4, 60)) for _ in range(60)]
+    solved = 0
+    for g in graphs + [road_grid(18, 0.12, 0.55, 1), stdlib_uniform_digraph(350, 1400, 1)]:
+        _, _, (flow, flow_dt, starts), _, walk = _decompose(g, 0)
+        st = spanning._Locals(flow, flow_dt)
+        for ((v0, e0), (v1, e1)), (rev, dtr, _) in zip(zip(starts, starts[1:]), walk):
+            share = rng.choice([0, 2, 3])
+            local = set(rng.sample(range(e1 - e0), (e1 - e0) // share)) if share else set()
+            spanning._solve(st, range(v0, v1), {e + e0 for e in local})
+            blue, red = independent_pair(rev, dtr, local)
+            assert st.blue[v0 + 1:v1] == [e + e0 for e in blue[1:]]
+            assert st.red[v0 + 1:v1] == [e + e0 for e in red[1:]]
+            solved += 1
+    assert solved > 500
 
 
 def test_independent_pair_rejects_a_dominator_tree_of_another_size():
