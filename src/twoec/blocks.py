@@ -29,15 +29,23 @@ def aux_graphs(g: Digraph, s: int) -> tuple[DominatorTree, list[Digraph]]:
     d(r) -> r is the only edge out of d(r).
     """
     dt = dominator_tree(g, s)
-    return dt, [h for h, _ in _regions(_contract(g, dt))]
+    return dt, [h for h, _ in _regions(next(_contract(g, dt)))]
 
 
-def _contract(g: Digraph, dt: DominatorTree, second_level: bool = False,
-              blocks_only: bool = False):
-    """The auxiliary graphs of G(s), given `dt` of G(s), as one layout
-    `(aux, starts)`, or None if it keeps no graph.  At the first level the
-    maps lead into g; at the second, g is a first-level H^R and they compose
-    through its maps into the input graph.
+def _contract(g: Digraph, dt: DominatorTree, starts=None, blocks_only: bool = False):
+    """The auxiliary graphs of each flow graph of g, given its dominator
+    tree `dt`, lazily: one layout `(aux, starts)` per flow graph, or None
+    if it keeps no graph.  Without `starts`, g is G(s), one flow graph
+    whose maps lead into g.  With the `starts` of the first-level layout,
+    g is `_decompose`'s flow graph C, and each H^R is read where it sits in
+    C, its maps composing through C's into the input graph: the DFS from z
+    visits z and then each H^R whole, in order, so the dominator-respecting
+    preorder of the H^R on vertices v0 to v1 - 1 is positions v0 + 1 to v1
+    of C's DFS order; its edges are C's e0 to e1 - 1; and its bridges are
+    C's but the z-arcs, which only enter the roots.  `blocks_only` builds
+    only the graphs with 2 or more vertices ordinary at both levels, and
+    gives None for a flow graph with fewer than 2 ordinary vertices before
+    it contracts anything.
 
     The layout lays the graphs side by side in one graph `aux`: graph i
     sits on vertices ``starts[i][0]`` to ``starts[i + 1][0] - 1`` and on
@@ -45,132 +53,124 @@ def _contract(g: Digraph, dt: DominatorTree, second_level: bool = False,
     be alone but for those offsets, and `edge_ids` leave out every entering
     bridge d(r) -> r, which `tails`, `heads` and `origin` keep.
     """
-    if second_level:
-        g_vertex = g.vertex_origin.tolist()
-    s, idom = dt.dfs_order[0], dt.idom
-    bridge_into = {g.head(e): e for e in flow_bridges(g, dt)}
-    marked = sorted({s, *bridge_into})
+    idom, order = dt.idom, dt.dfs_order
+    ids, g_tails, g_heads = g.edge_ids.tolist(), g.tails.tolist(), g.heads.tolist()
+    bridge_into = {g_heads[e]: e for e in flow_bridges(g, dt)}
+    if starts is None:                       # G(s), its preorder from position 0
+        spans, after_z, vertex_of = [((0, 0), (g.n, len(ids)))], 0, range(g.n)
+    else:                                    # each H^R, its preorder after z's
+        spans, after_z, vertex_of = zip(starts, starts[1:]), 1, g.vertex_origin.tolist()
     tree_id = [0] * g.n                      # the marked root of every vertex
     local = [0] * g.n                        # its place among its tree's members
-    members: dict[int, list[int]] = {r: [] for r in marked}
-    for v in dt.dfs_order:                   # dominator-respecting preorder
-        tree_id[v] = r = v if v in members else tree_id[idom[v]]
-        local[v] = len(members[r])
-        members[r].append(v)
-    # a marked child's local id in its parent's graph; d(r) comes after
-    # r's marked children, so it ends up at top[r]
-    as_child: dict[int, int] = {}
-    top = {r: len(members[r]) for r in marked}
-    for r in marked:                         # ascending
-        if r != s:
-            p = tree_id[idom[r]]
-            as_child[r], top[p] = top[p], top[p] + 1
-
-    # idom(y) dominates every tail x of an edge into y, so x's region lies
-    # in the region subtree of y's: the edge climbs from x's region to y's,
-    # leaving each region below into its d(r).  The exception is the bridge
-    # into y, from idom(y) in the region above, which also enters y's
-    # graph from d(y).
-    region_edges: dict[int, list[tuple[int, int, int]]] = {r: [] for r in marked}
-    for e, (x, y) in zip(g.edge_ids.tolist(), g.edge_pairs()):
-        if x == y:
+    for (v0, e0), (v1, e1) in spans:
+        if blocks_only and sum(v >= 0 for v in vertex_of[v0:v1]) < 2:
+            yield None
             continue
-        if bridge_into.get(y) == e:
-            region_edges[y].append((top[y], 0, e))
-            region_edges[tree_id[x]].append((local[x], as_child[y], e))
+        preorder = order[v0 + after_z:v1 + after_z]
+        s = preorder[0]
+        marked = sorted({s, *filter(bridge_into.__contains__, preorder)})
+        members: dict[int, list[int]] = {r: [] for r in marked}
+        for v in preorder:
+            tree_id[v] = r = v if v in members else tree_id[idom[v]]
+            local[v] = len(members[r])
+            members[r].append(v)
+        # a marked child's local id in its parent's graph; d(r) comes after
+        # r's marked children, so it ends up at top[r]
+        as_child: dict[int, int] = {}
+        top = {r: len(members[r]) for r in marked}
+        for r in marked:                     # ascending
+            if r != s:
+                p = tree_id[idom[r]]
+                as_child[r], top[p] = top[p], top[p] + 1
+
+        # idom(y) dominates every tail x of an edge into y, so x's region
+        # lies in the region subtree of y's: the edge climbs from x's region
+        # to y's, leaving each region below into its d(r).  The exception is
+        # the bridge into y, from idom(y) in the region above, which also
+        # enters y's graph from d(y).
+        region_edges: dict[int, list[tuple[int, int, int]]] = {r: [] for r in marked}
+        for e in ids[e0:e1]:
+            x, y = g_tails[e], g_heads[e]
+            if x == y:
+                continue
+            if bridge_into.get(y) == e:
+                region_edges[y].append((top[y], 0, e))
+                region_edges[tree_id[x]].append((local[x], as_child[y], e))
+                continue
+            rx, a, ry = tree_id[x], local[x], tree_id[y]
+            while rx != ry:
+                region_edges[rx].append((a, top[rx], e))
+                a, rx = as_child[rx], tree_id[idom[rx]]
+            region_edges[rx].append((a, local[y], e))
+
+        # each graph goes into the layout's lists from offset `base` on
+        tails: list[int] = []
+        heads: list[int] = []
+        orig: list[int] = []
+        vertex_origin: list[int] = []
+        edge_ids: list[int] = []             # all but the entering bridges
+        layout_starts = [(0, 0)]
+        for r in marked:
+            ordinary = members[r]
+            r_vertex = [vertex_of[v] for v in ordinary]
+            if blocks_only and sum(v >= 0 for v in r_vertex) < 2:
+                continue
+            base, contracted, d_r = len(vertex_origin), len(ordinary), top[r]
+            seen_pair: dict[tuple[int, int], int] = {}
+            for a, b, e in region_edges[r]:
+                if a >= contracted or b >= contracted:
+                    # contraction-created parallels collapse onto the two
+                    # smallest original edges; a second copy is kept because
+                    # double edges are what 2-edge-connectivity can still
+                    # see.  A dict, not _first_arcs: a block test builds
+                    # tiny region graphs by the thousand, and numpy per
+                    # region costs more
+                    cnt = seen_pair.get((a, b), 0)
+                    if cnt >= 2:
+                        continue
+                    seen_pair[(a, b)] = cnt + 1
+                if a != d_r:                 # only the entering bridge leaves d(r)
+                    edge_ids.append(len(orig))
+                tails.append(base + a)
+                heads.append(base + b)
+                orig.append(e)
+            vertex_origin += r_vertex + [-1] * (d_r + (r != s) - contracted)
+            layout_starts.append((len(vertex_origin), len(orig)))
+        if len(layout_starts) == 1:
+            yield None
             continue
-        rx, a, ry = tree_id[x], local[x], tree_id[y]
-        while rx != ry:
-            region_edges[rx].append((a, top[rx], e))
-            a, rx = as_child[rx], tree_id[idom[rx]]
-        region_edges[rx].append((a, local[y], e))
-
-    # each graph goes into the layout's lists from offset `base` on
-    tails: list[int] = []
-    heads: list[int] = []
-    orig: list[int] = []
-    vertex_origin: list[int] = []
-    edge_ids: list[int] = []                 # all but the entering bridges
-    starts = [(0, 0)]
-    for r in marked:
-        ordinary = members[r]
-        r_vertex = [g_vertex[v] for v in ordinary] if second_level else ordinary
-        if blocks_only and sum(v >= 0 for v in r_vertex) < 2:
-            continue
-        base, contracted, d_r = len(vertex_origin), len(ordinary), top[r]
-        seen_pair: dict[tuple[int, int], int] = {}
-        for a, b, e in region_edges[r]:
-            if a >= contracted or b >= contracted:
-                # contraction-created parallels collapse onto the two
-                # smallest original edges; a second copy is kept because
-                # double edges are what 2-edge-connectivity can still see.
-                # A dict, not _first_arcs: a block test builds tiny region
-                # graphs by the thousand, and numpy per region costs more
-                cnt = seen_pair.get((a, b), 0)
-                if cnt >= 2:
-                    continue
-                seen_pair[(a, b)] = cnt + 1
-            if a != d_r:                     # only the entering bridge leaves d(r)
-                edge_ids.append(len(orig))
-            tails.append(base + a)
-            heads.append(base + b)
-            orig.append(e)
-        vertex_origin += r_vertex + [-1] * (d_r + (r != s) - contracted)
-        starts.append((len(vertex_origin), len(orig)))
-    if len(starts) == 1:
-        return None
-    aux = Digraph(len(vertex_origin), tails, heads, edge_ids=edge_ids,
-                  origin=g.origin[orig] if second_level else orig,
-                  vertex_origin=vertex_origin)
-    return aux, starts
-
-
-def _cut(aux: Digraph, v0: int, e0: int, v1: int, e1: int) -> Digraph:
-    """The graph of a layout from `_contract` on vertices v0 to v1 - 1 and
-    edges e0 to e1 - 1, whole: numbered as if built alone, its entering
-    bridge among its `edge_ids`."""
-    return Digraph(v1 - v0, aux.tails[e0:e1] - v0, aux.heads[e0:e1] - v0,
-                   origin=aux.origin[e0:e1], vertex_origin=aux.vertex_origin[v0:v1])
+        yield Digraph(len(vertex_origin), tails, heads, edge_ids=edge_ids,
+                      origin=orig if starts is None else g.origin[orig],
+                      vertex_origin=vertex_origin), layout_starts
 
 
 def _regions(layout):
-    """Each graph of a layout from `_contract` (None has none), `_cut`
-    whole, with its blocks if the layout comes with `_decompose`'s SCC
-    partition, `(aux, starts, part)`, else None.  A vertex ordinary at both
-    levels keeps its SCC class; every other one (a marked child, d(r), or a
-    vertex contracted at the first level) has a single in- or out-edge in
-    the strongly connected graph, so it is a block of its own."""
+    """Each graph of a layout from `_contract` (None has none), whole:
+    numbered as if built alone, its entering bridge among its `edge_ids`.
+    It comes with its blocks if the layout comes with `_decompose`'s SCC
+    partition, `(aux, starts, part)`, else with None.  A vertex ordinary at
+    both levels keeps its SCC class; every other one (a marked child, d(r),
+    or a vertex contracted at the first level) has a single in- or out-edge
+    in the strongly connected graph, so it is a block of its own."""
     if layout is None:
         return
     aux, starts, *part = layout
     if part:
         comp, vertex_origin = part[0].comp.tolist(), aux.vertex_origin.tolist()
     for (v0, e0), (v1, e1) in zip(starts, starts[1:]):
-        yield _cut(aux, v0, e0, v1, e1), (Partition([comp[v] if vertex_origin[v] >= 0 else ~v
-                                                     for v in range(v0, v1)]) if part else None)
-
-
-def _subtree(dt: DominatorTree, v0: int, v1: int) -> DominatorTree:
-    """The dominator tree of H^R(0) for the H^R on vertices v0 to v1 - 1 of
-    `_decompose`'s flow graph C, read off C's tree `dt`.  The DFS from the
-    virtual root z visits z, the v0 vertices of the graphs before H^R, then
-    all of H^R from its root v0, so H^R's slice of every field is offset by
-    v0, and by one more in the DFS and the Euler numbering, which start at
-    z."""
-    idom = [p - v0 for p in dt.idom[v0:v1]]
-    idom[0] = -1
-    return DominatorTree(idom=idom, pre=[t - v0 - 1 for t in dt.pre[v0:v1]],
-                         post=[t - v0 - 1 for t in dt.post[v0:v1]],
-                         dfs_order=[v - v0 for v in dt.dfs_order[v0 + 1:v1 + 1]])
+        graph = Digraph(v1 - v0, aux.tails[e0:e1] - v0, aux.heads[e0:e1] - v0,
+                        origin=aux.origin[e0:e1], vertex_origin=aux.vertex_origin[v0:v1])
+        yield graph, (Partition([comp[v] if vertex_origin[v] >= 0 else ~v
+                                 for v in range(v0, v1)]) if part else None)
 
 
 def _decompose(g: Digraph, s: int, blocks_only: bool = False):
     """The two levels of auxiliary graphs of G(s): the dominator tree of
     G(s), its number of bridges, the reversed first level `(flow, flow_dt,
-    starts)`, a block label per vertex, and an iterator that gives one
-    first-level graph at a time as H^R, with the dominator tree of H^R(0)
-    and the auxiliary graphs of H^R(0) as one layout (see `_contract`) with
-    the SCC partition of one `scc` call, `(aux, starts, part)`.
+    starts)`, a block label per vertex, and an iterator that gives, for
+    each first-level graph in turn, the auxiliary graphs of H^R(0) as one
+    layout (see `_contract`) with the SCC partition of one `scc` call,
+    `(aux, starts, part)`, or None if it keeps no graph.
 
     The reversed first level is one flow graph C, `flow`: the reverse of
     the first-level layout, whose graph i is H^R on vertices ``starts[i][0]``
@@ -179,10 +179,8 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
     ``starts[-1][0]``, with one arc to the root r of each H^R, numbered
     after the layout's edges.  Nothing leads from one H^R into another, so
     one `dominator_tree` from z, `flow_dt`, holds every H^R(r)'s tree below
-    the bridge z -> r, and `_subtree` reads each off it.  The walk cuts an
-    H^R with `_cut`, and slices its tree, only where it builds a second
-    level, and gives `(None, None, None)` elsewhere; no z-arc reaches a
-    graph, a tree or a layout it gives.
+    the bridge z -> r, and `_contract` reads each H^R where it sits in C;
+    no z-arc reaches a layout it gives.
 
     H^R carries the maps of H, so the second level's maps compose through
     it into g, and a local vertex is ordinary at both levels iff its
@@ -204,19 +202,13 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
     phase 2 runs over C itself, H^R by H^R in walk order.
     """
     dt = dominator_tree(g, s)
-    aux, starts = _contract(g, dt)
+    aux, starts = next(_contract(g, dt))
     flow = _rooted_reverse(aux, [v0 for v0, _ in starts[:-1]])
     flow_dt = dominator_tree(flow, aux.n)
-    flow_vertex = flow.vertex_origin.tolist()
     label = list(range(g.n))
 
     def walk():
-        for (v0, e0), (v1, e1) in zip(starts, starts[1:]):
-            if blocks_only and sum(v >= 0 for v in flow_vertex[v0:v1]) < 2:
-                yield None, None, None
-                continue
-            rev, dtr = _cut(flow, v0, e0, v1, e1), _subtree(flow_dt, v0, v1)
-            layout = _contract(rev, dtr, second_level=True, blocks_only=blocks_only)
+        for layout in _contract(flow, flow_dt, starts, blocks_only):
             if layout is not None:
                 part = scc(layout[0])
                 first: dict[int, int] = {}       # class -> its first ordinary vertex
@@ -224,7 +216,7 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
                     if v >= 0:
                         label[v] = first.setdefault(c, v)
                 layout += (part,)
-            yield rev, dtr, layout
+            yield layout
 
     return dt, len(starts) - 2, (flow, flow_dt, starts), label, walk()
 

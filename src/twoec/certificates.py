@@ -64,7 +64,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
     blue_edge, red_edge = rev_level.blue, rev_level.red
     f_vertex, f_edge = flow.vertex_origin.tolist(), flow.origin.tolist()
     f_tails = flow.tails.tolist()
-    for ((v0, e0), (v1, e1)), (_, _, layout) in zip(zip(starts, starts[1:]), walk):
+    for ((v0, e0), (v1, e1)), layout in zip(zip(starts, starts[1:]), walk):
         _solve(rev_level, range(v0, v1), {e for e in range(e0, e1) if f_edge[e] in in_l})
         inner = range(v0 + 1, v1)            # every vertex but the root r, v0
         blue_inner = {f_tails[blue_edge[x]] for x in inner}   # have a child

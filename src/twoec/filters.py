@@ -273,7 +273,7 @@ def _on_aux_graphs(view: Digraph, cfg: FilterConfig) -> FilterReport:
     kept: set[int] = set()
     tested = 0
     if view.n > 1:
-        for _, _, layout in _decompose(view, 0)[-1]:
+        for layout in _decompose(view, 0)[-1]:
             for aux, aux_blocks in _regions(layout):
                 aux_edge = aux.origin.tolist()
                 appeared.update(aux_edge)

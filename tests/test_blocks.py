@@ -111,12 +111,13 @@ def test_lemma_strong_bridge_reversal():
     rng = random.Random(41)
     for _ in range(80):
         g = random_strongly_connected(rng, rng.randint(2, 10))
-        dt, *_, walk = _decompose(g, 0)
+        dt, auxes = aux_graphs(g, 0)
         gs_bridges = flow_bridges(g, dt)
-        for h, (rev, dtr, _) in zip(aux_graphs(g, 0)[1], walk, strict=True):
+        for h in auxes:
             if h.n <= 1 or scc(h).count != 1:
                 continue
-            rev_bridges = flow_bridges(rev, dtr)
+            rev = h.reverse()
+            rev_bridges = flow_bridges(rev, dominator_tree(rev, 0))
             for e in strong_bridges(h):
                 if int(h.origin[e]) in gs_bridges:
                     continue
@@ -138,15 +139,17 @@ def _entering_bridge(aux) -> list[int]:
 
 
 def test_second_level_api():
-    [(_, _, layout)] = _decompose(g1(), 0)[-1]
+    [layout] = _decompose(g1(), 0)[-1]
     assert [_left_out(aux) for aux, _ in _regions(layout)] == [[]]   # graphs come whole
     assert _left_out(layout[0]) == []                     # H^R(0) has no bridges
     # every second-level graph of a path-like graph has <= 1 ordinary vertex
     g = g2()
-    for h, (rev, dtr, layout) in zip(aux_graphs(g, 0)[1], _decompose(g, 0)[-1], strict=True):
-        assert _aux_fields(rev) == _aux_fields(h.reverse())
-        assert dtr == dominator_tree(rev, 0)
-        assert dtr.dfs_order[0] == 0 and dtr.idom[0] == -1
+    _, _, (flow, flow_dt, starts), _, walk = _decompose(g, 0)
+    spans = zip(starts, starts[1:])
+    for h, ((v0, e0), (v1, e1)), layout in zip(aux_graphs(g, 0)[1], spans, walk, strict=True):
+        assert _aux_fields(_cut(flow, v0, e0, v1, e1)) == _aux_fields(h.reverse())
+        # H^R's part of C's DFS order starts at its root, right below z
+        assert flow_dt.dfs_order[v0 + 1] == v0 and flow_dt.idom[v0] == flow.n - 1
         for j, (aux, _) in enumerate(_regions(layout)):
             assert _left_out(aux) == []
             bridge = [] if j == 0 else _entering_bridge(aux)
@@ -175,17 +178,18 @@ def test_layouts_leave_out_exactly_the_entering_bridges():
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
     for g in graphs + [g2(), g4(), g5(), road_grid(12, 0.12, 0.55, 1)]:
         dt = dominator_tree(g, 0)
-        _check_layout_leaves_out_the_entering_bridges(_contract(g, dt), 0)
+        _check_layout_leaves_out_the_entering_bridges(next(_contract(g, dt)), 0)
         for blocks_only in (False, True):
-            for rev, _, layout in _decompose(g, 0, blocks_only)[-1]:
+            walk = _decompose(g, 0, blocks_only)[-1]
+            for h, layout in zip(aux_graphs(g, 0)[1], walk, strict=True):
                 if layout is not None:
                     _check_layout_leaves_out_the_entering_bridges(layout,
-                                                                  int(rev.vertex_origin[0]))
+                                                                  int(h.vertex_origin[0]))
 
 
 def test_second_level_contains_g5_block():
     found = False
-    for *_, layout in _decompose(g5(), 0)[-1]:
+    for layout in _decompose(g5(), 0)[-1]:
         for aux, part in _regions(layout):
             assert part == blocks(aux)
             for cls in _classes(part):
@@ -225,16 +229,18 @@ def test_second_level_maps_into_the_input_graph():
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
     for g in graphs + [road_grid(12, 0.12, 0.55, 1)]:
         walk = zip(aux_graphs(g, 0)[1], _decompose(g, 0)[-1], strict=True)
-        for i, (h, (_, _, layout)) in enumerate(walk):
+        for i, (h, layout) in enumerate(walk):
             _check_aux_contract(g, h, second_level=False, at_start=i == 0)
             for j, (aux, _) in enumerate(_regions(layout)):
                 _check_aux_contract(g, aux, second_level=True, at_start=j == 0)
 
 
 def _check_second_level_is_aux_graphs_of_rev(g) -> None:
-    """The second-level graphs that the walk cuts for each H^R are
-    `aux_graphs(rev, 0)`, with their maps composed through rev's."""
-    for rev, _, layout in _decompose(g, 0)[-1]:
+    """The second-level graphs that the walk reads for each first-level
+    graph H are `aux_graphs(rev, 0)` of H's reverse rev, with their maps
+    composed through rev's."""
+    for h, layout in zip(aux_graphs(g, 0)[1], _decompose(g, 0)[-1], strict=True):
+        rev = h.reverse()
         rev_edge, rev_vertex = rev.origin.tolist(), rev.vertex_origin.tolist()
         for want, (got, _) in zip(aux_graphs(rev, 0)[1], _regions(layout), strict=True):
             assert got.tails.tolist() == want.tails.tolist()
@@ -258,9 +264,11 @@ def test_second_level_is_aux_graphs_of_rev():
 def _check_one_flow_graph_per_reversed_level(g) -> None:
     """The reversed first level is one flow graph C: the layout's reverse
     plus a virtual root z with one arc, mapped to -1, to each H^R's root.
-    Every H^R tree that the walk hands out, sliced off C's one tree, is
-    `dominator_tree(rev, 0)` in all four fields, and no z-arc reaches a
-    graph, a layout or a certificate: their edges all map into g."""
+    C holds each first-level graph H reversed, rev, at its place in the
+    layout, and C's one tree holds `dominator_tree(rev, 0)` at offset v0,
+    and at v0 + 1 in `pre`, `post` and `dfs_order`, which start at z: the
+    DFS visits z, then each H^R whole, in order.  No z-arc reaches a layout
+    or a certificate: their edges all map into g."""
     in_g = set(range(len(g.tails)))
     _, _, (flow, flow_dt, starts), _, walk = _decompose(g, 0)
     z, layout_edges = starts[-1]
@@ -273,11 +281,15 @@ def _check_one_flow_graph_per_reversed_level(g) -> None:
     assert flow_dt.dfs_order[0] == z
     assert [flow_dt.idom[r] for r in roots] == [z] * len(roots)
     spans = zip(starts, starts[1:])
-    for ((v0, e0), (v1, e1)), (rev, dtr, layout) in zip(spans, walk, strict=True):
+    for ((v0, e0), (v1, e1)), h, layout in zip(spans, aux_graphs(g, 0)[1], walk, strict=True):
+        rev = h.reverse()
         assert (rev.n, len(rev.tails)) == (v1 - v0, e1 - e0)
+        assert _aux_fields(_cut(flow, v0, e0, v1, e1)) == _aux_fields(rev)
         want = dominator_tree(rev, 0)
-        for field in ("idom", "pre", "post", "dfs_order"):
-            assert getattr(dtr, field) == getattr(want, field), field
+        assert [p - v0 for p in flow_dt.idom[v0 + 1:v1]] == want.idom[1:]
+        for field in ("pre", "post"):
+            assert [t - v0 - 1 for t in getattr(flow_dt, field)[v0:v1]] == getattr(want, field)
+        assert [v - v0 for v in flow_dt.dfs_order[v0 + 1:v1 + 1]] == want.dfs_order
         assert set(rev.origin.tolist()) <= in_g
         for aux, _ in _regions(layout):
             assert set(aux.origin.tolist()) <= in_g
@@ -298,21 +310,26 @@ def test_one_flow_graph_per_reversed_first_level():
 @pytest.mark.parametrize("side", [18, 60])
 def test_two_dominator_trees_per_walk(monkeypatch, side):
     # one for G(s) and one for the reversed first level C, however many
-    # first-level graphs there are; the certificate builds the local graphs
-    # of G(s) and of C once each
+    # first-level graphs there are, and one flow_bridges pass on each; the
+    # certificate builds the local graphs of G(s) and of C once each
     g = road_grid(side, 0.12, 0.55, 1)
-    trees, locals_built = [], []
+    trees, bridged, locals_built = [], [], []
     for module in ("twoec.blocks", "twoec.dominators"):
         monkeypatch.setattr(importlib.import_module(module), "dominator_tree",
                             lambda h, s: trees.append(h) or dominator_tree(h, s))
+        monkeypatch.setattr(importlib.import_module(module), "flow_bridges",
+                            lambda h, dt: bridged.append(h) or flow_bridges(h, dt))
     init = spanning._Locals.__init__
     monkeypatch.setattr(spanning._Locals, "__init__",
                         lambda self, h, dt: locals_built.append(h) or init(self, h, dt))
     blocks(g)
     assert len(trees) == 2 and not locals_built
+    assert bridged == trees
     trees.clear()
+    bridged.clear()
     ist_b(g)
     assert len(trees) == len(locals_built) == 2
+    assert bridged == trees
     assert locals_built[0] is g and locals_built[1] is trees[1]
     assert len(aux_graphs(g, 0)[1]) > 50
 
@@ -338,18 +355,25 @@ def test_every_vertex_is_ordinary_in_one_graph_per_level():
     for g in graphs + [road_grid(12, 0.12, 0.55, 1), stdlib_uniform_digraph(350, 1400, 1)]:
         dt, *_, walk = _decompose(g, 0)
         level1, level2 = aux_graphs(g, 0)[1], []
-        for h, (rev, dtr, layout), members in zip(level1, walk, _tree_members(g, dt),
-                                                  strict=True):
+        for h, layout, members in zip(level1, walk, _tree_members(g, dt), strict=True):
             assert h.vertex_origin.tolist() == members + [-1] * (h.n - len(members))
-            h_vertex = h.vertex_origin.tolist()
+            h_vertex, rev = h.vertex_origin.tolist(), h.reverse()
             auxes = [aux for aux, _ in _regions(layout)]
-            for aux, members2 in zip(auxes, _tree_members(rev, dtr), strict=True):
+            for aux, members2 in zip(auxes, _tree_members(rev, dominator_tree(rev, 0)),
+                                     strict=True):
                 want = [h_vertex[v] for v in members2]
                 assert aux.vertex_origin.tolist() == want + [-1] * (aux.n - len(want))
             level2 += auxes
         for level in (level1, level2):
             ordinary = [v for aux in level for v in aux.vertex_origin.tolist() if v >= 0]
             assert sorted(ordinary) == list(range(g.n))
+
+
+def _cut(flow, v0: int, e0: int, v1: int, e1: int) -> Digraph:
+    """The graph on vertices v0 to v1 - 1 and edges e0 to e1 - 1 of the
+    flow graph C, numbered as if built alone: an H^R where it sits in C."""
+    return Digraph(v1 - v0, flow.tails[e0:e1] - v0, flow.heads[e0:e1] - v0,
+                   origin=flow.origin[e0:e1], vertex_origin=flow.vertex_origin[v0:v1])
 
 
 def _aux_fields(aux):
@@ -361,15 +385,17 @@ def _blocks_from_kept_graphs(g) -> Partition:
     """The blocks that the walk with `blocks_only` reads off the SCCs of the
     second-level graphs it builds, after checking that they are exactly the
     full walk's graphs with at least 2 vertices ordinary at both levels.
-    It skips exactly the H^R with fewer than 2 ordinary vertices."""
-    *_, label, kept_walk = _decompose(g, 0, blocks_only=True)
-    for (rev, dtr, full), (rev_kept, dtr_kept, kept) in zip(
-            _decompose(g, 0)[-1], kept_walk, strict=True):
-        if len(_ordinary(rev)) < 2:
-            assert (rev_kept, dtr_kept, kept) == (None, None, None)
+    It skips exactly the H^R with fewer than 2 ordinary vertices, on the
+    same flow graph C with the same tree."""
+    *_, (flow, flow_dt, starts), _, full_walk = _decompose(g, 0)
+    *_, (flow_kept, flow_dt_kept, starts_kept), label, kept_walk = _decompose(
+        g, 0, blocks_only=True)
+    assert _aux_fields(flow_kept) == _aux_fields(flow) and starts_kept == starts
+    assert flow_dt_kept == flow_dt
+    for h, full, kept in zip(aux_graphs(g, 0)[1], full_walk, kept_walk, strict=True):
+        if len(_ordinary(h)) < 2:
+            assert kept is None
             continue
-        assert _aux_fields(rev_kept) == _aux_fields(rev)
-        assert dtr_kept == dtr
         want = [aux for aux, _ in _regions(full) if len(_ordinary(aux)) >= 2]
         assert [_aux_fields(a) for a, _ in _regions(kept)] == [_aux_fields(a) for a in want]
     return Partition(label)
@@ -405,10 +431,10 @@ def test_blocks_only_keeps_every_block_at_scale(make):
 
 def _graphs_built_by_blocks(g) -> int:
     """The graphs one blocks() call must build, counted without the walk:
-    the one layout that holds every first-level graph and its reverse, and
-    for each first-level graph, H^R cut from that reverse and the one
-    layout that holds every second-level graph of H^R(0)."""
-    return 2 * len(aux_graphs(g, 0)[1]) + 2
+    the one layout that holds every first-level graph and its reverse C,
+    and for each first-level graph, the one layout that holds every
+    second-level graph of H^R(0), read in place in C."""
+    return len(aux_graphs(g, 0)[1]) + 2
 
 
 def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
@@ -419,8 +445,8 @@ def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
-    for g, want in ((g4(), 14), (g5(), 12), (road_grid(12, 0.12, 0.55, 1), 68),
-                    (road_grid(18, 0.12, 0.2, 1), 156)):
+    for g, want in ((g4(), 8), (g5(), 7), (road_grid(12, 0.12, 0.55, 1), 35),
+                    (road_grid(18, 0.12, 0.2, 1), 79)):
         assert _graphs_built_by_blocks(g) == want
         with monkeypatch.context() as patch:
             patch.setattr(Digraph, "__init__", counting_init)
@@ -440,7 +466,7 @@ def test_blocks_runs_one_scc_per_first_level_graph(monkeypatch, side, want):
     blocks(g)
     assert len(passes) == len(aux_graphs(g, 0)[1]) == want
     passes.clear()
-    layouts = [layout for *_, layout in _decompose(g, 0, blocks_only=True)[-1]]
+    layouts = list(_decompose(g, 0, blocks_only=True)[-1])
     assert [aux for aux, _, _ in filter(None, layouts)] == passes
     assert 0 < len(passes) < want
 
@@ -449,7 +475,7 @@ def _check_blocks_read_off_the_walk(g) -> None:
     """Every second-level graph of g with its entering bridge is strongly
     connected, and the aux filters' partition that `_regions` reads off its
     SCCs without the bridge is its blocks."""
-    for *_, layout in _decompose(g, 0)[-1]:
+    for layout in _decompose(g, 0)[-1]:
         for aux, part in _regions(layout):
             assert is_strongly_connected(aux)
             assert blocks(aux) == part

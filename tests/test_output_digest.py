@@ -31,13 +31,14 @@ def test_compare_names_each_differing_output(tmp_path, capsys):
 def test_outputs_of_a_small_graph():
     # every library function the tool calls still exists and runs: 14
     # catalog outputs, 2 partitions, 2 x 2 certificates, 2 tree pairs, 2
-    # first-level decompositions and 2 x 10 filter runs
+    # first-level and 2 second-level decompositions and 2 x 10 filter runs
     tool = _tool()
     outs = tool._outputs(g5())
     kinds = [key.split("/")[0] for key in outs]
     assert [kinds.count(k) for k in ("catalog", "ist_b", "ist_b_original", "independent_pair",
-                                     "aux_graphs", "filter_b", "filter_bc")] == [
-        14, 2, 2, 2, 2, 10, 10]
+                                     "aux_graphs", "second_level", "filter_b", "filter_bc")] == [
+        14, 2, 2, 2, 2, 2, 10, 10]
+    assert len(outs) == 46
     assert outs["blocks"] == [0, 0, 1, 2, 3, 4] and outs["components"] == list(range(6))
     assert outs["catalog/ist-b"] == list(range(8))    # g5 has no edge to spare
     # certificates are digested as sorted edge sets

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from twoec import spanning
-from twoec.blocks import _decompose
+from twoec.blocks import _decompose, aux_graphs
 from twoec.digraph import GraphError, build
 from twoec.dominators import dominator_tree, flow_bridges
 from twoec.fixtures import g1, g2, g4, random_strongly_connected, road_grid
@@ -139,10 +139,10 @@ def _check_orders(monkeypatch) -> list[int]:
 
 def _flow_graphs(g):
     """G, G^R and the reversed first-level aux graphs of G(0), which are
-    multigraphs, as the walk cuts them; each flow graph starts at 0."""
+    multigraphs, the graphs H^R of the walk; each flow graph starts at 0."""
     yield g
     yield g.reverse()
-    yield from (rev for rev, _, _ in _decompose(g, 0)[-1])
+    yield from (h.reverse() for h in aux_graphs(g, 0)[1])
 
 
 def test_low_high_orders_random(monkeypatch):
@@ -339,9 +339,12 @@ def test_graphs_side_by_side_solve_as_alone():
     graphs = [random_strongly_connected(rng, rng.randint(4, 60)) for _ in range(60)]
     solved = 0
     for g in graphs + [road_grid(18, 0.12, 0.55, 1), stdlib_uniform_digraph(350, 1400, 1)]:
-        _, _, (flow, flow_dt, starts), _, walk = _decompose(g, 0)
+        _, _, (flow, flow_dt, starts), _, _ = _decompose(g, 0)
         st = spanning._Locals(flow, flow_dt)
-        for ((v0, e0), (v1, e1)), (rev, dtr, _) in zip(zip(starts, starts[1:]), walk):
+        spans = zip(starts, starts[1:])
+        for ((v0, e0), (v1, e1)), h in zip(spans, aux_graphs(g, 0)[1], strict=True):
+            rev = h.reverse()
+            dtr = dominator_tree(rev, 0)
             share = rng.choice([0, 2, 3])
             local = set(rng.sample(range(e1 - e0), (e1 - e0) // share)) if share else set()
             spanning._solve(st, range(v0, v1), {e + e0 for e in local})

@@ -48,11 +48,15 @@ def test_only_the_walk_builds_aux_graphs():
     # blocks(), the block certificate and the aux filters read the two
     # auxiliary-graph levels from one walk and build none themselves; the
     # public aux_graphs cuts the same first level for the package's users,
-    # and the walk reverses that level once, as one flow graph with one
-    # dominator tree, not graph by graph
+    # and the walk reverses that level once, as one flow graph C with one
+    # dominator tree and one bridge pass, and reads each H^R in place in C,
+    # not graph by graph
     assert _callers("aux_graphs") == set()
     assert _callers("_contract") == {("blocks.py", "aux_graphs"), ("blocks.py", "_decompose")}
     assert _callers("_rooted_reverse") == {("blocks.py", "_decompose")}
+    assert {top for path, top in _callers("Digraph") if path == "blocks.py"} == {
+        "_contract", "_regions", "_components", "condense"}
+    assert {top for path, top in _callers("flow_bridges") if path == "blocks.py"} == {"_contract"}
     assert {top for path, top in _callers("reverse") if path == "blocks.py"} == set()
     assert {top for path, top in _callers("dominator_tree") if path == "blocks.py"} == {
         "aux_graphs", "_decompose"}

@@ -21,7 +21,9 @@ parallel edges and loops.  Per graph it covers:
 - the (blue, red) trees of `independent_pair` on G(0) and G^R(0), with no
   edges preferred and with a seeded third preferred;
 - the tails, heads, edge ids, origin and vertex_origin of every
-  first-level auxiliary graph of G(0) and of G^R(0) (`aux_graphs`);
+  first-level auxiliary graph of G(0) and of G^R(0) (`aux_graphs`), and of
+  every second-level graph: `aux_graphs(h.reverse(), 0)` of each
+  first-level graph h;
 - the decisions, counters and surviving edges of `filter_b` and
   `filter_bc` for `test2edp` and `hybrid`, on and off the aux graphs, and
   under each of `FILTER_VARIANTS`.
@@ -77,6 +79,11 @@ FILTER_VARIANTS = {
 }
 
 
+def _fields(h) -> list[list[int]]:
+    return [h.tails.tolist(), h.heads.tolist(), h.edge_ids.tolist(), h.origin.tolist(),
+            h.vertex_origin.tolist()]
+
+
 def _outputs(g) -> dict[str, object]:
     from dataclasses import asdict
 
@@ -103,9 +110,10 @@ def _outputs(g) -> dict[str, object]:
         preferred = set(rng.sample(ids, len(ids) // 3))
         out[f"independent_pair/{label}"] = [independent_pair(flow, dt),
                                             independent_pair(flow, dt, preferred)]
-        out[f"aux_graphs/{label}"] = [
-            [h.tails.tolist(), h.heads.tolist(), h.edge_ids.tolist(), h.origin.tolist(),
-             h.vertex_origin.tolist()] for h in aux_graphs(flow, 0)[1]]
+        level1 = aux_graphs(flow, 0)[1]
+        out[f"aux_graphs/{label}"] = [_fields(h) for h in level1]
+        out[f"second_level/{label}"] = [[_fields(a) for a in aux_graphs(h.reverse(), 0)[1]]
+                                        for h in level1]
     configs = {f"{strategy}/aux={aux}": {"strategy": strategy, "on_aux_graphs": aux}
                for strategy in ("test2edp", "hybrid") for aux in (False, True)}
     configs.update(FILTER_VARIANTS)
