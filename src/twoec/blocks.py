@@ -29,29 +29,31 @@ def aux_graphs(g: Digraph, s: int) -> tuple[DominatorTree, list[Digraph]]:
     d(r) -> r is the only edge out of d(r).
     """
     dt = dominator_tree(g, s)
-    return dt, [h for h, _ in _regions(next(_contract(g, dt)))]
+    return dt, [h for h, _ in _regions(_contract(g, dt))]
 
 
 def _contract(g: Digraph, dt: DominatorTree, starts=None, blocks_only: bool = False):
     """The auxiliary graphs of each flow graph of g, given its dominator
-    tree `dt`, lazily: one layout `(aux, starts)` per flow graph, or None
-    if it keeps no graph.  Without `starts`, g is G(s), one flow graph
-    whose maps lead into g.  With the `starts` of the first-level layout,
-    g is `_decompose`'s flow graph C, and each H^R is read where it sits in
-    C, its maps composing through C's into the input graph: the DFS from z
-    visits z and then each H^R whole, in order, so the dominator-respecting
-    preorder of the H^R on vertices v0 to v1 - 1 is positions v0 + 1 to v1
-    of C's DFS order; its edges are C's e0 to e1 - 1; and its bridges are
-    C's but the z-arcs, which only enter the roots.  `blocks_only` builds
-    only the graphs with 2 or more vertices ordinary at both levels, and
-    gives None for a flow graph with fewer than 2 ordinary vertices before
-    it contracts anything.
+    tree `dt`, as one layout `(aux, starts, cuts)`.  Without `starts`, g is
+    G(s), one flow graph whose maps lead into g.  With the `starts` of the
+    first-level layout, g is `_decompose`'s flow graph C, and each H^R is
+    read where it sits in C, its maps composing through C's into the input
+    graph: the DFS from z visits z and then each H^R whole, in order, so the
+    dominator-respecting preorder of the H^R on vertices v0 to v1 - 1 is
+    positions v0 + 1 to v1 of C's DFS order; its edges are C's e0 to
+    e1 - 1; and its bridges are C's but the z-arcs, which only enter the
+    roots.  `blocks_only` builds only the graphs with 2 or more vertices
+    ordinary at both levels, and skips a flow graph with fewer than 2
+    ordinary vertices before it contracts anything.
 
-    The layout lays the graphs side by side in one graph `aux`: graph i
-    sits on vertices ``starts[i][0]`` to ``starts[i + 1][0] - 1`` and on
-    edges ``starts[i][1]`` to ``starts[i + 1][1] - 1``, numbered as it would
-    be alone but for those offsets, and `edge_ids` leave out every entering
-    bridge d(r) -> r, which `tails`, `heads` and `origin` keep.
+    The layout lays the graphs side by side in one graph `aux`, flow graph
+    by flow graph: graph i sits on vertices ``starts[i][0]`` to
+    ``starts[i + 1][0] - 1`` and on edges ``starts[i][1]`` to
+    ``starts[i + 1][1] - 1``, numbered as it would be alone but for those
+    offsets, and `edge_ids` leave out every entering bridge d(r) -> r,
+    which `tails`, `heads` and `origin` keep.  The graphs of flow graph j
+    sit on vertices ``cuts[j]`` to ``cuts[j + 1] - 1``, a range that is
+    empty if it keeps none; a layout that keeps no graph has no vertex.
     """
     idom, order = dt.idom, dt.dfs_order
     ids, g_tails, g_heads = g.edge_ids.tolist(), g.tails.tolist(), g.heads.tolist()
@@ -62,9 +64,17 @@ def _contract(g: Digraph, dt: DominatorTree, starts=None, blocks_only: bool = Fa
         spans, after_z, vertex_of = zip(starts, starts[1:]), 1, g.vertex_origin.tolist()
     tree_id = [0] * g.n                      # the marked root of every vertex
     local = [0] * g.n                        # its place among its tree's members
+    # the graphs go into the layout's lists, each from offset `base` on
+    tails: list[int] = []
+    heads: list[int] = []
+    orig: list[int] = []
+    vertex_origin: list[int] = []
+    edge_ids: list[int] = []                 # all but the entering bridges
+    layout_starts = [(0, 0)]
+    cuts: list[int] = []
     for (v0, e0), (v1, e1) in spans:
+        cuts.append(len(vertex_origin))
         if blocks_only and sum(v >= 0 for v in vertex_of[v0:v1]) < 2:
-            yield None
             continue
         preorder = order[v0 + after_z:v1 + after_z]
         s = preorder[0]
@@ -103,13 +113,6 @@ def _contract(g: Digraph, dt: DominatorTree, starts=None, blocks_only: bool = Fa
                 a, rx = as_child[rx], tree_id[idom[rx]]
             region_edges[rx].append((a, local[y], e))
 
-        # each graph goes into the layout's lists from offset `base` on
-        tails: list[int] = []
-        heads: list[int] = []
-        orig: list[int] = []
-        vertex_origin: list[int] = []
-        edge_ids: list[int] = []             # all but the entering bridges
-        layout_starts = [(0, 0)]
         for r in marked:
             ordinary = members[r]
             r_vertex = [vertex_of[v] for v in ordinary]
@@ -136,25 +139,22 @@ def _contract(g: Digraph, dt: DominatorTree, starts=None, blocks_only: bool = Fa
                 orig.append(e)
             vertex_origin += r_vertex + [-1] * (d_r + (r != s) - contracted)
             layout_starts.append((len(vertex_origin), len(orig)))
-        if len(layout_starts) == 1:
-            yield None
-            continue
-        yield Digraph(len(vertex_origin), tails, heads, edge_ids=edge_ids,
-                      origin=orig if starts is None else g.origin[orig],
-                      vertex_origin=vertex_origin), layout_starts
+    cuts.append(len(vertex_origin))
+    aux = Digraph(len(vertex_origin), tails, heads, edge_ids=edge_ids,
+                  origin=orig if starts is None else g.origin[orig],
+                  vertex_origin=vertex_origin)
+    return aux, layout_starts, cuts
 
 
 def _regions(layout):
-    """Each graph of a layout from `_contract` (None has none), whole:
-    numbered as if built alone, its entering bridge among its `edge_ids`.
-    It comes with its blocks if the layout comes with `_decompose`'s SCC
-    partition, `(aux, starts, part)`, else with None.  A vertex ordinary at
+    """Each graph of a layout from `_contract`, whole: numbered as if built
+    alone, its entering bridge among its `edge_ids`.  It comes with its
+    blocks if the layout comes with `_decompose`'s SCC partition,
+    `(aux, starts, cuts, part)`, else with None.  A vertex ordinary at
     both levels keeps its SCC class; every other one (a marked child, d(r),
     or a vertex contracted at the first level) has a single in- or out-edge
     in the strongly connected graph, so it is a block of its own."""
-    if layout is None:
-        return
-    aux, starts, *part = layout
+    aux, starts, _, *part = layout
     if part:
         comp, vertex_origin = part[0].comp.tolist(), aux.vertex_origin.tolist()
     for (v0, e0), (v1, e1) in zip(starts, starts[1:]):
@@ -167,10 +167,9 @@ def _regions(layout):
 def _decompose(g: Digraph, s: int, blocks_only: bool = False):
     """The two levels of auxiliary graphs of G(s): the dominator tree of
     G(s), its number of bridges, the reversed first level `(flow, flow_dt,
-    starts)`, a block label per vertex, and an iterator that gives, for
-    each first-level graph in turn, the auxiliary graphs of H^R(0) as one
-    layout (see `_contract`) with the SCC partition of one `scc` call,
-    `(aux, starts, part)`, or None if it keeps no graph.
+    starts)`, a block label per vertex, and the second level: the auxiliary
+    graphs of every H^R(0) as one layout (see `_contract`) with the SCC
+    partition of one `scc` call, `(aux, starts, cuts, part)`.
 
     The reversed first level is one flow graph C, `flow`: the reverse of
     the first-level layout, whose graph i is H^R on vertices ``starts[i][0]``
@@ -180,45 +179,39 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
     after the layout's edges.  Nothing leads from one H^R into another, so
     one `dominator_tree` from z, `flow_dt`, holds every H^R(r)'s tree below
     the bridge z -> r, and `_contract` reads each H^R where it sits in C;
-    no z-arc reaches a layout it gives.
+    no z-arc reaches the second level.  Its graphs of H^R i sit between
+    ``cuts[i]`` and ``cuts[i + 1]``.
 
     H^R carries the maps of H, so the second level's maps compose through
     it into g, and a local vertex is ordinary at both levels iff its
     `vertex_origin` is not -1; `blocks_only` builds only the graphs with 2
     such vertices or more, the only ones that hold a block or a part of n',
-    and skips an H^R with fewer than 2 ordinary vertices, and its `scc`
-    call, whole.  The layout leaves every entering bridge d(r) -> r out of
-    its `edge_ids`, so its SCCs are those of each graph without it.  The
-    blocks are the SCCs restricted to the vertices ordinary at both levels,
-    and each vertex is ordinary at both levels in exactly one graph, so
-    each label is set once, to the first such vertex of its SCC, by the
-    time the iterator is exhausted.
+    and skips an H^R with fewer than 2 ordinary vertices whole.  The layout
+    leaves every entering bridge d(r) -> r out of its `edge_ids`, so its
+    SCCs are those of each graph without it, and no SCC spans two graphs.
+    The blocks are the SCCs restricted to the vertices ordinary at both
+    levels, and each vertex is ordinary at both levels in exactly one
+    graph, so each label is set once, to the first such vertex of its SCC.
 
     Three consumers read those SCCs: `blocks()` returns the labels,
-    `certificates._ist_pipeline` covers every SCC of each layout in its
+    `certificates._ist_pipeline` covers every SCC of each H^R in its
     phase 3 and returns the labels as g's block partition, and
     `filters._on_aux_graphs` runs its strategy on each second-level graph
     with the blocks that `_regions` reads off the SCCs.  The certificate's
-    phase 2 runs over C itself, H^R by H^R in walk order.
+    phase 2 runs over C itself, H^R by H^R, each before its phase 3.
     """
     dt = dominator_tree(g, s)
-    aux, starts = next(_contract(g, dt))
+    aux, starts, _ = _contract(g, dt)
     flow = _rooted_reverse(aux, [v0 for v0, _ in starts[:-1]])
     flow_dt = dominator_tree(flow, aux.n)
+    second = _contract(flow, flow_dt, starts, blocks_only)
+    part = scc(second[0])
     label = list(range(g.n))
-
-    def walk():
-        for layout in _contract(flow, flow_dt, starts, blocks_only):
-            if layout is not None:
-                part = scc(layout[0])
-                first: dict[int, int] = {}       # class -> its first ordinary vertex
-                for c, v in zip(part.comp.tolist(), layout[0].vertex_origin.tolist()):
-                    if v >= 0:
-                        label[v] = first.setdefault(c, v)
-                layout += (part,)
-            yield layout
-
-    return dt, len(starts) - 2, (flow, flow_dt, starts), label, walk()
+    first: dict[int, int] = {}               # class -> its first ordinary vertex
+    for c, v in zip(part.comp.tolist(), second[0].vertex_origin.tolist()):
+        if v >= 0:
+            label[v] = first.setdefault(c, v)
+    return dt, len(starts) - 2, (flow, flow_dt, starts), label, (*second, part)
 
 
 def blocks(g: Digraph) -> Partition:
@@ -227,10 +220,7 @@ def blocks(g: Digraph) -> Partition:
     _ensure_strongly_connected(g)
     if g.n <= 1:
         return Partition(list(range(g.n)))
-    *_, label, walk = _decompose(g, 0)
-    for _ in walk:
-        pass
-    return Partition(label)
+    return Partition(_decompose(g, 0)[3])
 
 
 def components(g: Digraph) -> Partition:

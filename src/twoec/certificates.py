@@ -9,7 +9,7 @@ cycle-contraction SCSS approximation and its component-preserving variant;
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .blocks import _components, _decompose, condense
@@ -50,7 +50,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
         in_l.update(edges)
         new[phase - 1] += len(in_l) - before
 
-    dt, bridges, (flow, flow_dt, starts), block_label, walk = _decompose(
+    dt, bridges, (flow, flow_dt, starts), block_label, (aux, _, cuts, part) = _decompose(
         g, s, blocks_only=modified)
 
     # Phase 1: two independent spanning trees of G(s)
@@ -64,7 +64,15 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
     blue_edge, red_edge = rev_level.blue, rev_level.red
     f_vertex, f_edge = flow.vertex_origin.tolist(), flow.origin.tolist()
     f_tails = flow.tails.tolist()
-    for ((v0, e0), (v1, e1)), layout in zip(zip(starts, starts[1:]), walk):
+    # Phase 3 covers the second-level SCCs of each H^R right after its
+    # phase 2.  Classes are numbered by their first layout vertex, and
+    # those of H^R i begin between cuts[i] and cuts[i + 1]
+    sccs = induced_subgraphs(aux, part)      # every class of 2 or more, in class order
+    sizes, first = part.sizes().tolist(), {}
+    for v, c in enumerate(part.comp.tolist()):
+        first.setdefault(c, v)
+    begins = [v for c, v in first.items() if sizes[c] >= 2]
+    for (v0, e0), (v1, e1), cut, next_cut in zip(starts, starts[1:], cuts, cuts[1:]):
         _solve(rev_level, range(v0, v1), {e for e in range(e0, e1) if f_edge[e] in in_l})
         inner = range(v0 + 1, v1)            # every vertex but the root r, v0
         blue_inner = {f_tails[blue_edge[x]] for x in inner}   # have a child
@@ -89,10 +97,7 @@ def _ist_pipeline(g: Digraph, s: int, modified: bool):
 
         # Phase 3: strongly connected coverage of every second-level SCC, whose
         # maps lead into the input graph; an SCC needs no strong-connectivity check
-        if layout is None:
-            continue
-        aux, _, part = layout
-        for sub in induced_subgraphs(aux, part):
+        for sub in sccs[bisect_left(begins, cut):bisect_left(begins, next_cut)]:
             vertex, origin = sub.vertex_origin.tolist(), sub.origin.tolist()
             both_ord = [x for x in vertex if x >= 0]
             if modified and len(both_ord) <= 1:

@@ -19,8 +19,8 @@ one run over the whole working graph takes it from the certificate's own
 construction, or from one `blocks()` call without it; the run in each
 second-level auxiliary graph takes the graph whole, its entering bridge
 among its edges, with the blocks that `blocks._regions` reads off the SCC
-partition of the shared walk (`blocks._decompose`), so `blocks()` is
-called only by block tests.
+partition of the second level's one layout (`blocks._decompose`), so
+`blocks()` is called only by block tests.
 """
 from __future__ import annotations
 
@@ -273,14 +273,13 @@ def _on_aux_graphs(view: Digraph, cfg: FilterConfig) -> FilterReport:
     kept: set[int] = set()
     tested = 0
     if view.n > 1:
-        for layout in _decompose(view, 0)[-1]:
-            for aux, aux_blocks in _regions(layout):
-                aux_edge = aux.origin.tolist()
-                appeared.update(aux_edge)
-                # aux comes whole, so the strategy filters its entering bridge too
-                sub_rep = _run_strategy(aux, cfg, aux_blocks)
-                tested += sub_rep.counters["tested_2edp"] + sub_rep.counters["tested_blocks"]
-                kept.update(aux_edge[e] for e in sub_rep.surviving)
+        for aux, aux_blocks in _regions(_decompose(view, 0)[-1]):
+            aux_edge = aux.origin.tolist()
+            appeared.update(aux_edge)
+            # aux comes whole, so the strategy filters its entering bridge too
+            sub_rep = _run_strategy(aux, cfg, aux_blocks)
+            tested += sub_rep.counters["tested_2edp"] + sub_rep.counters["tested_blocks"]
+            kept.update(aux_edge[e] for e in sub_rep.surviving)
     surviving = (set(ids) - appeared) | kept
     decisions = {e: ("deleted" if e not in surviving else "kept-needed") for e in ids}
     return FilterReport(

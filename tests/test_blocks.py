@@ -1,6 +1,7 @@
 import importlib
 import random
 import time
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -138,36 +139,48 @@ def _entering_bridge(aux) -> list[int]:
     return [e for e, p in enumerate(pairs) if p == (aux.n - 1, 0)]
 
 
+def _per_first_level_graph(second) -> list[list[tuple]]:
+    """The graphs of the second-level layout, each with its blocks, grouped
+    by the H^R they come from, in C's order: those of H^R i begin between
+    ``cuts[i]`` and ``cuts[i + 1]``."""
+    _, starts, cuts, _ = second
+    regions = list(zip((v0 for v0, _ in starts), _regions(second)))
+    return [[r for v0, r in regions if lo <= v0 < hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
 def test_second_level_api():
-    [layout] = _decompose(g1(), 0)[-1]
-    assert [_left_out(aux) for aux, _ in _regions(layout)] == [[]]   # graphs come whole
-    assert _left_out(layout[0]) == []                     # H^R(0) has no bridges
+    second = _decompose(g1(), 0)[-1]
+    assert [_left_out(aux) for aux, _ in _regions(second)] == [[]]   # graphs come whole
+    assert _left_out(second[0]) == []                     # H^R(0) has no bridges
     # every second-level graph of a path-like graph has <= 1 ordinary vertex
     g = g2()
-    _, _, (flow, flow_dt, starts), _, walk = _decompose(g, 0)
+    _, _, (flow, flow_dt, starts), _, second = _decompose(g, 0)
     spans = zip(starts, starts[1:])
-    for h, ((v0, e0), (v1, e1)), layout in zip(aux_graphs(g, 0)[1], spans, walk, strict=True):
+    for h, ((v0, e0), (v1, e1)), regions in zip(aux_graphs(g, 0)[1], spans,
+                                                 _per_first_level_graph(second), strict=True):
         assert _aux_fields(_cut(flow, v0, e0, v1, e1)) == _aux_fields(h.reverse())
         # H^R's part of C's DFS order starts at its root, right below z
         assert flow_dt.dfs_order[v0 + 1] == v0 and flow_dt.idom[v0] == flow.n - 1
-        for j, (aux, _) in enumerate(_regions(layout)):
+        for j, (aux, _) in enumerate(regions):
             assert _left_out(aux) == []
             bridge = [] if j == 0 else _entering_bridge(aux)
             assert [int(aux.origin[e]) for e in bridge] in ([], [0], [1], [2])
             assert len(_ordinary(aux)) <= 1
 
 
-def _check_layout_leaves_out_the_entering_bridges(layout, start: int) -> None:
+def _check_layout_leaves_out_the_entering_bridges(layout, roots: list[int]) -> None:
     """The `edge_ids` of a layout leave out exactly the entering bridge of
-    each of its graphs but the one of the start vertex `start`, whose
-    first local vertex stands for `start`."""
-    aux, starts = layout[:2]
+    each of its graphs but the one of each flow graph's start vertex: the
+    graph whose first local vertex stands for ``roots[j]``, among those of
+    flow graph j, which begin between ``cuts[j]`` and ``cuts[j + 1]``."""
+    aux, starts, cuts = layout[:3]
+    assert len(cuts) == len(roots) + 1 and cuts[-1] == aux.n
     tails, heads = aux.tails.tolist(), aux.heads.tolist()
     vertex_origin = aux.vertex_origin.tolist()
     want = []
     for (v0, e0), (v1, e1) in zip(starts, starts[1:]):
         bridge = [e for e in range(e0, e1) if (tails[e], heads[e]) == (v1 - 1, v0)]
-        if vertex_origin[v0] != start:
+        if vertex_origin[v0] != roots[bisect_right(cuts, v0) - 1]:
             assert len(bridge) == 1
             want += bridge
     assert _left_out(aux) == want
@@ -178,24 +191,21 @@ def test_layouts_leave_out_exactly_the_entering_bridges():
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
     for g in graphs + [g2(), g4(), g5(), road_grid(12, 0.12, 0.55, 1)]:
         dt = dominator_tree(g, 0)
-        _check_layout_leaves_out_the_entering_bridges(next(_contract(g, dt)), 0)
+        _check_layout_leaves_out_the_entering_bridges(_contract(g, dt), [0])
+        roots = _roots(aux_graphs(g, 0)[1])
         for blocks_only in (False, True):
-            walk = _decompose(g, 0, blocks_only)[-1]
-            for h, layout in zip(aux_graphs(g, 0)[1], walk, strict=True):
-                if layout is not None:
-                    _check_layout_leaves_out_the_entering_bridges(layout,
-                                                                  int(h.vertex_origin[0]))
+            _check_layout_leaves_out_the_entering_bridges(_decompose(g, 0, blocks_only)[-1],
+                                                          roots)
 
 
 def test_second_level_contains_g5_block():
     found = False
-    for layout in _decompose(g5(), 0)[-1]:
-        for aux, part in _regions(layout):
-            assert part == blocks(aux)
-            for cls in _classes(part):
-                orig = {int(aux.vertex_origin[v]) for v in cls.tolist()} - {-1}
-                if {0, 1} <= orig:
-                    found = True
+    for aux, part in _regions(_decompose(g5(), 0)[-1]):
+        assert part == blocks(aux)
+        for cls in _classes(part):
+            orig = {int(aux.vertex_origin[v]) for v in cls.tolist()} - {-1}
+            if {0, 1} <= orig:
+                found = True
     assert found
 
 
@@ -228,10 +238,11 @@ def test_second_level_maps_into_the_input_graph():
     rng = random.Random(67)
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
     for g in graphs + [road_grid(12, 0.12, 0.55, 1)]:
-        walk = zip(aux_graphs(g, 0)[1], _decompose(g, 0)[-1], strict=True)
-        for i, (h, layout) in enumerate(walk):
+        levels = zip(aux_graphs(g, 0)[1], _per_first_level_graph(_decompose(g, 0)[-1]),
+                     strict=True)
+        for i, (h, regions) in enumerate(levels):
             _check_aux_contract(g, h, second_level=False, at_start=i == 0)
-            for j, (aux, _) in enumerate(_regions(layout)):
+            for j, (aux, _) in enumerate(regions):
                 _check_aux_contract(g, aux, second_level=True, at_start=j == 0)
 
 
@@ -239,10 +250,11 @@ def _check_second_level_is_aux_graphs_of_rev(g) -> None:
     """The second-level graphs that the walk reads for each first-level
     graph H are `aux_graphs(rev, 0)` of H's reverse rev, with their maps
     composed through rev's."""
-    for h, layout in zip(aux_graphs(g, 0)[1], _decompose(g, 0)[-1], strict=True):
+    second = _per_first_level_graph(_decompose(g, 0)[-1])
+    for h, regions in zip(aux_graphs(g, 0)[1], second, strict=True):
         rev = h.reverse()
         rev_edge, rev_vertex = rev.origin.tolist(), rev.vertex_origin.tolist()
-        for want, (got, _) in zip(aux_graphs(rev, 0)[1], _regions(layout), strict=True):
+        for want, (got, _) in zip(aux_graphs(rev, 0)[1], regions, strict=True):
             assert got.tails.tolist() == want.tails.tolist()
             assert got.heads.tolist() == want.heads.tolist()
             assert got.edge_ids.tolist() == want.edge_ids.tolist()
@@ -270,7 +282,7 @@ def _check_one_flow_graph_per_reversed_level(g) -> None:
     DFS visits z, then each H^R whole, in order.  No z-arc reaches a layout
     or a certificate: their edges all map into g."""
     in_g = set(range(len(g.tails)))
-    _, _, (flow, flow_dt, starts), _, walk = _decompose(g, 0)
+    _, _, (flow, flow_dt, starts), _, second = _decompose(g, 0)
     z, layout_edges = starts[-1]
     roots = [v0 for v0, _ in starts[:-1]]
     assert flow.n == z + 1 and flow.m == len(flow.tails) == layout_edges + len(roots)
@@ -281,7 +293,7 @@ def _check_one_flow_graph_per_reversed_level(g) -> None:
     assert flow_dt.dfs_order[0] == z
     assert [flow_dt.idom[r] for r in roots] == [z] * len(roots)
     spans = zip(starts, starts[1:])
-    for ((v0, e0), (v1, e1)), h, layout in zip(spans, aux_graphs(g, 0)[1], walk, strict=True):
+    for ((v0, e0), (v1, e1)), h in zip(spans, aux_graphs(g, 0)[1], strict=True):
         rev = h.reverse()
         assert (rev.n, len(rev.tails)) == (v1 - v0, e1 - e0)
         assert _aux_fields(_cut(flow, v0, e0, v1, e1)) == _aux_fields(rev)
@@ -291,8 +303,7 @@ def _check_one_flow_graph_per_reversed_level(g) -> None:
             assert [t - v0 - 1 for t in getattr(flow_dt, field)[v0:v1]] == getattr(want, field)
         assert [v - v0 for v in flow_dt.dfs_order[v0 + 1:v1 + 1]] == want.dfs_order
         assert set(rev.origin.tolist()) <= in_g
-        for aux, _ in _regions(layout):
-            assert set(aux.origin.tolist()) <= in_g
+    assert set(second[0].origin.tolist()) <= in_g
     assert ist_b(g)[0] <= in_g
     assert ist_b_original(g) <= in_g
 
@@ -353,12 +364,13 @@ def test_every_vertex_is_ordinary_in_one_graph_per_level():
     rng = random.Random(71)
     graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(60)]
     for g in graphs + [road_grid(12, 0.12, 0.55, 1), stdlib_uniform_digraph(350, 1400, 1)]:
-        dt, *_, walk = _decompose(g, 0)
+        dt, *_, second = _decompose(g, 0)
         level1, level2 = aux_graphs(g, 0)[1], []
-        for h, layout, members in zip(level1, walk, _tree_members(g, dt), strict=True):
+        groups = _per_first_level_graph(second)
+        for h, regions, members in zip(level1, groups, _tree_members(g, dt), strict=True):
             assert h.vertex_origin.tolist() == members + [-1] * (h.n - len(members))
             h_vertex, rev = h.vertex_origin.tolist(), h.reverse()
-            auxes = [aux for aux, _ in _regions(layout)]
+            auxes = [aux for aux, _ in regions]
             for aux, members2 in zip(auxes, _tree_members(rev, dominator_tree(rev, 0)),
                                      strict=True):
                 want = [h_vertex[v] for v in members2]
@@ -367,6 +379,23 @@ def test_every_vertex_is_ordinary_in_one_graph_per_level():
         for level in (level1, level2):
             ordinary = [v for aux in level for v in aux.vertex_origin.tolist() if v >= 0]
             assert sorted(ordinary) == list(range(g.n))
+
+
+def test_each_label_is_the_first_ordinary_vertex_of_its_scc():
+    # a block's label is the input vertex of its first layout vertex that
+    # is ordinary at both levels; a vertex in no kept graph labels itself
+    rng = random.Random(97)
+    graphs = [random_strongly_connected(rng, rng.randint(2, 40)) for _ in range(40)]
+    for g in graphs + [road_grid(18, 0.12, 0.55, 1), dense_cert_graph()]:
+        for blocks_only in (False, True):
+            *_, label, (aux, _, _, part) = _decompose(g, 0, blocks_only)
+            vertex = aux.vertex_origin.tolist()
+            want = list(range(g.n))
+            for cls in _classes(part):
+                ordinary = [vertex[x] for x in cls.tolist() if vertex[x] >= 0]
+                for v in ordinary:
+                    want[v] = ordinary[0]
+            assert label == want
 
 
 def _cut(flow, v0: int, e0: int, v1: int, e1: int) -> Digraph:
@@ -384,20 +413,19 @@ def _aux_fields(aux):
 def _blocks_from_kept_graphs(g) -> Partition:
     """The blocks that the walk with `blocks_only` reads off the SCCs of the
     second-level graphs it builds, after checking that they are exactly the
-    full walk's graphs with at least 2 vertices ordinary at both levels.
-    It skips exactly the H^R with fewer than 2 ordinary vertices, on the
-    same flow graph C with the same tree."""
-    *_, (flow, flow_dt, starts), _, full_walk = _decompose(g, 0)
-    *_, (flow_kept, flow_dt_kept, starts_kept), label, kept_walk = _decompose(
+    full walk's graphs with at least 2 vertices ordinary at both levels,
+    each under the H^R it comes from.  It skips exactly the H^R with fewer
+    than 2 ordinary vertices, on the same flow graph C with the same tree."""
+    *_, (flow, flow_dt, starts), _, full_second = _decompose(g, 0)
+    *_, (flow_kept, flow_dt_kept, starts_kept), label, kept_second = _decompose(
         g, 0, blocks_only=True)
     assert _aux_fields(flow_kept) == _aux_fields(flow) and starts_kept == starts
     assert flow_dt_kept == flow_dt
-    for h, full, kept in zip(aux_graphs(g, 0)[1], full_walk, kept_walk, strict=True):
-        if len(_ordinary(h)) < 2:
-            assert kept is None
-            continue
-        want = [aux for aux, _ in _regions(full) if len(_ordinary(aux)) >= 2]
-        assert [_aux_fields(a) for a, _ in _regions(kept)] == [_aux_fields(a) for a in want]
+    for h, full, kept in zip(aux_graphs(g, 0)[1], _per_first_level_graph(full_second),
+                             _per_first_level_graph(kept_second), strict=True):
+        kept_h = len(_ordinary(h)) >= 2
+        want = [aux for aux, _ in full if kept_h and len(_ordinary(aux)) >= 2]
+        assert [_aux_fields(a) for a, _ in kept] == [_aux_fields(a) for a in want]
     return Partition(label)
 
 
@@ -429,56 +457,88 @@ def test_blocks_only_keeps_every_block_at_scale(make):
             assert two_edge_connected_pair(g, cls[0], v)
 
 
-def _graphs_built_by_blocks(g) -> int:
-    """The graphs one blocks() call must build, counted without the walk:
-    the one layout that holds every first-level graph and its reverse C,
-    and for each first-level graph, the one layout that holds every
-    second-level graph of H^R(0), read in place in C."""
-    return len(aux_graphs(g, 0)[1]) + 2
+# Graphs with few and with many first-level graphs (5 to 866)
+COUNTED = {
+    "g4": g4, "g5": g5,
+    "road-12": lambda: road_grid(12, 0.12, 0.55, 1),
+    "road-18": lambda: road_grid(18, 0.12, 0.55, 1),
+    "road-18-bridged": lambda: road_grid(18, 0.12, 0.2, 1),
+    "road-60": lambda: road_grid(60, 0.12, 0.55, 1),
+    "road-60-bridged": lambda: road_grid(60, 0.12, 0.2, 1),
+}
 
 
 def test_blocks_builds_no_graph_beyond_the_aux_graphs(monkeypatch):
+    # one layout per level and C, the reverse of the first: a blocks() call
+    # builds 3 graphs however many first-level graphs there are
     built = []
     init = Digraph.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    for g, want in ((g4(), 8), (g5(), 7), (road_grid(12, 0.12, 0.55, 1), 35),
-                    (road_grid(18, 0.12, 0.2, 1), 79)):
-        assert _graphs_built_by_blocks(g) == want
+    for make in COUNTED.values():
+        g = make()
         with monkeypatch.context() as patch:
-            patch.setattr(Digraph, "__init__", counting_init)
+            patch.setattr(Digraph, "__init__",
+                          lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
             built.clear()
             blocks(g)
-        assert len(built) == want
+        assert len(built) == 3
 
 
-@pytest.mark.parametrize("side, want", [(18, 63), (60, 428)])
-def test_blocks_runs_one_scc_per_first_level_graph(monkeypatch, side, want):
-    # the second level of each first-level graph is one layout and one scc
-    # call; with blocks_only, a graph whose second level keeps nothing has none
-    g = road_grid(side, 0.12, 0.55, 1)
+@pytest.mark.parametrize("make", COUNTED.values(), ids=COUNTED.keys())
+def test_blocks_runs_one_second_level_scc(monkeypatch, make):
+    # the whole second level is one layout and one scc call; with
+    # blocks_only it holds fewer graphs
+    g = make()
     passes = []
     monkeypatch.setattr(importlib.import_module("twoec.blocks"), "scc",
                         lambda h: passes.append(h) or scc(h))
     blocks(g)
-    assert len(passes) == len(aux_graphs(g, 0)[1]) == want
+    assert len(passes) == 1
     passes.clear()
-    layouts = list(_decompose(g, 0, blocks_only=True)[-1])
-    assert [aux for aux, _, _ in filter(None, layouts)] == passes
-    assert 0 < len(passes) < want
+    kept = _decompose(g, 0, blocks_only=True)[-1]
+    assert passes == [kept[0]]
+    assert len(kept[1]) < len(_decompose(g, 0)[-1][1])
+
+
+@pytest.mark.parametrize("side, p_two_way", [(12, 0.55), (18, 0.55), (18, 0.2), (60, 0.55)])
+def test_blocks_reads_adjacency_a_constant_number_of_times(monkeypatch, side, p_two_way):
+    # out_lists() and in_lists() convert a CSR to lists on every call; a
+    # blocks() call makes 7 such calls however many first-level graphs
+    # there are
+    g = road_grid(side, 0.12, p_two_way, 1)
+    calls = []
+    for name in ("out_lists", "in_lists"):
+        read = getattr(Digraph, name)
+        monkeypatch.setattr(Digraph, name,
+                            lambda self, read=read: calls.append(self) or read(self))
+    blocks(g)
+    assert len(calls) == 7
+
+
+@pytest.mark.parametrize("g, certificate, bridges, phases", [
+    (g2(), [0, 1, 2], 2, (2, 1, 0)),
+    (build(1, []), [], 0, (0, 0, 0)),
+    (build(2, [(0, 1), (1, 0)]), [0, 1], 1, (1, 1, 0)),
+], ids=["g2", "one-vertex", "two-cycle"])
+def test_a_level_that_keeps_nothing_is_an_empty_layout(g, certificate, bridges, phases):
+    # no second-level graph of these has 2 vertices ordinary at both
+    # levels, so phase 3 adds no edge
+    aux, starts, cuts, part = second = _decompose(g, 0, blocks_only=True)[-1]
+    assert (aux.n, len(aux.tails), starts, part.count) == (0, 0, [(0, 0)], 0)
+    assert cuts == [0] * (len(aux_graphs(g, 0)[1]) + 1)
+    assert list(_regions(second)) == []
+    edges, stats = ist_b(g)
+    assert sorted(edges) == sorted(ist_b_original(g)) == certificate
+    assert (stats.n, stats.n_prime, stats.bridges) == (g.n, 0, bridges)
+    assert (stats.phase1_new, stats.phase2_new, stats.phase3_new) == phases
 
 
 def _check_blocks_read_off_the_walk(g) -> None:
     """Every second-level graph of g with its entering bridge is strongly
     connected, and the aux filters' partition that `_regions` reads off its
     SCCs without the bridge is its blocks."""
-    for layout in _decompose(g, 0)[-1]:
-        for aux, part in _regions(layout):
-            assert is_strongly_connected(aux)
-            assert blocks(aux) == part
+    for aux, part in _regions(_decompose(g, 0)[-1]):
+        assert is_strongly_connected(aux)
+        assert blocks(aux) == part
 
 
 def test_second_level_blocks_are_read_off_the_walk():
@@ -494,7 +554,7 @@ def test_second_level_blocks_are_read_off_the_walk():
 
 @pytest.mark.parametrize("strategy, calls", [("test2edp", 0), ("hybrid", 186)])
 def test_aux_filter_calls_blocks_only_in_block_tests(monkeypatch, strategy, calls):
-    # the walk yields each second-level graph's starting partition, so the
+    # the second level comes with each graph's starting partition, so the
     # only blocks() calls are hybrid's block tests; this grid has 187 graphs
     seen = []
     monkeypatch.setattr(filters, "blocks", lambda g: seen.append(g) or blocks(g))

@@ -10,9 +10,11 @@ Two checkouts keep the same outputs iff their lines are equal.  --compare
 reads two files of --detail lines, prints each differing `graph: key` (or
 `all outputs equal`) and exits 1 if any output differs.
 
-The graphs are the road grids of side 12 and 18, the dense-cert graph (a
-uniform 350-vertex/1400-arc digraph, largest SCC), 20 seeded random
-strongly connected graphs and 20 seeded strongly connected multigraphs with
+The graphs are the road grids of side 12 and 18, the bridge-heavy road
+grid of side 18 with `p_two_way` 0.2 (117 vertices in 77 first-level
+graphs, most of them tiny), the dense-cert graph (a uniform
+350-vertex/1400-arc digraph, largest SCC), 20 seeded random strongly
+connected graphs and 20 seeded strongly connected multigraphs with
 parallel edges and loops.  Per graph it covers:
 - the output edge set of each of the 14 catalog algorithms;
 - the `blocks` and `components` partitions;
@@ -50,6 +52,7 @@ def _graphs():
 
     yield "road-grid-12", road_grid(12, 0.12, 0.55, 1)
     yield "road-grid-18", road_grid(18, 0.12, 0.55, 1)
+    yield "road-grid-18-bridged", road_grid(18, 0.12, 0.2, 1)
     rng = np.random.default_rng(1)
     tails = rng.integers(0, 350, 1400).tolist()
     heads = rng.integers(0, 350, 1400).tolist()
