@@ -1,9 +1,11 @@
 """Canonical decomposition, auxiliary graphs, 2EC blocks/components, condensation."""
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .digraph import (
-    Digraph, GraphError, Partition, _ensure_strongly_connected, _first_arcs, _rooted_reverse,
-    induced_subgraphs, is_strongly_connected, scc,
+    Digraph, GraphError, Partition, _ensure_strongly_connected, _first_arcs, _layout,
+    _rooted_reverse, induced_subgraphs, is_strongly_connected, scc,
 )
 from .dominators import DominatorTree, _strong_bridges, dominator_tree, flow_bridges
 
@@ -54,96 +56,153 @@ def _contract(g: Digraph, dt: DominatorTree, starts=None, blocks_only: bool = Fa
     which `tails`, `heads` and `origin` keep.  The graphs of flow graph j
     sit on vertices ``cuts[j]`` to ``cuts[j + 1] - 1``, a range that is
     empty if it keeps none; a layout that keeps no graph has no vertex.
+
+    An edge whose ends share a region joins their local ids: one array
+    pass over all of g's edges, every flow graph at once
+    (`digraph._layout`), relabels those, and only the edges between
+    regions climb, in Python and in id order.  Such an edge leaves each
+    region on its way into that region's d(r), and these copies,
+    parallels made by the contraction, collapse onto the two smallest
+    edges of each pair.  A region whose pair in the region above (its
+    local id there, d(r) there) holds its two copies points past that
+    region, union-find with path compression, so the climbs cost about
+    O(m α), not O(m · depth) as on the bridge chain; a climb that skips
+    past the region just below its head's finds that one by the dominator
+    tree's preorder.
     """
-    idom, order = dt.idom, dt.dfs_order
-    ids, g_tails, g_heads = g.edge_ids.tolist(), g.tails.tolist(), g.heads.tolist()
-    bridge_into = {g_heads[e]: e for e in flow_bridges(g, dt)}
+    idom, order, pre = dt.idom, dt.dfs_order, dt.pre
+    bridges = list(flow_bridges(g, dt))
+    bridge_into = dict(zip(g.heads[bridges].tolist(), bridges))
     if starts is None:                       # G(s), its preorder from position 0
-        spans, after_z, vertex_of = [((0, 0), (g.n, len(ids)))], 0, range(g.n)
+        spans, after_z, vertex_of = [((0, 0), (g.n, g.m))], 0, range(g.n)
     else:                                    # each H^R, its preorder after z's
         spans, after_z, vertex_of = zip(starts, starts[1:]), 1, g.vertex_origin.tolist()
-    tree_id = [0] * g.n                      # the marked root of every vertex
-    local = [0] * g.n                        # its place among its tree's members
-    # the graphs go into the layout's lists, each from offset `base` on
-    tails: list[int] = []
-    heads: list[int] = []
-    orig: list[int] = []
-    vertex_origin: list[int] = []
-    edge_ids: list[int] = []                 # all but the entering bridges
-    layout_starts = [(0, 0)]
-    cuts: list[int] = []
-    for (v0, e0), (v1, e1) in spans:
-        cuts.append(len(vertex_origin))
-        if blocks_only and sum(v >= 0 for v in vertex_of[v0:v1]) < 2:
+    region = [-1] * g.n                      # the region of every vertex, by layout order
+    local = [0] * g.n                        # its place among its region's members
+    # per region, in layout order: its root; the region above (-1 at a
+    # flow graph's root) and its depth below that root; the local id of
+    # d(r), after its members and marked children; its local id in the
+    # region above; the regions below; and how many of its members are
+    # ordinary at both levels
+    roots: list[int] = []
+    parent: list[int] = []
+    depth: list[int] = []
+    top: list[int] = []
+    as_child: list[int] = []
+    children: list[list[int]] = []
+    ordinary: list[int] = []
+    firsts: list[int] = []                   # the first region of each flow graph
+    for (v0, _), (v1, _) in spans:
+        firsts.append(len(roots))
+        if blocks_only and v1 - v0 - vertex_of[v0:v1].count(-1) < 2:
             continue
         preorder = order[v0 + after_z:v1 + after_z]
         s = preorder[0]
         marked = sorted({s, *filter(bridge_into.__contains__, preorder)})
-        members: dict[int, list[int]] = {r: [] for r in marked}
+        first = len(roots)
+        for k, r in enumerate(marked, first):
+            region[r] = k
+        roots += marked
+        parent += [-1] * len(marked)
+        depth += [0] * len(marked)
+        top += [0] * len(marked)
+        as_child += [-1] * len(marked)
+        ordinary += [0] * len(marked)
+        children += [[] for _ in marked]
         for v in preorder:
-            tree_id[v] = r = v if v in members else tree_id[idom[v]]
-            local[v] = len(members[r])
-            members[r].append(v)
+            k = region[v]
+            if k < 0:
+                k = region[v] = region[idom[v]]
+            elif v != s:                     # a marked vertex hangs below idom's region
+                parent[k] = p = region[idom[v]]
+                depth[k] = depth[p] + 1
+            local[v] = top[k]                # top counts the members so far
+            top[k] += 1
+            if vertex_of[v] >= 0:
+                ordinary[k] += 1
         # a marked child's local id in its parent's graph; d(r) comes after
         # r's marked children, so it ends up at top[r]
-        as_child: dict[int, int] = {}
-        top = {r: len(members[r]) for r in marked}
-        for r in marked:                     # ascending
-            if r != s:
-                p = tree_id[idom[r]]
-                as_child[r], top[p] = top[p], top[p] + 1
+        for k in range(first, len(roots)):   # ascending ids
+            p = parent[k]
+            if p >= 0:
+                as_child[k], top[p] = top[p], top[p] + 1
+                children[p].append(k)
+    keep = [not blocks_only or c >= 2 for c in ordinary]
+    offset = [0]                             # the vertices of the kept regions before each
+    for k, kept in enumerate(keep):
+        offset.append(offset[-1] + (top[k] + (parent[k] >= 0) if kept else 0))
 
+    def climb(tails, heads, eids):
         # idom(y) dominates every tail x of an edge into y, so x's region
         # lies in the region subtree of y's: the edge climbs from x's region
         # to y's, leaving each region below into its d(r).  The exception is
         # the bridge into y, from idom(y) in the region above, which also
-        # enters y's graph from d(y).
-        region_edges: dict[int, list[tuple[int, int, int]]] = {r: [] for r in marked}
-        for e in ids[e0:e1]:
-            x, y = g_tails[e], g_heads[e]
-            if x == y:
-                continue
-            if bridge_into.get(y) == e:
-                region_edges[y].append((top[y], 0, e))
-                region_edges[tree_id[x]].append((local[x], as_child[y], e))
-                continue
-            rx, a, ry = tree_id[x], local[x], tree_id[y]
-            while rx != ry:
-                region_edges[rx].append((a, top[rx], e))
-                a, rx = as_child[rx], tree_id[idom[rx]]
-            region_edges[rx].append((a, local[y], e))
+        # enters y's graph from d(y).  The parallels that the contraction
+        # makes collapse onto the two smallest edges, since a double edge
+        # is what 2-edge-connectivity can still see: the copies of
+        # (x, d(r)) are counted by x, of (child, d(r)) by child, and of
+        # (child, y) by both
+        made: list[int] = []                 # per edge: graph, local tail and head, id
+        from_x: dict[int, int] = {}
+        into_y: dict[tuple[int, int], int] = {}
+        passing = [0] * len(roots)
+        # a region whose pair in the region above holds two copies, or is
+        # not kept, points to it
+        link = [p if p >= 0 and not keep[p] else k for k, p in enumerate(parent)]
+        sorted_children: dict[int, list[tuple[int, int]]] = {}
 
-        for r in marked:
-            ordinary = members[r]
-            r_vertex = [vertex_of[v] for v in ordinary]
-            if blocks_only and sum(v >= 0 for v in r_vertex) < 2:
+        def find(c):
+            up = c
+            while link[up] != up:
+                up = link[up]
+            while c != up:
+                link[c], c = up, link[c]
+            return up
+
+        def child_above(ry, x):              # the region below ry whose tree holds x
+            kids = sorted_children.get(ry)
+            if kids is None:
+                kids = sorted_children[ry] = sorted((pre[roots[c]], c) for c in children[ry])
+            return kids[bisect_right(kids, (pre[x], len(roots))) - 1][1]
+
+        for x, y, e in zip(tails, heads, eids):
+            rx, ry = region[x], region[y]
+            if bridge_into.get(y) == e:
+                if keep[ry]:
+                    made += ry, top[ry], 0, e
+                if keep[rx]:
+                    made += rx, local[x], as_child[ry], e
                 continue
-            base, contracted, d_r = len(vertex_origin), len(ordinary), top[r]
-            seen_pair: dict[tuple[int, int], int] = {}
-            for a, b, e in region_edges[r]:
-                if a >= contracted or b >= contracted:
-                    # contraction-created parallels collapse onto the two
-                    # smallest original edges; a second copy is kept because
-                    # double edges are what 2-edge-connectivity can still
-                    # see.  A dict, not _first_arcs: a block test builds
-                    # tiny region graphs by the thousand, and numpy per
-                    # region costs more
-                    cnt = seen_pair.get((a, b), 0)
-                    if cnt >= 2:
-                        continue
-                    seen_pair[(a, b)] = cnt + 1
-                if a != d_r:                 # only the entering bridge leaves d(r)
-                    edge_ids.append(len(orig))
-                tails.append(base + a)
-                heads.append(base + b)
-                orig.append(e)
-            vertex_origin += r_vertex + [-1] * (d_r + (r != s) - contracted)
-            layout_starts.append((len(vertex_origin), len(orig)))
-    cuts.append(len(vertex_origin))
-    aux = Digraph(len(vertex_origin), tails, heads, edge_ids=edge_ids,
-                  origin=orig if starts is None else g.origin[orig],
+            copies = from_x.get(x, 0)
+            if copies < 2 and keep[rx]:
+                from_x[x] = copies + 1
+                made += rx, local[x], top[rx], e
+            below = depth[ry] + 1              # the depth of the region below ry
+            c = rx if link[rx] == rx else find(rx)
+            while depth[c] > below:
+                p = parent[c]
+                made += p, as_child[c], top[p], e
+                passing[c] += 1
+                if passing[c] == 2:
+                    link[c] = p
+                c = find(p)
+            if keep[ry]:
+                if depth[c] < below:         # skipped past: find it under ry
+                    c = child_above(ry, x)
+                copies = into_y.get((c, y), 0)
+                if copies < 2:
+                    into_y[(c, y)] = copies + 1
+                    made += ry, as_child[c], local[y], e
+        return made
+
+    base = [offset[k] if kept else -1 for k, kept in enumerate(keep)]
+    (tails, heads, edge_ids, origin, vertex_origin), first_edge = _layout(
+        g, (region, local), (base, top, offset[-1]), climb, through=starts is not None)
+    aux = Digraph(offset[-1], tails, heads, edge_ids=edge_ids, origin=origin,
                   vertex_origin=vertex_origin)
-    return aux, layout_starts, cuts
+    layout_starts = [(offset[k], first_edge[k]) for k, kept in enumerate(keep) if kept]
+    layout_starts.append((offset[-1], first_edge[-1]))
+    return aux, layout_starts, [offset[k] for k in firsts] + [offset[-1]]
 
 
 def _regions(layout):
@@ -193,12 +252,14 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
     levels, and each vertex is ordinary at both levels in exactly one
     graph, so each label is set once, to the first such vertex of its SCC.
 
-    Three consumers read those SCCs: `blocks()` returns the labels,
-    `certificates._ist_pipeline` covers every SCC of each H^R in its
-    phase 3 and returns the labels as g's block partition, and
-    `filters._on_aux_graphs` runs its strategy on each second-level graph
-    with the blocks that `_regions` reads off the SCCs.  The certificate's
-    phase 2 runs over C itself, H^R by H^R, each before its phase 3.
+    Three consumers read those SCCs: `blocks()` walks with `blocks_only`
+    and returns the labels; `certificates._ist_pipeline` walks with it for
+    `ist_b` (not for `ist_b_original`), covers every SCC of each H^R in its
+    phase 3 and returns the labels as g's block partition; and
+    `filters._on_aux_graphs` walks the whole second level and runs its
+    strategy on each second-level graph with the blocks that `_regions`
+    reads off the SCCs.  The certificate's phase 2 runs over C itself, H^R
+    by H^R, each before its phase 3.
     """
     dt = dominator_tree(g, s)
     aux, starts, _ = _contract(g, dt)
@@ -216,11 +277,15 @@ def _decompose(g: Digraph, s: int, blocks_only: bool = False):
 
 def blocks(g: Digraph) -> Partition:
     """2-edge-connected blocks: vertex classes pairwise joined by two
-    edge-disjoint paths in each direction, read off by `_decompose`."""
+    edge-disjoint paths in each direction, read off by `_decompose` from
+    the second-level graphs with 2 or more vertices ordinary at both
+    levels, the only ones that hold a block (Georgiadis, Italiano, Laura &
+    Parotsidis, 2-edge connectivity in directed graphs); it builds no
+    other second-level graph."""
     _ensure_strongly_connected(g)
     if g.n <= 1:
         return Partition(list(range(g.n)))
-    return Partition(_decompose(g, 0)[3])
+    return Partition(_decompose(g, 0, blocks_only=True)[3])
 
 
 def components(g: Digraph) -> Partition:

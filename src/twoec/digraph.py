@@ -165,6 +165,53 @@ def _rooted_reverse(g: Digraph, targets: list[int]) -> Digraph:
                    vertex_origin=np.append(g.vertex_origin, -1))
 
 
+def _layout(g: Digraph, place, parts, climb, through: bool):
+    """The fields of graphs laid side by side in one graph, a layout, on
+    the edges of g.
+
+    `place` is (part, local): vertex v of g is local vertex ``local[v]`` of
+    graph ``part[v]``, or of none if that is -1.  `parts` is (base, top, n):
+    graph k sits on the layout's vertices from ``base[k]`` on, or is left
+    out if that is -1; the out-edges of its local vertex ``top[k]`` stay out
+    of `edge_ids`; and the layout has n vertices.  An edge of g inside one
+    graph, unless a loop, joins the local ids of its ends there, all in one
+    array pass.  The edges between graphs go to `climb` as lists of tails,
+    heads and ids, in id order, and it returns the edges it makes of them
+    as one flat list of (graph, local tail, local head, id).  Each graph's
+    edges are in id order.  `origin` and `vertex_origin` map into g, or with
+    `through` through g's maps.
+
+    Returns the layout's tails, heads, edge_ids, origin and vertex_origin,
+    and the position of each graph's first edge in it, then the number of
+    its edges.
+    """
+    part, local = _int64(place[0]), _int64(place[1])
+    base, top = _int64(parts[0]), _int64(parts[1])
+    eids = g.edge_ids
+    tails, heads = g.tails[eids], g.heads[eids]
+    tail_part, head_part = part[tails], part[heads]
+    inside = np.flatnonzero((tail_part == head_part) & (tail_part >= 0) & (tails != heads))
+    between = np.flatnonzero((tail_part != head_part) & (tail_part >= 0))
+    made = _int64(climb(tails[between].tolist(), heads[between].tolist(),
+                        eids[between].tolist()))
+    k, a, b, e = (np.concatenate(pair) for pair in zip(
+        (tail_part[inside], local[tails[inside]], local[heads[inside]], eids[inside]),
+        made.reshape(-1, 4).T))
+    # the edges of the graphs kept, by graph and then by id
+    kept = np.flatnonzero(base[k] >= 0)
+    order = kept[np.argsort(k[kept] * len(g.tails) + e[kept])]
+    k, a, b, e = k[order], a[order], b[order], e[order]
+    first = np.zeros(len(base) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(k, minlength=len(base)), out=first[1:])
+    vertices = np.flatnonzero(part >= 0)
+    vertices = vertices[base[part[vertices]] >= 0]
+    vertex_origin = np.full(parts[2], -1, dtype=np.int64)
+    vertex_origin[base[part[vertices]] + local[vertices]] = (
+        g.vertex_origin[vertices] if through else vertices)
+    return (base[k] + a, base[k] + b, np.flatnonzero(a != top[k]),
+            g.origin[e] if through else e, vertex_origin), first.tolist()
+
+
 def build(n: int, edges, allow_multi: bool = False) -> Digraph:
     """Digraph from an edge list; ids equal list positions.
 

@@ -1,6 +1,7 @@
 """Test graphs, views, a reachability search and the Theorem-2 check that
 several test modules share, one builder each: among the graphs, the
-fixture corpus and seeded 2-edge-connected digraphs.
+fixture corpus, seeded 2-edge-connected digraphs and the adversarial
+families that would make a walk quadratic (the bridge chain).
 
 Imported by name: pytest puts this directory on `sys.path` for the test
 modules beside it.
@@ -62,6 +63,15 @@ def ist_b_within_theorem2(g):
     assert stats.phase3_new <= 2 * stats.n_prime + 2 * stats.bridges
     assert len(cert) <= 4 * (stats.n + stats.n_prime)
     return cert, stats
+
+
+def bridge_chain(k: int) -> Digraph:
+    """The bridge chain on k + 1 vertices: arcs i -> i + 1 for i < k, then
+    arcs i -> 0 for 0 < i <= k.  Each arc i -> i + 1 is a bridge of G(0), so
+    the regions of G(0) form one path k + 1 deep, and the arc from k back
+    to 0 leaves k regions on its way up: a walk that climbs it region by
+    region does quadratic work."""
+    return build(k + 1, [(i, i + 1) for i in range(k)] + [(i, 0) for i in range(1, k + 1)])
 
 
 def corpus() -> dict[str, Digraph]:

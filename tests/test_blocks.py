@@ -1,5 +1,7 @@
 import importlib
+import inspect
 import random
+import sys
 import time
 from bisect import bisect_right
 
@@ -23,7 +25,7 @@ from twoec.fixtures import (
     g1, g2, g4, g5, linked_triangles, random_strongly_connected, road_grid,
 )
 
-from graph_builders import corpus, dense_cert_graph, stdlib_uniform_digraph
+from graph_builders import bridge_chain, corpus, dense_cert_graph, stdlib_uniform_digraph
 from oracle import (
     OracleBudget, oracle_blocks, oracle_components, two_edge_connected_pair,
 )
@@ -514,6 +516,71 @@ def test_blocks_reads_adjacency_a_constant_number_of_times(monkeypatch, side, p_
     assert len(calls) == 7
 
 
+def test_blocks_contracts_only_the_graphs_that_can_hold_a_block(monkeypatch):
+    # blocks() walks with blocks_only: on this bridge-heavy grid most
+    # second-level graphs have fewer than 2 vertices ordinary at both
+    # levels, and the layout it builds leaves them out
+    g = road_grid(18, 0.12, 0.2, 1)
+    module = importlib.import_module("twoec.blocks")
+    walks = []
+    decompose = module._decompose
+    monkeypatch.setattr(module, "_decompose",
+                        lambda *a, **kw: walks.append(decompose(*a, **kw)) or walks[-1])
+    blocks(g)
+    [(*_, (aux, _, _, _))] = walks
+    assert aux.n < _decompose(g, 0)[-1][0].n
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _contract_lines(run, budget: int) -> int:
+    """The lines that `_contract`, with the functions nested in it, runs
+    during `run()`; raises _OverBudget once they pass `budget`, so that a
+    quadratic walk fails fast."""
+    source, first = inspect.getsourcelines(_contract)
+    last, filename = first + len(source), _contract.__code__.co_filename
+    count = 0
+
+    def in_contract(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+            if count > budget:
+                raise _OverBudget(count)
+        return in_contract
+
+    def calls(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename == filename and first <= code.co_firstlineno < last:
+            return in_contract
+        return None
+
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(before)
+    return count
+
+
+@pytest.mark.parametrize("k", [10**3, 10**4, pytest.param(10**5, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("back_to_1", [False, True], ids=["bridge-chain", "and-back-to-1"])
+def test_contract_climbs_the_bridge_chain_in_linear_work(k, back_to_1):
+    # the arc from i back to 0 leaves i regions of G(0): climbed region by
+    # region that is k^2 / 2 steps; the skip pointers pass over each region
+    # once both its copies are in.  Arcs from i back to 1 end just above
+    # region 2, which the arcs to 0 saturated, so each of them skips past
+    # the region it ends from and finds it under region 1 again
+    g = bridge_chain(k)
+    if back_to_1:
+        g = build(k + 1, g.edge_pairs() + [(i, 1) for i in range(2, k + 1)])
+    # the lower bound shows that the trace sees the walk at all
+    assert _contract_lines(lambda: blocks(g), 40 * (g.n + g.m)) > g.n + g.m
+
+
 @pytest.mark.parametrize("g, certificate, bridges, phases", [
     (g2(), [0, 1, 2], 2, (2, 1, 0)),
     (build(1, []), [], 0, (0, 0, 0)),
@@ -747,6 +814,12 @@ def test_component_algorithms_keep_their_side_300_budgets():
     dt = best(lambda: dominator_tree(g, 0), 3)
     assert best(lambda: components(g), 2) <= 9 * dt
     assert best(lambda: zni_c(g), 2) <= 15 * dt
+    # blocks reads 3.7-4.3 dt here, against a budget of 4 that it does not
+    # meet yet; it is checked on the bridge-heavy grid, whose many small
+    # regions at both levels the walk skips (7.1-7.3 dt)
+    g = road_grid(120, 0.12, 0.2, 1)
+    dt = best(lambda: dominator_tree(g, 0), 3)
+    assert best(lambda: blocks(g), 3) <= 8 * dt
 
 
 def _view_with_gaps():

@@ -12,7 +12,9 @@ reads two files of --detail lines, prints each differing `graph: key` (or
 
 The graphs are the road grids of side 12 and 18, the bridge-heavy road
 grid of side 18 with `p_two_way` 0.2 (117 vertices in 77 first-level
-graphs, most of them tiny), the dense-cert graph (a uniform
+graphs, most of them tiny), the bridge chain of 41 vertices from
+`tests/graph_builders.py` (first-level regions 41 deep, which pins the
+contraction's climbs with skip pointers), the dense-cert graph (a uniform
 350-vertex/1400-arc digraph, largest SCC), 20 seeded random strongly
 connected graphs and 20 seeded strongly connected multigraphs with
 parallel edges and loops.  Per graph it covers:
@@ -49,10 +51,13 @@ def _graphs():
     import numpy as np
     from twoec.digraph import build, largest_scc
     from twoec.fixtures import random_strongly_connected, road_grid
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from graph_builders import bridge_chain
 
     yield "road-grid-12", road_grid(12, 0.12, 0.55, 1)
     yield "road-grid-18", road_grid(18, 0.12, 0.55, 1)
     yield "road-grid-18-bridged", road_grid(18, 0.12, 0.2, 1)
+    yield "bridge-chain-40", bridge_chain(40)
     rng = np.random.default_rng(1)
     tails = rng.integers(0, 350, 1400).tolist()
     heads = rng.integers(0, 350, 1400).tolist()
